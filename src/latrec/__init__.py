@@ -10,12 +10,12 @@ from .exactnum import ParseError, Rational, format_rational, parse_rational
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
                       SpecError, StencilEntry, domain_of_dependence)
 from .combinatorics import compositions, expand_stencil_power, multinomial
-from .closed_form import (as_grid_2d, as_ninepoint, as_one_row, as_tridiagonal,
-                          backward_difference, closed_rows, closed_value,
-                          corner_kernel, corner_spec, eval_2d_general,
-                          eval_implicit, eval_nd, eval_ninepoint, eval_one_row,
-                          eval_tridiagonal, eval_two_row, grid_2d_spec,
-                          ninepoint_spec, one_row_spec, tridiagonal_spec)
+from .closed_form import (as_grid_2d, as_ninepoint, as_one_row,
+                          as_tridiagonal, backward_difference, closed_rows,
+                          closed_value, corner_kernel, corner_spec,
+                          eval_implicit, eval_nd, eval_tridiagonal,
+                          eval_two_row, grid_2d_spec, ninepoint_spec,
+                          one_row_spec, tridiagonal_spec)
 from .oracle import (EvolutionState, Mismatch, Region, VerifyReport,
                      WindowOverflowError, auto_window, oracle_evolve,
                      oracle_step, oracle_sweep_implicit, rows_to_values,
@@ -32,8 +32,7 @@ __all__ = [
     "as_grid_2d", "as_ninepoint", "as_one_row", "as_tridiagonal",
     "auto_window", "backward_difference", "closed_rows", "closed_value",
     "compositions", "corner_kernel", "corner_spec", "domain_of_dependence",
-    "eval_2d_general", "eval_implicit", "eval_nd", "eval_ninepoint",
-    "eval_one_row", "eval_tridiagonal", "eval_two_row",
+    "eval_implicit", "eval_nd", "eval_tridiagonal", "eval_two_row",
     "expand_stencil_power", "format_rational", "grid_2d_spec", "heat_profile",
     "heat_spec", "load_config", "multinomial", "ninepoint_spec",
     "one_row_spec", "oracle_evolve", "oracle_step", "oracle_sweep_implicit",

@@ -20,19 +20,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .closed_form import closed_rows, closed_value
+from .closed_form import EVALUATORS, closed_getter
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import FieldRow, Point, SpecError
 from .models import (HeatParams, RandomWalkParams, heat_profile, heat_spec,
                      random_walk_distribution, random_walk_spec)
-from .oracle import (Mismatch, Region, VerifyReport, WindowOverflowError,
-                     auto_window, oracle_evolve, oracle_sweep_implicit,
-                     sweep_window, verify_closed_vs_oracle, pointwise_closed)
-
-EVALUATORS = ("auto", "nd", "tridiagonal", "tridiagonal-j-n", "one-row",
-              "ninepoint", "grid-2d", "two-row", "implicit")
+from .oracle import (Region, WindowOverflowError, oracle_getter, query_bounds,
+                     verify_closed_vs_oracle)
 
 
 def format_table(dim: int, rows: list[tuple[Point, int, Fraction]],
@@ -65,75 +61,40 @@ def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
     return rows
 
 
-def _oracle_values(config: RunConfig):
-    """Callable (point, time) -> value backed by iterated rows."""
-    spec, initial = config.spec, config.initial
-    t_max = config.t_max
-    if spec.implicit_corner:
-        a, b, c = spec.corner_coefficients()
-        psi = initial.rows[0]
-        if not psi.values:
-            return lambda p, t: Fraction(0)
-        hi = max(p[0] for p, _ in config.query_points)
-        window = config.window or sweep_window(psi, t_max, right_edge=hi)
-        rows = oracle_sweep_implicit(a, b, c, psi, window, t_max)
-        return lambda p, t: rows[t].get(p)
-    extra = config.query.box if isinstance(config.query, Region) else None
-    window = config.window or auto_window(spec, initial, t_max, extra=extra)
-    rows = oracle_evolve(spec, initial, t_max, window)
-    return lambda p, t: rows[t].get(p)
-
-
-def _closed_values(config: RunConfig):
-    spec, initial = config.spec, config.initial
-    if spec.implicit_corner:
-        return lambda p, t: closed_value(spec, initial, p, t)
-    rows = closed_rows(spec, initial, config.t_max)
-    return lambda p, t: rows[t].get(p)
-
-
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text)."""
     if config.engine == "verify":
         return run_verify(config, "auto")
-    getter = _closed_values(config) if config.engine == "closed" else _oracle_values(config)
+    spec, initial = config.spec, config.initial
+    box, t_max = query_bounds(config.query)
+    if config.engine == "closed":
+        getter = closed_getter(spec, initial, t_max)
+    else:
+        getter = oracle_getter(spec, initial, t_max, box, config.window)
     table = [(p, t, getter(p, t)) for p, t in config.query_points]
-    return 0, format_table(config.spec.spatial_dim, table,
-                           spec_hash(config.spec), config.out_format)
+    return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
 
 def run_verify(config: RunConfig, evaluator: str,
-                t_max: int | None = None) -> tuple[int, str]:
-    spec, initial = config.spec, config.initial
-    if isinstance(config.query, Region):
-        region = config.query
-        if t_max is not None:
-            region = Region(region.box, min(region.t_lo, t_max), t_max)
-        report = verify_closed_vs_oracle(spec, initial, region,
-                                         evaluator=evaluator, window=config.window)
-    else:
-        report = _verify_point_list(config, evaluator)
-    lines = [f"# spec={spec_hash(spec)}", report.summary()]
+               t_max: int | None = None) -> tuple[int, str]:
+    """Verify the config's query, its times cut at t_max when given: a
+    region's time range ends at t_max, listed points after t_max are dropped."""
+    query = config.query
+    if t_max is not None:
+        if isinstance(query, Region):
+            query = Region(query.box, min(query.t_lo, t_max), t_max)
+        else:
+            query = [(p, t) for p, t in query if t <= t_max]
+            if not query:
+                raise ConfigError("--tmax", f"no query point has time <= {t_max}")
+    report = verify_closed_vs_oracle(config.spec, config.initial, query,
+                                     evaluator=evaluator, window=config.window)
+    lines = [f"# spec={spec_hash(config.spec)}", report.summary()]
     for m in report.mismatches:
         lines.append(f"mismatch at {m.point} t={m.time}: "
                      f"closed={format_rational(m.closed_value)} "
                      f"oracle={format_rational(m.oracle_value)}")
     return (0 if report.ok else 1), "\n".join(lines) + "\n"
-
-
-def _verify_point_list(config: RunConfig, evaluator: str) -> VerifyReport:
-    oracle_get = _oracle_values(config)
-    if evaluator == "auto":
-        closed_get = _closed_values(config)
-    else:
-        closed_get = pointwise_closed(config.spec, config.initial, evaluator)
-    mismatches = []
-    points = config.query_points
-    for p, t in points:
-        cv, ov = closed_get(p, t), oracle_get(p, t)
-        if cv != ov:
-            mismatches.append(Mismatch(p, t, cv, ov))
-    return VerifyReport(len(points), tuple(mismatches), config.t_max)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -151,16 +112,21 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _count_flag(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     if args.format:
         config = _with_format(config, args.format)
-    if config.engine == "verify":
-        # solve runs the engine from the config; verify configs fall through
-        # to the verification path so the exit code stays meaningful.
-        status, text = run_verify(config, "auto")
-    else:
-        status, text = run(config)
+    status, text = run(config)
     _emit(text, args.out if args.out else config.out_path)
     return status
 
@@ -244,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="compare closed form against the oracle")
     p_verify.add_argument("--config", required=True)
-    p_verify.add_argument("--tmax", type=int, default=None)
-    p_verify.add_argument("--evaluator", choices=EVALUATORS, default="auto",
+    p_verify.add_argument("--tmax", type=_count_flag, default=None)
+    p_verify.add_argument("--evaluator", choices=("auto", *EVALUATORS), default="auto",
                           help="closed-form evaluator; 'tridiagonal-j-n' is the "
                                "known-inconsistent variant kept as a negative control")
     p_verify.add_argument("--out", default=None)
@@ -258,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--p", type=_rational_flag, required=True)
     p_walk.add_argument("--d", type=_rational_flag, required=True)
     p_walk.add_argument("--q", type=_rational_flag, required=True)
-    p_walk.add_argument("--steps", type=int, default=5)
+    p_walk.add_argument("--steps", type=_count_flag, default=5)
     p_walk.add_argument("--out", default=None)
     p_walk.add_argument("--format", choices=("csv", "json"), default="csv")
     p_walk.set_defaults(func=_cmd_demo_random_walk)
 
     p_heat = demo_sub.add_parser("heat")
     p_heat.add_argument("--r", type=_rational_flag, required=True)
-    p_heat.add_argument("--steps", type=int, default=5)
+    p_heat.add_argument("--steps", type=_count_flag, default=5)
     p_heat.add_argument("--out", default=None)
     p_heat.add_argument("--format", choices=("csv", "json"), default="csv")
     p_heat.set_defaults(func=_cmd_demo_heat)
@@ -274,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="dump the collected terms of the stencil "
                                    "symbol raised to a power")
     p_expand.add_argument("--config", required=True)
-    p_expand.add_argument("--power", type=int, required=True)
+    p_expand.add_argument("--power", type=_count_flag, required=True)
     p_expand.add_argument("--out", default=None)
     p_expand.add_argument("--format", choices=("csv", "json"), default="csv")
     p_expand.set_defaults(func=_cmd_expand)

@@ -1,28 +1,33 @@
 """Closed-form evaluators for the supported equation families.
 
 Under finite-support initial data every evaluator reduces to an exact finite
-sum over compositions, so results are exact rationals.  Families:
+sum, so results are exact rationals.  Evaluators:
 
-* ``eval_nd``            -- any one-step explicit equation in d >= 1 spatial dims.
-* ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j].
-* ``eval_one_row``       -- 1D shifted row U[i+m,j+1] = sum c_r U[i+r-1,j].
-* ``eval_ninepoint``     -- 2D full 3x3 stencil, one step in time.
-* ``eval_2d_general``    -- 2D n-by-m corner stencil with drift (s, t).
+* ``eval_nd``            -- any one-step explicit equation in d >= 1 spatial
+                            dims: a sum over compositions of the time over the
+                            stencil entries, the coefficient of the stencil
+                            symbol raised to that power.  The 1D shifted-row,
+                            2D 3x3 and 2D n-by-m corner families are such
+                            equations; their constructors and recognisers
+                            below name them for ``EVALUATORS``.
+* ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
+                            as a double binomial sum, with a known-inconsistent
+                            exponent variant kept as a negative control.
 * ``eval_two_row``       -- 1D two-step-in-time equation (two initial rows).
 * ``eval_implicit``      -- 1D corner form whose right side references the
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
 
-The specialized evaluators follow their own index bookkeeping and agree
-exactly with ``eval_nd`` on equivalent specs; the equivalences are enforced
-by the test suite against the iteration oracle.
+``EVALUATORS`` maps each evaluator name to its shape check and evaluator;
+``closed_rows`` builds whole rows from the expanded stencil power.  The
+test suite checks every evaluator against the iteration oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import compositions, expand_stencil_power, multinomial, stencil_symbol_steps
 from .exactnum import ZERO
@@ -71,8 +76,8 @@ def as_one_row(spec: EquationSpec) -> tuple[list[Fraction], int] | None:
     return coeffs, spec.spatial_shift[0]
 
 
-# 3x3 neighbourhood in the fixed reading order used by eval_ninepoint:
-# index r-1 runs over dy in (-1, 0, 1), dx in (-1, 0, 1), dx fastest.
+# 3x3 neighbourhood in the fixed coefficient order of ninepoint_spec:
+# dy in (-1, 0, 1), dx in (-1, 0, 1), dx fastest.
 NINEPOINT_OFFSETS: tuple[Point, ...] = tuple(
     (dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
 
@@ -200,94 +205,6 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     return total
 
 
-def eval_one_row(coeffs: Sequence[Fraction], m: int, psi: FieldRow,
-                 i: int, j: int) -> Fraction:
-    """Composition sum for U[i+m, j+1] = sum_r c_r U[i+r-1, j]:
-
-        sum over compositions (s_1..s_n) of j of
-        multinomial * prod(c_r**s_r) * psi(i + sum(r * s_r) - (m+1) j)
-    """
-    if not coeffs:
-        raise SpecError("need at least one coefficient")
-    if j < 0:
-        raise SpecError("time must be >= 0")
-    n = len(coeffs)
-    total = ZERO
-    for s in compositions(n, j):
-        arg = i + sum((r + 1) * sr for r, sr in enumerate(s)) - (m + 1) * j
-        sample = psi.get((arg,))
-        if sample == 0:
-            continue
-        weight = Fraction(multinomial(j, s))
-        for c, sr in zip(coeffs, s):
-            if sr:
-                weight *= c ** sr
-        total += weight * sample
-    return total
-
-
-def eval_ninepoint(coeffs: Sequence[Fraction], psi: FieldRow,
-                   i: int, j: int, k: int) -> Fraction:
-    """Composition sum for the full 3x3 one-step stencil:
-
-        sum over compositions (s_1..s_9) of k of
-        multinomial * prod(c_r**s_r) * psi(i - a, j - b)
-
-    with a = s1 - s3 + s4 - s6 + s7 - s9 and b = s1 + s2 + s3 - s7 - s8 - s9.
-    """
-    if len(coeffs) != 9:
-        raise SpecError("eval_ninepoint needs exactly 9 coefficients")
-    if k < 0:
-        raise SpecError("time must be >= 0")
-    total = ZERO
-    for s in compositions(9, k):
-        s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
-        a = s1 - s3 + s4 - s6 + s7 - s9
-        b = s1 + s2 + s3 - s7 - s8 - s9
-        sample = psi.get((i - a, j - b))
-        if sample == 0:
-            continue
-        weight = Fraction(multinomial(k, s))
-        for c, sr in zip(coeffs, s):
-            if sr:
-                weight *= c ** sr
-        total += weight * sample
-    return total
-
-
-def eval_2d_general(coeffs: Sequence[Sequence[Fraction]], s: int, t: int,
-                    psi: FieldRow, query: Point, k: int) -> Fraction:
-    """Composition sum for U[i+s, j+t, k+1] = sum_{u,v} c_uv U[i+u-1, j+v-1, k]:
-
-        sum over compositions (s_uv) of k of
-        multinomial * prod(c_uv**s_uv) * psi(i - a, j - b)
-
-    with a = (s+1) k - sum(u * s_uv) and b = (t+1) k - sum(v * s_uv).
-    """
-    if k < 0:
-        raise SpecError("time must be >= 0")
-    flat = [(u + 1, v + 1, c) for u, row in enumerate(coeffs) for v, c in enumerate(row)]
-    if not flat:
-        raise SpecError("need at least one coefficient")
-    i, j = query
-    total = ZERO
-    for comp in compositions(len(flat), k):
-        a = (s + 1) * k
-        b = (t + 1) * k
-        for mult, (u, v, _) in zip(comp, flat):
-            a -= mult * u
-            b -= mult * v
-        sample = psi.get((i - a, j - b))
-        if sample == 0:
-            continue
-        weight = Fraction(multinomial(k, comp))
-        for mult, (_, _, c) in zip(comp, flat):
-            if mult:
-                weight *= c ** mult
-        total += weight * sample
-    return total
-
-
 # ---------------------------------------------------------------------------
 # corner-implicit family
 # ---------------------------------------------------------------------------
@@ -339,9 +256,8 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 # two-initial-row family (time_order 2, 1D)
 # ---------------------------------------------------------------------------
 
-def _check_two_row_spec(spec: EquationSpec) -> None:
-    if spec.implicit_corner or spec.time_order != 2 or spec.spatial_dim != 1:
-        raise SpecError("two-row evaluation needs an explicit 1D spec with time_order 2")
+def _is_two_row(spec: EquationSpec) -> bool:
+    return not spec.implicit_corner and spec.time_order == 2 and spec.spatial_dim == 1
 
 
 def _two_row_branch_terms(spec: EquationSpec, target_b: int):
@@ -372,7 +288,8 @@ def eval_two_row(spec: EquationSpec, psi0: FieldRow, psi1: FieldRow,
     terms weighted by the newest-level coefficients.  Rows 0 and 1 are
     reproduced verbatim.
     """
-    _check_two_row_spec(spec)
+    if not _is_two_row(spec):
+        raise SpecError("two-row evaluation needs an explicit 1D spec with time_order 2")
     if j < 0:
         raise SpecError("time must be >= 0")
     m = spec.spatial_shift[0]
@@ -447,16 +364,88 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
                     f"with spatial_dim {dim}")
 
 
+def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
+                  evaluator: str = "auto") -> Callable[[Point, int], Fraction]:
+    """(point, time) -> closed-form value for times up to t_max.  "auto"
+    reads rows built by closed_rows, or evaluates the corner-implicit form
+    pointwise; any other name is looked up in EVALUATORS."""
+    if evaluator == "auto":
+        if spec.implicit_corner:
+            return pointwise(spec, initial, "implicit")
+        rows = closed_rows(spec, initial, t_max)
+        return lambda p, t: rows[t].get(p)
+    return pointwise(spec, initial, evaluator)
+
+
+def _nd_getter(spec: EquationSpec, initial: InitialData):
+    psi = initial.rows[0]
+    return lambda p, t: eval_nd(spec, psi, p, t)
+
+
+def _tridiagonal_getter(c_exponent: str):
+    def make(spec: EquationSpec, initial: InitialData):
+        a, b, c = as_tridiagonal(spec)
+        psi = initial.rows[0]
+        return lambda p, t: eval_tridiagonal(a, b, c, psi, p[0], t, c_exponent=c_exponent)
+    return make
+
+
+def _two_row_getter(spec: EquationSpec, initial: InitialData):
+    psi0, psi1 = initial.rows
+    return lambda p, t: eval_two_row(spec, psi0, psi1, p[0], t)
+
+
+def _implicit_getter(spec: EquationSpec, initial: InitialData):
+    a, b, c = spec.corner_coefficients()
+    psi = initial.rows[0]
+    return lambda p, t: eval_implicit(a, b, c, psi, p[0], t)
+
+
+def _is_one_step(spec: EquationSpec) -> bool:
+    return not spec.implicit_corner and spec.time_order == 1
+
+
+_THREE_POINT = "a three-point one-step 1D stencil"
+
+# evaluator name -> (shape check, the shape it names on failure, maker of the
+# (point, time) -> value callable).  The shifted-row, 3x3 and corner-stencil
+# names only check the shape; eval_nd evaluates all three.
+EVALUATORS = {
+    "nd": (_is_one_step, "a one-step explicit stencil", _nd_getter),
+    "tridiagonal": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-m")),
+    "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-n")),
+    "one-row": (as_one_row, "a shifted-row 1D one-step stencil", _nd_getter),
+    "ninepoint": (as_ninepoint, "a 3x3 one-step 2D stencil", _nd_getter),
+    "grid-2d": (as_grid_2d, "an n-by-m one-step 2D corner stencil", _nd_getter),
+    "two-row": (_is_two_row, "a two-step-in-time 1D stencil", _two_row_getter),
+    "implicit": (lambda spec: spec.implicit_corner, "a corner-implicit 1D stencil",
+                 _implicit_getter),
+}
+
+
+def pointwise(spec: EquationSpec, initial: InitialData,
+              evaluator: str) -> Callable[[Point, int], Fraction]:
+    """(point, time) -> value callable of a named evaluator; SpecError when
+    the spec does not have the evaluator's shape."""
+    if evaluator not in EVALUATORS:
+        raise SpecError(f"unknown evaluator {evaluator!r}")
+    recognise, shape, make = EVALUATORS[evaluator]
+    if not recognise(spec):
+        raise SpecError(f"spec is not {shape}")
+    initial.check_matches(spec)
+    return make(spec, initial)
+
+
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
     """Single-point closed-form value, dispatched on the spec family."""
-    initial.check_matches(spec)
     if spec.implicit_corner:
-        a, b, c = spec.corner_coefficients()
-        return eval_implicit(a, b, c, initial.rows[0], point[0], time)
-    if spec.time_order == 1:
-        return eval_nd(spec, initial.rows[0], point, time)
-    if spec.time_order == 2 and spec.spatial_dim == 1:
-        return eval_two_row(spec, initial.rows[0], initial.rows[1], point[0], time)
-    raise SpecError(f"no closed form for time_order {spec.time_order} "
-                    f"with spatial_dim {spec.spatial_dim}")
+        family = "implicit"
+    elif spec.time_order == 1:
+        family = "nd"
+    elif _is_two_row(spec):
+        family = "two-row"
+    else:
+        raise SpecError(f"no closed form for time_order {spec.time_order} "
+                        f"with spatial_dim {spec.spatial_dim}")
+    return pointwise(spec, initial, family)(point, time)

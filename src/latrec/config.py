@@ -31,7 +31,7 @@ from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
                       SpecError, StencilEntry)
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import Region, auto_window
+from .oracle import Region, auto_window, query_bounds, query_points
 
 ENGINES = ("closed", "oracle", "verify")
 FORMATS = ("csv", "json")
@@ -61,19 +61,11 @@ class RunConfig:
     def query_points(self) -> list[tuple[Point, int]]:
         """The query as an explicit (point, time) list, region expanded,
         sorted lexicographically by point then time."""
-        if isinstance(self.query, Region):
-            pts = [(p, t)
-                   for p in self.query.box.points()
-                   for t in range(self.query.t_lo, self.query.t_hi + 1)]
-        else:
-            pts = list(self.query)
-        return sorted(pts)
+        return list(query_points(self.query))
 
     @property
     def t_max(self) -> int:
-        if isinstance(self.query, Region):
-            return self.query.t_hi
-        return max(t for _, t in self.query)
+        return query_bounds(self.query)[1]
 
 
 def _rational(value, path: str) -> Fraction:

@@ -5,7 +5,7 @@ arbitrary-precision rational.  The scalar type is the stdlib
 ``fractions.Fraction``, which already keeps values canonical (positive
 denominator, fully reduced), so equality is structural and arithmetic is
 exact.  This module adds the strict text format used by config files and CSV
-output, plus a small functional surface over the operators.
+output.
 """
 
 from __future__ import annotations
@@ -56,19 +56,3 @@ def format_rational(x: Fraction) -> str:
     """Inverse of parse_rational: ``num`` when the denominator is 1, else ``num/den``."""
     return str(x)
 
-
-def rat_add(x: Fraction, y: Fraction) -> Fraction:
-    return x + y
-
-
-def rat_mul(x: Fraction, y: Fraction) -> Fraction:
-    return x * y
-
-
-def rat_neg(x: Fraction) -> Fraction:
-    return -x
-
-
-def rat_pow(x: Fraction, e: int) -> Fraction:
-    """x**e with the 0**0 = 1 convention; 0**negative raises ZeroDivisionError."""
-    return x ** e

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import eval_nd, tridiagonal_spec
+from .closed_form import tridiagonal_spec
+from .combinatorics import expand_stencil_power
 from .lattice import EquationSpec, FieldRow, InitialData, SpecError
 from .oracle import oracle_evolve
 
@@ -66,18 +67,13 @@ def heat_spec(params: HeatParams) -> EquationSpec:
 def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     """Occupation probabilities after j steps from the origin.
 
-    The walker starts at 0 with probability 1; the support after j steps is
-    within [-j, j]."""
+    The walker starts at 0 with probability 1, so the row after j steps is
+    the coefficient list of the stencil symbol raised to the power j; its
+    support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    spec = random_walk_spec(params)
-    delta = FieldRow.delta(1)
-    values = {}
-    for i in range(-j, j + 1):
-        v = eval_nd(spec, delta, (i,), j)
-        if v != 0:
-            values[(i,)] = v
-    return FieldRow(1, values)
+    terms = expand_stencil_power(random_walk_spec(params), j)
+    return FieldRow(1, {(x,): v for (x, _), v in terms.items()})
 
 
 def heat_profile(params: HeatParams, psi: FieldRow, j_max: int) -> list[FieldRow]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
@@ -216,87 +217,69 @@ class VerifyReport:
                 f"{len(self.mismatches)} mismatches")
 
 
-def pointwise_closed(spec: EquationSpec, initial: InitialData, evaluator: str):
-    """Per-point closed-form callable for a named evaluator family."""
-    psi = initial.rows[0]
-    if evaluator == "nd":
-        return lambda p, t: closed_form.eval_nd(spec, psi, p, t)
-    if evaluator in ("tridiagonal", "tridiagonal-j-n"):
-        shape = closed_form.as_tridiagonal(spec)
-        if shape is None:
-            raise SpecError("spec is not a three-point one-step 1D stencil")
-        a, b, c = shape
-        exp = "j-n" if evaluator.endswith("j-n") else "j-m"
-        return lambda p, t: closed_form.eval_tridiagonal(a, b, c, psi, p[0], t,
-                                                         c_exponent=exp)
-    if evaluator == "one-row":
-        shape = closed_form.as_one_row(spec)
-        if shape is None:
-            raise SpecError("spec is not a shifted-row 1D one-step stencil")
-        coeffs, m = shape
-        return lambda p, t: closed_form.eval_one_row(coeffs, m, psi, p[0], t)
-    if evaluator == "ninepoint":
-        coeffs = closed_form.as_ninepoint(spec)
-        if coeffs is None:
-            raise SpecError("spec is not a 3x3 one-step 2D stencil")
-        return lambda p, t: closed_form.eval_ninepoint(coeffs, psi, p[0], p[1], t)
-    if evaluator == "grid-2d":
-        shape = closed_form.as_grid_2d(spec)
-        if shape is None:
-            raise SpecError("spec is not an n-by-m one-step 2D corner stencil")
-        coeffs, s, tshift = shape
-        return lambda p, t: closed_form.eval_2d_general(coeffs, s, tshift, psi, p, t)
-    if evaluator == "two-row":
-        return lambda p, t: closed_form.eval_two_row(spec, initial.rows[0],
-                                                     initial.rows[1], p[0], t)
-    if evaluator == "implicit":
-        a, b, c = spec.corner_coefficients()
-        return lambda p, t: closed_form.eval_implicit(a, b, c, psi, p[0], t)
-    raise SpecError(f"unknown evaluator {evaluator!r}")
+Query = Region | Sequence[tuple[Point, int]]
 
 
-def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
-                            region: Region, evaluator: str = "auto",
-                            window: Box | None = None) -> VerifyReport:
-    """Evaluate both engines at every (point, time) of the region and report
-    exact mismatches.  Mismatches are data, not errors."""
-    initial.check_matches(spec)
-    if region.box.dim != spec.spatial_dim:
-        raise SpecError("region box dimension differs from the spec")
-    t_hi = region.t_hi
+def query_points(query: Query) -> Iterator[tuple[Point, int]]:
+    """The query's (point, time) pairs sorted by point, then time; a
+    region's are generated as they are read."""
+    if isinstance(query, Region):
+        return ((p, t) for p in query.box.points()
+                for t in range(query.t_lo, query.t_hi + 1))
+    return iter(sorted(query))
 
+
+def query_bounds(query: Query) -> tuple[Box, int]:
+    """The smallest box holding every point of the query, and its latest time."""
+    if isinstance(query, Region):
+        return query.box, query.t_hi
+    if not query:
+        raise SpecError("the query has no points")
+    axes = list(zip(*(p for p, _ in query)))
+    return Box(tuple(map(min, axes)), tuple(map(max, axes))), max(t for _, t in query)
+
+
+def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int,
+                  box: Box, window: Box | None = None):
+    """(point, time) -> iterated value for times up to t_max.
+
+    Without an explicit window the oracle's window reaches the query box:
+    auto_window hulled with the box, or for the corner-implicit sweep,
+    sweep_window with its right edge at the box's right edge."""
     if spec.implicit_corner:
         a, b, c = spec.corner_coefficients()
         psi = initial.rows[0]
-        if psi.values:
-            swin = window or sweep_window(psi, t_hi, right_edge=region.box.hi[0])
-            oracle_rows = oracle_sweep_implicit(a, b, c, psi, swin, t_hi)
-        else:
-            oracle_rows = [FieldRow.zero(1) for _ in range(t_hi + 1)]
+        if not psi.values:
+            return lambda p, t: ZERO
+        rows = oracle_sweep_implicit(
+            a, b, c, psi, window or sweep_window(psi, t_max, right_edge=box.hi[0]), t_max)
     else:
-        oracle_rows = oracle_evolve(spec, initial, t_hi,
-                                    window or auto_window(spec, initial, t_hi,
-                                                          extra=region.box))
+        rows = oracle_evolve(spec, initial, t_max,
+                             window or auto_window(spec, initial, t_max, extra=box))
+    return lambda p, t: rows[t].get(p)
 
-    if evaluator == "auto":
-        if spec.implicit_corner:
-            closed_get = pointwise_closed(spec, initial, "implicit")
-        else:
-            crows = closed_form.closed_rows(spec, initial, t_hi)
-            closed_get = lambda p, t: crows[t].get(p)
-    else:
-        closed_get = pointwise_closed(spec, initial, evaluator)
 
+def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
+                            region: Query, evaluator: str = "auto",
+                            window: Box | None = None) -> VerifyReport:
+    """Evaluate both engines at every (point, time) of the query, a Region or
+    a list of (point, time) pairs, and report exact mismatches in point,
+    then time order.  Mismatches are data, not errors."""
+    initial.check_matches(spec)
+    box, t_max = query_bounds(region)
+    if box.dim != spec.spatial_dim:
+        raise SpecError("region box dimension differs from the spec")
+    oracle_get = oracle_getter(spec, initial, t_max, box, window)
+    closed_get = closed_form.closed_getter(spec, initial, t_max, evaluator)
     checked = 0
     mismatches = []
-    for p in region.box.points():
-        for t in range(region.t_lo, t_hi + 1):
-            cv = closed_get(p, t)
-            ov = oracle_rows[t].get(p)
-            checked += 1
-            if cv != ov:
-                mismatches.append(Mismatch(p, t, cv, ov))
-    return VerifyReport(checked, tuple(mismatches), t_hi)
+    for p, t in query_points(region):
+        cv = closed_get(p, t)
+        ov = oracle_get(p, t)
+        checked += 1
+        if cv != ov:
+            mismatches.append(Mismatch(p, t, cv, ov))
+    return VerifyReport(checked, tuple(mismatches), t_max)
 
 
 def rows_to_values(rows: list[FieldRow], box: Box) -> dict[tuple[Point, int], Fraction]:

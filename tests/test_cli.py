@@ -4,7 +4,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from latrec.cli import main, parse_table_csv
+from latrec.closed_form import EVALUATORS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,6 +94,71 @@ def test_verify_tmax_flag(capsys):
     status, out, _ = run_cli(capsys, "verify", "--config", config, "--tmax", "2")
     assert status == 0
     assert "up to time 2" in out
+
+
+def test_verify_tmax_cuts_point_list(capsys, tmp_path):
+    path = write_config(tmp_path, {
+        "preset": "heat", "r": "1/4",
+        "query": {"points": [{"at": [0], "t": 1}, {"at": [1], "t": 3}]},
+    })
+    status, out, _ = run_cli(capsys, "verify", "--config", path, "--tmax", "2")
+    assert status == 0
+    assert "checked 1 points up to time 1: 0 mismatches" in out
+    status, out, err = run_cli(capsys, "verify", "--config", path, "--tmax", "0")
+    assert status == 2 and out == ""
+    assert "--tmax" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "random-walk", "--p", "1/2", "--d", "0", "--q", "1/2", "--steps"],
+    ["demo", "heat", "--r", "1/4", "--steps"],
+    ["verify", "--config", str(CONFIG_DIR / "identity.json"), "--tmax"],
+    ["expand", "--config", str(CONFIG_DIR / "identity.json"), "--power"],
+], ids=["walk-steps", "heat-steps", "tmax", "power"])
+def test_count_flags_reject_bad_values(capsys, argv):
+    for bad in ("-2", "x", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [bad])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {argv[-1]}: expected a non-negative integer" in captured.err
+
+
+# evaluator -> (corpus configs of its shape, a config of another shape, the
+# shape its error names)
+EVALUATOR_CASES = {
+    "nd": (["identity.json", "lattice3d_diffusion.json"], "two_row_mixed.json",
+           "a one-step explicit stencil"),
+    "tridiagonal": (["tridiagonal_mixed.json", "heat_quarter.json"], "one_row_wide.json",
+                    "a three-point one-step 1D stencil"),
+    "tridiagonal-j-n": (["tridiagonal_mixed.json"], "ninepoint_uniform.json",
+                        "a three-point one-step 1D stencil"),
+    "one-row": (["one_row_shift.json", "one_row_wide.json"], "tridiagonal_mixed.json",
+                "a shifted-row 1D one-step stencil"),
+    "ninepoint": (["ninepoint_uniform.json"], "grid2d_drift.json",
+                  "a 3x3 one-step 2D stencil"),
+    "grid-2d": (["grid2d_drift.json"], "ninepoint_uniform.json",
+                "an n-by-m one-step 2D corner stencil"),
+    "two-row": (["two_row_fibonacci.json", "two_row_mixed.json"], "identity.json",
+                "a two-step-in-time 1D stencil"),
+    "implicit": (["corner_implicit.json"], "identity.json", "a corner-implicit 1D stencil"),
+}
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+def test_every_evaluator_name_checks_its_shape(capsys, name):
+    matching, other, shape = EVALUATOR_CASES[name]
+    # the j-n variant is the negative control: it must find mismatches
+    want = 1 if name == "tridiagonal-j-n" else 0
+    for config in matching:
+        status, out, _ = run_cli(capsys, "verify", "--config", str(CONFIG_DIR / config),
+                                 "--evaluator", name)
+        assert status == want, (config, out)
+    status, out, err = run_cli(capsys, "verify", "--config", str(CONFIG_DIR / other),
+                               "--evaluator", name)
+    assert status == 2 and out == ""
+    assert err == f"error: spec is not {shape}\n"
 
 
 def test_demo_random_walk_conserves_probability(capsys):

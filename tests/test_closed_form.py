@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
-                    StencilEntry, as_grid_2d, as_ninepoint, as_one_row,
-                    as_tridiagonal, backward_difference, closed_rows,
-                    closed_value, corner_kernel, corner_spec, eval_2d_general,
-                    eval_implicit, eval_nd, eval_ninepoint, eval_one_row,
-                    eval_tridiagonal, eval_two_row, ninepoint_spec,
-                    one_row_spec, oracle_evolve,
+                    StencilEntry, as_tridiagonal, backward_difference,
+                    closed_rows, closed_value, corner_kernel, corner_spec,
+                    eval_implicit, eval_nd, eval_tridiagonal, eval_two_row,
+                    grid_2d_spec, ninepoint_spec, one_row_spec, oracle_evolve,
                     oracle_sweep_implicit, tridiagonal_spec)
 
 from instance_gen import (field_row, grid_2d_instance, nd_instance,
@@ -57,17 +55,26 @@ def test_nd_rejects_bad_inputs():
         eval_nd(two_row, DELTA, (0,), 1)
 
 
+def assert_nd_matches_oracle(rng, spec, t_max):
+    dim = spec.spatial_dim
+    psi = field_row(rng, dim, max_points=4, coord_range=2)
+    t = rng.randint(0, t_max)
+    rows = oracle_evolve(spec, InitialData((psi,)), t)
+    for _ in range(6):
+        q = tuple(rng.randint(-5, 5) for _ in range(dim))
+        assert eval_nd(spec, psi, q, t) == rows[t].get(q), (spec, psi, q, t)
+
+
 def test_nd_agrees_with_oracle_randomized():
     rng = random.Random(1003)
     for _ in range(25):
         dim = rng.randint(1, 3)
-        spec = nd_instance(rng, dim, max_entries=4)
-        psi = field_row(rng, dim, max_points=4, coord_range=2)
-        t = rng.randint(0, 4)
-        rows = oracle_evolve(spec, InitialData((psi,)), t)
-        for _ in range(6):
-            q = tuple(rng.randint(-5, 5) for _ in range(dim))
-            assert eval_nd(spec, psi, q, t) == rows[t].get(q)
+        assert_nd_matches_oracle(rng, nd_instance(rng, dim, max_entries=4), 4)
+    # the shifted-row and 3x3 families
+    for _ in range(15):
+        assert_nd_matches_oracle(rng, one_row_instance(rng), 5)
+    for _ in range(8):
+        assert_nd_matches_oracle(rng, ninepoint_instance(rng), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +119,17 @@ def test_tridiagonal_agrees_with_nd_randomized():
 
 
 # ---------------------------------------------------------------------------
-# eval_one_row
+# shifted-row family through eval_nd
 # ---------------------------------------------------------------------------
 
 def test_one_row_identity_and_pure_shift():
     psi = FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-2)})
+    identity = one_row_spec([Fraction(1)], 0)
+    shift = one_row_spec([Fraction(5)], 1)
     for i in range(-2, 5):
         for j in range(4):
-            assert eval_one_row([Fraction(1)], 0, psi, i, j) == psi.get((i,))
-            assert (eval_one_row([Fraction(5)], 1, psi, i, j)
-                    == Fraction(5) ** j * psi.get((i - j,)))
+            assert eval_nd(identity, psi, (i,), j) == psi.get((i,))
+            assert eval_nd(shift, psi, (i,), j) == Fraction(5) ** j * psi.get((i - j,))
 
 
 def test_one_row_two_coefficients_single_step():
@@ -129,17 +137,7 @@ def test_one_row_two_coefficients_single_step():
     spec = one_row_spec([Fraction(1), Fraction(1)], 0)
     row1 = oracle_evolve(spec, InitialData((DELTA,)), 1)[1]
     assert row1.get((-1,)) == 1
-    assert eval_one_row([Fraction(1), Fraction(1)], 0, DELTA, -1, 1) == 1
-
-
-def test_one_row_agrees_with_nd_randomized():
-    rng = random.Random(1007)
-    for _ in range(30):
-        spec = one_row_instance(rng)
-        coeffs, m = as_one_row(spec)
-        psi = field_row(rng, 1)
-        i, j = rng.randint(-8, 8), rng.randint(0, 5)
-        assert eval_one_row(coeffs, m, psi, i, j) == eval_nd(spec, psi, (i,), j)
+    assert eval_nd(spec, DELTA, (-1,), 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,57 +282,48 @@ def test_two_row_agrees_with_oracle_randomized():
 
 
 # ---------------------------------------------------------------------------
-# 2D specializations
+# 2D 3x3 and corner-stencil families through eval_nd
 # ---------------------------------------------------------------------------
 
 def test_ninepoint_identity_and_uniform():
     coeffs = [Fraction(0)] * 9
     coeffs[4] = Fraction(1)  # center entry only
+    identity = ninepoint_spec(coeffs)
     psi = FieldRow(2, {(1, 2): Fraction(5, 3), (0, 0): Fraction(-1)})
     for k in range(4):
-        assert eval_ninepoint(coeffs, psi, 1, 2, k) == Fraction(5, 3)
-    uniform = [Fraction(1, 9)] * 9
-    assert eval_ninepoint(uniform, DELTA2, 0, 0, 1) == Fraction(1, 9)
+        assert eval_nd(identity, psi, (1, 2), k) == Fraction(5, 3)
+    uniform = ninepoint_spec([Fraction(1, 9)] * 9)
+    assert eval_nd(uniform, DELTA2, (0, 0), 1) == Fraction(1, 9)
 
 
 def test_ninepoint_total_mass_all_ones():
-    ones = [Fraction(1)] * 9
+    ones = ninepoint_spec([Fraction(1)] * 9)
     for k in range(4):
-        total = sum(eval_ninepoint(ones, DELTA2, i, j, k)
+        total = sum(eval_nd(ones, DELTA2, (i, j), k)
                     for i in range(-k - 1, k + 2) for j in range(-k - 1, k + 2))
         assert total == 9 ** k
 
 
-def test_ninepoint_agrees_with_nd_randomized():
-    rng = random.Random(1031)
-    for _ in range(12):
-        spec = ninepoint_instance(rng)
-        coeffs = as_ninepoint(spec)
-        psi = field_row(rng, 2, max_points=4, coord_range=2)
-        i, j, k = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(0, 3)
-        assert eval_ninepoint(coeffs, psi, i, j, k) == eval_nd(spec, psi, (i, j), k)
-
-
 def test_2d_general_identity_and_diagonal_shift():
     one = [[Fraction(1)]]
+    identity, diagonal = grid_2d_spec(one, 0, 0), grid_2d_spec(one, 1, 1)
     psi = FieldRow(2, {(2, -1): Fraction(7, 5)})
     for k in range(4):
-        assert eval_2d_general(one, 0, 0, psi, (2, -1), k) == Fraction(7, 5)
-        assert eval_2d_general(one, 1, 1, psi, (2 + k, -1 + k), k) == Fraction(7, 5)
+        assert eval_nd(identity, psi, (2, -1), k) == Fraction(7, 5)
+        assert eval_nd(diagonal, psi, (2 + k, -1 + k), k) == Fraction(7, 5)
 
 
 def test_2d_general_agrees_with_oracle_randomized():
     rng = random.Random(1033)
     for _ in range(12):
         spec = grid_2d_instance(rng)
-        coeffs, s, t = as_grid_2d(spec)
         psi = field_row(rng, 2, max_points=5, coord_range=2)
         initial = InitialData((psi,))
         k = rng.randint(0, 4)
         rows = oracle_evolve(spec, initial, k)
         region = verification_region(spec, initial, k)
         for p in region.box.points():
-            assert eval_2d_general(coeffs, s, t, psi, p, k) == rows[k].get(p)
+            assert eval_nd(spec, psi, p, k) == rows[k].get(p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latrec.exactnum import (ParseError, format_rational, parse_rational,
-                             rat_add, rat_mul, rat_neg, rat_pow)
+from latrec.exactnum import ParseError, format_rational, parse_rational
 
 
 def test_parse_canonicalizes():
@@ -30,20 +29,6 @@ def test_parse_rejects_malformed(text):
 @given(st.fractions())
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
-
-
-def test_op_examples():
-    assert rat_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert rat_pow(Fraction(2, 3), 0) == 1
-    assert rat_mul(Fraction(-2, 4), Fraction(2)) == Fraction(-1)
-    assert rat_neg(Fraction(3, 7)) == Fraction(-3, 7)
-
-
-def test_pow_degenerate():
-    assert rat_pow(Fraction(0), 0) == 1
-    assert rat_pow(Fraction(2, 5), -2) == Fraction(25, 4)
-    with pytest.raises(ZeroDivisionError):
-        rat_pow(Fraction(0), -1)
 
 
 def test_field_axioms_on_random_triples():

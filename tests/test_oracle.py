@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError,
-                    StencilEntry, oracle_evolve, oracle_step,
+                    StencilEntry, corner_spec, oracle_evolve, oracle_step,
                     oracle_sweep_implicit, rows_to_values, tridiagonal_spec,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec.oracle import EvolutionState, Region, WindowOverflowError
@@ -166,6 +166,24 @@ def test_verify_inner_exponent_variant_reports_mismatch():
                                    Region(Box((0,), (0,)), 1, 1),
                                    evaluator="tridiagonal")
     assert good.ok
+
+
+def test_verify_point_list_matches_region():
+    spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
+    region = Region(Box((-3,), (4,)), 1, 3)
+    points = [(p, t) for p in region.box.points() for t in range(1, 4)]
+    random.Random(2011).shuffle(points)
+    for evaluator in ("auto", "tridiagonal", "tridiagonal-j-n"):
+        by_region = verify_closed_vs_oracle(spec, initial, region, evaluator=evaluator)
+        assert verify_closed_vs_oracle(spec, initial, points, evaluator=evaluator) == by_region
+    assert len(by_region.mismatches) > 1 and by_region.checked == 24
+    corner = corner_spec(Fraction(1, 2), Fraction(1), Fraction(1, 3))
+    region = Region(Box((-4,), (6,)), 0, 4)
+    points = [(p, t) for p in region.box.points() for t in range(5)][::-1]
+    report = verify_closed_vs_oracle(corner, InitialData((DELTA,)), region)
+    assert report.ok
+    assert verify_closed_vs_oracle(corner, InitialData((DELTA,)), points) == report
 
 
 def test_verify_random_specs_zero_mismatches():
