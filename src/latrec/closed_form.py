@@ -1,26 +1,30 @@
 """Closed-form evaluators for the supported equation families.
 
-Under finite-support initial data every evaluator reduces to an exact finite
-sum, so results are exact rationals.  Evaluators:
+Every explicit equation has the generating function U = Q / (1 - S): S is
+the stencil symbol and Q holds the initial rows less the stencil terms that
+reach them from earlier initial rows.  Under finite-support initial data
+every evaluator reduces to an exact finite sum, so results are exact
+rationals.  Evaluators:
 
-* ``eval_nd``            -- any one-step explicit equation in d >= 1 spatial
-                            dims: a sum over compositions of the time over the
-                            stencil entries, the coefficient of the stencil
-                            symbol raised to that power.  The 1D shifted-row,
-                            2D 3x3 and 2D n-by-m corner families are such
-                            equations; their constructors and recognisers
-                            below name them for ``EVALUATORS``.
+* ``eval_multistep``     -- any explicit equation of any time order and
+                            spatial dimension: one sum over compositions of
+                            the powers of S, sampling Q.
+* ``eval_nd``            -- the one-step case on its own: a sum over
+                            compositions of the time over the stencil
+                            entries.  The 1D shifted-row, 2D 3x3 and 2D
+                            n-by-m corner families are one-step equations;
+                            their constructors and recognisers below name
+                            them for ``EVALUATORS``.
 * ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
                             as a double binomial sum, with a known-inconsistent
                             exponent variant kept as a negative control.
-* ``eval_two_row``       -- 1D two-step-in-time equation (two initial rows).
 * ``eval_implicit``      -- 1D corner form whose right side references the
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
 
 ``EVALUATORS`` maps each evaluator name to its shape check and evaluator;
-``closed_rows`` builds whole rows from the expanded stencil power.  The
-test suite checks every evaluator against the iteration oracle.
+``closed_rows`` builds whole rows of Q / (1 - S) from the expanded stencil
+powers.  The test suite checks every evaluator against the iteration oracle.
 """
 
 from __future__ import annotations
@@ -253,66 +257,7 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 
 
 # ---------------------------------------------------------------------------
-# two-initial-row family (time_order 2, 1D)
-# ---------------------------------------------------------------------------
-
-def _is_two_row(spec: EquationSpec) -> bool:
-    return not spec.implicit_corner and spec.time_order == 2 and spec.spatial_dim == 1
-
-
-def _two_row_branch_terms(spec: EquationSpec, target_b: int):
-    """Yield (spatial shift a, weight) of every power-expansion term whose
-    time exponent equals target_b.  Orders J with J <= target_b <= 2J
-    contribute; smaller or larger J cannot reach target_b."""
-    steps = stencil_symbol_steps(spec)
-    for j_order in range((target_b + 1) // 2, target_b + 1):
-        for r in compositions(len(steps), j_order):
-            b = sum(mult * ystep for mult, (_, _, ystep) in zip(r, steps))
-            if b != target_b:
-                continue
-            a = sum(mult * xstep[0] for mult, (_, xstep, _) in zip(r, steps))
-            weight = Fraction(multinomial(j_order, r))
-            for mult, (coeff, _, _) in zip(r, steps):
-                if mult:
-                    weight *= coeff ** mult
-            yield a, weight
-
-
-def eval_two_row(spec: EquationSpec, psi0: FieldRow, psi1: FieldRow,
-                 i: int, j: int) -> Fraction:
-    """Value at (i, j) of the two-step-in-time 1D equation with rows 0 and 1
-    given by psi0 and psi1.
-
-    Three branches: psi0 sampled through the terms at time exponent j,
-    psi1 through the terms at j-1, minus a psi0 correction through the j-1
-    terms weighted by the newest-level coefficients.  Rows 0 and 1 are
-    reproduced verbatim.
-    """
-    if not _is_two_row(spec):
-        raise SpecError("two-row evaluation needs an explicit 1D spec with time_order 2")
-    if j < 0:
-        raise SpecError("time must be >= 0")
-    m = spec.spatial_shift[0]
-    total = ZERO
-    for a, w in _two_row_branch_terms(spec, j):
-        sample = psi0.get((i - a,))
-        if sample != 0:
-            total += w * sample
-    if j >= 1:
-        newest = [(e.coeff, m - e.offset[0]) for e in spec.stencil if e.time_level == 1]
-        for a, w in _two_row_branch_terms(spec, j - 1):
-            sample = psi1.get((i - a,))
-            if sample != 0:
-                total += w * sample
-            for coeff, xstep in newest:
-                sample = psi0.get((i - a - xstep,))
-                if sample != 0:
-                    total -= w * coeff * sample
-    return total
-
-
-# ---------------------------------------------------------------------------
-# bulk evaluation and dispatch
+# every explicit equation: U = Q / (1 - S)
 # ---------------------------------------------------------------------------
 
 def _accumulate(acc: dict[Point, Fraction], psi: FieldRow, shift: Point,
@@ -324,44 +269,91 @@ def _accumulate(acc: dict[Point, Fraction], psi: FieldRow, shift: Point,
         acc[key] = acc.get(key, ZERO) + factor * v
 
 
-def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
-    """Rows 0..t_max of the closed-form solution, as finite-support fields.
+def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
+    """Q_0..Q_{k-1}, the numerator of the generating function U = Q / (1 - S).
 
-    Available for time_order 1 (any spatial dim) and the 1D time_order 2
-    family.  The corner-implicit solution has unbounded rightward support,
-    so it has no row representation here; evaluate it pointwise instead.
+    Q_s is initial row s minus every stencil term that reaches row s from an
+    earlier initial row: coeff * (row s - (k - level)) shifted by
+    spatial_shift - offset.  For time_order 1, Q_0 is row 0 itself.
+    """
+    initial.check_matches(spec)
+    steps = stencil_symbol_steps(spec)
+    out = []
+    for s, row in enumerate(initial.rows):
+        acc = dict(row.values)
+        for coeff, xstep, ystep in steps:
+            if s - ystep >= 0:
+                _accumulate(acc, initial.rows[s - ystep], xstep, -coeff)
+        out.append(FieldRow(spec.spatial_dim, acc))
+    return out
+
+
+def eval_multistep(spec: EquationSpec, initial: InitialData, point: Point,
+                   time: int) -> Fraction:
+    """Value at (point, time) of any explicit equation: the coefficient of
+    x^point y^time in sum_J S^J Q.
+
+    Sum over J and compositions r of J over the stencil entries whose time
+    exponent b(r) lies in (time - k, time] of
+
+        multinomial(J, r) * prod(coeff**r) * Q_{time - b(r)}(point - a(r)).
+
+    Each entry adds at least 1 and at most k to b(r), so J runs from
+    time // k to time.
+    """
+    if time < 0:
+        raise SpecError("time must be >= 0")
+    q = source_rows(spec, initial)
+    steps = stencil_symbol_steps(spec)
+    k = spec.time_order
+    total = ZERO
+    for j_order in range(time // k, time + 1):
+        for r in compositions(len(steps), j_order):
+            s = time - sum(mult * ystep for mult, (_, _, ystep) in zip(r, steps))
+            if not 0 <= s < k:
+                continue
+            sample = q[s].get(tuple(
+                c - sum(mult * xstep[i] for mult, (_, xstep, _) in zip(r, steps))
+                for i, c in enumerate(point)))
+            if sample == 0:
+                continue
+            weight = Fraction(multinomial(j_order, r))
+            for mult, (coeff, _, _) in zip(r, steps):
+                if mult:
+                    weight *= coeff ** mult
+            total += weight * sample
+    return total
+
+
+def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
+    """Rows 0..t_max of U = Q / (1 - S) for any explicit spec: row j sums,
+    over s < k, the terms of sum_J S^J at time exponent j - s applied to Q_s.
+
+    S^J only has time exponents >= J, so row j is complete once S^j is
+    expanded; terms are dropped after the last row that reads them.  The
+    corner-implicit solution has unbounded rightward support, so it has no
+    row representation here; evaluate it pointwise instead.
     """
     if spec.implicit_corner:
         raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
-    initial.check_matches(spec)
-    dim = spec.spatial_dim
-    if spec.time_order == 1:
-        psi = initial.rows[0]
-        rows = []
-        for t in range(t_max + 1):
-            acc: dict[Point, Fraction] = {}
-            for key, coef in expand_stencil_power(spec, t).items():
-                _accumulate(acc, psi, key[:dim], coef)
-            rows.append(FieldRow(dim, acc))
-        return rows
-    if spec.time_order == 2 and dim == 1:
-        psi0, psi1 = initial.rows
-        m = spec.spatial_shift[0]
-        newest = [(e.coeff, m - e.offset[0]) for e in spec.stencil if e.time_level == 1]
-        rows = []
-        for j in range(t_max + 1):
-            acc = {}
-            for a, w in _two_row_branch_terms(spec, j):
-                _accumulate(acc, psi0, (a,), w)
-            if j >= 1:
-                for a, w in _two_row_branch_terms(spec, j - 1):
-                    _accumulate(acc, psi1, (a,), w)
-                    for coeff, xstep in newest:
-                        _accumulate(acc, psi0, (a + xstep,), -w * coeff)
-            rows.append(FieldRow(1, acc))
-        return rows
-    raise SpecError(f"no closed form for time_order {spec.time_order} "
-                    f"with spatial_dim {dim}")
+    q = source_rows(spec, initial)
+    k, dim = spec.time_order, spec.spatial_dim
+    # time exponent -> spatial exponents -> coefficient in sum_J S^J
+    by_time: dict[int, dict[Point, Fraction]] = {}
+    rows = []
+    for j in range(t_max + 1):
+        for key, coef in expand_stencil_power(spec, j).items():
+            if key[dim] <= t_max:
+                terms = by_time.setdefault(key[dim], {})
+                prev = terms.get(key[:dim])
+                terms[key[:dim]] = coef if prev is None else prev + coef
+        acc: dict[Point, Fraction] = {}
+        for s, qs in enumerate(q):
+            for a, coef in by_time.get(j - s, {}).items():
+                _accumulate(acc, qs, a, coef)
+        rows.append(FieldRow(dim, acc))
+        by_time.pop(j - k + 1, None)
+    return rows
 
 
 def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
@@ -390,9 +382,8 @@ def _tridiagonal_getter(c_exponent: str):
     return make
 
 
-def _two_row_getter(spec: EquationSpec, initial: InitialData):
-    psi0, psi1 = initial.rows
-    return lambda p, t: eval_two_row(spec, psi0, psi1, p[0], t)
+def _multistep_getter(spec: EquationSpec, initial: InitialData):
+    return lambda p, t: eval_multistep(spec, initial, p, t)
 
 
 def _implicit_getter(spec: EquationSpec, initial: InitialData):
@@ -405,11 +396,16 @@ def _is_one_step(spec: EquationSpec) -> bool:
     return not spec.implicit_corner and spec.time_order == 1
 
 
+def _is_two_row(spec: EquationSpec) -> bool:
+    return not spec.implicit_corner and spec.time_order == 2 and spec.spatial_dim == 1
+
+
 _THREE_POINT = "a three-point one-step 1D stencil"
 
 # evaluator name -> (shape check, the shape it names on failure, maker of the
 # (point, time) -> value callable).  The shifted-row, 3x3 and corner-stencil
-# names only check the shape; eval_nd evaluates all three.
+# names only check the shape; eval_nd evaluates all three.  "two-row" checks
+# the shape and evaluates with eval_multistep.
 EVALUATORS = {
     "nd": (_is_one_step, "a one-step explicit stencil", _nd_getter),
     "tridiagonal": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-m")),
@@ -417,7 +413,7 @@ EVALUATORS = {
     "one-row": (as_one_row, "a shifted-row 1D one-step stencil", _nd_getter),
     "ninepoint": (as_ninepoint, "a 3x3 one-step 2D stencil", _nd_getter),
     "grid-2d": (as_grid_2d, "an n-by-m one-step 2D corner stencil", _nd_getter),
-    "two-row": (_is_two_row, "a two-step-in-time 1D stencil", _two_row_getter),
+    "two-row": (_is_two_row, "a two-step-in-time 1D stencil", _multistep_getter),
     "implicit": (lambda spec: spec.implicit_corner, "a corner-implicit 1D stencil",
                  _implicit_getter),
 }
@@ -438,14 +434,10 @@ def pointwise(spec: EquationSpec, initial: InitialData,
 
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
-    """Single-point closed-form value, dispatched on the spec family."""
+    """Single-point closed-form value: the corner-implicit sum, eval_nd for
+    one-step equations, eval_multistep for every other explicit equation."""
     if spec.implicit_corner:
-        family = "implicit"
-    elif spec.time_order == 1:
-        family = "nd"
-    elif _is_two_row(spec):
-        family = "two-row"
-    else:
-        raise SpecError(f"no closed form for time_order {spec.time_order} "
-                        f"with spatial_dim {spec.spatial_dim}")
-    return pointwise(spec, initial, family)(point, time)
+        return pointwise(spec, initial, "implicit")(point, time)
+    if spec.time_order == 1:
+        return pointwise(spec, initial, "nd")(point, time)
+    return eval_multistep(spec, initial, point, time)

@@ -137,7 +137,9 @@ def _parse_equation(doc: dict) -> EquationSpec:
             _point(entry["offset"], dim, f"{at}.offset"),
             _int(entry["time_level"], f"{at}.time_level"),
             _rational(entry["coeff"], f"{at}.coeff")))
-    implicit = bool(doc.get("implicit_corner", False))
+    implicit = doc.get("implicit_corner", False)
+    if not isinstance(implicit, bool):
+        raise ConfigError("implicit_corner", f"expected true or false, got {implicit!r}")
     implicit_coeff = None
     if "implicit_coeff" in doc:
         implicit_coeff = _rational(doc["implicit_coeff"], "implicit_coeff")
@@ -251,6 +253,8 @@ def parse_config(document: str | dict) -> RunConfig:
             doc = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("$", "invalid JSON: nested too deeply") from exc
     else:
         doc = document
     if not isinstance(doc, dict):
@@ -267,10 +271,6 @@ def parse_config(document: str | dict) -> RunConfig:
     engine = doc.get("engine", "verify")
     if engine not in ENGINES:
         raise ConfigError("engine", f"expected one of {ENGINES}, got {engine!r}")
-    if engine in ("closed", "verify") and not spec.implicit_corner:
-        if spec.time_order > 2 or (spec.time_order == 2 and spec.spatial_dim != 1):
-            raise ConfigError("engine", "no closed form for this spec "
-                                        "(time_order > 2 or 2D two-row); use engine 'oracle'")
 
     out = doc.get("output", {})
     if not isinstance(out, dict):
@@ -291,7 +291,11 @@ def parse_config(document: str | dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("$", f"not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def spec_document(spec: EquationSpec) -> dict:

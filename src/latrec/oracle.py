@@ -99,6 +99,9 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
     """Advance one time step: the new row at point e is
 
         sum over entries of  coeff * rows[time_level](e + offset - shift).
+
+    The new state checks its rows against the window, so a new row that
+    leaves it raises WindowOverflowError.
     """
     if spec.implicit_corner:
         raise SpecError("the corner-implicit form is not explicitly steppable; "
@@ -113,12 +116,6 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
             key = tuple(c + d for c, d in zip(p, delta))
             acc[key] = acc.get(key, ZERO) + e.coeff * v
     new_row = FieldRow(spec.spatial_dim, acc)
-    if state.window is not None:
-        for p in new_row.values:
-            if not state.window.contains(p):
-                axis = next(i for i, (c, l, h) in enumerate(
-                    zip(p, state.window.lo, state.window.hi)) if not l <= c <= h)
-                raise WindowOverflowError(axis, p, state.window)
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1, state.window)
 
 

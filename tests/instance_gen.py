@@ -66,16 +66,21 @@ def grid_2d_instance(rng: random.Random, max_nm: int = 3,
 
 
 def nd_instance(rng: random.Random, dim: int, max_entries: int = 5,
-                reach: int = 1) -> EquationSpec:
+                reach: int = 1, time_order: int = 1) -> EquationSpec:
+    """Explicit spec with offsets within `reach` of the origin, each at a
+    random time level below `time_order`."""
     entries = {}
     for _ in range(rng.randint(1, max_entries)):
         offset = tuple(rng.randint(-reach, reach) for _ in range(dim))
-        entries[offset] = rational(rng)
+        # one-step specs draw no level
+        level = rng.randrange(time_order) if time_order > 1 else 0
+        entries[offset, level] = rational(rng)
     while all(v == 0 for v in entries.values()):
         entries[next(iter(entries))] = rational(rng, nonzero=True)
     shift = tuple(rng.randint(-1, 1) for _ in range(dim))
-    stencil = tuple(StencilEntry(o, 0, c) for o, c in entries.items() if c != 0)
-    return EquationSpec(dim, 1, shift, stencil)
+    stencil = tuple(StencilEntry(o, level, c)
+                    for (o, level), c in entries.items() if c != 0)
+    return EquationSpec(dim, time_order, shift, stencil)
 
 
 def two_row_instance(rng: random.Random, max_n: int = 3,

@@ -161,6 +161,53 @@ def test_every_evaluator_name_checks_its_shape(capsys, name):
     assert err == f"error: spec is not {shape}\n"
 
 
+TIME_ORDER_THREE = {
+    "spatial_dim": 1, "time_order": 3, "spatial_shift": [0],
+    "stencil": [{"offset": [-1], "time_level": 2, "coeff": "1/2"},
+                {"offset": [1], "time_level": 1, "coeff": "-1/3"},
+                {"offset": [0], "time_level": 0, "coeff": "2"}],
+    "initial": {"rows": [[{"at": [0], "value": "1"}], [{"at": [1], "value": "-2/7"}],
+                         [{"at": [-1], "value": "3"}]]},
+    "query": {"box": [[-8, 8]], "times": [0, 7]},
+}
+TWO_D_TWO_ROW = {
+    "spatial_dim": 2, "time_order": 2, "spatial_shift": [0, 0],
+    "stencil": [{"offset": [1, 0], "time_level": 1, "coeff": "1/2"},
+                {"offset": [0, -1], "time_level": 1, "coeff": "1/4"},
+                {"offset": [0, 0], "time_level": 0, "coeff": "-1"}],
+    "initial": {"rows": [[{"at": [0, 0], "value": "1"}], [{"at": [1, 0], "value": "1/3"}]]},
+    "query": {"box": [[-5, 3], [-3, 5]], "times": [0, 5]},
+}
+
+
+@pytest.mark.parametrize("doc", [TIME_ORDER_THREE, TWO_D_TWO_ROW],
+                         ids=["time-order-3", "2d-two-row"])
+def test_verify_multistep_configs(capsys, tmp_path, doc):
+    path = write_config(tmp_path, doc)
+    status, out, err = run_cli(capsys, "verify", "--config", path)
+    assert status == 0 and err == "", out
+    assert "0 mismatches" in out
+    status, out, err = run_cli(capsys, "verify", "--config", path, "--evaluator", "two-row")
+    assert status == 2 and out == ""
+    assert err == "error: spec is not a two-step-in-time 1D stencil\n"
+
+
+def test_non_utf8_config_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"preset": "heat", "r": "1/4", "note": "\xe9"}')
+    status, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert status == 2 and out == ""
+    assert err.startswith("error: $: not UTF-8 text")
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    status, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert status == 2 and out == ""
+    assert err == "error: $: invalid JSON: nested too deeply\n"
+
+
 def test_demo_random_walk_conserves_probability(capsys):
     status, out, _ = run_cli(capsys, "demo", "random-walk", "--p", "1/3",
                              "--d", "1/3", "--q", "1/3", "--steps", "4")

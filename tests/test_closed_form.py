@@ -6,9 +6,9 @@ import pytest
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     StencilEntry, as_tridiagonal, backward_difference,
                     closed_rows, closed_value, corner_kernel, corner_spec,
-                    eval_implicit, eval_nd, eval_tridiagonal, eval_two_row,
+                    eval_implicit, eval_multistep, eval_nd, eval_tridiagonal,
                     grid_2d_spec, ninepoint_spec, one_row_spec, oracle_evolve,
-                    oracle_sweep_implicit, tridiagonal_spec)
+                    oracle_sweep_implicit, source_rows, tridiagonal_spec)
 
 from instance_gen import (field_row, grid_2d_instance, nd_instance,
                           ninepoint_instance, one_row_instance, rational,
@@ -246,25 +246,51 @@ def test_implicit_matches_sweep_oracle():
 
 
 # ---------------------------------------------------------------------------
-# two-row family
+# every explicit equation: U = Q / (1 - S)
 # ---------------------------------------------------------------------------
+
+def test_source_rows_subtract_terms_from_earlier_rows():
+    # U[i, t+2] = U[i-1, t+1] + 2 U[i, t]: Q_1 = row 1 - shift(row 0, +1)
+    spec = EquationSpec(1, 2, (0,), (StencilEntry((-1,), 1, Fraction(1)),
+                                     StencilEntry((0,), 0, Fraction(2))))
+    row0 = FieldRow(1, {(0,): Fraction(3)})
+    row1 = FieldRow(1, {(1,): Fraction(3), (5,): Fraction(1, 2)})
+    q0, q1 = source_rows(spec, InitialData((row0, row1)))
+    assert q0 == row0
+    assert q1.values == {(5,): Fraction(1, 2)}
+    psi = FieldRow(1, {(2,): Fraction(-1, 3)})
+    assert source_rows(tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3)),
+                       InitialData((psi,))) == [psi]
+
+
+def test_multistep_rejects_bad_inputs():
+    spec = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
+    with pytest.raises(SpecError):
+        eval_multistep(spec, InitialData((DELTA, DELTA)), (0,), -1)
+    with pytest.raises(SpecError):
+        eval_multistep(spec, InitialData((DELTA,)), (0,), 1)
+    corner = corner_spec(Fraction(1, 2), Fraction(1), Fraction(1, 3))
+    with pytest.raises(SpecError):
+        eval_multistep(corner, InitialData((DELTA,)), (0,), 1)
+
 
 def test_two_row_reproduces_initial_rows():
     rng = random.Random(1021)
     for _ in range(10):
         spec = two_row_instance(rng)
         psi0, psi1 = field_row(rng, 1), field_row(rng, 1)
+        initial = InitialData((psi0, psi1))
         for i in range(-6, 7):
-            assert eval_two_row(spec, psi0, psi1, i, 0) == psi0.get((i,))
-            assert eval_two_row(spec, psi0, psi1, i, 1) == psi1.get((i,))
+            assert eval_multistep(spec, initial, (i,), 0) == psi0.get((i,))
+            assert eval_multistep(spec, initial, (i,), 1) == psi1.get((i,))
 
 
 def test_two_row_pure_doubling():
     spec = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
-    zero = FieldRow.zero(1)
-    assert eval_two_row(spec, DELTA, zero, 0, 2) == 1
-    assert eval_two_row(spec, DELTA, zero, 0, 3) == 0
-    assert eval_two_row(spec, DELTA, zero, 0, 4) == 1
+    initial = InitialData((DELTA, FieldRow.zero(1)))
+    assert eval_multistep(spec, initial, (0,), 2) == 1
+    assert eval_multistep(spec, initial, (0,), 3) == 0
+    assert eval_multistep(spec, initial, (0,), 4) == 1
 
 
 def test_two_row_agrees_with_oracle_randomized():
@@ -278,7 +304,38 @@ def test_two_row_agrees_with_oracle_randomized():
         rows = oracle_evolve(spec, initial, 5)
         for j in range(6):
             for p in region.box.points():
-                assert eval_two_row(spec, psi0, psi1, p[0], j) == rows[j].get(p), (spec, p, j)
+                assert eval_multistep(spec, initial, p, j) == rows[j].get(p), (spec, p, j)
+
+
+def test_multistep_agrees_with_oracle_randomized():
+    # time orders 2 and 3 in 1D and 2D: closed_rows over the whole region,
+    # eval_multistep on every region point in 1D and on a sample in 2D
+    rng = random.Random(1025)
+    for case in range(40):
+        k, dim = 2 + case % 2, 1 + case // 2 % 2
+        spec = nd_instance(rng, dim, max_entries=4, time_order=k)
+        initial = InitialData(tuple(field_row(rng, dim, max_points=3, coord_range=2)
+                                    for _ in range(k)))
+        t_max = 7 if dim == 1 else 5
+        rows = oracle_evolve(spec, initial, t_max)
+        assert closed_rows(spec, initial, t_max) == rows, spec
+        region = verification_region(spec, initial, t_max)
+        points = [(p, t) for p in region.box.points() for t in range(t_max + 1)]
+        if dim == 2:
+            points = rng.sample(points, 60)
+        for p, t in points:
+            assert eval_multistep(spec, initial, p, t) == rows[t].get(p), (spec, p, t)
+
+
+def test_multistep_agrees_with_nd_on_one_step_specs():
+    rng = random.Random(1027)
+    for _ in range(20):
+        dim = rng.randint(1, 2)
+        spec = nd_instance(rng, dim, max_entries=4)
+        psi = field_row(rng, dim, max_points=4, coord_range=2)
+        q = tuple(rng.randint(-4, 4) for _ in range(dim))
+        t = rng.randint(0, 5)
+        assert eval_multistep(spec, InitialData((psi,)), q, t) == eval_nd(spec, psi, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +407,7 @@ def test_closed_rows_match_pointwise_evaluators():
         region = verification_region(spec, initial, 5)
         for t in range(6):
             for p in region.box.points():
-                assert rows[t].get(p) == eval_two_row(spec, psi0, psi1, p[0], t)
-
-
-def test_closed_rows_rejects_unsupported_orders():
-    spec3 = EquationSpec(1, 3, (0,), (StencilEntry((0,), 0, Fraction(1)),))
-    with pytest.raises(SpecError):
-        closed_rows(spec3, InitialData((DELTA, DELTA, DELTA)), 2)
+                assert rows[t].get(p) == eval_multistep(spec, initial, p, t)
 
 
 def test_closed_value_dispatch():
@@ -365,6 +416,12 @@ def test_closed_value_dispatch():
             == eval_implicit(Fraction(1, 2), Fraction(1), Fraction(1, 3), DELTA, 0, 0))
     tri = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
     assert closed_value(tri, InitialData((DELTA,)), (0,), 2) == 10
+    # U[t+3] = U[t+2] + U[t+1] + U[t] from rows 0, 0, 1: the tribonacci numbers
+    trib = EquationSpec(1, 3, (0,), tuple(StencilEntry((0,), level, Fraction(1))
+                                          for level in range(3)))
+    zero = FieldRow.zero(1)
+    initial = InitialData((zero, zero, DELTA))
+    assert [closed_value(trib, initial, (0,), t) for t in range(8)] == [0, 0, 1, 1, 2, 4, 7, 13]
 
 
 # ---------------------------------------------------------------------------

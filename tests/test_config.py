@@ -83,18 +83,15 @@ def test_initial_row_count_must_match_time_order():
     assert "rows" in exc.value.path
 
 
-def test_verify_rejected_when_no_closed_form():
+def test_time_order_three_config_parses():
     doc = dict(MINIMAL_IDENTITY)
     doc["time_order"] = 3
     doc["stencil"] = [{"offset": [0], "time_level": 0, "coeff": "1"}]
-    with pytest.raises(ConfigError) as exc:
-        parse_config(json.dumps(doc))
-    assert exc.value.path == "engine"
-    doc["engine"] = "oracle"
-    doc["initial"] = {"builtin": "delta"}
-    config = parse_config(json.dumps(doc))
-    assert config.engine == "oracle"
-    assert len(config.initial.rows) == 3
+    for engine in ("oracle", "verify"):
+        doc["engine"] = engine
+        config = parse_config(json.dumps(doc))
+        assert config.engine == engine
+        assert len(config.initial.rows) == 3
 
 
 def test_bad_engine_and_format():
@@ -132,6 +129,17 @@ def test_implicit_corner_document():
     config = parse_config(json.dumps(doc))
     assert config.spec.corner_coefficients() == (Fraction(1, 2), Fraction(1),
                                                  Fraction(1, 3))
+
+
+def test_implicit_corner_must_be_boolean():
+    doc = dict(MINIMAL_IDENTITY)
+    for value in ("false", 0, None):
+        doc["implicit_corner"] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == "implicit_corner"
+    doc["implicit_corner"] = False
+    assert not parse_config(json.dumps(doc)).spec.implicit_corner
 
 
 def test_spec_hash_is_stable_and_order_insensitive():

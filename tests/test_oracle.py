@@ -70,6 +70,7 @@ def test_window_overflow_names_axis():
     with pytest.raises(WindowOverflowError) as exc:
         oracle_step(spec, state_for(spec, DELTA, window=tight))
     assert exc.value.axis == 0
+    assert exc.value.point == (1,)
 
 
 def test_window_independence():
