@@ -301,9 +301,14 @@ def eval_multistep(spec: EquationSpec, initial: InitialData, point: Point,
     Each entry adds at least 1 and at most k to b(r), so J runs from
     time // k to time.
     """
+    return _multistep_sum(spec, source_rows(spec, initial), point, time)
+
+
+def _multistep_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
+                   time: int) -> Fraction:
+    """eval_multistep's composition sum over the source rows q."""
     if time < 0:
         raise SpecError("time must be >= 0")
-    q = source_rows(spec, initial)
     steps = stencil_symbol_steps(spec)
     k = spec.time_order
     total = ZERO
@@ -383,7 +388,8 @@ def _tridiagonal_getter(c_exponent: str):
 
 
 def _multistep_getter(spec: EquationSpec, initial: InitialData):
-    return lambda p, t: eval_multistep(spec, initial, p, t)
+    q = source_rows(spec, initial)
+    return lambda p, t: _multistep_sum(spec, q, p, t)
 
 
 def _implicit_getter(spec: EquationSpec, initial: InitialData):

@@ -5,9 +5,11 @@ stencil symbol
 
     S(x, y) = sum over entries of  coeff * x^(spatial_shift - offset) * y^(time_order - time_level)
 
-to an integer power and collect like terms.  The expansion enumerates
-compositions of the power over the stencil entries and weights each by an
-exact multinomial coefficient, so every term is produced once and exactly.
+to an integer power and collect like terms.  The expansion applies the
+multinomial theorem one stencil entry at a time on integer-scaled
+coefficients, merging like terms after each entry, and divides by the common
+denominator once per term.  ``compositions`` and ``multinomial`` serve the
+pointwise evaluators, which sum over compositions directly.
 """
 
 from __future__ import annotations
@@ -69,31 +71,65 @@ def stencil_symbol_steps(spec: EquationSpec) -> list[tuple[Fraction, tuple[int, 
 def expand_stencil_power(spec: EquationSpec, j: int) -> TermMap:
     """TermMap of S(x, y)**j with like terms combined and zeros dropped.
 
-    For each composition r of j over the stencil entries the term is
-
-        multinomial(j, r) * prod(coeff**r)
-        at exponents  (sum of r * spatial steps, sum of r * time steps).
+    The multinomial theorem, applied one stencil entry at a time in
+    integers.  With D the lcm of the coefficient denominators and
+    n_u = D * coeff_u, the state maps (exponent vector, parts used) to an
+    integer weight.  Entry u takes k of the rem = j - used remaining parts,
+    adding k * (spatial step, time step) to the exponents and multiplying the
+    weight by C(rem, k) * n_u**k; the last entry takes every remaining part.
+    States with equal keys merge after each entry, and each final weight w
+    becomes the coefficient w / D**j.
     """
     if j < 0:
         raise SpecError("power must be >= 0")
     steps = stencil_symbol_steps(spec)
-    dim = spec.spatial_dim
+    scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
+    scaled = [coeff.numerator * (scale // coeff.denominator) for coeff, _, _ in steps]
+    # A state key packs the exponent vector as base-`radix` digits offset by
+    # `bound`, which no exponent of a product of at most j factors exceeds in
+    # absolute value, with the parts used above them: adding k copies of an
+    # entry is then one integer addition, and keys hash as small ints.
+    width = spec.spatial_dim + 1
+    bound = j * max(abs(e) for _, xstep, ystep in steps for e in (*xstep, ystep))
+    radix = 2 * bound + 1
+    used_unit = radix ** width
+
+    def pack(digits: Sequence[int]) -> int:
+        code = 0
+        for d in reversed(digits):
+            code = code * radix + d
+        return code
+
+    states = {pack((bound,) * width): 1}
+    for n, (_, xstep, ystep) in zip(scaled[:-1], steps):
+        step = pack((*xstep, ystep)) + used_unit
+        merged: dict[int, int] = {}
+        for key, weight in states.items():
+            rem = j - key // used_unit
+            for k in range(rem + 1):
+                merged[key] = merged.get(key, 0) + weight
+                # C(rem, k+1) n**(k+1) from C(rem, k) n**k; the division is exact
+                weight = weight * n * (rem - k) // (k + 1)
+                if not weight:
+                    break
+                key += step
+        states = {key: w for key, w in merged.items() if w}
+
+    _, xstep, ystep = steps[-1]
+    step = pack((*xstep, ystep))
+    collected: dict[int, int] = {}
+    for key, weight in states.items():
+        used, exps = divmod(key, used_unit)
+        exps += (j - used) * step
+        collected[exps] = collected.get(exps, 0) + weight * scaled[-1] ** (j - used)
+
+    denom = scale ** j
     terms: TermMap = {}
-    for r in compositions(len(steps), j):
-        exps = [0] * (dim + 1)
-        weight = Fraction(multinomial(j, r))
-        for mult, (coeff, xstep, ystep) in zip(r, steps):
-            if mult == 0:
-                continue
-            weight *= coeff ** mult
-            for i in range(dim):
-                exps[i] += mult * xstep[i]
-            exps[dim] += mult * ystep
-        key = tuple(exps)
-        acc = terms.get(key)
-        acc = weight if acc is None else acc + weight
-        if acc == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
+    for code, weight in collected.items():
+        if weight:
+            exps = []
+            for _ in range(width):
+                code, d = divmod(code, radix)
+                exps.append(d - bound)
+            terms[tuple(exps)] = Fraction(weight, denom)
     return terms

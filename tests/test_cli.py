@@ -236,6 +236,16 @@ def test_expand_dumps_collected_terms(capsys):
     assert terms[("0", "2")] == "10"
 
 
+def test_expand_ninepoint_at_power_fourteen(capsys):
+    config = str(CONFIG_DIR / "ninepoint_uniform.json")
+    status, out, _ = run_cli(capsys, "expand", "--config", config,
+                             "--power", "14")
+    assert status == 0
+    coeffs = [Fraction(ln.rsplit(",", 1)[1]) for ln in out.splitlines()[2:]]
+    # every coefficient is 1/9, so S(1) = 1
+    assert len(coeffs) == 29 * 29 and sum(coeffs) == 1
+
+
 def test_byte_identical_reruns(capsys, tmp_path):
     config = str(CONFIG_DIR / "heat_quarter.json")
     outputs = []

@@ -9,6 +9,8 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     eval_implicit, eval_multistep, eval_nd, eval_tridiagonal,
                     grid_2d_spec, ninepoint_spec, one_row_spec, oracle_evolve,
                     oracle_sweep_implicit, source_rows, tridiagonal_spec)
+from latrec import closed_form
+from latrec.closed_form import pointwise
 
 from instance_gen import (field_row, grid_2d_instance, nd_instance,
                           ninepoint_instance, one_row_instance, rational,
@@ -405,9 +407,33 @@ def test_closed_rows_match_pointwise_evaluators():
         initial = InitialData((psi0, psi1))
         rows = closed_rows(spec, initial, 5)
         region = verification_region(spec, initial, 5)
+        getter = pointwise(spec, initial, "two-row")
         for t in range(6):
             for p in region.box.points():
-                assert rows[t].get(p) == eval_multistep(spec, initial, p, t)
+                assert rows[t].get(p) == eval_multistep(spec, initial, p, t) == getter(p, t)
+
+
+def test_two_row_getter_builds_source_rows_once(monkeypatch):
+    calls = []
+
+    def counted(spec, initial):
+        calls.append(spec)
+        return source_rows(spec, initial)
+
+    monkeypatch.setattr(closed_form, "source_rows", counted)
+    spec = two_row_instance(random.Random(1043))
+    getter = pointwise(spec, InitialData((DELTA, DELTA)), "two-row")
+    for t in range(4):
+        for i in range(-3, 4):
+            getter((i,), t)
+    assert len(calls) == 1
+
+
+def test_closed_rows_3x3_match_oracle_at_large_time():
+    spec = ninepoint_spec([Fraction(n, 7 + n) for n in range(1, 10)])
+    psi = FieldRow(2, {(0, 0): Fraction(1), (2, -1): Fraction(-3, 2)})
+    initial = InitialData((psi,))
+    assert closed_rows(spec, initial, 14) == oracle_evolve(spec, initial, 14)
 
 
 def test_closed_value_dispatch():

@@ -14,8 +14,8 @@ from instance_gen import nd_instance
 
 
 def poly_mul(p, q):
-    """Brute-force product of exponent-vector polynomials (the test oracle
-    for the composition-based expansion)."""
+    """Brute-force product of exponent-vector polynomials (a test oracle for
+    the stencil-power expansion)."""
     out = {}
     for ka, va in p.items():
         for kb, vb in q.items():
@@ -33,6 +33,57 @@ def poly_power(base, j, dim):
     for _ in range(j):
         result = poly_mul(result, base)
     return result
+
+
+def composition_expansion(spec, j):
+    """S**j as a sum over compositions r of j over the stencil entries of
+    multinomial(j, r) * prod(coeff**r): the reference for the entry-by-entry
+    expansion."""
+    steps = stencil_symbol_steps(spec)
+    dim = spec.spatial_dim
+    terms = {}
+    for r in compositions(len(steps), j):
+        exps = [0] * (dim + 1)
+        weight = Fraction(multinomial(j, r))
+        for mult, (coeff, xstep, ystep) in zip(r, steps):
+            weight *= coeff ** mult
+            for i in range(dim):
+                exps[i] += mult * xstep[i]
+            exps[dim] += mult * ystep
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + weight
+    return {key: v for key, v in terms.items() if v != 0}
+
+
+def symbol_terms(spec):
+    """S itself, read off the stencil entries."""
+    return {(*xstep, ystep): coeff for coeff, xstep, ystep in stencil_symbol_steps(spec)}
+
+
+COEFFS = [Fraction(1, 7), Fraction(-2, 9), Fraction(3, 11), Fraction(1),
+          Fraction(-1), Fraction(2), Fraction(-5, 2), Fraction(3, 4)]
+
+
+@st.composite
+def stencil_specs(draw):
+    dim = draw(st.integers(1, 3))
+    time_order = draw(st.integers(1, 3))
+    keys = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 2)] * dim),
+                  st.integers(0, time_order - 1)),
+        min_size=1, max_size=6, unique=True))
+    stencil = tuple(StencilEntry(offset, level, draw(st.sampled_from(COEFFS)))
+                    for offset, level in keys)
+    shift = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+    return EquationSpec(dim, time_order, shift, stencil)
+
+
+@given(stencil_specs(), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_expand_equals_composition_sum_and_iterated_product(spec, j):
+    expanded = expand_stencil_power(spec, j)
+    assert expanded == composition_expansion(spec, j)
+    assert expanded == poly_power(symbol_terms(spec), j, spec.spatial_dim)
 
 
 def test_compositions_examples():
@@ -82,7 +133,33 @@ def test_multinomial_sum_is_power_of_entry_count():
 def test_expand_monomial_power():
     spec = EquationSpec(1, 3, (0,), (StencilEntry((0,), 1, Fraction(2, 7)),))
     # single entry: time exponent per factor is time_order - time_level = 2
-    assert expand_stencil_power(spec, 3) == {(0, 6): Fraction(2, 7) ** 3}
+    for j in range(8):
+        assert expand_stencil_power(spec, j) == {(0, 2 * j): Fraction(2, 7) ** j}
+    spec = EquationSpec(2, 1, (1, 0), (StencilEntry((0, 2), 0, Fraction(-3)),))
+    assert expand_stencil_power(spec, 5) == {(5, -10, 5): Fraction(-243)}
+
+
+def test_expand_exact_cancellation_leaves_no_zero():
+    # (x + 1/x + y - 1/y)**2: the constant 2 from the x pair cancels the -2
+    # from the y pair
+    spec = EquationSpec(2, 1, (0, 0), (
+        StencilEntry((-1, 0), 0, Fraction(1)), StencilEntry((1, 0), 0, Fraction(1)),
+        StencilEntry((0, -1), 0, Fraction(1)), StencilEntry((0, 1), 0, Fraction(-1))))
+    expanded = expand_stencil_power(spec, 2)
+    assert (0, 0, 2) not in expanded
+    assert all(v != 0 for v in expanded.values())
+    assert expanded == composition_expansion(spec, 2)
+
+
+def test_expand_integer_coefficients():
+    spec = EquationSpec(1, 2, (0,), (StencilEntry((-1,), 0, Fraction(2)),
+                                     StencilEntry((0,), 1, Fraction(-3)),
+                                     StencilEntry((1,), 1, Fraction(1))))
+    for j in range(7):
+        expanded = expand_stencil_power(spec, j)
+        assert all(v.denominator == 1 for v in expanded.values())
+        assert expanded == composition_expansion(spec, j)
+    assert sum(expand_stencil_power(spec, 6).values()) == 0
 
 
 def test_expand_tridiagonal_ones_power_one():
@@ -103,6 +180,10 @@ def test_expand_tridiagonal_center_coefficient():
 def test_expand_power_zero_is_one():
     spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
     assert expand_stencil_power(spec, 0) == {(0, 0): Fraction(1)}
+    rng = random.Random(31)
+    for dim in (1, 2, 3):
+        spec = nd_instance(rng, dim, max_entries=6, reach=2, time_order=dim)
+        assert expand_stencil_power(spec, 0) == {(0,) * (dim + 1): Fraction(1)}
 
 
 def test_expand_equals_iterated_products_random():
