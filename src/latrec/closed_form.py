@@ -23,17 +23,20 @@ rationals.  Evaluators:
                             solution vanishing left of the initial support.
 
 ``EVALUATORS`` maps each evaluator name to its shape check and evaluator;
-``closed_rows`` builds whole rows of Q / (1 - S) from the expanded stencil
-powers.  The test suite checks every evaluator against the iteration oracle.
+``closed_rows`` builds whole rows of Q / (1 - S) from one integer pass over
+the series sum_J S^J, adding up each row in integers.  The test suite checks
+every evaluator against the iteration oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Callable, Sequence
 
-from .combinatorics import compositions, expand_stencil_power, multinomial, stencil_symbol_steps
+from .combinatorics import (_multinomial_weights, compositions, multinomial,
+                            stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, StencilEntry
 
@@ -334,29 +337,42 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
     """Rows 0..t_max of U = Q / (1 - S) for any explicit spec: row j sums,
     over s < k, the terms of sum_J S^J at time exponent j - s applied to Q_s.
 
-    S^J only has time exponents >= J, so row j is complete once S^j is
-    expanded; terms are dropped after the last row that reads them.  The
-    corner-implicit solution has unbounded rightward support, so it has no
-    row representation here; evaluate it pointwise instead.
+    One pass of the multinomial kernel gives every term of sum_J S^J up to
+    time exponent t_max as an integer W over D**e.  With the Q rows scaled to
+    integers N_s by L, the lcm of their denominators, row j at p is
+
+        sum_s sum_a D**s * W[j - s, a] * N_s(p - a)  /  (D**j * L)
+
+    with the numerators added as ints; a time exponent's terms are dropped
+    after the last row that reads them.  The corner-implicit solution has
+    unbounded rightward support, so it has no row representation here;
+    evaluate it pointwise instead.
     """
     if spec.implicit_corner:
         raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
     q = source_rows(spec, initial)
     k, dim = spec.time_order, spec.spatial_dim
-    # time exponent -> spatial exponents -> coefficient in sum_J S^J
-    by_time: dict[int, dict[Point, Fraction]] = {}
+    lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
+    nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
+            for qs in q]
+    scale, weights = _multinomial_weights(spec, max(t_max, 0), series=True)
+    # time exponent -> [(spatial exponents, W)]
+    by_time: dict[int, list[tuple[Point, int]]] = {}
+    for exps, weight in weights.items():
+        by_time.setdefault(exps[dim], []).append((exps[:dim], weight))
+    del weights
     rows = []
     for j in range(t_max + 1):
-        for key, coef in expand_stencil_power(spec, j).items():
-            if key[dim] <= t_max:
-                terms = by_time.setdefault(key[dim], {})
-                prev = terms.get(key[:dim])
-                terms[key[:dim]] = coef if prev is None else prev + coef
-        acc: dict[Point, Fraction] = {}
-        for s, qs in enumerate(q):
-            for a, coef in by_time.get(j - s, {}).items():
-                _accumulate(acc, qs, a, coef)
-        rows.append(FieldRow(dim, acc))
+        acc: dict[Point, int] = {}
+        for s, ns in enumerate(nums):
+            lift = scale ** s
+            for a, weight in by_time.get(j - s, ()):
+                weight *= lift
+                for p, v in ns:
+                    key = tuple(map(add, p, a))
+                    acc[key] = acc.get(key, 0) + weight * v
+        denom = scale ** j * lcd
+        rows.append(FieldRow(dim, {p: Fraction(v, denom) for p, v in acc.items() if v}))
         by_time.pop(j - k + 1, None)
     return rows
 

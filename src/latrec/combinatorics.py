@@ -1,15 +1,18 @@
-"""Compositions, multinomial coefficients, and stencil-symbol powers.
+"""Compositions, multinomial coefficients, and stencil-symbol expansions.
 
-The closed-form evaluators all share one combinatorial core: raise the
-stencil symbol
+The closed-form evaluators all share one combinatorial core: the stencil
+symbol
 
     S(x, y) = sum over entries of  coeff * x^(spatial_shift - offset) * y^(time_order - time_level)
 
-to an integer power and collect like terms.  The expansion applies the
-multinomial theorem one stencil entry at a time on integer-scaled
-coefficients, merging like terms after each entry, and divides by the common
-denominator once per term.  ``compositions`` and ``multinomial`` serve the
-pointwise evaluators, which sum over compositions directly.
+raised to a power, or summed over every power as the series sum_J S^J of
+U = Q / (1 - S), with like terms collected.  One kernel does both: it
+applies the multinomial theorem one stencil entry at a time on
+integer-scaled coefficients, merging like terms after each entry, and
+leaves the division by the common denominator to the caller, once per term
+(``expand_stencil_power``) or once per row cell (``closed_form.closed_rows``).
+``compositions`` and ``multinomial`` serve the pointwise evaluators, which
+sum over compositions directly.
 """
 
 from __future__ import annotations
@@ -68,68 +71,97 @@ def stencil_symbol_steps(spec: EquationSpec) -> list[tuple[Fraction, tuple[int, 
     ]
 
 
-def expand_stencil_power(spec: EquationSpec, j: int) -> TermMap:
-    """TermMap of S(x, y)**j with like terms combined and zeros dropped.
+def _multinomial_weights(spec: EquationSpec, limit: int,
+                         series: bool) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The multinomial theorem applied one stencil entry at a time in
+    integers: the one kernel behind every stencil-symbol expansion.
 
-    The multinomial theorem, applied one stencil entry at a time in
-    integers.  With D the lcm of the coefficient denominators and
-    n_u = D * coeff_u, the state maps (exponent vector, parts used) to an
-    integer weight.  Entry u takes k of the rem = j - used remaining parts,
-    adding k * (spatial step, time step) to the exponents and multiplying the
-    weight by C(rem, k) * n_u**k; the last entry takes every remaining part.
-    States with equal keys merge after each entry, and each final weight w
-    becomes the coefficient w / D**j.
+    With D the lcm of the coefficient denominators and n_u = D * coeff_u, the
+    state maps (exponent vector, parts used) to an integer weight.  Entry u
+    taking k parts adds k * (spatial step, time step) to the exponents and
+    multiplies the weight by C(used + k, k) * n_u**k, so a finished state
+    carries multinomial(J, r) * prod(n_u**r_u) for the composition r of its
+    J parts.  States with equal keys merge after each entry.
+
+    Returns D and a map from exponent vector (spatial exponents..., time
+    exponent) to integer weight W, zeros dropped:
+
+    * ``series=False``: the terms of S**limit, each coefficient W / D**limit.
+      The last entry takes every remaining part.
+    * ``series=True``: the terms of sum_J S**J with time exponent
+      e <= limit, each coefficient W / D**e.  Entry u's factor is
+      n_u * D**(ystep_u - 1), an integer since every time step is >= 1, so
+      that prod(coeff_u**r_u) = prod(factor_u**r_u) / D**e with
+      e = sum(r_u * ystep_u).  A state stops taking parts once its time
+      exponent would pass limit.
     """
-    if j < 0:
-        raise SpecError("power must be >= 0")
     steps = stencil_symbol_steps(spec)
     scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
-    scaled = [coeff.numerator * (scale // coeff.denominator) for coeff, _, _ in steps]
-    # A state key packs the exponent vector as base-`radix` digits offset by
-    # `bound`, which no exponent of a product of at most j factors exceeds in
-    # absolute value, with the parts used above them: adding k copies of an
-    # entry is then one integer addition, and keys hash as small ints.
-    width = spec.spatial_dim + 1
-    bound = j * max(abs(e) for _, xstep, ystep in steps for e in (*xstep, ystep))
+    dim = spec.spatial_dim
+    # A state key packs the spatial exponents as base-`radix` digits offset
+    # by `bound`, which no spatial exponent of at most `limit` parts exceeds
+    # in absolute value, the time exponent (< radix) above them and the parts
+    # used on top: adding k parts of an entry is one integer addition, and
+    # keys hash as small ints.
+    bound = limit * max(abs(e) for _, xstep, ystep in steps for e in (*xstep, ystep))
     radix = 2 * bound + 1
-    used_unit = radix ** width
+    time_unit = radix ** dim
+    used_unit = time_unit * radix
+    # Parts of an entry spend `limit`: one each in a power, their time step
+    # each in the series.
+    spent_unit = time_unit if series else used_unit
+    entries = []
+    for coeff, xstep, ystep in steps:
+        n = coeff.numerator * (scale // coeff.denominator)
+        code = sum(d * radix ** i for i, d in enumerate(xstep)) + ystep * time_unit + used_unit
+        entries.append((n * scale ** (ystep - 1), code, ystep) if series else (n, code, 1))
 
-    def pack(digits: Sequence[int]) -> int:
-        code = 0
-        for d in reversed(digits):
-            code = code * radix + d
-        return code
-
-    states = {pack((bound,) * width): 1}
-    for n, (_, xstep, ystep) in zip(scaled[:-1], steps):
-        step = pack((*xstep, ystep)) + used_unit
+    states = {sum(bound * radix ** i for i in range(dim)): 1}
+    last = len(entries) - 1
+    for u, (n, code, cost) in enumerate(entries):
         merged: dict[int, int] = {}
-        for key, weight in states.items():
-            rem = j - key // used_unit
-            for k in range(rem + 1):
+        if u == last and not series:
+            # a power's last entry takes every remaining part, and its terms
+            # drop the `limit` parts used
+            tail = [math.comb(limit, k) * n ** k for k in range(limit + 1)]
+            for key, weight in states.items():
+                room = limit - key // used_unit
+                key += room * code - limit * used_unit
+                merged[key] = merged.get(key, 0) + weight * tail[room]
+        else:
+            if u == last:
+                # the series files its terms without the parts used, merging
+                # every J
+                code -= used_unit
+            for key, weight in states.items():
+                used = key // used_unit
+                room = (limit - key // spent_unit % radix) // cost
+                if u == last:
+                    key -= used * used_unit
                 merged[key] = merged.get(key, 0) + weight
-                # C(rem, k+1) n**(k+1) from C(rem, k) n**k; the division is exact
-                weight = weight * n * (rem - k) // (k + 1)
-                if not weight:
-                    break
-                key += step
+                for k in range(1, room + 1):
+                    # C(used+k, k) n**k from C(used+k-1, k-1) n**(k-1); the division is exact
+                    weight = weight * n * (used + k) // k
+                    key += code
+                    merged[key] = merged.get(key, 0) + weight
         states = {key: w for key, w in merged.items() if w}
 
-    _, xstep, ystep = steps[-1]
-    step = pack((*xstep, ystep))
-    collected: dict[int, int] = {}
-    for key, weight in states.items():
-        used, exps = divmod(key, used_unit)
-        exps += (j - used) * step
-        collected[exps] = collected.get(exps, 0) + weight * scaled[-1] ** (j - used)
+    terms = {}
+    for code, weight in states.items():
+        exps = []
+        for _ in range(dim):
+            code, d = divmod(code, radix)
+            exps.append(d - bound)
+        exps.append(code)
+        terms[tuple(exps)] = weight
+    return scale, terms
 
+
+def expand_stencil_power(spec: EquationSpec, j: int) -> TermMap:
+    """TermMap of S(x, y)**j with like terms combined and zeros dropped,
+    read from the multinomial kernel's integer weights over D**j."""
+    if j < 0:
+        raise SpecError("power must be >= 0")
+    scale, weights = _multinomial_weights(spec, j, series=False)
     denom = scale ** j
-    terms: TermMap = {}
-    for code, weight in collected.items():
-        if weight:
-            exps = []
-            for _ in range(width):
-                code, d = divmod(code, radix)
-                exps.append(d - bound)
-            terms[tuple(exps)] = Fraction(weight, denom)
-    return terms
+    return {exps: Fraction(weight, denom) for exps, weight in weights.items()}

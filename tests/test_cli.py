@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import latrec
 from latrec.cli import main, parse_table_csv
 from latrec.closed_form import EVALUATORS
 
@@ -285,8 +287,12 @@ def test_missing_file_exits_two(capsys):
 
 def test_console_entry_point_subprocess():
     config = str(CONFIG_DIR / "identity.json")
+    # the child imports the same latrec as this test, installed or not
+    package_root = str(Path(latrec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "latrec.cli", "verify",
                            "--config", config],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "0 mismatches" in proc.stdout

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     oracle_sweep_implicit, source_rows, tridiagonal_spec)
 from latrec import closed_form
 from latrec.closed_form import pointwise
+from latrec.config import load_config
 
 from instance_gen import (field_row, grid_2d_instance, nd_instance,
                           ninepoint_instance, one_row_instance, rational,
@@ -434,6 +436,55 @@ def test_closed_rows_3x3_match_oracle_at_large_time():
     psi = FieldRow(2, {(0, 0): Fraction(1), (2, -1): Fraction(-3, 2)})
     initial = InitialData((psi,))
     assert closed_rows(spec, initial, 14) == oracle_evolve(spec, initial, 14)
+
+
+def _entry(offset, level, coeff):
+    return StencilEntry(offset, level, Fraction(coeff))
+
+
+def test_closed_rows_integer_sums_edge_cases():
+    two_step = EquationSpec(1, 2, (0,), (_entry((-1,), 1, "1/2"), _entry((0,), 0, "1/3")))
+    three_step = EquationSpec(1, 3, (0,), (
+        _entry((-1,), 2, "1/2"), _entry((1,), 1, "-2/9"), _entry((0,), 0, "3/11"),
+        _entry((2,), 0, "1/7")))
+    three_step_2d = EquationSpec(2, 3, (0, 0), (
+        _entry((1, 0), 2, "1/3"), _entry((0, -1), 1, "-1/2"), _entry((0, 0), 0, "2/5")))
+    row = FieldRow(1, {(0,): Fraction(1, 3), (2,): Fraction(-5, 4)})
+    # Q_1 cancels to zero: row 1 is the level-1 term from row 0
+    cancelled = InitialData((DELTA, FieldRow(1, {(1,): Fraction(1, 2)})))
+    assert not source_rows(two_step, cancelled)[1].values
+    cases = [
+        # all-zero initial rows: the lcm of no denominators
+        (tridiagonal_spec(Fraction(1, 2), Fraction(0), Fraction(1, 2)),
+         InitialData((FieldRow.zero(1),)), 4),
+        (two_step, InitialData((FieldRow.zero(1), FieldRow.zero(1))), 5),
+        (two_step, cancelled, 6),
+        (two_step, InitialData((DELTA, FieldRow(1, {(1,): Fraction(1, 2),
+                                                    (3,): Fraction(2, 9)}))), 6),
+        # x - 1/x on two equal points cancels at point 1 of row 1
+        (tridiagonal_spec(Fraction(1), Fraction(0), Fraction(-1)),
+         InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(1)}),)), 5),
+        # different denominators from row to row
+        (two_step, InitialData((row, FieldRow(1, {(1,): Fraction(2, 5),
+                                                  (-1,): Fraction(5, 7)}))), 6),
+        (three_step, InitialData((FieldRow(1, {(0,): Fraction(1, 6)}), row,
+                                  FieldRow(1, {(-1,): Fraction(3, 10)}))), 7),
+        # fewer rows than the time order holds initial rows
+        (three_step, InitialData((row, DELTA, row)), 0),
+        (three_step, InitialData((row, DELTA, row)), 1),
+        (three_step_2d, InitialData((DELTA2, FieldRow(2, {(1, 1): Fraction(-1, 4)}),
+                                     FieldRow(2, {(0, 1): Fraction(2, 3)}))), 6),
+    ]
+    for spec, initial, t_max in cases:
+        assert closed_rows(spec, initial, t_max) == oracle_evolve(spec, initial, t_max), spec
+
+
+def test_closed_rows_lattice3d_config():
+    config = load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                             / "lattice3d_diffusion.json"))
+    rows = closed_rows(config.spec, config.initial, 6)
+    assert rows == oracle_evolve(config.spec, config.initial, 6)
+    assert len(rows[6].values) > len(rows[5].values)
 
 
 def test_closed_value_dispatch():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from latrec import (EquationSpec, SpecError, StencilEntry, compositions,
                     expand_stencil_power, multinomial, tridiagonal_spec)
-from latrec.combinatorics import stencil_symbol_steps
+from latrec.combinatorics import _multinomial_weights, stencil_symbol_steps
 
 from instance_gen import nd_instance
 
@@ -65,16 +65,17 @@ COEFFS = [Fraction(1, 7), Fraction(-2, 9), Fraction(3, 11), Fraction(1),
 
 
 @st.composite
-def stencil_specs(draw):
+def stencil_specs(draw, still=st.just(False)):
+    """Explicit specs; with `still` drawing True, every entry's offset equals
+    the shift, so every spatial step of the symbol is zero."""
     dim = draw(st.integers(1, 3))
     time_order = draw(st.integers(1, 3))
-    keys = draw(st.lists(
-        st.tuples(st.tuples(*[st.integers(-2, 2)] * dim),
-                  st.integers(0, time_order - 1)),
-        min_size=1, max_size=6, unique=True))
+    shift = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+    offsets = st.just(shift) if draw(still) else st.tuples(*[st.integers(-2, 2)] * dim)
+    keys = draw(st.lists(st.tuples(offsets, st.integers(0, time_order - 1)),
+                         min_size=1, max_size=6, unique=True))
     stencil = tuple(StencilEntry(offset, level, draw(st.sampled_from(COEFFS)))
                     for offset, level in keys)
-    shift = draw(st.tuples(*[st.integers(-1, 1)] * dim))
     return EquationSpec(dim, time_order, shift, stencil)
 
 
@@ -84,6 +85,21 @@ def test_expand_equals_composition_sum_and_iterated_product(spec, j):
     expanded = expand_stencil_power(spec, j)
     assert expanded == composition_expansion(spec, j)
     assert expanded == poly_power(symbol_terms(spec), j, spec.spatial_dim)
+
+
+@given(stencil_specs(still=st.booleans()), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_series_kernel_equals_summed_powers(spec, t_max):
+    # sum_J S**J up to time exponent t_max, every coefficient W / D**e
+    scale, weights = _multinomial_weights(spec, t_max, series=True)
+    assert all(exps[-1] <= t_max and w != 0 for exps, w in weights.items())
+    expected = {}
+    for j in range(t_max + 1):
+        for exps, coef in composition_expansion(spec, j).items():
+            if exps[-1] <= t_max:
+                expected[exps] = expected.get(exps, 0) + coef
+    assert {exps: Fraction(w, scale ** exps[-1]) for exps, w in weights.items()} == {
+        exps: coef for exps, coef in expected.items() if coef != 0}
 
 
 def test_compositions_examples():
@@ -149,6 +165,9 @@ def test_expand_exact_cancellation_leaves_no_zero():
     assert (0, 0, 2) not in expanded
     assert all(v != 0 for v in expanded.values())
     assert expanded == composition_expansion(spec, 2)
+    _, series = _multinomial_weights(spec, 3, series=True)
+    assert (0, 0, 2) not in series
+    assert all(w != 0 for w in series.values())
 
 
 def test_expand_integer_coefficients():
