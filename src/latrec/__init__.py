@@ -6,9 +6,9 @@ direct recurrence-iteration oracle, built to agree bit-for-bit on
 finite-support initial data.
 """
 
-from .exactnum import ParseError, Rational, format_rational, parse_rational
+from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
-                      SpecError, StencilEntry, domain_of_dependence)
+                      SpecError, StencilEntry)
 from .combinatorics import compositions, expand_stencil_power, multinomial
 from .closed_form import (as_grid_2d, as_ninepoint, as_one_row,
                           as_tridiagonal, backward_difference, closed_rows,
@@ -27,11 +27,11 @@ from .config import ConfigError, RunConfig, load_config, parse_config, spec_hash
 __all__ = [
     "Box", "ConfigError", "EquationSpec", "EvolutionState", "FieldRow",
     "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
-    "RandomWalkParams", "Rational", "Region", "RunConfig", "SpecError",
+    "RandomWalkParams", "Region", "RunConfig", "SpecError",
     "StencilEntry", "VerifyReport", "WindowOverflowError",
     "as_grid_2d", "as_ninepoint", "as_one_row", "as_tridiagonal",
     "auto_window", "backward_difference", "closed_rows", "closed_value",
-    "compositions", "corner_kernel", "corner_spec", "domain_of_dependence",
+    "compositions", "corner_kernel", "corner_spec",
     "eval_implicit", "eval_multistep", "eval_nd", "eval_tridiagonal",
     "expand_stencil_power", "format_rational", "grid_2d_spec", "heat_profile",
     "heat_spec", "load_config", "multinomial", "ninepoint_spec",

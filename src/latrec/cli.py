@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .closed_form import EVALUATORS, closed_getter
@@ -125,15 +126,10 @@ def _count_flag(text: str) -> int:
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     if args.format:
-        config = _with_format(config, args.format)
+        config = replace(config, out_format=args.format)
     status, text = run(config)
     _emit(text, args.out if args.out else config.out_path)
     return status
-
-
-def _with_format(config: RunConfig, out_format: str) -> RunConfig:
-    return RunConfig(config.spec, config.initial, config.query, config.engine,
-                     out_format, config.out_path, config.window)
 
 
 def _cmd_verify(args) -> int:

@@ -9,12 +9,11 @@ rationals.  Evaluators:
 * ``eval_multistep``     -- any explicit equation of any time order and
                             spatial dimension: one sum over compositions of
                             the powers of S, sampling Q.
-* ``eval_nd``            -- the one-step case on its own: a sum over
-                            compositions of the time over the stencil
-                            entries.  The 1D shifted-row, 2D 3x3 and 2D
-                            n-by-m corner families are one-step equations;
-                            their constructors and recognisers below name
-                            them for ``EVALUATORS``.
+* ``eval_nd``            -- the same sum for a one-step equation, with row 0
+                            as Q.  The 1D shifted-row, 2D 3x3 and 2D n-by-m
+                            corner families are one-step equations; their
+                            constructors and recognisers below name them for
+                            ``EVALUATORS``.
 * ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
                             as a double binomial sum, with a known-inconsistent
                             exponent variant kept as a negative control.
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .combinatorics import (_multinomial_weights, compositions, multinomial,
@@ -163,27 +162,7 @@ def eval_nd(spec: EquationSpec, psi: FieldRow, query: Point, time: int) -> Fract
         raise SpecError("eval_nd requires time_order 1")
     if psi.dim != spec.spatial_dim:
         raise SpecError(f"psi dim {psi.dim} != spec spatial_dim {spec.spatial_dim}")
-    if time < 0:
-        raise SpecError("time must be >= 0")
-    steps = stencil_symbol_steps(spec)
-    dim = spec.spatial_dim
-    query = tuple(query)
-    total = ZERO
-    for r in compositions(len(steps), time):
-        disp = [0] * dim
-        for mult, (_, xstep, _) in zip(r, steps):
-            if mult:
-                for i in range(dim):
-                    disp[i] += mult * xstep[i]
-        sample = psi.get(tuple(q - d for q, d in zip(query, disp)))
-        if sample == 0:
-            continue
-        weight = Fraction(multinomial(time, r))
-        for mult, (coeff, _, _) in zip(r, steps):
-            if mult:
-                weight *= coeff ** mult
-        total += weight * sample
-    return total
+    return _composition_sum(spec, (psi,), query, time)
 
 
 def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
@@ -294,39 +273,46 @@ def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
 def eval_multistep(spec: EquationSpec, initial: InitialData, point: Point,
                    time: int) -> Fraction:
     """Value at (point, time) of any explicit equation: the coefficient of
-    x^point y^time in sum_J S^J Q.
+    x^point y^time in sum_J S^J Q."""
+    return _composition_sum(spec, source_rows(spec, initial), point, time)
 
-    Sum over J and compositions r of J over the stencil entries whose time
-    exponent b(r) lies in (time - k, time] of
+
+def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
+                     time: int) -> Fraction:
+    """The one pointwise sum over the source rows q = Q_0..Q_{k-1}: over J
+    and the compositions r of J over the stencil entries whose time exponent
+    b(r) lies in (time - k, time], the terms
 
         multinomial(J, r) * prod(coeff**r) * Q_{time - b(r)}(point - a(r)).
 
     Each entry adds at least 1 and at most k to b(r), so J runs from
-    time // k to time.
+    time // k to time; for k = 1 only J = time is summed.  A composition's
+    displacement and weight are only worked out once its time exponent
+    lands on a source row.
     """
-    return _multistep_sum(spec, source_rows(spec, initial), point, time)
-
-
-def _multistep_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
-                   time: int) -> Fraction:
-    """eval_multistep's composition sum over the source rows q."""
     if time < 0:
         raise SpecError("time must be >= 0")
+    dim = spec.spatial_dim
+    if len(point) != dim:
+        raise SpecError(f"point of length {len(point)} queried in a dim-{dim} field")
     steps = stencil_symbol_steps(spec)
+    coeffs = [coeff for coeff, _, _ in steps]
+    ysteps = [ystep for _, _, ystep in steps]
+    # per spatial axis, that axis's step of every entry
+    axes = list(zip(*(xstep for _, xstep, _ in steps)))
     k = spec.time_order
     total = ZERO
     for j_order in range(time // k, time + 1):
         for r in compositions(len(steps), j_order):
-            s = time - sum(mult * ystep for mult, (_, _, ystep) in zip(r, steps))
+            s = time - sum(map(mul, r, ysteps))
             if not 0 <= s < k:
                 continue
-            sample = q[s].get(tuple(
-                c - sum(mult * xstep[i] for mult, (_, xstep, _) in zip(r, steps))
-                for i, c in enumerate(point)))
-            if sample == 0:
+            sample = q[s].values.get(
+                tuple(c - sum(map(mul, r, axis)) for c, axis in zip(point, axes)))
+            if sample is None:
                 continue
             weight = Fraction(multinomial(j_order, r))
-            for mult, (coeff, _, _) in zip(r, steps):
+            for mult, coeff in zip(r, coeffs):
                 if mult:
                     weight *= coeff ** mult
             total += weight * sample
@@ -390,11 +376,6 @@ def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
     return pointwise(spec, initial, evaluator)
 
 
-def _nd_getter(spec: EquationSpec, initial: InitialData):
-    psi = initial.rows[0]
-    return lambda p, t: eval_nd(spec, psi, p, t)
-
-
 def _tridiagonal_getter(c_exponent: str):
     def make(spec: EquationSpec, initial: InitialData):
         a, b, c = as_tridiagonal(spec)
@@ -403,9 +384,9 @@ def _tridiagonal_getter(c_exponent: str):
     return make
 
 
-def _multistep_getter(spec: EquationSpec, initial: InitialData):
+def _composition_getter(spec: EquationSpec, initial: InitialData):
     q = source_rows(spec, initial)
-    return lambda p, t: _multistep_sum(spec, q, p, t)
+    return lambda p, t: _composition_sum(spec, q, p, t)
 
 
 def _implicit_getter(spec: EquationSpec, initial: InitialData):
@@ -425,17 +406,16 @@ def _is_two_row(spec: EquationSpec) -> bool:
 _THREE_POINT = "a three-point one-step 1D stencil"
 
 # evaluator name -> (shape check, the shape it names on failure, maker of the
-# (point, time) -> value callable).  The shifted-row, 3x3 and corner-stencil
-# names only check the shape; eval_nd evaluates all three.  "two-row" checks
-# the shape and evaluates with eval_multistep.
+# (point, time) -> value callable).  Every explicit name but the three-point
+# ones checks the shape and evaluates the one composition sum.
 EVALUATORS = {
-    "nd": (_is_one_step, "a one-step explicit stencil", _nd_getter),
+    "nd": (_is_one_step, "a one-step explicit stencil", _composition_getter),
     "tridiagonal": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-m")),
     "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-n")),
-    "one-row": (as_one_row, "a shifted-row 1D one-step stencil", _nd_getter),
-    "ninepoint": (as_ninepoint, "a 3x3 one-step 2D stencil", _nd_getter),
-    "grid-2d": (as_grid_2d, "an n-by-m one-step 2D corner stencil", _nd_getter),
-    "two-row": (_is_two_row, "a two-step-in-time 1D stencil", _multistep_getter),
+    "one-row": (as_one_row, "a shifted-row 1D one-step stencil", _composition_getter),
+    "ninepoint": (as_ninepoint, "a 3x3 one-step 2D stencil", _composition_getter),
+    "grid-2d": (as_grid_2d, "an n-by-m one-step 2D corner stencil", _composition_getter),
+    "two-row": (_is_two_row, "a two-step-in-time 1D stencil", _composition_getter),
     "implicit": (lambda spec: spec.implicit_corner, "a corner-implicit 1D stencil",
                  _implicit_getter),
 }
@@ -456,10 +436,8 @@ def pointwise(spec: EquationSpec, initial: InitialData,
 
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
-    """Single-point closed-form value: the corner-implicit sum, eval_nd for
-    one-step equations, eval_multistep for every other explicit equation."""
+    """Single-point closed-form value: the corner-implicit sum, or the one
+    composition sum of every explicit equation."""
     if spec.implicit_corner:
         return pointwise(spec, initial, "implicit")(point, time)
-    if spec.time_order == 1:
-        return pointwise(spec, initial, "nd")(point, time)
     return eval_multistep(spec, initial, point, time)

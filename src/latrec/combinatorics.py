@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterator, Sequence
 
 from .lattice import EquationSpec, SpecError
@@ -34,16 +36,12 @@ def compositions(parts_count: int, total: int) -> Iterator[tuple[int, ...]]:
         raise SpecError("parts_count must be >= 1")
     if total < 0:
         raise SpecError("total must be >= 0")
-
-    def rec(remaining_parts: int, remaining_total: int):
-        if remaining_parts == 1:
-            yield (remaining_total,)
-            return
-        for first in range(remaining_total + 1):
-            for rest in rec(remaining_parts - 1, remaining_total - first):
-                yield (first,) + rest
-
-    yield from rec(parts_count, total)
+    # Stars and bars: the parts_count - 1 ascending cut points in [0, total]
+    # are the running sums of the parts, and they come out of
+    # combinations_with_replacement in the parts' lexicographic order.
+    end = (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts_count - 1):
+        yield tuple(map(sub, cuts + end, (0,) + cuts))
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:

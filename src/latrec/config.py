@@ -69,6 +69,8 @@ class RunConfig:
 
 
 def _rational(value, path: str) -> Fraction:
+    if isinstance(value, bool):
+        raise ConfigError(path, f"expected rational text, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if not isinstance(value, str):

@@ -13,10 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .exactnum import ZERO
 
@@ -53,12 +54,6 @@ class Box:
     def contains(self, p: Point) -> bool:
         return all(l <= c <= h for l, c, h in zip(self.lo, p, self.hi))
 
-    def shifted(self, d: Point) -> "Box":
-        return Box(
-            tuple(l + s for l, s in zip(self.lo, d)),
-            tuple(h + s for h, s in zip(self.hi, d)),
-        )
-
     def hull(self, other: "Box") -> "Box":
         return Box(
             tuple(min(a, b) for a, b in zip(self.lo, other.lo)),
@@ -67,15 +62,7 @@ class Box:
 
     def points(self):
         """Iterate all lattice points, last axis fastest (lexicographic)."""
-
-        def rec(prefix: tuple, axis: int):
-            if axis == self.dim:
-                yield prefix
-                return
-            for c in range(self.lo[axis], self.hi[axis] + 1):
-                yield from rec(prefix + (c,), axis + 1)
-
-        yield from rec((), 0)
+        return product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
     def size(self) -> int:
         n = 1
@@ -165,7 +152,7 @@ class EquationSpec:
 class FieldRow:
     """Finite-support map from lattice points to nonzero rationals.
 
-    Treat instances as immutable; ``with_value`` returns an updated copy.
+    Treat instances as immutable.
     """
 
     dim: int
@@ -194,15 +181,6 @@ class FieldRow:
             raise SpecError(f"point of length {len(p)} queried in a dim-{self.dim} field")
         return self.values.get(tuple(p), ZERO)
 
-    def with_value(self, p: Point, v: Fraction) -> "FieldRow":
-        new = dict(self.values)
-        p = _as_point(p, self.dim, "field point")
-        if v == 0:
-            new.pop(p, None)
-        else:
-            new[p] = Fraction(v)
-        return FieldRow(self.dim, new)
-
     def support_box(self) -> Box | None:
         """Tight per-axis bounds of the support; None for the zero field."""
         if not self.values:
@@ -210,22 +188,6 @@ class FieldRow:
         lo = [min(p[i] for p in self.values) for i in range(self.dim)]
         hi = [max(p[i] for p in self.values) for i in range(self.dim)]
         return Box(tuple(lo), tuple(hi))
-
-    def shifted(self, d: Point) -> "FieldRow":
-        d = _as_point(d, self.dim, "shift vector")
-        return FieldRow(self.dim, {tuple(c + s for c, s in zip(p, d)): v
-                                   for p, v in self.values.items()})
-
-    def scaled(self, factor: Fraction) -> "FieldRow":
-        return FieldRow(self.dim, {p: factor * v for p, v in self.values.items()})
-
-    def __add__(self, other: "FieldRow") -> "FieldRow":
-        if self.dim != other.dim:
-            raise SpecError("cannot add fields of different dimension")
-        total = dict(self.values)
-        for p, v in other.values.items():
-            total[p] = total.get(p, ZERO) + v
-        return FieldRow(self.dim, total)
 
     def total(self) -> Fraction:
         return sum(self.values.values(), ZERO)
@@ -268,44 +230,3 @@ class InitialData:
                 hull = b if hull is None else hull.hull(b)
         return hull
 
-
-def dependence_steps(spec: EquationSpec) -> tuple[Point, Point]:
-    """Per-axis (min, max) of offset - spatial_shift over the stencil entries."""
-    deltas = [tuple(o - s for o, s in zip(e.offset, spec.spatial_shift))
-              for e in spec.stencil]
-    lo = tuple(min(d[i] for d in deltas) for i in range(spec.spatial_dim))
-    hi = tuple(max(d[i] for d in deltas) for i in range(spec.spatial_dim))
-    return lo, hi
-
-
-def domain_of_dependence(spec: EquationSpec, query: Point, time: int) -> list[Box | None]:
-    """Per initial row t, a box containing every point that can influence
-    the solution at (query, time).  None where the row is unreachable.
-
-    Computed by propagating per-axis interval hulls backwards through the
-    stencil: the value at (p, tau) references (p + offset - shift,
-    tau - (k - time_level)) for each entry.
-    """
-    if spec.implicit_corner:
-        raise SpecError("the corner-implicit form depends on an unbounded leftward ray, "
-                        "not a finite box")
-    if time < 0:
-        raise SpecError("time must be >= 0")
-    query = _as_point(query, spec.spatial_dim, "query point")
-    k = spec.time_order
-    reach: dict[int, Box] = {time: Box(query, query)}
-    result: list[Box | None] = [None] * k
-    for tau in range(time, -1, -1):
-        box = reach.pop(tau, None)
-        if box is None:
-            continue
-        if tau < k:
-            result[tau] = box if result[tau] is None else result[tau].hull(box)
-            continue
-        for e in spec.stencil:
-            d = tuple(o - s for o, s in zip(e.offset, spec.spatial_shift))
-            target = tau - (k - e.time_level)
-            moved = box.shifted(d)
-            prev = reach.get(target)
-            reach[target] = moved if prev is None else prev.hull(moved)
-    return result

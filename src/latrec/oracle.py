@@ -11,8 +11,7 @@ from typing import Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
-from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
-                      SpecError, dependence_steps)
+from .lattice import Box, EquationSpec, FieldRow, InitialData, Point, SpecError
 
 
 class WindowOverflowError(RuntimeError):
@@ -74,8 +73,10 @@ class EvolutionState:
 def forward_steps(spec: EquationSpec) -> tuple[Point, Point]:
     """Per-axis (min, max) support displacement of one update:
     spatial_shift - offset over the stencil entries."""
-    dep_lo, dep_hi = dependence_steps(spec)
-    return tuple(-h for h in dep_hi), tuple(-l for l in dep_lo)
+    steps = [tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
+             for e in spec.stencil]
+    axes = list(zip(*steps))
+    return tuple(map(min, axes)), tuple(map(max, axes))
 
 
 def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,

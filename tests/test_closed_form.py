@@ -513,11 +513,13 @@ def test_linearity_translation_scaling_smoke():
         psi1, psi2 = field_row(rng, 1), field_row(rng, 1)
         alpha, beta = rational(rng), rational(rng)
         q, t = (rng.randint(-4, 4),), rng.randint(0, 4)
-        combo = psi1.scaled(alpha) + psi2.scaled(beta)
+        combo = FieldRow(1, {p: alpha * psi1.get(p) + beta * psi2.get(p)
+                             for p in psi1.values.keys() | psi2.values.keys()})
         assert (eval_nd(spec, combo, q, t)
                 == alpha * eval_nd(spec, psi1, q, t) + beta * eval_nd(spec, psi2, q, t))
         d = (rng.randint(-3, 3),)
-        assert (eval_nd(spec, psi1.shifted(d), q, t)
+        shifted = FieldRow(1, {(p + d[0],): v for (p,), v in psi1.values.items()})
+        assert (eval_nd(spec, shifted, q, t)
                 == eval_nd(spec, psi1, (q[0] - d[0],), t))
         lam = rational(rng, nonzero=True)
         scaled_spec = EquationSpec(

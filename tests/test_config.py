@@ -142,6 +142,19 @@ def test_implicit_corner_must_be_boolean():
     assert not parse_config(json.dumps(doc)).spec.implicit_corner
 
 
+def test_rationals_reject_booleans():
+    coeff = dict(MINIMAL_IDENTITY)
+    coeff["stencil"] = [{"offset": [0], "time_level": 0, "coeff": True}]
+    value = dict(MINIMAL_IDENTITY)
+    value["initial"] = {"rows": [[{"at": [0], "value": False}]]}
+    heat = {"preset": "heat", "r": True}
+    for doc, path in ((coeff, "stencil[0].coeff"), (value, "initial.rows[0][0].value"),
+                      (heat, "r")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == path
+
+
 def test_spec_hash_is_stable_and_order_insensitive():
     spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
     doc = {
