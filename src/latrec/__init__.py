@@ -10,12 +10,10 @@ from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
                       SpecError, StencilEntry)
 from .combinatorics import compositions, expand_stencil_power, multinomial
-from .closed_form import (as_grid_2d, as_ninepoint, as_one_row,
-                          as_tridiagonal, backward_difference, closed_rows,
+from .closed_form import (as_tridiagonal, backward_difference, closed_rows,
                           closed_value, corner_kernel, corner_spec,
                           eval_implicit, eval_multistep, eval_nd,
-                          eval_tridiagonal, grid_2d_spec, ninepoint_spec,
-                          one_row_spec, source_rows, tridiagonal_spec)
+                          eval_tridiagonal, source_rows, tridiagonal_spec)
 from .oracle import (EvolutionState, Mismatch, Region, VerifyReport,
                      WindowOverflowError, auto_window, oracle_evolve,
                      oracle_step, oracle_sweep_implicit, rows_to_values,
@@ -29,14 +27,13 @@ __all__ = [
     "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
     "RandomWalkParams", "Region", "RunConfig", "SpecError",
     "StencilEntry", "VerifyReport", "WindowOverflowError",
-    "as_grid_2d", "as_ninepoint", "as_one_row", "as_tridiagonal",
-    "auto_window", "backward_difference", "closed_rows", "closed_value",
-    "compositions", "corner_kernel", "corner_spec",
+    "as_tridiagonal", "auto_window", "backward_difference", "closed_rows",
+    "closed_value", "compositions", "corner_kernel", "corner_spec",
     "eval_implicit", "eval_multistep", "eval_nd", "eval_tridiagonal",
-    "expand_stencil_power", "format_rational", "grid_2d_spec", "heat_profile",
-    "heat_spec", "load_config", "multinomial", "ninepoint_spec",
-    "one_row_spec", "oracle_evolve", "oracle_step", "oracle_sweep_implicit",
-    "parse_config", "parse_rational", "random_walk_distribution",
-    "random_walk_spec", "rows_to_values", "source_rows", "spec_hash",
-    "tridiagonal_spec", "verify_closed_vs_oracle", "verify_recurrence",
+    "expand_stencil_power", "format_rational", "heat_profile", "heat_spec",
+    "load_config", "multinomial", "oracle_evolve", "oracle_step",
+    "oracle_sweep_implicit", "parse_config", "parse_rational",
+    "random_walk_distribution", "random_walk_spec", "rows_to_values",
+    "source_rows", "spec_hash", "tridiagonal_spec", "verify_closed_vs_oracle",
+    "verify_recurrence",
 ]

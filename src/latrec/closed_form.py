@@ -10,10 +10,8 @@ rationals.  Evaluators:
                             spatial dimension: one sum over compositions of
                             the powers of S, sampling Q.
 * ``eval_nd``            -- the same sum for a one-step equation, with row 0
-                            as Q.  The 1D shifted-row, 2D 3x3 and 2D n-by-m
-                            corner families are one-step equations; their
-                            constructors and recognisers below name them for
-                            ``EVALUATORS``.
+                            as Q.  Shifted-row, 3x3, n-by-m and two-step
+                            shapes are all instances of this one family.
 * ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
                             as a double binomial sum, with a known-inconsistent
                             exponent variant kept as a negative control.
@@ -21,7 +19,9 @@ rationals.  Evaluators:
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
 
-``EVALUATORS`` maps each evaluator name to its shape check and evaluator;
+``EVALUATORS`` maps each evaluator name to its shape check and evaluator:
+"nd" for every explicit spec, and one name for each formula that differs in
+structure (the three-point sum, its negative control, the corner kernel);
 ``closed_rows`` builds whole rows of Q / (1 - S) from one integer pass over
 the series sum_J S^J, adding up each row in integers.  The test suite checks
 every evaluator against the iteration oracle.
@@ -41,7 +41,7 @@ from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, Sten
 
 
 # ---------------------------------------------------------------------------
-# spec constructors / recognizers for the specialized families
+# spec constructors / recognizers
 # ---------------------------------------------------------------------------
 
 def tridiagonal_spec(a: Fraction, b: Fraction, c: Fraction) -> EquationSpec:
@@ -62,70 +62,6 @@ def as_tridiagonal(spec: EquationSpec) -> tuple[Fraction, Fraction, Fraction] | 
             return None
         coeffs[e.offset] = e.coeff
     return coeffs[(-1,)], coeffs[(0,)], coeffs[(1,)]
-
-
-def one_row_spec(coeffs: Sequence[Fraction], m: int) -> EquationSpec:
-    """U[i+m, j+1] = c_1 U[i, j] + c_2 U[i+1, j] + ... + c_n U[i+n-1, j]."""
-    entries = [StencilEntry((r,), 0, Fraction(c)) for r, c in enumerate(coeffs)]
-    return EquationSpec(1, 1, (m,), tuple(entries))
-
-
-def as_one_row(spec: EquationSpec) -> tuple[list[Fraction], int] | None:
-    if spec.implicit_corner or spec.spatial_dim != 1 or spec.time_order != 1:
-        return None
-    if any(e.offset[0] < 0 for e in spec.stencil):
-        return None
-    n = max(e.offset[0] for e in spec.stencil) + 1
-    coeffs = [ZERO] * n
-    for e in spec.stencil:
-        coeffs[e.offset[0]] = e.coeff
-    return coeffs, spec.spatial_shift[0]
-
-
-# 3x3 neighbourhood in the fixed coefficient order of ninepoint_spec:
-# dy in (-1, 0, 1), dx in (-1, 0, 1), dx fastest.
-NINEPOINT_OFFSETS: tuple[Point, ...] = tuple(
-    (dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
-
-
-def ninepoint_spec(coeffs: Sequence[Fraction]) -> EquationSpec:
-    if len(coeffs) != 9:
-        raise SpecError("ninepoint spec needs exactly 9 coefficients")
-    entries = [StencilEntry(off, 0, Fraction(c))
-               for off, c in zip(NINEPOINT_OFFSETS, coeffs)]
-    return EquationSpec(2, 1, (0, 0), tuple(entries))
-
-
-def as_ninepoint(spec: EquationSpec) -> list[Fraction] | None:
-    if (spec.implicit_corner or spec.spatial_dim != 2 or spec.time_order != 1
-            or spec.spatial_shift != (0, 0)):
-        return None
-    coeffs = {off: ZERO for off in NINEPOINT_OFFSETS}
-    for e in spec.stencil:
-        if e.offset not in coeffs:
-            return None
-        coeffs[e.offset] = e.coeff
-    return [coeffs[off] for off in NINEPOINT_OFFSETS]
-
-
-def grid_2d_spec(coeffs: Sequence[Sequence[Fraction]], s: int, t: int) -> EquationSpec:
-    """U[i+s, j+t, k+1] = sum_{u=1..n} sum_{v=1..m} c[u][v] U[i+u-1, j+v-1, k]."""
-    entries = [StencilEntry((u, v), 0, Fraction(c))
-               for u, row in enumerate(coeffs) for v, c in enumerate(row)]
-    return EquationSpec(2, 1, (s, t), tuple(entries))
-
-
-def as_grid_2d(spec: EquationSpec) -> tuple[list[list[Fraction]], int, int] | None:
-    if spec.implicit_corner or spec.spatial_dim != 2 or spec.time_order != 1:
-        return None
-    if any(e.offset[0] < 0 or e.offset[1] < 0 for e in spec.stencil):
-        return None
-    n = max(e.offset[0] for e in spec.stencil) + 1
-    m = max(e.offset[1] for e in spec.stencil) + 1
-    coeffs = [[ZERO] * m for _ in range(n)]
-    for e in spec.stencil:
-        coeffs[e.offset[0]][e.offset[1]] = e.coeff
-    return coeffs, spec.spatial_shift[0], spec.spatial_shift[1]
 
 
 def corner_spec(a: Fraction, b: Fraction, c: Fraction) -> EquationSpec:
@@ -395,27 +331,16 @@ def _implicit_getter(spec: EquationSpec, initial: InitialData):
     return lambda p, t: eval_implicit(a, b, c, psi, p[0], t)
 
 
-def _is_one_step(spec: EquationSpec) -> bool:
-    return not spec.implicit_corner and spec.time_order == 1
-
-
-def _is_two_row(spec: EquationSpec) -> bool:
-    return not spec.implicit_corner and spec.time_order == 2 and spec.spatial_dim == 1
-
-
 _THREE_POINT = "a three-point one-step 1D stencil"
 
 # evaluator name -> (shape check, the shape it names on failure, maker of the
-# (point, time) -> value callable).  Every explicit name but the three-point
-# ones checks the shape and evaluates the one composition sum.
+# (point, time) -> value callable).  Only formulas that differ in structure
+# have a name: "nd" is the one composition sum of every explicit equation.
 EVALUATORS = {
-    "nd": (_is_one_step, "a one-step explicit stencil", _composition_getter),
+    "nd": (lambda spec: not spec.implicit_corner, "an explicit stencil",
+           _composition_getter),
     "tridiagonal": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-m")),
     "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-n")),
-    "one-row": (as_one_row, "a shifted-row 1D one-step stencil", _composition_getter),
-    "ninepoint": (as_ninepoint, "a 3x3 one-step 2D stencil", _composition_getter),
-    "grid-2d": (as_grid_2d, "an n-by-m one-step 2D corner stencil", _composition_getter),
-    "two-row": (_is_two_row, "a two-step-in-time 1D stencil", _composition_getter),
     "implicit": (lambda spec: spec.implicit_corner, "a corner-implicit 1D stencil",
                  _implicit_getter),
 }
@@ -438,6 +363,5 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
     """Single-point closed-form value: the corner-implicit sum, or the one
     composition sum of every explicit equation."""
-    if spec.implicit_corner:
-        return pointwise(spec, initial, "implicit")(point, time)
-    return eval_multistep(spec, initial, point, time)
+    evaluator = "implicit" if spec.implicit_corner else "nd"
+    return pointwise(spec, initial, evaluator)(point, time)

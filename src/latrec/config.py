@@ -36,6 +36,9 @@ from .oracle import Region, auto_window, query_bounds, query_points
 ENGINES = ("closed", "oracle", "verify")
 FORMATS = ("csv", "json")
 DEFAULT_QUERY_TMAX = 5
+# bounds the k initial rows a "builtin" block builds; far above the orders
+# the corpus and tests use (at most 3)
+MAX_TIME_ORDER = 1000
 
 
 class ConfigError(ValueError):
@@ -123,6 +126,8 @@ def _parse_equation(doc: dict) -> EquationSpec:
     order = _int(doc["time_order"], "time_order")
     if order < 1:
         raise ConfigError("time_order", "must be >= 1")
+    if order > MAX_TIME_ORDER:
+        raise ConfigError("time_order", f"must be <= {MAX_TIME_ORDER}")
     shift = _point(doc["spatial_shift"], dim, "spatial_shift")
     raw = doc["stencil"]
     if not isinstance(raw, list):

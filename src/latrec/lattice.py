@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import index
 
 from .exactnum import ZERO
 
@@ -28,10 +29,20 @@ class SpecError(ValueError):
 
 
 def _as_point(coords, dim: int, what: str) -> Point:
-    p = tuple(int(c) for c in coords)
+    try:
+        p = tuple(map(index, coords))
+    except TypeError:
+        raise SpecError(f"{what} {coords!r} is not a sequence of integers") from None
     if len(p) != dim:
         raise SpecError(f"{what} has length {len(p)}, expected spatial dimension {dim}")
     return p
+
+
+def _as_time_level(level) -> int:
+    try:
+        return index(level)
+    except TypeError:
+        raise SpecError(f"time_level {level!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -102,11 +113,11 @@ class EquationSpec:
             raise SpecError("spatial_dim must be >= 1")
         if self.time_order < 1:
             raise SpecError("time_order must be >= 1")
-        if len(self.spatial_shift) != self.spatial_dim:
-            raise SpecError("spatial_shift length must equal spatial_dim")
+        object.__setattr__(self, "spatial_shift",
+                           _as_point(self.spatial_shift, self.spatial_dim, "spatial_shift"))
         entries = tuple(
             StencilEntry(_as_point(e.offset, self.spatial_dim, "stencil offset"),
-                         int(e.time_level), Fraction(e.coeff))
+                         _as_time_level(e.time_level), Fraction(e.coeff))
             for e in self.stencil
             if e.coeff != 0
         )

@@ -11,9 +11,32 @@ import random
 from fractions import Fraction
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, StencilEntry,
-                    auto_window, grid_2d_spec, ninepoint_spec, one_row_spec,
-                    tridiagonal_spec)
+                    auto_window, tridiagonal_spec)
 from latrec.oracle import Region
+
+
+# Named shapes of the one explicit family, kept as test fixtures.
+
+def one_row_spec(coeffs, m: int) -> EquationSpec:
+    """U[i+m, j+1] = c_1 U[i, j] + c_2 U[i+1, j] + ... + c_n U[i+n-1, j]."""
+    entries = (StencilEntry((r,), 0, Fraction(c)) for r, c in enumerate(coeffs))
+    return EquationSpec(1, 1, (m,), tuple(entries))
+
+
+def ninepoint_spec(coeffs) -> EquationSpec:
+    """3x3 one-step stencil; coefficients run over dy in (-1, 0, 1), then dx
+    in (-1, 0, 1), dx fastest."""
+    offsets = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    entries = (StencilEntry(off, 0, Fraction(c))
+               for off, c in zip(offsets, coeffs, strict=True))
+    return EquationSpec(2, 1, (0, 0), tuple(entries))
+
+
+def grid_2d_spec(coeffs, s: int, t: int) -> EquationSpec:
+    """U[i+s, j+t, k+1] = sum_{u=1..n} sum_{v=1..m} c[u][v] U[i+u-1, j+v-1, k]."""
+    entries = (StencilEntry((u, v), 0, Fraction(c))
+               for u, row in enumerate(coeffs) for v, c in enumerate(row))
+    return EquationSpec(2, 1, (s, t), tuple(entries))
 
 
 def rational(rng: random.Random, nonzero: bool = False) -> Fraction:

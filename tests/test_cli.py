@@ -127,23 +127,17 @@ def test_count_flags_reject_bad_values(capsys, argv):
         assert f"argument {argv[-1]}: expected a non-negative integer" in captured.err
 
 
+EXPLICIT_CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json")
+                          if p.name != "corner_implicit.json")
+
 # evaluator -> (corpus configs of its shape, a config of another shape, the
 # shape its error names)
 EVALUATOR_CASES = {
-    "nd": (["identity.json", "lattice3d_diffusion.json"], "two_row_mixed.json",
-           "a one-step explicit stencil"),
+    "nd": (EXPLICIT_CONFIGS, "corner_implicit.json", "an explicit stencil"),
     "tridiagonal": (["tridiagonal_mixed.json", "heat_quarter.json"], "one_row_wide.json",
                     "a three-point one-step 1D stencil"),
     "tridiagonal-j-n": (["tridiagonal_mixed.json"], "ninepoint_uniform.json",
                         "a three-point one-step 1D stencil"),
-    "one-row": (["one_row_shift.json", "one_row_wide.json"], "tridiagonal_mixed.json",
-                "a shifted-row 1D one-step stencil"),
-    "ninepoint": (["ninepoint_uniform.json"], "grid2d_drift.json",
-                  "a 3x3 one-step 2D stencil"),
-    "grid-2d": (["grid2d_drift.json"], "ninepoint_uniform.json",
-                "an n-by-m one-step 2D corner stencil"),
-    "two-row": (["two_row_fibonacci.json", "two_row_mixed.json"], "identity.json",
-                "a two-step-in-time 1D stencil"),
     "implicit": (["corner_implicit.json"], "identity.json", "a corner-implicit 1D stencil"),
 }
 
@@ -161,6 +155,16 @@ def test_every_evaluator_name_checks_its_shape(capsys, name):
                                "--evaluator", name)
     assert status == 2 and out == ""
     assert err == f"error: spec is not {shape}\n"
+
+
+@pytest.mark.parametrize("name", ["one-row", "ninepoint", "grid-2d", "two-row"])
+def test_removed_evaluator_names_are_invalid_choices(capsys, name):
+    config = str(CONFIG_DIR / "identity.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", config, "--evaluator", name])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --evaluator: invalid choice: {name!r}" in captured.err
 
 
 TIME_ORDER_THREE = {
@@ -189,9 +193,17 @@ def test_verify_multistep_configs(capsys, tmp_path, doc):
     status, out, err = run_cli(capsys, "verify", "--config", path)
     assert status == 0 and err == "", out
     assert "0 mismatches" in out
-    status, out, err = run_cli(capsys, "verify", "--config", path, "--evaluator", "two-row")
+    # the one composition sum checks every explicit order and dimension pointwise
+    status, out, err = run_cli(capsys, "verify", "--config", path, "--evaluator", "nd")
+    assert status == 0 and err == "", out
+    assert "0 mismatches" in out
+
+
+def test_huge_time_order_exits_two_before_building_rows(capsys, tmp_path):
+    doc = dict(TIME_ORDER_THREE, time_order=10**12, initial={"builtin": "delta"})
+    status, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, doc))
     assert status == 2 and out == ""
-    assert err == "error: spec is not a two-step-in-time 1D stencil\n"
+    assert err == "error: time_order: must be <= 1000\n"
 
 
 def test_non_utf8_config_exits_two(capsys, tmp_path):

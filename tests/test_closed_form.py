@@ -8,14 +8,15 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     StencilEntry, as_tridiagonal, backward_difference,
                     closed_rows, closed_value, corner_kernel, corner_spec,
                     eval_implicit, eval_multistep, eval_nd, eval_tridiagonal,
-                    grid_2d_spec, ninepoint_spec, one_row_spec, oracle_evolve,
-                    oracle_sweep_implicit, source_rows, tridiagonal_spec)
+                    oracle_evolve, oracle_sweep_implicit, source_rows,
+                    tridiagonal_spec)
 from latrec import closed_form
 from latrec.closed_form import pointwise
 from latrec.config import load_config
 
-from instance_gen import (field_row, grid_2d_instance, nd_instance,
-                          ninepoint_instance, one_row_instance, rational,
+from instance_gen import (field_row, grid_2d_instance, grid_2d_spec,
+                          nd_instance, ninepoint_instance, ninepoint_spec,
+                          one_row_instance, one_row_spec, rational,
                           tridiagonal_instance, two_row_instance,
                           verification_region)
 
@@ -409,7 +410,7 @@ def test_closed_rows_match_pointwise_evaluators():
         initial = InitialData((psi0, psi1))
         rows = closed_rows(spec, initial, 5)
         region = verification_region(spec, initial, 5)
-        getter = pointwise(spec, initial, "two-row")
+        getter = pointwise(spec, initial, "nd")
         for t in range(6):
             for p in region.box.points():
                 assert rows[t].get(p) == eval_multistep(spec, initial, p, t) == getter(p, t)
@@ -424,7 +425,7 @@ def test_two_row_getter_builds_source_rows_once(monkeypatch):
 
     monkeypatch.setattr(closed_form, "source_rows", counted)
     spec = two_row_instance(random.Random(1043))
-    getter = pointwise(spec, InitialData((DELTA, DELTA)), "two-row")
+    getter = pointwise(spec, InitialData((DELTA, DELTA)), "nd")
     for t in range(4):
         for i in range(-3, 4):
             getter((i,), t)

@@ -1,11 +1,16 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latrec import (Box, ConfigError, as_tridiagonal, parse_config, spec_hash,
-                    tridiagonal_spec)
+from latrec import (Box, ConfigError, RunConfig, as_tridiagonal, parse_config,
+                    spec_hash, tridiagonal_spec)
 from latrec.oracle import Region
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 MINIMAL_IDENTITY = {
     "spatial_dim": 1,
@@ -164,3 +169,81 @@ def test_spec_hash_is_stable_and_order_insensitive():
                     {"offset": [0], "time_level": 0, "coeff": "2"}],
     }
     assert spec_hash(parse_config(json.dumps(doc)).spec) == spec_hash(spec)
+
+
+# the keys a config document's top level can hold
+TOP_KEYS = ("spatial_dim", "time_order", "spatial_shift", "implicit_corner",
+            "implicit_coeff", "stencil", "initial", "query", "engine", "output",
+            "window", "preset", "p", "d", "q", "r")
+# every key the schema reads below the top, so that generated objects reach
+# the optional blocks no corpus config has (query points, output)
+INNER_KEYS = ("offset", "time_level", "coeff", "builtin", "rows", "at", "value",
+              "box", "times", "points", "t", "format", "path")
+
+SCALARS = st.none() | st.booleans() | st.integers(-10**12, 10**12) | st.text(max_size=8)
+# st.recursive alone draws a container nine times in ten
+JSON_VALUES = SCALARS | st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(INNER_KEYS) | st.text(max_size=8),
+                                     inner, max_size=4)),
+    max_leaves=12)
+
+
+def node_paths(node, path=()):
+    """Every node of a JSON document, the root first, as key/index paths."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def replaceable(doc):
+    """Half the draws pick any node; the other half pick the root, a top-level
+    node or a top-level key the document lacks, which would otherwise be
+    outnumbered by the many deep nodes."""
+    top = [(), *((key,) for key in doc), *((key,) for key in TOP_KEYS if key not in doc)]
+    return st.sampled_from(list(node_paths(doc))) | st.sampled_from(top)
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# every optional block the corpus configs leave out
+OPTIONAL_BLOCKS = {
+    "spatial_dim": 1, "time_order": 1, "spatial_shift": [1],
+    "implicit_corner": True, "implicit_coeff": "1/2",
+    "stencil": [{"offset": [1], "time_level": 0, "coeff": "1/3"}],
+    "initial": {"rows": [[{"at": [0], "value": "1"}]]},
+    "query": {"points": [{"at": [0], "t": 2}, {"at": [3], "t": 1}]},
+    "engine": "closed", "output": {"format": "json", "path": None}, "window": [[-2, 4]],
+}
+
+
+# OPTIONAL_BLOCKS is drawn as often as the whole corpus: only it reaches
+# the blocks the corpus leaves out
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([json.loads(p.read_text()) for p in CONFIGS]) | st.just(OPTIONAL_BLOCKS),
+       st.data())
+def test_one_node_replaced_or_added_parses_or_names_a_path(doc, data):
+    path = data.draw(replaceable(doc), label="path")
+    value = data.draw(JSON_VALUES, label="value")
+    try:
+        config = parse_config(json.dumps(replaced(doc, path, value)))
+    except ConfigError as exc:
+        assert exc.path
+    else:
+        assert isinstance(config, RunConfig)

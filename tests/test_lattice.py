@@ -55,6 +55,26 @@ def test_spec_validation():
                      implicit_corner=True, implicit_coeff=Fraction(1))
 
 
+def test_field_points_must_be_integers():
+    for bad in ((1.7,), ("3",), 5):
+        with pytest.raises(SpecError, match="field point"):
+            FieldRow(1, {bad: 1})
+
+
+def test_time_level_must_be_an_integer():
+    for bad in (0.0, "0"):
+        with pytest.raises(SpecError, match="time_level"):
+            EquationSpec(1, 1, (0,), (StencilEntry((0,), bad, Fraction(1)),))
+
+
+def test_spatial_shift_must_be_integers():
+    entries = (StencilEntry((0,), 0, Fraction(1)),)
+    for bad in ((0.5,), ("1",)):
+        with pytest.raises(SpecError, match="spatial_shift"):
+            EquationSpec(1, 1, bad, entries)
+    assert EquationSpec(1, 1, [2], entries).spatial_shift == (2,)
+
+
 def test_zero_coeff_entries_are_dropped():
     spec = tridiagonal_spec(Fraction(1), Fraction(0), Fraction(2))
     assert len(spec.stencil) == 2
