@@ -28,8 +28,7 @@ from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import FieldRow, Point, SpecError
 from .models import (HeatParams, RandomWalkParams, heat_profile, heat_spec,
                      random_walk_distribution, random_walk_spec)
-from .oracle import (Region, WindowOverflowError, oracle_getter, query_bounds,
-                     verify_closed_vs_oracle)
+from .oracle import Region, oracle_getter, query_bounds, verify_closed_vs_oracle
 
 
 def format_table(dim: int, rows: list[tuple[Point, int, Fraction]],
@@ -71,7 +70,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     if config.engine == "closed":
         getter = closed_getter(spec, initial, t_max)
     else:
-        getter = oracle_getter(spec, initial, t_max, box, config.window)
+        getter = oracle_getter(spec, initial, t_max, box)
     table = [(p, t, getter(p, t)) for p, t in config.query_points]
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
@@ -89,7 +88,7 @@ def run_verify(config: RunConfig, evaluator: str,
             if not query:
                 raise ConfigError("--tmax", f"no query point has time <= {t_max}")
     report = verify_closed_vs_oracle(config.spec, config.initial, query,
-                                     evaluator=evaluator, window=config.window)
+                                     evaluator=evaluator)
     lines = [f"# spec={spec_hash(config.spec)}", report.summary()]
     for m in report.mismatches:
         lines.append(f"mismatch at {m.point} t={m.time}: "
@@ -249,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError, ParseError, WindowOverflowError) as exc:
+    except (ConfigError, SpecError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

@@ -58,7 +58,6 @@ class RunConfig:
     engine: str
     out_format: str
     out_path: str | None
-    window: Box | None
 
     @property
     def query_points(self) -> list[tuple[Point, int]]:
@@ -289,11 +288,7 @@ def parse_config(document: str | dict) -> RunConfig:
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("output.path", "expected a string or null")
 
-    window = None
-    if "window" in doc:
-        window = _parse_box(doc["window"], spec.spatial_dim, "window")
-
-    return RunConfig(spec, initial, query, engine, out_format, out_path, window)
+    return RunConfig(spec, initial, query, engine, out_format, out_path)
 
 
 def load_config(path: str) -> RunConfig:

@@ -11,11 +11,12 @@ output.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 ZERO = Fraction(0)
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -31,22 +32,31 @@ class ParseError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse ``num`` or ``num/den`` (den positive, no whitespace) exactly.
 
-    Stricter than the Fraction constructor: decimals, exponents and
-    whitespace are rejected.
+    Stricter than the Fraction constructor: decimals, exponents, whitespace
+    and digits other than ASCII 0-9 are rejected, and so is a part longer
+    than the interpreter's limit on int() digits.
     """
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         # Locate the first character that breaks the grammar for the error.
         pos = 0
         for pos, ch in enumerate(text):
-            if not (ch.isdigit() or (ch == "-" and pos == 0) or ch == "/"):
+            if not (ch in "0123456789" or (ch == "-" and pos == 0) or ch == "/"):
                 break
         raise ParseError(text, pos, "expected digits or digits/digits")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = _part(text, m, 1)
+    den = _part(text, m, 2) if m.group(2) is not None else 1
     if den == 0:
         raise ParseError(text, text.index("/") + 1, "zero denominator")
     return Fraction(num, den)
+
+
+def _part(text: str, m: re.Match, group: int) -> int:
+    try:
+        return int(m.group(group))
+    except ValueError:  # the only ValueError of int() on [0-9]+ is its digit limit
+        raise ParseError(text, m.start(group),
+                         f"more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def format_rational(x: Fraction) -> str:

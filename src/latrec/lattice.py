@@ -62,9 +62,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, p: Point) -> bool:
-        return all(l <= c <= h for l, c, h in zip(self.lo, p, self.hi))
-
     def hull(self, other: "Box") -> "Box":
         return Box(
             tuple(min(a, b) for a, b in zip(self.lo, other.lo)),

@@ -1,6 +1,7 @@
-"""Ground-truth engine: direct iteration of the recurrences on a bounded
-window, a left-to-right sweep for the corner-implicit form, and verifiers
-that compare closed-form values against iterated ones exactly.
+"""Ground-truth engine: direct iteration of the recurrences over the
+evolving support, a left-to-right sweep for the corner-implicit form on a
+window sized from the initial row and the time range, and verifiers that
+compare closed-form values against iterated ones exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from .lattice import Box, EquationSpec, FieldRow, InitialData, Point, SpecError
 
 
 class WindowOverflowError(RuntimeError):
-    """Evolved support would leave the window; names the violating axis."""
+    """The corner-implicit sweep's window is too small for its initial row
+    and time range; names the violating axis."""
 
     def __init__(self, axis: int, point: Point, window: Box):
         self.axis = axis
@@ -50,20 +52,11 @@ class Region:
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """The most recent time_order rows; rows[-1] is the row at `time`."""
+    """The most recent time_order rows; rows[-1] is the row at `time`.
+    Rows are sparse, so the state has no spatial bound."""
 
     rows: tuple[FieldRow, ...]
     time: int
-    window: Box | None
-
-    def __post_init__(self):
-        if self.window is not None:
-            for row in self.rows:
-                for p in row.values:
-                    if not self.window.contains(p):
-                        axis = next(i for i, (c, l, h) in enumerate(
-                            zip(p, self.window.lo, self.window.hi)) if not l <= c <= h)
-                        raise WindowOverflowError(axis, p, self.window)
 
     @property
     def newest(self) -> FieldRow:
@@ -101,8 +94,8 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
 
         sum over entries of  coeff * rows[time_level](e + offset - shift).
 
-    The new state checks its rows against the window, so a new row that
-    leaves it raises WindowOverflowError.
+    The sum runs over the held rows' support only, so each new row stays
+    sparse and no window bounds it.
     """
     if spec.implicit_corner:
         raise SpecError("the corner-implicit form is not explicitly steppable; "
@@ -117,23 +110,20 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
             key = tuple(c + d for c, d in zip(p, delta))
             acc[key] = acc.get(key, ZERO) + e.coeff * v
     new_row = FieldRow(spec.spatial_dim, acc)
-    return EvolutionState(state.rows[1:] + (new_row,), state.time + 1, state.window)
+    return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 
-def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int,
-                  window: Box | None = None) -> list[FieldRow]:
+def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
     """Rows 0..t_max by repeated stepping; rows 0..time_order-1 are the
-    inputs verbatim.  Window defaults to an auto-sized one."""
+    inputs verbatim."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     initial.check_matches(spec)
-    if window is None:
-        window = auto_window(spec, initial, t_max)
     k = spec.time_order
     out = list(initial.rows[:t_max + 1])
     if t_max < k:
         return out
-    state = EvolutionState(initial.rows, k - 1, window)
+    state = EvolutionState(initial.rows, k - 1)
     for _ in range(k - 1, t_max):
         state = oracle_step(spec, state)
         out.append(state.newest)
@@ -237,37 +227,35 @@ def query_bounds(query: Query) -> tuple[Box, int]:
     return Box(tuple(map(min, axes)), tuple(map(max, axes))), max(t for _, t in query)
 
 
-def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int,
-                  box: Box, window: Box | None = None):
-    """(point, time) -> iterated value for times up to t_max.
+def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int, box: Box):
+    """(point, time) -> iterated value for times up to t_max, exact at every
+    point of the query box.
 
-    Without an explicit window the oracle's window reaches the query box:
-    auto_window hulled with the box, or for the corner-implicit sweep,
-    sweep_window with its right edge at the box's right edge."""
+    Explicit specs iterate the whole support.  The corner-implicit sweep runs
+    on sweep_window with its right edge at the box's right edge."""
     if spec.implicit_corner:
         a, b, c = spec.corner_coefficients()
         psi = initial.rows[0]
         if not psi.values:
             return lambda p, t: ZERO
         rows = oracle_sweep_implicit(
-            a, b, c, psi, window or sweep_window(psi, t_max, right_edge=box.hi[0]), t_max)
+            a, b, c, psi, sweep_window(psi, t_max, right_edge=box.hi[0]), t_max)
     else:
-        rows = oracle_evolve(spec, initial, t_max,
-                             window or auto_window(spec, initial, t_max, extra=box))
+        rows = oracle_evolve(spec, initial, t_max)
     return lambda p, t: rows[t].get(p)
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
-                            region: Query, evaluator: str = "auto",
-                            window: Box | None = None) -> VerifyReport:
+                            region: Query, evaluator: str = "auto") -> VerifyReport:
     """Evaluate both engines at every (point, time) of the query, a Region or
     a list of (point, time) pairs, and report exact mismatches in point,
-    then time order.  Mismatches are data, not errors."""
+    then time order.  Mismatches are data, not errors.  The oracle's extent
+    follows from the spec, the initial data and the query."""
     initial.check_matches(spec)
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
         raise SpecError("region box dimension differs from the spec")
-    oracle_get = oracle_getter(spec, initial, t_max, box, window)
+    oracle_get = oracle_getter(spec, initial, t_max, box)
     closed_get = closed_form.closed_getter(spec, initial, t_max, evaluator)
     checked = 0
     mismatches = []

@@ -56,6 +56,36 @@ def test_solve_oracle_engine_agrees_with_closed(capsys, tmp_path):
     assert out_closed == out_oracle
 
 
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_solve_engines_agree_on_corpus(capsys, tmp_path, name, out_format):
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    outs = []
+    for engine in ("closed", "oracle"):
+        path = write_config(tmp_path, dict(doc, engine=engine), f"{engine}.json")
+        status, out, err = run_cli(capsys, "solve", "--config", path, "--format", out_format)
+        assert status == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_window_key_no_longer_narrows_the_oracle(capsys, tmp_path):
+    # the key is ignored: neither a corner sweep cut at x=3 nor an explicit
+    # window smaller than the support may change a value or the exit code
+    doc = json.loads((CONFIG_DIR / "corner_implicit.json").read_text())
+    doc["window"] = [[-12, 3]]
+    status, out, _ = run_cli(capsys, "verify", "--config", write_config(tmp_path, doc))
+    assert status == 0 and "0 mismatches" in out
+    outs = [run_cli(capsys, "solve", "--config",
+                    write_config(tmp_path, dict(doc, engine=engine), f"{engine}.json"))
+            for engine in ("closed", "oracle")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    doc = json.loads((CONFIG_DIR / "tridiagonal_mixed.json").read_text())
+    doc["window"] = [[0, 0]]
+    status, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, doc))
+    assert status == 0 and err == "" and "0 mismatches" in out
+
+
 def test_solve_point_query_json_format(capsys, tmp_path):
     path = write_config(tmp_path, {
         "preset": "heat", "r": "1/4",
@@ -220,6 +250,17 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     status, out, err = run_cli(capsys, "verify", "--config", str(path))
     assert status == 2 and out == ""
     assert err == "error: $: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("coeff", ["1\n", "\u0661/\u0662", "1" * 5000, "1/" + "3" * 5000],
+                         ids=["trailing-newline", "arabic-indic-digits",
+                              "long-numerator", "long-denominator"])
+def test_bad_rational_coeff_exits_two(capsys, tmp_path, coeff):
+    doc = json.loads((CONFIG_DIR / "identity.json").read_text())
+    doc["stencil"][0]["coeff"] = coeff
+    status, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, doc))
+    assert status == 2 and out == ""
+    assert err.startswith("error: stencil[0].coeff: cannot parse rational")
 
 
 def test_demo_random_walk_conserves_probability(capsys):

@@ -116,11 +116,12 @@ def test_invalid_json_reports_top_level():
     assert exc.value.path == "$"
 
 
-def test_manual_window_override():
+def test_window_key_is_ignored():
+    # the oracle sizes its own extent, so a "window" box is a key the
+    # schema does not read
     doc = dict(MINIMAL_IDENTITY)
     doc["window"] = [[-10, 10]]
-    config = parse_config(json.dumps(doc))
-    assert config.window == Box((-10,), (10,))
+    assert parse_config(json.dumps(doc)) == parse_config(json.dumps(MINIMAL_IDENTITY))
 
 
 def test_implicit_corner_document():
@@ -174,7 +175,7 @@ def test_spec_hash_is_stable_and_order_insensitive():
 # the keys a config document's top level can hold
 TOP_KEYS = ("spatial_dim", "time_order", "spatial_shift", "implicit_corner",
             "implicit_coeff", "stencil", "initial", "query", "engine", "output",
-            "window", "preset", "p", "d", "q", "r")
+            "preset", "p", "d", "q", "r")
 # every key the schema reads below the top, so that generated objects reach
 # the optional blocks no corpus config has (query points, output)
 INNER_KEYS = ("offset", "time_level", "coeff", "builtin", "rows", "at", "value",
@@ -229,7 +230,7 @@ OPTIONAL_BLOCKS = {
     "stencil": [{"offset": [1], "time_level": 0, "coeff": "1/3"}],
     "initial": {"rows": [[{"at": [0], "value": "1"}]]},
     "query": {"points": [{"at": [0], "t": 2}, {"at": [3], "t": 1}]},
-    "engine": "closed", "output": {"format": "json", "path": None}, "window": [[-2, 4]],
+    "engine": "closed", "output": {"format": "json", "path": None},
 }
 
 

@@ -26,6 +26,19 @@ def test_parse_rejects_malformed(text):
         parse_rational(text)
 
 
+# only ASCII digits count, and a part past int()'s digit limit is an error
+# at that part
+@pytest.mark.parametrize("text, position", [
+    ("1\n", 1), ("\u0661/\u0662", 0), ("12/\u0663", 3),
+    ("1" * 5000, 0), ("-" + "1" * 5000, 0), ("1/" + "2" * 5000, 2)],
+    ids=["trailing-newline", "arabic-indic", "arabic-indic-denominator",
+         "long-numerator", "long-negative-numerator", "long-denominator"])
+def test_parse_error_position(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_rational(text)
+    assert exc.value.position == position
+
+
 @given(st.fractions())
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x

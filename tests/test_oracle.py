@@ -16,8 +16,8 @@ DELTA = FieldRow.delta(1)
 HALF = Fraction(1, 2)
 
 
-def state_for(spec, *rows, window=None):
-    return EvolutionState(tuple(rows), spec.time_order - 1, window)
+def state_for(spec, *rows):
+    return EvolutionState(tuple(rows), spec.time_order - 1)
 
 
 def test_step_identity():
@@ -61,30 +61,7 @@ def test_evolve_period_two_recurrence():
 def test_step_rejects_wrong_row_count():
     spec = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
     with pytest.raises(SpecError):
-        oracle_step(spec, EvolutionState((DELTA,), 0, None))
-
-
-def test_window_overflow_names_axis():
-    spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
-    tight = Box((0,), (0,))
-    with pytest.raises(WindowOverflowError) as exc:
-        oracle_step(spec, state_for(spec, DELTA, window=tight))
-    assert exc.value.axis == 0
-    assert exc.value.point == (1,)
-
-
-def test_window_independence():
-    rng = random.Random(2003)
-    for _ in range(10):
-        spec = nd_instance(rng, rng.randint(1, 2), max_entries=4)
-        psi = field_row(rng, spec.spatial_dim, max_points=4, coord_range=2)
-        initial = InitialData((psi,))
-        small = oracle_evolve(spec, initial, 4)
-        from latrec import auto_window
-        window = auto_window(spec, initial, 4)
-        bigger = Box(tuple(l - 3 for l in window.lo), tuple(h + 3 for h in window.hi))
-        large = oracle_evolve(spec, initial, 4, window=bigger)
-        assert small == large
+        oracle_step(spec, EvolutionState((DELTA,), 0))
 
 
 def test_mass_evolution_factor():
@@ -139,9 +116,20 @@ def test_sweep_rows_satisfy_corner_recurrence():
 
 
 def test_sweep_window_too_small():
-    with pytest.raises(WindowOverflowError):
+    # the left edge must sit below support minimum - j_max, where the
+    # left-vanishing solution is zero
+    with pytest.raises(WindowOverflowError) as exc:
         oracle_sweep_implicit(Fraction(1), Fraction(1), Fraction(1), DELTA,
-                              Box((-1,), (4,)), 3)
+                              Box((-3,), (4,)), 3)
+    assert exc.value.axis == 0 and exc.value.point == (-3,)
+    assert len(oracle_sweep_implicit(Fraction(1), Fraction(1), Fraction(1), DELTA,
+                                     Box((-4,), (4,)), 3)) == 4
+    # the initial row must lie inside the window
+    psi = FieldRow(1, {(0,): Fraction(1), (5,): Fraction(-2)})
+    with pytest.raises(WindowOverflowError) as exc:
+        oracle_sweep_implicit(Fraction(1), Fraction(1), Fraction(1), psi,
+                              Box((-10,), (4,)), 3)
+    assert exc.value.axis == 0 and exc.value.point == (5,)
 
 
 # ---------------------------------------------------------------------------
