@@ -23,8 +23,16 @@ rationals.  Evaluators:
 "nd" for every explicit spec, and one name for each formula that differs in
 structure (the three-point sum, its negative control, the corner kernel);
 ``closed_rows`` builds whole rows of Q / (1 - S) from one integer pass over
-the series sum_J S^J, adding up each row in integers.  The test suite checks
-every evaluator against the iteration oracle.
+the series sum_J S^J, adding up each row in integers.
+
+A one-step 1D equation is U(t) = S^t psi with S a polynomial in x alone.
+``closed_rows`` and ``closed_value`` read its powers from Miller's power
+recurrence (``combinatorics._power_coefficients``) instead: row t from the
+coefficients of S^t convolved with psi, a point from the coefficients up to
+the farthest one it needs, counted from whichever end of S^t is nearer.
+``eval_nd`` keeps the composition sum for those equations too, as a
+pointwise witness.  The test suite checks every evaluator against the
+iteration oracle.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from math import comb, lcm
 from operator import add, mul
 from typing import Callable, Sequence
 
-from .combinatorics import (_multinomial_weights, compositions, multinomial,
-                            stencil_symbol_steps)
+from .combinatorics import (_line_symbol, _multinomial_weights, _power_coefficients,
+                            compositions, multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, StencilEntry
 
@@ -146,14 +154,24 @@ def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Frac
     """Coefficient of x^s y^j in sum_J (a x + b y + c x y)^J:
 
         sum_{g=0..min(s,j)} multinomial(s+j-g; s-g, j-g, g) a^(s-g) b^(j-g) c^g
+
+    summed in integers: with D the lcm of the denominators of a, b, c, the
+    term is M_g A^(s-g) B^(j-g) (C D)^g / D^(s+j) for A = D a, B = D b,
+    C = D c.  M_0 = C(s+j, s), and M_g steps from M_{g-1} by the ratio
+    (s-g+1)(j-g+1) / ((s+j-g+1) g), an exact division.
     """
     if s < 0 or j < 0:
         raise SpecError("kernel indices must be >= 0")
-    total = ZERO
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
+    nc *= scale
+    weight = comb(s + j, s)
+    total = 0
     for g in range(min(s, j) + 1):
-        weight = Fraction(multinomial(s + j - g, (s - g, j - g, g)))
-        total += weight * a ** (s - g) * b ** (j - g) * c ** g
-    return total
+        if g:
+            weight = weight * (s - g + 1) * (j - g + 1) // ((s + j - g + 1) * g)
+        total += weight * na ** (s - g) * nb ** (j - g) * nc ** g
+    return Fraction(total, scale ** (s + j))
 
 
 def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
@@ -202,7 +220,7 @@ def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
         for coeff, xstep, ystep in steps:
             if s - ystep >= 0:
                 _accumulate(acc, initial.rows[s - ystep], xstep, -coeff)
-        out.append(FieldRow(spec.spatial_dim, acc))
+        out.append(FieldRow._trusted(spec.spatial_dim, {p: v for p, v in acc.items() if v}))
     return out
 
 
@@ -211,6 +229,70 @@ def eval_multistep(spec: EquationSpec, initial: InitialData, point: Point,
     """Value at (point, time) of any explicit equation: the coefficient of
     x^point y^time in sum_J S^J Q."""
     return _composition_sum(spec, source_rows(spec, initial), point, time)
+
+
+def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
+    if time < 0:
+        raise SpecError("time must be >= 0")
+    if len(point) != spec.spatial_dim:
+        raise SpecError(
+            f"point of length {len(point)} queried in a dim-{spec.spatial_dim} field")
+
+
+def _on_a_line(spec: EquationSpec) -> bool:
+    """A one-step explicit 1D equation, whose powers of S come from Miller's
+    recurrence."""
+    return spec.spatial_dim == 1 and spec.time_order == 1 and not spec.implicit_corner
+
+
+def _line_value(spec: EquationSpec, psi: FieldRow, x: int, time: int) -> Fraction:
+    """U(x, time) of a one-step 1D equation from row 0 psi: the sum over
+    psi's points p of psi(p) times the coefficient of x^(x - p) in S^time.
+
+    With D * S = x^e * A(x) and A of degree w, that coefficient is
+    p_k / D^time with k = x - p - time * e in [0, time * w].  The recurrence
+    runs up to the largest k any point needs, or on the reversed polynomial
+    up to the largest time * w - k, whichever is shorter.
+    """
+    scale, low, s = _line_symbol(spec)
+    top = time * (len(s) - 1)
+    hits = []
+    for (p,), v in psi.values.items():
+        k = x - p - time * low
+        if 0 <= k <= top:
+            hits.append((k, v))
+    if not hits:
+        return ZERO
+    lcd = lcm(*(v.denominator for _, v in hits))
+    first = min(k for k, _ in hits)
+    last = max(k for k, _ in hits)
+    if last <= top - first:
+        coeffs = _power_coefficients(s, time, last + 1)
+    else:
+        # p_k is coefficient top - k of the reversed polynomial's power
+        coeffs = _power_coefficients(s[::-1], time, top - first + 1)
+        hits = [(top - k, v) for k, v in hits]
+    total = sum(coeffs[k] * v.numerator * (lcd // v.denominator) for k, v in hits)
+    return Fraction(total, scale ** time * lcd)
+
+
+def _line_row(symbol: tuple[int, int, list[int]], nums: list[tuple[Point, int]],
+              lcd: int, j: int) -> FieldRow:
+    """Row j of a one-step 1D equation with symbol (D, e, s) from
+    ``_line_symbol`` and row 0 = nums / lcd: the coefficients p_0..p_{jw} of
+    (D S)^j convolved with the integer row, over D^j * lcd, one Fraction per
+    cell."""
+    scale, low, s = symbol
+    coeffs = _power_coefficients(s, j, j * (len(s) - 1) + 1)
+    acc: dict[int, int] = {}
+    for (p,), v in nums:
+        x = p + j * low
+        for c in coeffs:
+            if c:
+                acc[x] = acc.get(x, 0) + c * v
+            x += 1
+    denom = scale ** j * lcd
+    return FieldRow._trusted(1, {(x,): Fraction(v, denom) for x, v in acc.items() if v})
 
 
 def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
@@ -226,11 +308,7 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
     displacement and weight are only worked out once its time exponent
     lands on a source row.
     """
-    if time < 0:
-        raise SpecError("time must be >= 0")
-    dim = spec.spatial_dim
-    if len(point) != dim:
-        raise SpecError(f"point of length {len(point)} queried in a dim-{dim} field")
+    _check_query(spec, point, time)
     steps = stencil_symbol_steps(spec)
     coeffs = [coeff for coeff, _, _ in steps]
     ysteps = [ystep for _, _, ystep in steps]
@@ -266,7 +344,9 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
         sum_s sum_a D**s * W[j - s, a] * N_s(p - a)  /  (D**j * L)
 
     with the numerators added as ints; a time exponent's terms are dropped
-    after the last row that reads them.  The corner-implicit solution has
+    after the last row that reads them.  A one-step 1D equation skips the
+    series pass: each row reads S^j from Miller's recurrence instead
+    (``_line_row``).  The corner-implicit solution has
     unbounded rightward support, so it has no row representation here;
     evaluate it pointwise instead.
     """
@@ -277,6 +357,9 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
     lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
     nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
             for qs in q]
+    if _on_a_line(spec):
+        symbol = _line_symbol(spec)
+        return [_line_row(symbol, nums[0], lcd, j) for j in range(t_max + 1)]
     scale, weights = _multinomial_weights(spec, max(t_max, 0), series=True)
     # time exponent -> [(spatial exponents, W)]
     by_time: dict[int, list[tuple[Point, int]]] = {}
@@ -294,7 +377,7 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
                     key = tuple(map(add, p, a))
                     acc[key] = acc.get(key, 0) + weight * v
         denom = scale ** j * lcd
-        rows.append(FieldRow(dim, {p: Fraction(v, denom) for p, v in acc.items() if v}))
+        rows.append(FieldRow._trusted(dim, {p: Fraction(v, denom) for p, v in acc.items() if v}))
         by_time.pop(j - k + 1, None)
     return rows
 
@@ -361,7 +444,12 @@ def pointwise(spec: EquationSpec, initial: InitialData,
 
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
-    """Single-point closed-form value: the corner-implicit sum, or the one
-    composition sum of every explicit equation."""
+    """Single-point closed-form value: Miller's power recurrence for a
+    one-step 1D equation, the corner-implicit sum, or the one composition
+    sum of every other explicit equation."""
+    if _on_a_line(spec):
+        initial.check_matches(spec)
+        _check_query(spec, point, time)
+        return _line_value(spec, initial.rows[0], point[0], time)
     evaluator = "implicit" if spec.implicit_corner else "nd"
     return pointwise(spec, initial, evaluator)(point, time)

@@ -13,6 +13,15 @@ leaves the division by the common denominator to the caller, once per term
 (``expand_stencil_power``) or once per row cell (``closed_form.closed_rows``).
 ``compositions`` and ``multinomial`` serve the pointwise evaluators, which
 sum over compositions directly.
+
+A one-step 1D symbol is a polynomial in x alone, and its powers have a
+shorter route: J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7)
+gives each coefficient of S^t from the ones below it in O(width) integer
+operations, without forming S^(t-1).  ``_line_symbol`` scales such a symbol
+to integers and ``_power_coefficients`` runs the recurrence; the rows and
+points of those equations (``closed_form.closed_rows``,
+``closed_form.closed_value``, ``models.random_walk_distribution``) read
+their powers from it.
 """
 
 from __future__ import annotations
@@ -67,6 +76,44 @@ def stencil_symbol_steps(spec: EquationSpec) -> list[tuple[Fraction, tuple[int, 
          spec.time_order - e.time_level)
         for e in spec.stencil
     ]
+
+
+def _line_symbol(spec: EquationSpec) -> tuple[int, int, list[int]]:
+    """(D, e, s) with D * S(x) = x**e * (s_0 + s_1 x + ... + s_w x**w) for a
+    one-step 1D spec: D is the lcm of the coefficient denominators, e the
+    lowest spatial step, and s_0, s_w are nonzero."""
+    if spec.spatial_dim != 1 or spec.time_order != 1:
+        raise SpecError("a line symbol needs spatial_dim 1 and time_order 1")
+    steps = stencil_symbol_steps(spec)
+    scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
+    low = min(x for _, (x,), _ in steps)
+    s = [0] * (max(x for _, (x,), _ in steps) - low + 1)
+    for coeff, (x,), _ in steps:
+        s[x - low] = coeff.numerator * (scale // coeff.denominator)
+    return scale, low, s
+
+
+def _power_coefficients(s: Sequence[int], t: int, count: int) -> list[int]:
+    """The first `count` coefficients p_0, p_1, ... of (s_0 + ... + s_w x**w)**t,
+    s_0 != 0, by Miller's recurrence
+
+        p_0 = s_0**t,   p_k = sum_{i=1..min(k,w)} ((t+1) i - k) s_i p_{k-i} / (k s_0),
+
+    which follows from comparing coefficients in P' A = t A' P for P = A**t.
+    Every p_k is an integer, so the division is exact.  Coefficients past
+    t * w come out 0."""
+    s0 = s[0]
+    terms = [(i, si) for i, si in enumerate(s) if i and si]
+    p = [s0 ** t]
+    step = t + 1
+    for k in range(1, count):
+        total = 0
+        for i, si in terms:
+            if i > k:
+                break
+            total += (step * i - k) * si * p[k - i]
+        p.append(total // (k * s0))
+    return p
 
 
 def _multinomial_weights(spec: EquationSpec, limit: int,

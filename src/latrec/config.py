@@ -257,7 +257,8 @@ def parse_config(document: str | dict) -> RunConfig:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or int()'s limit on the digits of an integer literal
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError("$", "invalid JSON: nested too deeply") from exc

@@ -19,14 +19,26 @@ ZERO = Fraction(0)
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+# texts longer than this are quoted in a ParseError message by their first
+# and last _EXCERPT characters and their length
+_QUOTE_LIMIT = 40
+_EXCERPT = 12
+
+
 class ParseError(ValueError):
-    """Malformed rational text; carries the offending text and position."""
+    """Malformed rational text; carries the offending text and position.
+    The message quotes a long text by its ends and its length."""
 
     def __init__(self, text: str, position: int, reason: str):
         self.text = text
         self.position = position
         self.reason = reason
-        super().__init__(f"cannot parse rational {text!r} at position {position}: {reason}")
+        if len(text) > _QUOTE_LIMIT:
+            quoted = (f"{text[:_EXCERPT]!r}...{text[-_EXCERPT:]!r} "
+                      f"({len(text)} characters)")
+        else:
+            quoted = repr(text)
+        super().__init__(f"cannot parse rational {quoted} at position {position}: {reason}")
 
 
 def parse_rational(text: str) -> Fraction:

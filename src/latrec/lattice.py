@@ -176,6 +176,16 @@ class FieldRow:
         object.__setattr__(self, "values", clean)
 
     @classmethod
+    def _trusted(cls, dim: int, values: dict[Point, Fraction]) -> "FieldRow":
+        """A row over `values` as given, without __post_init__'s checks: for
+        internal producers whose keys are int tuples of length dim and whose
+        values are nonzero Fractions.  The row takes ownership of the dict."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "dim", dim)
+        object.__setattr__(row, "values", values)
+        return row
+
+    @classmethod
     def delta(cls, dim: int = 1) -> "FieldRow":
         """Unit mass at the origin."""
         return cls(dim, {(0,) * dim: Fraction(1)})

@@ -11,6 +11,10 @@ Discrete heat flow with transfer coefficient r exchanges r times the
 temperature difference with each neighbour per step, giving coefficients
 (r, 1 - 2r, r); total temperature is conserved and 0 < r <= 1/2 keeps the
 update a convex average (stable).
+
+The walk's distribution after j steps is the coefficient list of its
+stencil symbol's j-th power, read from Miller's power recurrence
+(``closed_form._line_row``); the heat profile iterates.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import tridiagonal_spec
-from .combinatorics import expand_stencil_power
+from .closed_form import _line_row, tridiagonal_spec
+from .combinatorics import _line_symbol
 from .lattice import EquationSpec, FieldRow, InitialData, SpecError
 from .oracle import oracle_evolve
 
@@ -72,8 +76,7 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    terms = expand_stencil_power(random_walk_spec(params), j)
-    return FieldRow(1, {(x,): v for (x, _), v in terms.items()})
+    return _line_row(_line_symbol(random_walk_spec(params)), [((0,), 1)], 1, j)
 
 
 def heat_profile(params: HeatParams, psi: FieldRow, j_max: int) -> list[FieldRow]:

@@ -109,7 +109,7 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
         for p, v in state.rows[e.time_level].values.items():
             key = tuple(c + d for c, d in zip(p, delta))
             acc[key] = acc.get(key, ZERO) + e.coeff * v
-    new_row = FieldRow(spec.spatial_dim, acc)
+    new_row = FieldRow._trusted(spec.spatial_dim, {p: v for p, v in acc.items() if v})
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 

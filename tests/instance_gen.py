@@ -2,13 +2,17 @@
 
 Coefficients are rationals with numerators in [-5, 5] and denominators in
 [1, 5]; initial data has at most 7 support points.  Everything is driven by
-an explicit random.Random so failures reproduce exactly.
+an explicit random.Random so failures reproduce exactly, except the
+hypothesis strategies at the end, which draw one-step 1D equations and rows
+for the tests of Miller's power recurrence.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, StencilEntry,
                     auto_window, tridiagonal_spec)
@@ -131,3 +135,24 @@ def verification_region(spec: EquationSpec, initial: InitialData,
         window = Box(origin, origin)
     box = Box(tuple(l - pad for l in window.lo), tuple(h + pad for h in window.hi))
     return Region(box, 0, t_max)
+
+
+# coefficients with negative signs, unit and non-unit numerators and several
+# denominators, so the scale D and the exact divisions are exercised
+LINE_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+@st.composite
+def line_specs(draw) -> EquationSpec:
+    """One-step 1D specs: one to five entries at distinct offsets in
+    [-4, 4], so the symbol can have interior gaps, and a shift in [-2, 2]."""
+    offsets = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True))
+    shift = draw(st.integers(-2, 2))
+    return EquationSpec(1, 1, (shift,), tuple(
+        StencilEntry((o,), 0, draw(LINE_COEFFS)) for o in offsets))
+
+
+def line_rows():
+    """1D rows, the zero row among them, with up to 4 points in [-4, 4]."""
+    return st.dictionaries(st.integers(-4, 4).map(lambda x: (x,)), LINE_COEFFS,
+                           max_size=4).map(lambda values: FieldRow(1, values))

@@ -263,6 +263,28 @@ def test_bad_rational_coeff_exits_two(capsys, tmp_path, coeff):
     assert err.startswith("error: stencil[0].coeff: cannot parse rational")
 
 
+@pytest.mark.parametrize("coeff, position", [("1" * 5000, 0), ("1/" + "3" * 5000, 2),
+                                              ("1/2" + "x" * 5000, 3)],
+                         ids=["long-numerator", "long-denominator", "long-junk"])
+def test_long_rational_error_line_is_short_and_names_path(capsys, tmp_path, coeff, position):
+    doc = json.loads((CONFIG_DIR / "identity.json").read_text())
+    doc["stencil"][0]["coeff"] = coeff
+    status, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, doc))
+    assert status == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) <= 200, err
+    assert err.startswith("error: stencil[0].coeff: cannot parse rational")
+    assert f"({len(coeff)} characters) at position {position}:" in err
+
+
+def test_integer_literal_past_digit_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"spatial_dim": ' + "1" * 5000 + "}")
+    status, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert status == 2 and out == ""
+    assert err.startswith("error: $: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_demo_random_walk_conserves_probability(capsys):
     status, out, _ = run_cli(capsys, "demo", "random-walk", "--p", "1/3",
                              "--d", "1/3", "--q", "1/3", "--steps", "4")

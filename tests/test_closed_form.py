@@ -3,22 +3,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     StencilEntry, as_tridiagonal, backward_difference,
                     closed_rows, closed_value, corner_kernel, corner_spec,
                     eval_implicit, eval_multistep, eval_nd, eval_tridiagonal,
-                    oracle_evolve, oracle_sweep_implicit, source_rows,
-                    tridiagonal_spec)
-from latrec import closed_form
+                    RandomWalkParams, multinomial, oracle_evolve,
+                    oracle_sweep_implicit, random_walk_distribution,
+                    source_rows, tridiagonal_spec)
+from latrec import closed_form, combinatorics
 from latrec.closed_form import pointwise
 from latrec.config import load_config
 
 from instance_gen import (field_row, grid_2d_instance, grid_2d_spec,
-                          nd_instance, ninepoint_instance, ninepoint_spec,
-                          one_row_instance, one_row_spec, rational,
-                          tridiagonal_instance, two_row_instance,
-                          verification_region)
+                          line_rows, line_specs, nd_instance,
+                          ninepoint_instance, ninepoint_spec, one_row_instance,
+                          one_row_spec, rational, tridiagonal_instance,
+                          two_row_instance, verification_region)
 
 DELTA = FieldRow.delta(1)
 DELTA2 = FieldRow.delta(2)
@@ -200,6 +203,19 @@ def test_corner_kernel_matches_series_oracle():
         for s in range(7):
             for j in range(7):
                 assert corner_kernel(s, j, a, b, c) == table.get((s, j), 0), (a, b, c, s, j)
+
+
+def corner_kernel_per_g(s, j, a, b, c):
+    """The kernel's defining sum, one multinomial and Fraction powers per g."""
+    return sum((multinomial(s + j - g, (s - g, j - g, g)) * a ** (s - g) * b ** (j - g) * c ** g
+                for g in range(min(s, j) + 1)), Fraction(0))
+
+
+@given(st.integers(0, 30), st.integers(0, 30),
+       *[st.fractions(min_value=-3, max_value=3, max_denominator=7)] * 3)
+@settings(max_examples=150, deadline=None)
+def test_corner_kernel_ratio_steps_equal_per_g_multinomials(s, j, a, b, c):
+    assert corner_kernel(s, j, a, b, c) == corner_kernel_per_g(s, j, a, b, c)
 
 
 def test_implicit_time_zero_recovers_psi():
@@ -486,6 +502,81 @@ def test_closed_rows_lattice3d_config():
     rows = closed_rows(config.spec, config.initial, 6)
     assert rows == oracle_evolve(config.spec, config.initial, 6)
     assert len(rows[6].values) > len(rows[5].values)
+
+
+# ---------------------------------------------------------------------------
+# one-step 1D equations: Miller's power recurrence
+# ---------------------------------------------------------------------------
+
+@given(line_specs(), line_rows(), st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_line_closed_value_equals_composition_sum(spec, psi, t):
+    # every point the support can reach, both ends of S**t among them, and
+    # two cells past each side, where the value is 0
+    steps = [spec.spatial_shift[0] - e.offset[0] for e in spec.stencil]
+    xs = [p for (p,) in psi.values] or [0]
+    initial = InitialData((psi,))
+    for x in range(min(xs) + t * min(steps) - 2, max(xs) + t * max(steps) + 3):
+        assert closed_value(spec, initial, (x,), t) == eval_nd(spec, psi, (x,), t), x
+
+
+def test_line_closed_value_runs_from_the_nearer_end(monkeypatch):
+    spec = tridiagonal_spec(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (1,): Fraction(-2, 3)}),))
+    counts = []
+    kernel = closed_form._power_coefficients
+
+    def counted(s, t, count):
+        counts.append(count)
+        return kernel(s, t, count)
+
+    monkeypatch.setattr(closed_form, "_power_coefficients", counted)
+    t = 200
+    # near either edge of the support at t = 200, a handful of coefficients;
+    # in the middle, about t of the 2t + 1
+    for x, most in ((-200, 1), (-198, 3), (201, 1), (199, 3), (0, t + 2)):
+        counts.clear()
+        assert closed_value(spec, initial, (x,), t) == eval_nd(spec, initial.rows[0], (x,), t)
+        assert counts and max(counts) <= most, (x, counts)
+    counts.clear()
+    assert closed_value(spec, initial, (202,), t) == 0 and counts == []
+
+
+@given(line_specs(), line_rows(), st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_line_closed_rows_equal_oracle(spec, psi, t_max):
+    initial = InitialData((psi,))
+    assert closed_rows(spec, initial, t_max) == oracle_evolve(spec, initial, t_max)
+
+
+def test_line_paths_read_no_composition_or_multinomial_kernel(monkeypatch):
+    spec = EquationSpec(1, 1, (1,), (StencilEntry((-2,), 0, Fraction(2, 3)),
+                                     StencilEntry((1,), 0, Fraction(-1, 4)),
+                                     StencilEntry((2,), 0, Fraction(1, 5))))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-5, 2)}),))
+    walk = RandomWalkParams(Fraction(1, 4), Fraction(1, 6), Fraction(7, 12))
+    t_max = 12
+    rows = oracle_evolve(spec, initial, t_max)
+    walk_rows = oracle_evolve(tridiagonal_spec(walk.p, walk.d, walk.q),
+                              InitialData((DELTA,)), t_max)
+
+    def slow_path(*args, **kwargs):
+        raise AssertionError("a 1D one-step equation took the slow path")
+
+    monkeypatch.setattr(closed_form, "_composition_sum", slow_path)
+    monkeypatch.setattr(closed_form, "_multinomial_weights", slow_path)
+    monkeypatch.setattr(combinatorics, "_multinomial_weights", slow_path)
+    assert closed_rows(spec, initial, t_max) == rows
+    for t in (0, 5, t_max):
+        for (x,), v in rows[t].values.items():
+            assert closed_value(spec, initial, (x,), t) == v
+        assert random_walk_distribution(walk, t) == walk_rows[t]
+    # the patches are live: an equation off the line does reach them
+    two_d = EquationSpec(2, 1, (0, 0), (StencilEntry((0, 0), 0, Fraction(1)),))
+    with pytest.raises(AssertionError):
+        closed_value(two_d, InitialData((DELTA2,)), (0, 0), 1)
+    with pytest.raises(AssertionError):
+        closed_rows(two_d, InitialData((DELTA2,)), 1)
 
 
 def test_closed_value_dispatch():

@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latrec import (EquationSpec, SpecError, StencilEntry, compositions,
                     expand_stencil_power, multinomial, tridiagonal_spec)
-from latrec.combinatorics import _multinomial_weights, stencil_symbol_steps
+from latrec.combinatorics import (_line_symbol, _multinomial_weights,
+                                  _power_coefficients, stencil_symbol_steps)
 
-from instance_gen import nd_instance
+from instance_gen import line_specs, nd_instance
 
 
 def poly_mul(p, q):
@@ -100,6 +101,41 @@ def test_series_kernel_equals_summed_powers(spec, t_max):
                 expected[exps] = expected.get(exps, 0) + coef
     assert {exps: Fraction(w, scale ** exps[-1]) for exps, w in weights.items()} == {
         exps: coef for exps, coef in expected.items() if coef != 0}
+
+
+def line_spec(shift, *entries):
+    return EquationSpec(1, 1, (shift,), tuple(
+        StencilEntry((offset,), 0, Fraction(coeff)) for offset, coeff in entries))
+
+
+@given(line_specs(), st.integers(0, 17))
+@example(line_spec(0, (2, "-3/4")), 17)                      # a single entry
+@example(line_spec(1, (-3, "1/2"), (0, "-2"), (4, "5/3")), 17)  # interior gaps
+@example(line_spec(-2, (-1, "-1/6"), (1, "-1/4")), 17)       # negatives, every other cell
+@settings(max_examples=120, deadline=None)
+def test_power_recurrence_equals_multinomial_kernel(spec, j):
+    # Miller's coefficients of (D S)**j, from either end, are the kernel's W
+    scale, low, s = _line_symbol(spec)
+    assert s[0] and s[-1]
+    top = j * (len(s) - 1)
+    coeffs = _power_coefficients(s, j, top + 1)
+    assert _power_coefficients(s[::-1], j, top + 1) == coeffs[::-1]
+    kernel_scale, weights = _multinomial_weights(spec, j, series=False)
+    assert scale == kernel_scale
+    assert {(j * low + k, j): c for k, c in enumerate(coeffs) if c} == weights
+    # past the top coefficient the recurrence gives exact zeros
+    assert _power_coefficients(s, j, top + 4)[top + 1:] == [0, 0, 0]
+
+
+def test_line_symbol_scales_and_shifts():
+    # S = x**-1 / 2 + 3 x / 4, so 4 S = x**-1 * (2 + 0 x + 3 x**2)
+    spec = tridiagonal_spec(Fraction(3, 4), Fraction(0), Fraction(1, 2))
+    assert _line_symbol(spec) == (4, -1, [2, 0, 3])
+    two_d = EquationSpec(2, 1, (0, 0), (StencilEntry((0, 0), 0, Fraction(1)),))
+    two_step = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
+    for spec in (two_d, two_step):
+        with pytest.raises(SpecError):
+            _line_symbol(spec)
 
 
 def test_compositions_examples():

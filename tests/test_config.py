@@ -116,6 +116,12 @@ def test_invalid_json_reports_top_level():
     assert exc.value.path == "$"
 
 
+def test_integer_literal_past_digit_limit_names_top_level():
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"spatial_dim": ' + "1" * 5000 + "}")
+    assert exc.value.path == "$"
+
+
 def test_window_key_is_ignored():
     # the oracle sizes its own extent, so a "window" box is a key the
     # schema does not read

@@ -39,6 +39,24 @@ def test_parse_error_position(text, position):
     assert exc.value.position == position
 
 
+def test_parse_error_quotes_long_text_by_its_ends():
+    text = "1/" + "3" * 5000
+    with pytest.raises(ParseError) as exc:
+        parse_rational(text)
+    assert exc.value.text == text
+    assert exc.value.position == 2
+    assert exc.value.reason.startswith("more than ")
+    message = str(exc.value)
+    assert len(message) < 120
+    assert message.startswith("cannot parse rational '1/3333333333'...'333333333333' "
+                              "(5002 characters) at position 2: more than ")
+    # a short text is quoted whole
+    with pytest.raises(ParseError) as exc:
+        parse_rational("12x")
+    assert str(exc.value) == ("cannot parse rational '12x' at position 2: "
+                              "expected digits or digits/digits")
+
+
 @given(st.fractions())
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
