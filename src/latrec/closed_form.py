@@ -29,7 +29,7 @@ A one-step 1D equation is U(t) = S^t psi with S a polynomial in x alone.
 ``closed_rows`` and ``closed_value`` read its powers from Miller's power
 recurrence (``combinatorics._power_coefficients``) instead: row t from the
 coefficients of S^t convolved with psi, a point from the coefficients up to
-the farthest one it needs, counted from whichever end of S^t is nearer.
+the farthest one it needs.
 ``eval_nd`` keeps the composition sum for those equations too, as a
 pointwise witness.  The test suite checks every evaluator against the
 iteration oracle.
@@ -251,8 +251,7 @@ def _line_value(spec: EquationSpec, psi: FieldRow, x: int, time: int) -> Fractio
 
     With D * S = x^e * A(x) and A of degree w, that coefficient is
     p_k / D^time with k = x - p - time * e in [0, time * w].  The recurrence
-    runs up to the largest k any point needs, or on the reversed polynomial
-    up to the largest time * w - k, whichever is shorter.
+    runs up to the largest k any point needs.
     """
     scale, low, s = _line_symbol(spec)
     top = time * (len(s) - 1)
@@ -264,32 +263,26 @@ def _line_value(spec: EquationSpec, psi: FieldRow, x: int, time: int) -> Fractio
     if not hits:
         return ZERO
     lcd = lcm(*(v.denominator for _, v in hits))
-    first = min(k for k, _ in hits)
-    last = max(k for k, _ in hits)
-    if last <= top - first:
-        coeffs = _power_coefficients(s, time, last + 1)
-    else:
-        # p_k is coefficient top - k of the reversed polynomial's power
-        coeffs = _power_coefficients(s[::-1], time, top - first + 1)
-        hits = [(top - k, v) for k, v in hits]
+    coeffs = _power_coefficients(s, time, max(k for k, _ in hits) + 1)
     total = sum(coeffs[k] * v.numerator * (lcd // v.denominator) for k, v in hits)
     return Fraction(total, scale ** time * lcd)
 
 
-def _line_row(symbol: tuple[int, int, list[int]], nums: list[tuple[Point, int]],
-              lcd: int, j: int) -> FieldRow:
-    """Row j of a one-step 1D equation with symbol (D, e, s) from
-    ``_line_symbol`` and row 0 = nums / lcd: the coefficients p_0..p_{jw} of
-    (D S)^j convolved with the integer row, over D^j * lcd, one Fraction per
-    cell."""
-    scale, low, s = symbol
+def _line_row(spec: EquationSpec, psi: FieldRow, j: int) -> FieldRow:
+    """Row j of a one-step 1D equation from row 0 psi: the coefficients
+    p_0..p_{jw} of (D S)^j from ``_line_symbol``, convolved with psi scaled
+    to integers by L, the lcm of its denominators, over D^j * L, one
+    Fraction per cell."""
+    scale, low, s = _line_symbol(spec)
+    lcd = lcm(*(v.denominator for v in psi.values.values()))
     coeffs = _power_coefficients(s, j, j * (len(s) - 1) + 1)
     acc: dict[int, int] = {}
-    for (p,), v in nums:
+    for (p,), v in psi.values.items():
+        num = v.numerator * (lcd // v.denominator)
         x = p + j * low
         for c in coeffs:
             if c:
-                acc[x] = acc.get(x, 0) + c * v
+                acc[x] = acc.get(x, 0) + c * num
             x += 1
     denom = scale ** j * lcd
     return FieldRow._trusted(1, {(x,): Fraction(v, denom) for x, v in acc.items() if v})
@@ -353,13 +346,12 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
     if spec.implicit_corner:
         raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
     q = source_rows(spec, initial)
+    if _on_a_line(spec):
+        return [_line_row(spec, q[0], j) for j in range(t_max + 1)]
     k, dim = spec.time_order, spec.spatial_dim
     lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
     nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
             for qs in q]
-    if _on_a_line(spec):
-        symbol = _line_symbol(spec)
-        return [_line_row(symbol, nums[0], lcd, j) for j in range(t_max + 1)]
     scale, weights = _multinomial_weights(spec, max(t_max, 0), series=True)
     # time exponent -> [(spatial exponents, W)]
     by_time: dict[int, list[tuple[Point, int]]] = {}

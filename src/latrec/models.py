@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import _line_row, tridiagonal_spec
-from .combinatorics import _line_symbol
 from .lattice import EquationSpec, FieldRow, InitialData, SpecError
 from .oracle import oracle_evolve
 
@@ -76,7 +75,7 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    return _line_row(_line_symbol(random_walk_spec(params)), [((0,), 1)], 1, j)
+    return _line_row(random_walk_spec(params), FieldRow.delta(1), j)
 
 
 def heat_profile(params: HeatParams, psi: FieldRow, j_max: int) -> list[FieldRow]:

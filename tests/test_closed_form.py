@@ -520,28 +520,6 @@ def test_line_closed_value_equals_composition_sum(spec, psi, t):
         assert closed_value(spec, initial, (x,), t) == eval_nd(spec, psi, (x,), t), x
 
 
-def test_line_closed_value_runs_from_the_nearer_end(monkeypatch):
-    spec = tridiagonal_spec(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (1,): Fraction(-2, 3)}),))
-    counts = []
-    kernel = closed_form._power_coefficients
-
-    def counted(s, t, count):
-        counts.append(count)
-        return kernel(s, t, count)
-
-    monkeypatch.setattr(closed_form, "_power_coefficients", counted)
-    t = 200
-    # near either edge of the support at t = 200, a handful of coefficients;
-    # in the middle, about t of the 2t + 1
-    for x, most in ((-200, 1), (-198, 3), (201, 1), (199, 3), (0, t + 2)):
-        counts.clear()
-        assert closed_value(spec, initial, (x,), t) == eval_nd(spec, initial.rows[0], (x,), t)
-        assert counts and max(counts) <= most, (x, counts)
-    counts.clear()
-    assert closed_value(spec, initial, (202,), t) == 0 and counts == []
-
-
 @given(line_specs(), line_rows(), st.integers(0, 14))
 @settings(max_examples=60, deadline=None)
 def test_line_closed_rows_equal_oracle(spec, psi, t_max):
