@@ -118,21 +118,35 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     ``c_exponent`` selects the exponent of c: "j-m" (the self-consistent
     form) or "j-n" (a known-inconsistent variant kept as a negative control;
     it disagrees with the iteration oracle already at j=1).
+
+    Only the pairs that land on psi's support are visited: for a support
+    point q, m + n = r = i+j-q, so m runs over ceil(r/2)..min(j, r).  The
+    sum is taken in integers, as in corner_kernel: with D the lcm of the
+    denominators of a, b, c and A = D a, B = D b, C = D c, the power product
+    is A^n B^(m-n) C^e / D^(m+e), where m+e is j for "j-m" and at most 2j
+    for "j-n"; every term goes over one D^top, and psi over the lcm of its
+    denominators.
     """
     if c_exponent not in ("j-m", "j-n"):
         raise SpecError("c_exponent must be 'j-m' or 'j-n'")
     if j < 0:
         raise SpecError("time must be >= 0")
-    total = ZERO
-    for m in range(j + 1):
-        for n in range(m + 1):
-            sample = psi.get((i + j - m - n,))
-            if sample == 0:
-                continue
-            exp_c = j - m if c_exponent == "j-m" else j - n
-            total += (comb(j, m) * comb(m, n)
-                      * a ** n * b ** (m - n) * c ** exp_c * sample)
-    return total
+    if psi.dim != 1:
+        raise SpecError("eval_tridiagonal is defined for 1D rows")
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
+    row_den = lcm(*(v.denominator for v in psi.values.values()))
+    top = j if c_exponent == "j-m" else 2 * j
+    total = 0
+    for (q,), v in psi.values.items():
+        sample = v.numerator * (row_den // v.denominator)
+        r = i + j - q
+        for m in range(max((r + 1) // 2, 0), min(j, r) + 1):
+            n = r - m
+            e = j - m if c_exponent == "j-m" else j - n
+            total += (comb(j, m) * comb(m, n) * na ** n * nb ** (m - n) * nc ** e
+                      * scale ** (top - m - e) * sample)
+    return Fraction(total, scale ** top * row_den)
 
 
 # ---------------------------------------------------------------------------

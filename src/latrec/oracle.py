@@ -2,12 +2,22 @@
 evolving support, a left-to-right sweep for the corner-implicit form on a
 window sized from the initial row and the time range, and verifiers that
 compare closed-form values against iterated ones exactly.
+
+Each explicit step adds up its new row in integers: the held rows are scaled
+to integer numerators over the lcm of their own denominators, the new row
+takes one denominator, the lcm over stencil entries of coefficient
+denominator times row denominator, and each nonzero cell becomes one
+Fraction.  The scaling is the oracle's own; it reads nothing of the closed
+form's symbol or powers, so the two engines stay separate algorithms.
+verify_recurrence substitutes plain Fractions cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterator, Sequence
 
 from . import closed_form
@@ -95,7 +105,11 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
         sum over entries of  coeff * rows[time_level](e + offset - shift).
 
     The sum runs over the held rows' support only, so each new row stays
-    sparse and no window bounds it.
+    sparse and no window bounds it.  It is added up in integers: each held
+    row is scaled to integer numerators over the lcm d of its denominators,
+    and the new row's denominator is the lcm over the entries of
+    coeff.denominator * d, so every term is an integer multiple of one
+    numerator.  Each nonzero cell then becomes one Fraction.
     """
     if spec.implicit_corner:
         raise SpecError("the corner-implicit form is not explicitly steppable; "
@@ -103,13 +117,22 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
     if len(state.rows) != spec.time_order:
         raise SpecError(f"state holds {len(state.rows)} rows, "
                         f"spec time_order is {spec.time_order}")
-    acc: dict[Point, Fraction] = {}
+    scaled = []
+    for row in state.rows:
+        d = lcm(*(v.denominator for v in row.values.values()))
+        scaled.append((d, {p: v.numerator * (d // v.denominator)
+                           for p, v in row.values.items()}))
+    den = lcm(*(e.coeff.denominator * scaled[e.time_level][0] for e in spec.stencil))
+    acc: dict[Point, int] = {}
     for e in spec.stencil:
+        d, nums = scaled[e.time_level]
+        factor = e.coeff.numerator * (den // (e.coeff.denominator * d))
         delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
-        for p, v in state.rows[e.time_level].values.items():
-            key = tuple(c + d for c, d in zip(p, delta))
-            acc[key] = acc.get(key, ZERO) + e.coeff * v
-    new_row = FieldRow._trusted(spec.spatial_dim, {p: v for p, v in acc.items() if v})
+        for p, n in nums.items():
+            key = tuple(map(add, p, delta))
+            acc[key] = acc.get(key, 0) + factor * n
+    new_row = FieldRow._trusted(spec.spatial_dim,
+                                {p: Fraction(v, den) for p, v in acc.items() if v})
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 
@@ -176,7 +199,7 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
             val = a * val + b * prev.get((i + 1,)) + c * prev.get((i,))
             if val != 0:
                 acc[(i + 1,)] = val
-        new_row = FieldRow(1, acc)
+        new_row = FieldRow._trusted(1, acc)
         rows.append(new_row)
         prev = new_row
     return rows

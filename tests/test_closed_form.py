@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,8 @@ def test_tridiagonal_one_step_values():
     assert eval_tridiagonal(*abc, DELTA, 0, 1) == 2
     assert eval_tridiagonal(*abc, DELTA, -1, 1) == 3
     assert eval_tridiagonal(*abc, DELTA, 1, 1) == 1
+    with pytest.raises(SpecError):
+        eval_tridiagonal(*abc, DELTA2, 0, 1)
 
 
 def test_tridiagonal_symmetric_walk_two_steps():
@@ -124,6 +127,34 @@ def test_tridiagonal_agrees_with_nd_randomized():
         psi = field_row(rng, 1)
         i, j = rng.randint(-6, 6), rng.randint(0, 6)
         assert eval_tridiagonal(a, b, c, psi, i, j) == eval_nd(spec, psi, (i,), j)
+
+
+def tridiagonal_double_loop(a, b, c, psi, i, j, c_exponent):
+    """The double binomial sum over every pair 0 <= n <= m <= j, in
+    Fractions: the reference for eval_tridiagonal's landing pairs."""
+    total = Fraction(0)
+    for m in range(j + 1):
+        for n in range(m + 1):
+            sample = psi.get((i + j - m - n,))
+            if sample == 0:
+                continue
+            exp_c = j - m if c_exponent == "j-m" else j - n
+            total += comb(j, m) * comb(m, n) * a ** n * b ** (m - n) * c ** exp_c * sample
+    return total
+
+
+# zero allowed, so 0^0 = 1 and vanishing powers are exercised
+TRI_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, line_rows(), st.integers(-20, 20),
+       st.integers(0, 12), st.sampled_from(["j-m", "j-n"]))
+@settings(max_examples=300, deadline=None)
+def test_tridiagonal_landing_pairs_equal_double_loop(a, b, c, psi, i, j, c_exponent):
+    # i in [-20, 20] with j <= 12 and psi on [-4, 4] reaches points left of,
+    # inside and right of the reach of every support point
+    assert (eval_tridiagonal(a, b, c, psi, i, j, c_exponent)
+            == tridiagonal_double_loop(a, b, c, psi, i, j, c_exponent))
 
 
 # ---------------------------------------------------------------------------

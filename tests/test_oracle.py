@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError,
-                    StencilEntry, corner_spec, oracle_evolve, oracle_step,
+from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
+                    SpecError, StencilEntry, corner_spec, heat_profile,
+                    oracle_evolve, oracle_step,
                     oracle_sweep_implicit, rows_to_values, tridiagonal_spec,
                     verify_closed_vs_oracle, verify_recurrence)
+from latrec import closed_form, combinatorics
 from latrec.oracle import EvolutionState, Region, WindowOverflowError
 
 from instance_gen import (field_row, nd_instance, rational,
@@ -37,6 +41,111 @@ def test_step_heat_preset_delta():
     spec = tridiagonal_spec(Fraction(1, 4), HALF, Fraction(1, 4))
     out = oracle_step(spec, state_for(spec, DELTA))
     assert out.newest.values == {(-1,): Fraction(1, 4), (0,): HALF, (1,): Fraction(1, 4)}
+
+
+def assert_trusted_row(row, dim):
+    """What FieldRow._trusted takes on faith: int-tuple keys of length dim
+    and nonzero Fraction values."""
+    assert row.dim == dim
+    for p, v in row.values.items():
+        assert type(p) is tuple and len(p) == dim and all(type(c) is int for c in p)
+        assert type(v) is Fraction and v != 0
+
+
+def reference_step(spec, rows):
+    """One step summed in Fractions, cell by cell: the reference for
+    oracle_step's integer sum."""
+    acc = {}
+    for e in spec.stencil:
+        delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
+        for p, v in rows[e.time_level].values.items():
+            key = tuple(c + d for c, d in zip(p, delta))
+            acc[key] = acc.get(key, Fraction(0)) + e.coeff * v
+    return {p: v for p, v in acc.items() if v}
+
+
+# negative values and mixed denominators; the small set makes partial
+# cancellation inside a new row common
+STEP_VALUES = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), HALF, -HALF, Fraction(2, 3)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7)).filter(bool)
+
+
+@st.composite
+def step_cases(draw):
+    """A spec of time order 1-3 and dimension 1-2 with its held rows, empty
+    rows among them.  When drawn, every level-0 entry gets a negated twin on
+    level 1 over an equal row, so those terms cancel exactly (the whole new
+    row when no entry sits on level 2)."""
+    dim = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-1, 1)] * dim)
+    keys = draw(st.lists(st.tuples(coords, st.integers(0, k - 1)),
+                         min_size=1, max_size=5, unique=True))
+    entries = [StencilEntry(o, level, draw(STEP_VALUES)) for o, level in keys]
+    points = st.tuples(*[st.integers(-2, 2)] * dim)
+    rows = [FieldRow(dim, {} if draw(st.integers(0, 4)) == 4 else
+                     draw(st.dictionaries(points, STEP_VALUES, min_size=1, max_size=5)))
+            for _ in range(k)]
+    if k >= 2 and any(e.time_level == 0 for e in entries) and draw(st.booleans()):
+        rows[1] = rows[0]
+        entries = ([e for e in entries if e.time_level != 1]
+                   + [StencilEntry(e.offset, 1, -e.coeff)
+                      for e in entries if e.time_level == 0])
+    shift = draw(coords)
+    return EquationSpec(dim, k, shift, tuple(entries)), rows
+
+
+@given(step_cases())
+@example((EquationSpec(1, 1, (0,), (StencilEntry((0,), 0, Fraction(1)),
+                                    StencilEntry((1,), 0, Fraction(-1)))),
+          [FieldRow(1, {(0,): Fraction(1), (1,): Fraction(1)})]))
+@settings(max_examples=300, deadline=None)
+def test_step_integer_sum_equals_fraction_reference(case):
+    # the example is (1 - x^-1)(1 + x): its middle cell cancels
+    spec, rows = case
+    state = state_for(spec, *rows)
+    held = list(rows)
+    for _ in range(3):
+        state = oracle_step(spec, state)
+        want = reference_step(spec, held)
+        assert state.newest.values == want
+        assert_trusted_row(state.newest, spec.spatial_dim)
+        held = held[1:] + [state.newest]
+        assert list(state.rows) == held
+
+
+def test_oracle_reads_no_closed_form_kernel(monkeypatch):
+    def closed_form_path(*args, **kwargs):
+        raise AssertionError("the oracle reached a closed-form kernel")
+
+    for module in (closed_form, combinatorics):
+        for name in ("_multinomial_weights", "_power_coefficients", "_line_symbol"):
+            monkeypatch.setattr(module, name, closed_form_path)
+    monkeypatch.setattr(closed_form, "_composition_sum", closed_form_path)
+    f = Fraction
+    line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))
+    assert oracle_evolve(line, InitialData((DELTA,)), 2)[2].values == {
+        (-2,): f(1, 16), (-1,): f(1, 6), (0,): f(13, 36), (1,): f(1, 3), (2,): f(1, 4)}
+    plane = EquationSpec(2, 1, (0, 0), (StencilEntry((0, 0), 0, HALF),
+                                        StencilEntry((1, 0), 0, f(-1, 3)),
+                                        StencilEntry((0, 1), 0, f(1, 5))))
+    assert oracle_evolve(plane, InitialData((FieldRow.delta(2),)), 2)[2].values == {
+        (0, 0): f(1, 4), (-1, 0): f(-1, 3), (0, -1): f(1, 5),
+        (-2, 0): f(1, 9), (0, -2): f(1, 25), (-1, -1): f(-2, 15)}
+    # U[t+2](x) = U[t+1](x) - U[t](x+1) / 2
+    two_step = EquationSpec(1, 2, (0,), (StencilEntry((0,), 1, f(1)),
+                                         StencilEntry((1,), 0, -HALF)))
+    rows = oracle_evolve(two_step, InitialData((DELTA, FieldRow(1, {(0,): f(1, 3)}))), 4)
+    assert [row.values for row in rows[2:]] == [
+        {(0,): f(1, 3), (-1,): -HALF},
+        {(0,): f(1, 3), (-1,): f(-2, 3)},
+        {(0,): f(1, 3), (-1,): f(-5, 6), (-2,): f(1, 4)}]
+    # r = 1/3 averages three cells; the cell at x = 2 cancels at j = 2
+    heat = heat_profile(HeatParams(f(1, 3)), FieldRow(1, {(0,): f(1), (1,): -HALF}), 2)
+    assert [row.values for row in heat[1:]] == [
+        {(-1,): f(1, 3), (0,): f(1, 6), (1,): f(1, 6), (2,): f(-1, 6)},
+        {(-2,): f(1, 9), (-1,): f(1, 6), (0,): f(2, 9), (1,): f(1, 18), (3,): f(-1, 18)}]
 
 
 def test_evolve_t0_returns_initial():
@@ -107,6 +216,8 @@ def test_sweep_rows_satisfy_corner_recurrence():
         psi = field_row(rng, 1, max_points=4)
         window = Box((psi.support_box().lo[0] - 5,), (psi.support_box().hi[0] + 6,))
         rows = oracle_sweep_implicit(a, b, c, psi, window, 4)
+        for row in rows[1:]:
+            assert_trusted_row(row, 1)
         for j in range(4):
             for i in range(window.lo[0], window.hi[0]):
                 lhs = rows[j + 1].get((i + 1,))
