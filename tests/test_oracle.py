@@ -65,7 +65,7 @@ def reference_step(spec, rows):
 
 
 # negative values and mixed denominators; the small set makes partial
-# cancellation inside a new row common
+# cancellation inside a new row more likely
 STEP_VALUES = st.one_of(
     st.sampled_from([Fraction(1), Fraction(-1), HALF, -HALF, Fraction(2, 3)]),
     st.fractions(min_value=-3, max_value=3, max_denominator=7)).filter(bool)
