@@ -16,7 +16,7 @@ from .closed_form import (as_tridiagonal, backward_difference, closed_rows,
                           eval_tridiagonal, source_rows, tridiagonal_spec)
 from .oracle import (EvolutionState, Mismatch, Region, VerifyReport,
                      WindowOverflowError, auto_window, oracle_evolve,
-                     oracle_step, oracle_sweep_implicit, rows_to_values,
+                     oracle_step, oracle_sweep_implicit,
                      verify_closed_vs_oracle, verify_recurrence)
 from .models import (HeatParams, RandomWalkParams, heat_profile, heat_spec,
                      random_walk_distribution, random_walk_spec)
@@ -33,7 +33,6 @@ __all__ = [
     "expand_stencil_power", "format_rational", "heat_profile", "heat_spec",
     "load_config", "multinomial", "oracle_evolve", "oracle_step",
     "oracle_sweep_implicit", "parse_config", "parse_rational",
-    "random_walk_distribution", "random_walk_spec", "rows_to_values",
-    "source_rows", "spec_hash", "tridiagonal_spec", "verify_closed_vs_oracle",
-    "verify_recurrence",
+    "random_walk_distribution", "random_walk_spec", "source_rows", "spec_hash",
+    "tridiagonal_spec", "verify_closed_vs_oracle", "verify_recurrence",
 ]

@@ -21,18 +21,17 @@ rationals.  Evaluators:
 
 ``EVALUATORS`` maps each evaluator name to its shape check and evaluator:
 "nd" for every explicit spec, and one name for each formula that differs in
-structure (the three-point sum, its negative control, the corner kernel);
-``closed_rows`` builds whole rows of Q / (1 - S) from one integer pass over
-the series sum_J S^J, adding up each row in integers.
+structure (the three-point sum, its negative control, the corner kernel).
 
-A one-step 1D equation is U(t) = S^t psi with S a polynomial in x alone.
-``closed_rows`` and ``closed_value`` read its powers from Miller's power
-recurrence (``combinatorics._power_coefficients``) instead: row t from the
+``closed_rows`` and ``closed_value`` read the powers of a one-step equation
+of any dimension, U(t) = S^t psi with S a polynomial in x alone, from
+Miller's power recurrence (``combinatorics._symbol_power``): row t from the
 coefficients of S^t convolved with psi, a point from the coefficients up to
-the farthest one it needs.
-``eval_nd`` keeps the composition sum for those equations too, as a
-pointwise witness.  The test suite checks every evaluator against the
-iteration oracle.
+the farthest one it needs.  Only time order >= 2 takes the series pass:
+``closed_rows`` builds whole rows of Q / (1 - S) from one integer pass over
+sum_J S^J, adding up each row in integers.  ``eval_nd`` keeps the
+composition sum for one-step equations too, as a pointwise witness.  The
+test suite checks every evaluator against the iteration oracle.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from math import comb, lcm
 from operator import add, mul
 from typing import Callable, Sequence
 
-from .combinatorics import (_line_symbol, _multinomial_weights, _power_coefficients,
-                            compositions, multinomial, stencil_symbol_steps)
+from .combinatorics import (_multinomial_weights, _symbol_power, compositions,
+                            multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, StencilEntry
 
@@ -253,53 +252,18 @@ def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
             f"point of length {len(point)} queried in a dim-{spec.spatial_dim} field")
 
 
-def _on_a_line(spec: EquationSpec) -> bool:
-    """A one-step explicit 1D equation, whose powers of S come from Miller's
-    recurrence."""
-    return spec.spatial_dim == 1 and spec.time_order == 1 and not spec.implicit_corner
-
-
-def _line_value(spec: EquationSpec, psi: FieldRow, x: int, time: int) -> Fraction:
-    """U(x, time) of a one-step 1D equation from row 0 psi: the sum over
-    psi's points p of psi(p) times the coefficient of x^(x - p) in S^time.
-
-    With D * S = x^e * A(x) and A of degree w, that coefficient is
-    p_k / D^time with k = x - p - time * e in [0, time * w].  The recurrence
-    runs up to the largest k any point needs.
-    """
-    scale, low, s = _line_symbol(spec)
-    top = time * (len(s) - 1)
-    hits = []
-    for (p,), v in psi.values.items():
-        k = x - p - time * low
-        if 0 <= k <= top:
-            hits.append((k, v))
-    if not hits:
-        return ZERO
-    lcd = lcm(*(v.denominator for _, v in hits))
-    coeffs = _power_coefficients(s, time, max(k for k, _ in hits) + 1)
-    total = sum(coeffs[k] * v.numerator * (lcd // v.denominator) for k, v in hits)
-    return Fraction(total, scale ** time * lcd)
-
-
-def _line_row(spec: EquationSpec, psi: FieldRow, j: int) -> FieldRow:
-    """Row j of a one-step 1D equation from row 0 psi: the coefficients
-    p_0..p_{jw} of (D S)^j from ``_line_symbol``, convolved with psi scaled
-    to integers by L, the lcm of its denominators, over D^j * L, one
-    Fraction per cell."""
-    scale, low, s = _line_symbol(spec)
+def _power_row(spec: EquationSpec, psi: FieldRow, j: int,
+               point: Point | None = None) -> FieldRow:
+    """Row j of a one-step equation from row 0 psi, or with `point` that
+    cell of it alone: (D S)^j from Miller's recurrence times psi scaled to
+    integers by L, the lcm of its denominators, over D^j * L, one Fraction
+    per cell."""
     lcd = lcm(*(v.denominator for v in psi.values.values()))
-    coeffs = _power_coefficients(s, j, j * (len(s) - 1) + 1)
-    acc: dict[int, int] = {}
-    for (p,), v in psi.values.items():
-        num = v.numerator * (lcd // v.denominator)
-        x = p + j * low
-        for c in coeffs:
-            if c:
-                acc[x] = acc.get(x, 0) + c * num
-            x += 1
+    nums = [(p, v.numerator * (lcd // v.denominator)) for p, v in psi.values.items()]
+    terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
+    scale, cells = _symbol_power(terms, j, nums, point)
     denom = scale ** j * lcd
-    return FieldRow._trusted(1, {(x,): Fraction(v, denom) for x, v in acc.items() if v})
+    return FieldRow._trusted(spec.spatial_dim, {p: Fraction(v, denom) for p, v in cells.items()})
 
 
 def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
@@ -351,22 +315,22 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
         sum_s sum_a D**s * W[j - s, a] * N_s(p - a)  /  (D**j * L)
 
     with the numerators added as ints; a time exponent's terms are dropped
-    after the last row that reads them.  A one-step 1D equation skips the
+    after the last row that reads them.  A one-step equation skips the
     series pass: each row reads S^j from Miller's recurrence instead
-    (``_line_row``).  The corner-implicit solution has
+    (``_power_row``).  The corner-implicit solution has
     unbounded rightward support, so it has no row representation here;
     evaluate it pointwise instead.
     """
     if spec.implicit_corner:
         raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
     q = source_rows(spec, initial)
-    if _on_a_line(spec):
-        return [_line_row(spec, q[0], j) for j in range(t_max + 1)]
+    if spec.time_order == 1:
+        return [_power_row(spec, q[0], j) for j in range(t_max + 1)]
     k, dim = spec.time_order, spec.spatial_dim
     lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
     nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
             for qs in q]
-    scale, weights = _multinomial_weights(spec, max(t_max, 0), series=True)
+    scale, weights = _multinomial_weights(spec, max(t_max, 0))
     # time exponent -> [(spatial exponents, W)]
     by_time: dict[int, list[tuple[Point, int]]] = {}
     for exps, weight in weights.items():
@@ -450,12 +414,12 @@ def pointwise(spec: EquationSpec, initial: InitialData,
 
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
-    """Single-point closed-form value: Miller's power recurrence for a
-    one-step 1D equation, the corner-implicit sum, or the one composition
-    sum of every other explicit equation."""
-    if _on_a_line(spec):
-        initial.check_matches(spec)
-        _check_query(spec, point, time)
-        return _line_value(spec, initial.rows[0], point[0], time)
-    evaluator = "implicit" if spec.implicit_corner else "nd"
-    return pointwise(spec, initial, evaluator)(point, time)
+    """Single-point closed-form value: the corner-implicit sum, Miller's
+    power recurrence for a one-step equation, or the one composition sum of
+    every other explicit equation."""
+    if spec.implicit_corner or spec.time_order != 1:
+        evaluator = "implicit" if spec.implicit_corner else "nd"
+        return pointwise(spec, initial, evaluator)(point, time)
+    initial.check_matches(spec)
+    _check_query(spec, point, time)
+    return _power_row(spec, initial.rows[0], time, tuple(point)).get(point)

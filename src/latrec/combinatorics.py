@@ -6,30 +6,29 @@ symbol
     S(x, y) = sum over entries of  coeff * x^(spatial_shift - offset) * y^(time_order - time_level)
 
 raised to a power, or summed over every power as the series sum_J S^J of
-U = Q / (1 - S), with like terms collected.  One kernel does both: it
-applies the multinomial theorem one stencil entry at a time on
-integer-scaled coefficients, merging like terms after each entry, and
-leaves the division by the common denominator to the caller, once per term
-(``expand_stencil_power``) or once per row cell (``closed_form.closed_rows``).
+U = Q / (1 - S), with like terms collected.  Every power comes from
+J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) under a
+lexicographic weight, in any number of axes: ``_symbol_power`` gives each
+coefficient of (D S)^t from the ones below it in O(entries) integer
+operations, without forming S^(t-1).  ``expand_stencil_power`` reads it
+with y as one more axis, and the rows and points of every one-step equation
+(``closed_form.closed_rows``, ``closed_form.closed_value``,
+``models.random_walk_distribution``) read it in x alone.  Only time order
+>= 2 needs the series: ``_multinomial_weights`` applies the multinomial
+theorem one stencil entry at a time on integer-scaled coefficients, merging
+like terms after each entry, and leaves the division by the common
+denominator to the caller, once per row cell (``closed_form.closed_rows``).
 ``compositions`` and ``multinomial`` serve the pointwise evaluators, which
 sum over compositions directly.
-
-A one-step 1D symbol is a polynomial in x alone, and its powers have a
-shorter route: J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7)
-gives each coefficient of S^t from the ones below it in O(width) integer
-operations, without forming S^(t-1).  ``_line_symbol`` scales such a symbol
-to integers and ``_power_coefficients`` runs the recurrence; the rows and
-points of those equations (``closed_form.closed_rows``,
-``closed_form.closed_value``, ``models.random_walk_distribution``) read
-their powers from it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import sub
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .lattice import EquationSpec, SpecError
@@ -72,73 +71,117 @@ def stencil_symbol_steps(spec: EquationSpec) -> list[tuple[Fraction, tuple[int, 
         raise SpecError("the corner-implicit form has no stencil symbol of this shape")
     return [
         (e.coeff,
-         tuple(s - o for s, o in zip(spec.spatial_shift, e.offset)),
+         tuple(map(sub, spec.spatial_shift, e.offset)),
          spec.time_order - e.time_level)
         for e in spec.stencil
     ]
 
 
-def _line_symbol(spec: EquationSpec) -> tuple[int, int, list[int]]:
-    """(D, e, s) with D * S(x) = x**e * (s_0 + s_1 x + ... + s_w x**w) for a
-    one-step 1D spec: D is the lcm of the coefficient denominators, e the
-    lowest spatial step, and s_0, s_w are nonzero."""
-    if spec.spatial_dim != 1 or spec.time_order != 1:
-        raise SpecError("a line symbol needs spatial_dim 1 and time_order 1")
-    steps = stencil_symbol_steps(spec)
-    scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
-    low = min(x for _, (x,), _ in steps)
-    s = [0] * (max(x for _, (x,), _ in steps) - low + 1)
-    for coeff, (x,), _ in steps:
-        s[x - low] = coeff.numerator * (scale // coeff.denominator)
-    return scale, low, s
+def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
+                  row: Sequence[tuple[tuple[int, ...], int]],
+                  point: tuple[int, ...] | None = None) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The integer coefficients of (D A)**t * N by Miller's power recurrence,
+    for A = sum of coeff * x**exps over `terms` (distinct exponent vectors,
+    nonzero coefficients), D the lcm of their denominators and N the row of
+    integer (point, value) pairs `row`.
 
+    Shifted by its lowest exponent on each axis, A has digits in
+    [0, width].  An exponent vector packs as base-radix digits with the last
+    axis on top, and each lower axis's radix is (t+1) * width + span + 1, with
+    span the row's extent on that axis.  The packed key is then a
+    lexicographic weight, and the Euler operator E of that weight gives
+    A * E(P) = t * P * E(A) for P = (D A)**t.  With m0 the term of least key
+    and keys written for their exponent vectors, comparing coefficients gives
 
-def _power_coefficients(s: Sequence[int], t: int, count: int) -> list[int]:
-    """The first `count` coefficients p_0, p_1, ... of (s_0 + ... + s_w x**w)**t,
-    s_0 != 0, by Miller's recurrence
+        A_m0 (k - t m0) P_k = sum_{a != m0} A_a P_{k+m0-a} ((t+1)(a - m0) - (k - t m0)),
 
-        p_0 = s_0**t,   p_k = sum_{i=1..min(k,w)} ((t+1) i - k) s_i p_{k-i} / (k s_0),
+    so P_{t m0} = A_m0**t and every later coefficient comes from lower keys in
+    O(terms) integer operations and an exact division.  Only cells with every
+    digit in [0, t * width] are computed, in key order: a read whose digit
+    borrowed or passed t * width lands on a cell never written, a read below
+    key 0 wraps to the top of the list, past every key written so far, and
+    no power with exponent -1 is used.  The row's points pack the same way,
+    so N's product adds keys without a carry.
 
-    which follows from comparing coefficients in P' A = t A' P for P = A**t.
-    Every p_k is an integer, so the division is exact.  Coefficients past
-    t * w come out 0."""
-    s0 = s[0]
-    terms = [(i, si) for i, si in enumerate(s) if i and si]
-    p = [s0 ** t]
-    step = t + 1
-    for k in range(1, count):
+    Returns D and a map from each cell of (D A)**t * N to its nonzero
+    coefficient; with `point`, from that cell alone, the recurrence stopping
+    at the farthest key it reads.
+    """
+    scale = math.lcm(*[coeff.denominator for coeff, _ in terms])
+    if not row:
+        return scale, {}
+    axes = list(zip(*[exps for _, exps in terms]))
+    low = list(map(min, axes))
+    widths = list(map(sub, map(max, axes), low))
+    row_axes = list(zip(*[p for p, _ in row]))
+    row_low = list(map(min, row_axes))
+    units, radices = [1], []
+    for w, lo, axis in zip(widths, row_low, row_axes[:-1]):
+        radices.append((t + 1) * w + max(axis) - lo + 1)
+        units.append(units[-1] * radices[-1])
+    coded = sorted([(sum(map(mul, map(sub, exps, low), units)),
+                     coeff.numerator * (scale // coeff.denominator))
+                    for coeff, exps in terms])
+    m0, a0 = coded[0]
+    base = t * m0
+    keys = range(t * widths[0] + 1)
+    for w, u in zip(widths[1:], units[1:]):
+        keys = [d * u + k for d in range(t * w + 1) for k in keys]
+    shifts = [(sum(map(mul, map(sub, p, row_low), units)), v) for p, v in row]
+    origin = [t * lo + q for lo, q in zip(low, row_low)]
+    stop = len(keys)
+    if point is not None:
+        digits = list(map(sub, point, origin))
+        if not all(0 <= d < radix for d, radix in zip(digits, radices)):
+            return scale, {}
+        target = sum(map(mul, digits, units))
+        hits = [(target - s, v) for s, v in shifts if 0 <= target - s <= keys[-1]]
+        if not hits:
+            return scale, {}
+        stop = bisect_right(keys, max(k for k, _ in hits))
+    coeffs = [0] * (keys[-1] + 1)
+    coeffs[base] = a0 ** t
+    # per other term: its lag a - m0, coefficient and (t+1) * lag + base
+    lags = [(a - m0, n, (t + 1) * (a - m0) + base) for a, n in coded[1:]]
+    for k in keys[bisect_right(keys, base):stop]:
         total = 0
-        for i, si in terms:
-            if i > k:
-                break
-            total += (step * i - k) * si * p[k - i]
-        p.append(total // (k * s0))
-    return p
+        for lag, n, c in lags:
+            total += (c - k) * n * coeffs[k - lag]
+        coeffs[k] = total // (a0 * (k - base))
+    if point is not None:
+        total = sum(coeffs[k] * v for k, v in hits)
+        return scale, {point: total} if total else {}
+    nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
+    out = [0] * (len(coeffs) + max(s for s, _ in shifts))
+    for s, v in shifts:
+        for k, c in nonzero:
+            out[k + s] += c * v
+    cells = [k for k, v in enumerate(out) if v]
+    # unpack each cell's digits, axis by axis, and zip them into points
+    columns = [[k // u % radix + o for k in cells]
+               for u, radix, o in zip(units, radices, origin)]
+    columns.append([k // units[-1] + origin[-1] for k in cells])
+    return scale, dict(zip(zip(*columns), [out[k] for k in cells]))
 
 
-def _multinomial_weights(spec: EquationSpec, limit: int,
-                         series: bool) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The multinomial theorem applied one stencil entry at a time in
-    integers: the one kernel behind every stencil-symbol expansion.
+def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The terms of sum_J S**J with time exponent e <= limit by the
+    multinomial theorem applied one stencil entry at a time in integers: the
+    series behind the rows of time order >= 2.
 
     With D the lcm of the coefficient denominators and n_u = D * coeff_u, the
-    state maps (exponent vector, parts used) to an integer weight.  Entry u
-    taking k parts adds k * (spatial step, time step) to the exponents and
-    multiplies the weight by C(used + k, k) * n_u**k, so a finished state
-    carries multinomial(J, r) * prod(n_u**r_u) for the composition r of its
-    J parts.  States with equal keys merge after each entry.
+    state maps (exponent vector, parts used) to an integer weight.  Entry u's
+    factor is f_u = n_u * D**(ystep_u - 1), an integer since every time step
+    is >= 1.  Entry u taking k parts adds k * (spatial step, time step) to
+    the exponents and multiplies the weight by C(used + k, k) * f_u**k, so a
+    finished state carries multinomial(J, r) * prod(f_u**r_u) for the
+    composition r of its J parts, and prod(coeff_u**r_u) =
+    prod(f_u**r_u) / D**e with e = sum(r_u * ystep_u).  States with equal
+    keys merge after each entry, and a state stops taking parts once its
+    time exponent would pass limit.
 
     Returns D and a map from exponent vector (spatial exponents..., time
-    exponent) to integer weight W, zeros dropped:
-
-    * ``series=False``: the terms of S**limit, each coefficient W / D**limit.
-      The last entry takes every remaining part.
-    * ``series=True``: the terms of sum_J S**J with time exponent
-      e <= limit, each coefficient W / D**e.  Entry u's factor is
-      n_u * D**(ystep_u - 1), an integer since every time step is >= 1, so
-      that prod(coeff_u**r_u) = prod(factor_u**r_u) / D**e with
-      e = sum(r_u * ystep_u).  A state stops taking parts once its time
-      exponent would pass limit.
+    exponent) to integer weight W, each coefficient W / D**e, zeros dropped.
     """
     steps = stencil_symbol_steps(spec)
     scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
@@ -152,43 +195,31 @@ def _multinomial_weights(spec: EquationSpec, limit: int,
     radix = 2 * bound + 1
     time_unit = radix ** dim
     used_unit = time_unit * radix
-    # Parts of an entry spend `limit`: one each in a power, their time step
-    # each in the series.
-    spent_unit = time_unit if series else used_unit
     entries = []
     for coeff, xstep, ystep in steps:
         n = coeff.numerator * (scale // coeff.denominator)
         code = sum(d * radix ** i for i, d in enumerate(xstep)) + ystep * time_unit + used_unit
-        entries.append((n * scale ** (ystep - 1), code, ystep) if series else (n, code, 1))
+        entries.append((n * scale ** (ystep - 1), code, ystep))
 
     states = {sum(bound * radix ** i for i in range(dim)): 1}
     last = len(entries) - 1
     for u, (n, code, cost) in enumerate(entries):
         merged: dict[int, int] = {}
-        if u == last and not series:
-            # a power's last entry takes every remaining part, and its terms
-            # drop the `limit` parts used
-            tail = [math.comb(limit, k) * n ** k for k in range(limit + 1)]
-            for key, weight in states.items():
-                room = limit - key // used_unit
-                key += room * code - limit * used_unit
-                merged[key] = merged.get(key, 0) + weight * tail[room]
-        else:
+        if u == last:
+            # the series files its terms without the parts used, merging
+            # every J
+            code -= used_unit
+        for key, weight in states.items():
+            used = key // used_unit
+            room = (limit - key // time_unit % radix) // cost
             if u == last:
-                # the series files its terms without the parts used, merging
-                # every J
-                code -= used_unit
-            for key, weight in states.items():
-                used = key // used_unit
-                room = (limit - key // spent_unit % radix) // cost
-                if u == last:
-                    key -= used * used_unit
+                key -= used * used_unit
+            merged[key] = merged.get(key, 0) + weight
+            for k in range(1, room + 1):
+                # C(used+k, k) n**k from C(used+k-1, k-1) n**(k-1); the division is exact
+                weight = weight * n * (used + k) // k
+                key += code
                 merged[key] = merged.get(key, 0) + weight
-                for k in range(1, room + 1):
-                    # C(used+k, k) n**k from C(used+k-1, k-1) n**(k-1); the division is exact
-                    weight = weight * n * (used + k) // k
-                    key += code
-                    merged[key] = merged.get(key, 0) + weight
         states = {key: w for key, w in merged.items() if w}
 
     terms = {}
@@ -204,9 +235,10 @@ def _multinomial_weights(spec: EquationSpec, limit: int,
 
 def expand_stencil_power(spec: EquationSpec, j: int) -> TermMap:
     """TermMap of S(x, y)**j with like terms combined and zeros dropped,
-    read from the multinomial kernel's integer weights over D**j."""
+    read from Miller's recurrence with y as one more axis, over D**j."""
     if j < 0:
         raise SpecError("power must be >= 0")
-    scale, weights = _multinomial_weights(spec, j, series=False)
+    terms = [(coeff, (*xstep, ystep)) for coeff, xstep, ystep in stencil_symbol_steps(spec)]
+    scale, weights = _symbol_power(terms, j, [((0,) * (spec.spatial_dim + 1), 1)])
     denom = scale ** j
     return {exps: Fraction(weight, denom) for exps, weight in weights.items()}

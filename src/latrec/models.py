@@ -13,8 +13,9 @@ temperature difference with each neighbour per step, giving coefficients
 update a convex average (stable).
 
 The walk's distribution after j steps is the coefficient list of its
-stencil symbol's j-th power, read from Miller's power recurrence
-(``closed_form._line_row``); the heat profile iterates.
+stencil symbol's j-th power, read from Miller's power recurrence, the one
+routine behind the powers of every one-step equation
+(``closed_form._power_row``); the heat profile iterates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import _line_row, tridiagonal_spec
+from .closed_form import _power_row, tridiagonal_spec
 from .lattice import EquationSpec, FieldRow, InitialData, SpecError
 from .oracle import oracle_evolve
 
@@ -75,7 +76,7 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    return _line_row(random_walk_spec(params), FieldRow.delta(1), j)
+    return _power_row(random_walk_spec(params), FieldRow.delta(1), j)
 
 
 def heat_profile(params: HeatParams, psi: FieldRow, j_max: int) -> list[FieldRow]:

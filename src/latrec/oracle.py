@@ -291,15 +291,6 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     return VerifyReport(checked, tuple(mismatches), t_max)
 
 
-def rows_to_values(rows: list[FieldRow], box: Box) -> dict[tuple[Point, int], Fraction]:
-    """Materialize rows over a box, zeros included, keyed by (point, time)."""
-    values = {}
-    for t, row in enumerate(rows):
-        for p in box.points():
-            values[(p, t)] = row.get(p)
-    return values
-
-
 def verify_recurrence(values: dict[tuple[Point, int], Fraction],
                       spec: EquationSpec, region: Region):
     """Check the defining relation pointwise on the region interior.

@@ -3,8 +3,8 @@
 Coefficients are rationals with numerators in [-5, 5] and denominators in
 [1, 5]; initial data has at most 7 support points.  Everything is driven by
 an explicit random.Random so failures reproduce exactly, except the
-hypothesis strategies at the end, which draw one-step 1D equations and rows
-for the tests of Miller's power recurrence.
+hypothesis strategies at the end, which draw one-step 1D and 2D equations
+and rows for the tests of Miller's power recurrence.
 """
 
 from __future__ import annotations
@@ -156,3 +156,19 @@ def line_rows():
     """1D rows, the zero row among them, with up to 4 points in [-4, 4]."""
     return st.dictionaries(st.integers(-4, 4).map(lambda x: (x,)), LINE_COEFFS,
                            max_size=4).map(lambda values: FieldRow(1, values))
+
+
+@st.composite
+def plane_specs(draw) -> EquationSpec:
+    """One-step 2D specs: one to five entries at distinct offsets in
+    [-1, 1]^2, the 3x3 stencil's cells, and a shift in [-1, 1]^2."""
+    cells = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    offsets = draw(st.lists(cells, min_size=1, max_size=5, unique=True))
+    return EquationSpec(2, 1, draw(cells), tuple(
+        StencilEntry(o, 0, draw(LINE_COEFFS)) for o in offsets))
+
+
+def plane_rows():
+    """2D rows, the zero row among them, with up to 4 points in [-3, 3]^2."""
+    return st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), LINE_COEFFS,
+                           max_size=4).map(lambda values: FieldRow(2, values))

@@ -21,8 +21,9 @@ from latrec.config import load_config
 from instance_gen import (field_row, grid_2d_instance, grid_2d_spec,
                           line_rows, line_specs, nd_instance,
                           ninepoint_instance, ninepoint_spec, one_row_instance,
-                          one_row_spec, rational, tridiagonal_instance,
-                          two_row_instance, verification_region)
+                          one_row_spec, plane_rows, plane_specs, rational,
+                          tridiagonal_instance, two_row_instance,
+                          verification_region)
 
 DELTA = FieldRow.delta(1)
 DELTA2 = FieldRow.delta(2)
@@ -536,7 +537,7 @@ def test_closed_rows_lattice3d_config():
 
 
 # ---------------------------------------------------------------------------
-# one-step 1D equations: Miller's power recurrence
+# one-step equations: Miller's power recurrence
 # ---------------------------------------------------------------------------
 
 @given(line_specs(), line_rows(), st.integers(0, 9))
@@ -558,34 +559,79 @@ def test_line_closed_rows_equal_oracle(spec, psi, t_max):
     assert closed_rows(spec, initial, t_max) == oracle_evolve(spec, initial, t_max)
 
 
+@given(plane_specs(), plane_rows(), st.integers(0, 4),
+       st.lists(st.tuples(st.integers(-11, 11), st.integers(-11, 11)), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_plane_closed_value_equals_composition_sum(spec, psi, t, points):
+    # drawn points, and the cells a single entry reaches from each point of
+    # psi in t steps (a corner of the reach, often nonzero) and their
+    # neighbours
+    steps = [tuple(s - o for s, o in zip(spec.spatial_shift, e.offset)) for e in spec.stencil]
+    for (x, y) in psi.values:
+        for dx, dy in steps:
+            reached = (x + t * dx, y + t * dy)
+            points += [reached, (reached[0] + 1, reached[1]), (reached[0], reached[1] - 1)]
+    initial = InitialData((psi,))
+    for p in points:
+        assert closed_value(spec, initial, p, t) == eval_nd(spec, psi, p, t), p
+
+
+@given(plane_specs(), plane_rows(), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_plane_closed_rows_equal_oracle(spec, psi, t_max):
+    initial = InitialData((psi,))
+    assert closed_rows(spec, initial, t_max) == oracle_evolve(spec, initial, t_max)
+
+
 def test_line_paths_read_no_composition_or_multinomial_kernel(monkeypatch):
-    spec = EquationSpec(1, 1, (1,), (StencilEntry((-2,), 0, Fraction(2, 3)),
+    # one-step equations in 1D, 2D (3x3) and 3D read every power from
+    # Miller's recurrence, never from the composition sum or the series
+    line = EquationSpec(1, 1, (1,), (StencilEntry((-2,), 0, Fraction(2, 3)),
                                      StencilEntry((1,), 0, Fraction(-1, 4)),
                                      StencilEntry((2,), 0, Fraction(1, 5))))
-    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-5, 2)}),))
+    lattice3d = load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                                / "lattice3d_diffusion.json"))
+    cases = [
+        (line, InitialData((FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-5, 2)}),)), 12),
+        (ninepoint_spec([Fraction(n, 7 + n) * (-1) ** n for n in range(1, 10)]),
+         InitialData((FieldRow(2, {(0, 0): Fraction(1), (2, -1): Fraction(-3, 2)}),)), 6),
+        (lattice3d.spec, lattice3d.initial, 3),
+    ]
     walk = RandomWalkParams(Fraction(1, 4), Fraction(1, 6), Fraction(7, 12))
-    t_max = 12
-    rows = oracle_evolve(spec, initial, t_max)
+    rows = [oracle_evolve(spec, initial, t_max) for spec, initial, t_max in cases]
     walk_rows = oracle_evolve(tridiagonal_spec(walk.p, walk.d, walk.q),
-                              InitialData((DELTA,)), t_max)
+                              InitialData((DELTA,)), 12)
 
     def slow_path(*args, **kwargs):
-        raise AssertionError("a 1D one-step equation took the slow path")
+        raise AssertionError("a one-step equation took the slow path")
 
+    dims = []
+
+    def power(terms, *args):
+        dims.append(len(terms[0][1]))
+        return symbol_power(terms, *args)
+
+    symbol_power = combinatorics._symbol_power
+    monkeypatch.setattr(closed_form, "_symbol_power", power)
     monkeypatch.setattr(closed_form, "_composition_sum", slow_path)
     monkeypatch.setattr(closed_form, "_multinomial_weights", slow_path)
     monkeypatch.setattr(combinatorics, "_multinomial_weights", slow_path)
-    assert closed_rows(spec, initial, t_max) == rows
-    for t in (0, 5, t_max):
-        for (x,), v in rows[t].values.items():
-            assert closed_value(spec, initial, (x,), t) == v
+    for (spec, initial, t_max), want in zip(cases, rows):
+        assert closed_rows(spec, initial, t_max) == want
+        for t in (0, t_max // 2, t_max):
+            for p, v in want[t].values.items():
+                assert closed_value(spec, initial, p, t) == v
+    for t in (0, 5, 12):
         assert random_walk_distribution(walk, t) == walk_rows[t]
-    # the patches are live: an equation off the line does reach them
-    two_d = EquationSpec(2, 1, (0, 0), (StencilEntry((0, 0), 0, Fraction(1)),))
+    assert set(dims) == {1, 2, 3}
+    # the patches are live: an equation of time order 2 does reach them
+    two_step = EquationSpec(1, 2, (0,), (StencilEntry((0,), 1, Fraction(1)),
+                                         StencilEntry((1,), 0, Fraction(-1, 2))))
+    initial = InitialData((DELTA, DELTA))
     with pytest.raises(AssertionError):
-        closed_value(two_d, InitialData((DELTA2,)), (0, 0), 1)
+        closed_value(two_step, initial, (0,), 2)
     with pytest.raises(AssertionError):
-        closed_rows(two_d, InitialData((DELTA2,)), 1)
+        closed_rows(two_step, initial, 2)
 
 
 def test_closed_value_dispatch():

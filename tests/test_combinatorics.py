@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from latrec import (EquationSpec, SpecError, StencilEntry, compositions,
                     expand_stencil_power, multinomial, tridiagonal_spec)
-from latrec.combinatorics import (_line_symbol, _multinomial_weights,
-                                  _power_coefficients, stencil_symbol_steps)
+from latrec.combinatorics import _multinomial_weights, _symbol_power, stencil_symbol_steps
 
 from instance_gen import line_specs, nd_instance
 
@@ -92,7 +91,7 @@ def test_expand_equals_composition_sum_and_iterated_product(spec, j):
 @settings(max_examples=80, deadline=None)
 def test_series_kernel_equals_summed_powers(spec, t_max):
     # sum_J S**J up to time exponent t_max, every coefficient W / D**e
-    scale, weights = _multinomial_weights(spec, t_max, series=True)
+    scale, weights = _multinomial_weights(spec, t_max)
     assert all(exps[-1] <= t_max and w != 0 for exps, w in weights.items())
     expected = {}
     for j in range(t_max + 1):
@@ -108,34 +107,85 @@ def line_spec(shift, *entries):
         StencilEntry((offset,), 0, Fraction(coeff)) for offset, coeff in entries))
 
 
+def plane_spec(*exps):
+    """A one-step 2D spec whose symbol has the given exponent vectors, with
+    coefficients 1/2, -2/3, 3/4, ..."""
+    return EquationSpec(2, 1, (0, 0), tuple(
+        StencilEntry((-x, -y), 0, Fraction((-1) ** i * (i + 1), i + 2))
+        for i, (x, y) in enumerate(exps)))
+
+
+def probes(cells, dim):
+    """Some of `cells` and each one's neighbours along every axis, where the
+    coefficient may be 0."""
+    picked = sorted(cells)[::max(1, len(cells) // 3)]
+    out = set(picked)
+    for cell in picked:
+        for i in range(dim):
+            for step in (-1, 1):
+                out.add(cell[:i] + (cell[i] + step,) + cell[i + 1:])
+    return out
+
+
+ROW_POINTS = st.tuples(*[st.integers(-3, 3)] * 4)
+
+
+@given(stencil_specs(), st.integers(0, 6),
+       st.lists(st.tuples(ROW_POINTS, st.sampled_from([1, -2, 3])), max_size=3))
+@example(plane_spec((1, 0), (0, 1), (2, 1)), 7, [])           # least key off every corner
+@example(plane_spec((1, 0), (0, 1), (2, 1)), 5, [((0, 0, 0, 0), 1), ((3, -1, 2, 0), -2)])
+@example(plane_spec((0, 0), (3, 0), (0, 2), (3, 2)), 4, [])   # interior gaps on both axes
+@example(plane_spec((2, -1),), 7, [((1, 1, 1, 0), 3)])        # a single entry
+@example(plane_spec((0, 0), (0, 1)), 1, [])                  # one x digit, radix 1
+@example(line_spec(0, (0, "1/2"), (-1, "1/3")), 1,            # a row wider than S
+         [((0, 0, 0, 0), 1), ((3, 0, 0, 0), -2)])
+@example(line_spec(1, (-3, "1/2"), (0, "-2"), (4, "5/3")), 0, [])  # j = 0
+@settings(max_examples=80, deadline=None)
+def test_symbol_power_equals_composition_sum_and_iterated_product(spec, j, row):
+    # (D S)**j times an integer row N, with y as one more axis and, for a
+    # one-step spec, in x alone; every cell, and single cells on and off
+    # the support
+    dim = spec.spatial_dim
+    power = composition_expansion(spec, j)
+    assert power == poly_power(symbol_terms(spec), j, dim)
+    steps = stencil_symbol_steps(spec)
+    cases = [([(coeff, (*xstep, ystep)) for coeff, xstep, ystep in steps], power, dim + 1)]
+    if spec.time_order == 1:
+        cases.append(([(coeff, xstep) for coeff, xstep, _ in steps],
+                      {exps[:dim]: v for exps, v in power.items()}, dim))
+    for terms, expected, axes in cases:
+        ints = list({p[:axes]: v for p, v in row}.items()) or [((0,) * axes, 1)]
+        want = poly_mul(expected, {p: Fraction(v) for p, v in ints})
+        scale, got = _symbol_power(terms, j, ints)
+        assert scale == math.lcm(*(e.coeff.denominator for e in spec.stencil))
+        assert all(got.values())
+        assert {cell: Fraction(w, scale ** j) for cell, w in got.items()} == want
+        for cell in probes(want or {(0,) * axes: 0}, axes):
+            alone = {cell: got[cell]} if cell in got else {}
+            assert _symbol_power(terms, j, ints, cell) == (scale, alone)
+    assert _symbol_power(cases[0][0], j, []) == (scale, {})
+
+
 @given(line_specs(), st.integers(0, 17))
 @example(line_spec(0, (2, "-3/4")), 17)                      # a single entry
 @example(line_spec(1, (-3, "1/2"), (0, "-2"), (4, "5/3")), 17)  # interior gaps
 @example(line_spec(-2, (-1, "-1/6"), (1, "-1/4")), 17)       # negatives, every other cell
 @settings(max_examples=120, deadline=None)
-def test_power_recurrence_equals_multinomial_kernel(spec, j):
-    # Miller's coefficients of (D S)**j, from either end, are the kernel's W
-    scale, low, s = _line_symbol(spec)
-    assert s[0] and s[-1]
-    top = j * (len(s) - 1)
-    coeffs = _power_coefficients(s, j, top + 1)
-    assert _power_coefficients(s[::-1], j, top + 1) == coeffs[::-1]
-    kernel_scale, weights = _multinomial_weights(spec, j, series=False)
-    assert scale == kernel_scale
-    assert {(j * low + k, j): c for k, c in enumerate(coeffs) if c} == weights
-    # past the top coefficient the recurrence gives exact zeros
-    assert _power_coefficients(s, j, top + 4)[top + 1:] == [0, 0, 0]
-
-
-def test_line_symbol_scales_and_shifts():
-    # S = x**-1 / 2 + 3 x / 4, so 4 S = x**-1 * (2 + 0 x + 3 x**2)
-    spec = tridiagonal_spec(Fraction(3, 4), Fraction(0), Fraction(1, 2))
-    assert _line_symbol(spec) == (4, -1, [2, 0, 3])
-    two_d = EquationSpec(2, 1, (0, 0), (StencilEntry((0, 0), 0, Fraction(1)),))
-    two_step = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
-    for spec in (two_d, two_step):
-        with pytest.raises(SpecError):
-            _line_symbol(spec)
+def test_line_power_mirrors_with_its_symbol(spec, j):
+    # S(1/x)**j has the coefficients of S(x)**j in reverse, worked out from
+    # the other end; they are the series kernel's time-exponent-j terms, and
+    # past either end of S**j the coefficients are 0
+    terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
+    delta = [((0,), 1)]
+    scale, coeffs = _symbol_power(terms, j, delta)
+    mirrored = [(coeff, (-x,)) for coeff, (x,) in terms]
+    assert _symbol_power(mirrored, j, delta) == (scale, {(-x,): c for (x,), c in coeffs.items()})
+    kernel_scale, series = _multinomial_weights(spec, j)
+    assert kernel_scale == scale
+    assert coeffs == {(x,): w for (x, e), w in series.items() if e == j}
+    (low,), (high,) = min(coeffs), max(coeffs)
+    for x in (low - 3, low - 1, high + 1, high + 3):
+        assert _symbol_power(terms, j, delta, (x,)) == (scale, {})
 
 
 def test_compositions_examples():
@@ -201,7 +251,7 @@ def test_expand_exact_cancellation_leaves_no_zero():
     assert (0, 0, 2) not in expanded
     assert all(v != 0 for v in expanded.values())
     assert expanded == composition_expansion(spec, 2)
-    _, series = _multinomial_weights(spec, 3, series=True)
+    _, series = _multinomial_weights(spec, 3)
     assert (0, 0, 2) not in series
     assert all(w != 0 for w in series.values())
 

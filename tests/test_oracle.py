@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
                     SpecError, StencilEntry, corner_spec, heat_profile,
                     oracle_evolve, oracle_step,
-                    oracle_sweep_implicit, rows_to_values, tridiagonal_spec,
+                    oracle_sweep_implicit, tridiagonal_spec,
                     verify_closed_vs_oracle, verify_recurrence)
-from latrec import closed_form, combinatorics
+from latrec import closed_form, combinatorics, models
 from latrec.oracle import EvolutionState, Region, WindowOverflowError
 
 from instance_gen import (field_row, nd_instance, rational,
@@ -18,6 +18,15 @@ from instance_gen import (field_row, nd_instance, rational,
 
 DELTA = FieldRow.delta(1)
 HALF = Fraction(1, 2)
+
+
+def rows_to_values(rows, box):
+    """Materialize rows over a box, zeros included, keyed by (point, time)."""
+    values = {}
+    for t, row in enumerate(rows):
+        for p in box.points():
+            values[(p, t)] = row.get(p)
+    return values
 
 
 def state_for(spec, *rows):
@@ -120,8 +129,10 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
         raise AssertionError("the oracle reached a closed-form kernel")
 
     for module in (closed_form, combinatorics):
-        for name in ("_multinomial_weights", "_power_coefficients", "_line_symbol"):
+        for name in ("_multinomial_weights", "_symbol_power"):
             monkeypatch.setattr(module, name, closed_form_path)
+    for module in (closed_form, models):
+        monkeypatch.setattr(module, "_power_row", closed_form_path)
     monkeypatch.setattr(closed_form, "_composition_sum", closed_form_path)
     f = Fraction
     line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))

@@ -46,6 +46,24 @@ def test_all_exports_resolve():
     assert not missing
 
 
+def test_all_is_pinned():
+    # the public surface, name for name: an export added or dropped shows here
+    assert sorted(latrec.__all__) == [
+        "Box", "ConfigError", "EquationSpec", "EvolutionState", "FieldRow",
+        "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
+        "RandomWalkParams", "Region", "RunConfig", "SpecError", "StencilEntry",
+        "VerifyReport", "WindowOverflowError", "as_tridiagonal", "auto_window",
+        "backward_difference", "closed_rows", "closed_value", "compositions",
+        "corner_kernel", "corner_spec", "eval_implicit", "eval_multistep",
+        "eval_nd", "eval_tridiagonal", "expand_stencil_power", "format_rational",
+        "heat_profile", "heat_spec", "load_config", "multinomial", "oracle_evolve",
+        "oracle_step", "oracle_sweep_implicit", "parse_config", "parse_rational",
+        "random_walk_distribution", "random_walk_spec", "source_rows", "spec_hash",
+        "tridiagonal_spec", "verify_closed_vs_oracle", "verify_recurrence",
+    ]
+    assert len(set(latrec.__all__)) == len(latrec.__all__)
+
+
 def latrec_bindings():
     return {name: dict(vars(module)) for name, module in sys.modules.items()
             if name == "latrec" or name.startswith("latrec.")}
