@@ -119,7 +119,8 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     for w, lo, axis in zip(widths, row_low, row_axes[:-1]):
         radices.append((t + 1) * w + max(axis) - lo + 1)
         units.append(units[-1] * radices[-1])
-    coded = sorted([(sum(map(mul, map(sub, exps, low), units)),
+    offset = sum(map(mul, low, units))
+    coded = sorted([(sum(map(mul, exps, units)) - offset,
                      coeff.numerator * (scale // coeff.denominator))
                     for coeff, exps in terms])
     m0, a0 = coded[0]
@@ -127,18 +128,20 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     keys = range(t * widths[0] + 1)
     for w, u in zip(widths[1:], units[1:]):
         keys = [d * u + k for d in range(t * w + 1) for k in keys]
-    shifts = [(sum(map(mul, map(sub, p, row_low), units)), v) for p, v in row]
+    row_offset = sum(map(mul, row_low, units))
+    shifts = [(sum(map(mul, p, units)) - row_offset, v) for p, v in row]
     origin = [t * lo + q for lo, q in zip(low, row_low)]
     stop = len(keys)
     if point is not None:
         digits = list(map(sub, point, origin))
+        # a lower digit outside [0, radix) would carry into the next axis
         if not all(0 <= d < radix for d, radix in zip(digits, radices)):
             return scale, {}
         target = sum(map(mul, digits, units))
         hits = [(target - s, v) for s, v in shifts if 0 <= target - s <= keys[-1]]
         if not hits:
             return scale, {}
-        stop = bisect_right(keys, max(k for k, _ in hits))
+        stop = bisect_right(keys, max(hits)[0])
     coeffs = [0] * (keys[-1] + 1)
     coeffs[base] = a0 ** t
     # per other term: its lag a - m0, coefficient and (t+1) * lag + base
