@@ -567,12 +567,13 @@ def test_plane_closed_value_equals_composition_sum(spec, psi, t, points):
     # psi in t steps (a corner of the reach, often nonzero) and their
     # neighbours
     steps = [tuple(s - o for s, o in zip(spec.spatial_shift, e.offset)) for e in spec.stencil]
+    probes = list(points)
     for (x, y) in psi.values:
         for dx, dy in steps:
             reached = (x + t * dx, y + t * dy)
-            points += [reached, (reached[0] + 1, reached[1]), (reached[0], reached[1] - 1)]
+            probes += [reached, (reached[0] + 1, reached[1]), (reached[0], reached[1] - 1)]
     initial = InitialData((psi,))
-    for p in points:
+    for p in probes:
         assert closed_value(spec, initial, p, t) == eval_nd(spec, psi, p, t), p
 
 
@@ -606,12 +607,12 @@ def test_line_paths_read_no_composition_or_multinomial_kernel(monkeypatch):
         raise AssertionError("a one-step equation took the slow path")
 
     dims = []
+    symbol_power = combinatorics._symbol_power
 
     def power(terms, *args):
         dims.append(len(terms[0][1]))
         return symbol_power(terms, *args)
 
-    symbol_power = combinatorics._symbol_power
     monkeypatch.setattr(closed_form, "_symbol_power", power)
     monkeypatch.setattr(closed_form, "_composition_sum", slow_path)
     monkeypatch.setattr(closed_form, "_multinomial_weights", slow_path)
