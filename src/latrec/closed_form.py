@@ -195,6 +195,8 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 
     The sum is finite because the differenced row has finite support.
     """
+    if j < 0:
+        raise SpecError("time must be >= 0")
     om = backward_difference(psi, a)
     total = ZERO
     for (k,), v in om.values.items():
@@ -417,9 +419,9 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
     """Single-point closed-form value: the corner-implicit sum, Miller's
     power recurrence for a one-step equation, or the one composition sum of
     every other explicit equation."""
+    _check_query(spec, point, time)
     if spec.implicit_corner or spec.time_order != 1:
         evaluator = "implicit" if spec.implicit_corner else "nd"
         return pointwise(spec, initial, evaluator)(point, time)
     initial.check_matches(spec)
-    _check_query(spec, point, time)
     return _power_row(spec, initial.rows[0], time, tuple(point)).get(point)

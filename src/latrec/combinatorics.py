@@ -6,26 +6,26 @@ symbol
     S(x, y) = sum over entries of  coeff * x^(spatial_shift - offset) * y^(time_order - time_level)
 
 raised to a power, or summed over every power as the series sum_J S^J of
-U = Q / (1 - S), with like terms collected.  Every power comes from
-J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) under a
-lexicographic weight, in any number of axes: ``_symbol_power`` gives each
-coefficient of (D S)^t from the ones below it in O(entries) integer
-operations, without forming S^(t-1).  ``expand_stencil_power`` reads it
-with y as one more axis, and the rows and points of every one-step equation
-(``closed_form.closed_rows``, ``closed_form.closed_value``,
-``models.random_walk_distribution``) read it in x alone.  Only time order
->= 2 needs the series: ``_multinomial_weights`` applies the multinomial
-theorem one stencil entry at a time on integer-scaled coefficients, merging
-like terms after each entry, and leaves the division by the common
-denominator to the caller, once per row cell (``closed_form.closed_rows``).
-``compositions`` and ``multinomial`` serve the pointwise evaluators, which
-sum over compositions directly.
+U = Q / (1 - S), with like terms collected.  Every power, in any number of
+axes, comes from a Kronecker substitution followed by J. C. P. Miller's
+recurrence (Knuth, TAOCP Vol. 2, 4.7): ``_symbol_power`` packs each exponent
+vector into one power of a single variable z, wide enough that no digit
+carries, and gives each coefficient of the univariate (D S(z))^t from the
+ones below it in O(entries) integer operations, without forming S^(t-1).
+``expand_stencil_power`` reads it with y as one more axis, and the rows and
+points of every one-step equation (``closed_form.closed_rows``,
+``closed_form.closed_value``, ``models.random_walk_distribution``) read it
+in x alone.  Only time order >= 2 needs the series: ``_multinomial_weights``
+applies the multinomial theorem one stencil entry at a time on
+integer-scaled coefficients, merging like terms after each entry, and leaves
+the division by the common denominator to the caller, once per row cell
+(``closed_form.closed_rows``).  ``compositions`` and ``multinomial`` serve
+the pointwise evaluators, which sum over compositions directly.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul, sub
@@ -86,22 +86,21 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     integer (point, value) pairs `row`.
 
     Shifted by its lowest exponent on each axis, A has digits in
-    [0, width].  An exponent vector packs as base-radix digits with the last
-    axis on top, and each lower axis's radix is (t+1) * width + span + 1, with
-    span the row's extent on that axis.  The packed key is then a
-    lexicographic weight, and the Euler operator E of that weight gives
-    A * E(P) = t * P * E(A) for P = (D A)**t.  With m0 the term of least key
-    and keys written for their exponent vectors, comparing coefficients gives
+    [0, width], so (D A)**t * N has digits in [0, t * width + span], with
+    span the row's extent on that axis.  A Kronecker substitution
+    x_i = z**u_i, with the last axis on top and each lower axis's radix
+    t * width + span + 1, packs every exponent vector that occurs into a
+    distinct power of z without a carry, and A becomes a univariate
+    polynomial A(z).  For P = (D A(z))**t, z A P' = t P z A' gives, with m0
+    the least exponent of A(z),
 
         A_m0 (k - t m0) P_k = sum_{a != m0} A_a P_{k+m0-a} ((t+1)(a - m0) - (k - t m0)),
 
-    so P_{t m0} = A_m0**t and every later coefficient comes from lower keys in
-    O(terms) integer operations and an exact division.  Only cells with every
-    digit in [0, t * width] are computed, in key order: a read whose digit
-    borrowed or passed t * width lands on a cell never written, a read below
-    key 0 wraps to the top of the list, past every key written so far, and
-    no power with exponent -1 is used.  The row's points pack the same way,
-    so N's product adds keys without a carry.
+    so P_{t m0} = A_m0**t and every later coefficient, up to t times the
+    highest exponent, comes from lower ones in O(terms) integer operations
+    and an exact division.  A read below key 0 wraps to the top of the
+    list, which is not yet written.  The row's points pack the same way, so
+    N's product adds keys.
 
     Returns D and a map from each cell of (D A)**t * N to its nonzero
     coefficient; with `point`, from that cell alone, the recurrence stopping
@@ -117,7 +116,7 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     row_low = list(map(min, row_axes))
     units, radices = [1], []
     for w, lo, axis in zip(widths, row_low, row_axes[:-1]):
-        radices.append((t + 1) * w + max(axis) - lo + 1)
+        radices.append(t * w + max(axis) - lo + 1)
         units.append(units[-1] * radices[-1])
     offset = sum(map(mul, low, units))
     coded = sorted([(sum(map(mul, exps, units)) - offset,
@@ -125,28 +124,26 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
                     for coeff, exps in terms])
     m0, a0 = coded[0]
     base = t * m0
-    keys = range(t * widths[0] + 1)
-    for w, u in zip(widths[1:], units[1:]):
-        keys = [d * u + k for d in range(t * w + 1) for k in keys]
+    top = t * coded[-1][0]
     row_offset = sum(map(mul, row_low, units))
     shifts = [(sum(map(mul, p, units)) - row_offset, v) for p, v in row]
     origin = [t * lo + q for lo, q in zip(low, row_low)]
-    stop = len(keys)
+    stop = top + 1
     if point is not None:
         digits = list(map(sub, point, origin))
         # a lower digit outside [0, radix) would carry into the next axis
         if not all(0 <= d < radix for d, radix in zip(digits, radices)):
             return scale, {}
         target = sum(map(mul, digits, units))
-        hits = [(target - s, v) for s, v in shifts if 0 <= target - s <= keys[-1]]
+        hits = [(target - s, v) for s, v in shifts if 0 <= target - s <= top]
         if not hits:
             return scale, {}
-        stop = bisect_right(keys, max(hits)[0])
-    coeffs = [0] * (keys[-1] + 1)
+        stop = max(hits)[0] + 1
+    coeffs = [0] * (top + 1)
     coeffs[base] = a0 ** t
     # per other term: its lag a - m0, coefficient and (t+1) * lag + base
     lags = [(a - m0, n, (t + 1) * (a - m0) + base) for a, n in coded[1:]]
-    for k in keys[bisect_right(keys, base):stop]:
+    for k in range(base + 1, stop):
         total = 0
         for lag, n, c in lags:
             total += (c - k) * n * coeffs[k - lag]

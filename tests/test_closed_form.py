@@ -647,6 +647,16 @@ def test_closed_value_dispatch():
     zero = FieldRow.zero(1)
     initial = InitialData((zero, zero, DELTA))
     assert [closed_value(trib, initial, (0,), t) for t in range(8)] == [0, 0, 1, 1, 2, 4, 7, 13]
+    # every family checks the query before it evaluates
+    a, b, c = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    delta = InitialData((DELTA,))
+    for point, time, message in [((1, 2), 3, "point of length 2"), ((), 3, "point of length 0"),
+                                 ((3,), -2, "time must be >= 0"),
+                                 ((-5,), -2, "time must be >= 0")]:
+        with pytest.raises(SpecError, match=message):
+            closed_value(corner_spec(a, b, c), delta, point, time)
+    with pytest.raises(SpecError, match="time must be >= 0"):
+        eval_implicit(a, b, c, DELTA, -5, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -107,18 +107,21 @@ def line_spec(shift, *entries):
         StencilEntry((offset,), 0, Fraction(coeff)) for offset, coeff in entries))
 
 
-def plane_spec(*exps):
-    """A one-step 2D spec whose symbol has the given exponent vectors, with
+def lattice_spec(*exps):
+    """A one-step spec whose symbol has the given exponent vectors, with
     coefficients 1/2, -2/3, 3/4, ..."""
-    return EquationSpec(2, 1, (0, 0), tuple(
-        StencilEntry((-x, -y), 0, Fraction((-1) ** i * (i + 1), i + 2))
-        for i, (x, y) in enumerate(exps)))
+    dim = len(exps[0])
+    return EquationSpec(dim, 1, (0,) * dim, tuple(
+        StencilEntry(tuple(-x for x in e), 0, Fraction((-1) ** i * (i + 1), i + 2))
+        for i, e in enumerate(exps)))
 
 
 def probes(cells, dim):
-    """Some of `cells` and each one's neighbours along every axis, where the
-    coefficient may be 0."""
+    """Some of `cells`, the farthest one along each axis, and each one's
+    neighbours along every axis, where the coefficient may be 0.  Past the
+    farthest cell on a lower axis the digit equals the radix."""
     picked = sorted(cells)[::max(1, len(cells) // 3)]
+    picked += [max(cells, key=lambda cell: cell[i]) for i in range(dim)]
     out = set(picked)
     for cell in picked:
         for i in range(dim):
@@ -132,14 +135,19 @@ ROW_POINTS = st.tuples(*[st.integers(-3, 3)] * 4)
 
 @given(stencil_specs(), st.integers(0, 6),
        st.lists(st.tuples(ROW_POINTS, st.sampled_from([1, -2, 3])), max_size=3))
-@example(plane_spec((1, 0), (0, 1), (2, 1)), 7, [])           # least key off every corner
-@example(plane_spec((1, 0), (0, 1), (2, 1)), 5, [((0, 0, 0, 0), 1), ((3, -1, 2, 0), -2)])
-@example(plane_spec((0, 0), (3, 0), (0, 2), (3, 2)), 4, [])   # interior gaps on both axes
-@example(plane_spec((2, -1),), 7, [((1, 1, 1, 0), 3)])        # a single entry
-@example(plane_spec((0, 0), (0, 1)), 1, [])                  # one x digit, radix 1
+@example(lattice_spec((1, 0), (0, 1), (2, 1)), 7, [])           # least key off every corner
+@example(lattice_spec((1, 0), (0, 1), (2, 1)), 5, [((0, 0, 0, 0), 1), ((3, -1, 2, 0), -2)])
+@example(lattice_spec((0, 0), (3, 0), (0, 2), (3, 2)), 4, [])   # interior gaps on both axes
+@example(lattice_spec((2, -1),), 7, [((1, 1, 1, 0), 3)])        # a single entry
+@example(lattice_spec((0, 0), (0, 1)), 1, [])                  # one x digit, radix 1
 @example(line_spec(0, (0, "1/2"), (-1, "1/3")), 1,            # a row wider than S
          [((0, 0, 0, 0), 1), ((3, 0, 0, 0), -2)])
 @example(line_spec(1, (-3, "1/2"), (0, "-2"), (4, "5/3")), 0, [])  # j = 0
+# the widest row times the highest-key term: the cell (9, 4) has x digit
+# t * width + span = 9, the radix less one, and (10, 4) has the radix
+@example(lattice_spec((0, 0), (2, 1)), 3, [((0, 0, 0, 0), 1), ((3, 1, 0, 0), -2)])
+@example(lattice_spec((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1)), 3,
+         [((0, 0, 0, 0), 1), ((2, -1, 1, 0), -2)])       # 3D with a row
 @settings(max_examples=80, deadline=None)
 def test_symbol_power_equals_composition_sum_and_iterated_product(spec, j, row):
     # (D S)**j times an integer row N, with y as one more axis and, for a

@@ -3,12 +3,17 @@
 ``bench/spans.py`` wraps latrec functions named as strings in ``SELF_TIME``
 and derives counters from their arguments in ``COUNTERS``; a function
 deleted, renamed or called with a different shape under them would only
-fail when a traced benchmark run installs its wrappers.  The spans module is
-read from its source, so no bytecode cache is written under ``bench/``.
+fail when a traced benchmark run installs its wrappers.  ``bench/run.py``'s
+``SETUP_CHILD`` and the jobs of ``bench/workloads.py`` call latrec directly,
+so a changed signature there would only fail in a benchmark run.  The bench
+modules are read from their source, so no bytecode cache is written under
+``bench/``.
 """
 
+import ast
 import importlib
 import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -17,20 +22,23 @@ import latrec
 from latrec.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "bench" / "spans.py"
+BENCH = ROOT / "bench"
 CONFIG_DIR = ROOT / "configs"
 
 
-def load_spans(monkeypatch):
-    # dataclasses look their class's module up in sys.modules
-    spans = types.ModuleType("bench_spans")
-    monkeypatch.setitem(sys.modules, spans.__name__, spans)
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), vars(spans))
-    return spans
+def load_bench(monkeypatch, name):
+    """bench/<name>.py run from its source as the module `name`."""
+    path = BENCH / f"{name}.py"
+    # dataclasses look their class's module up in sys.modules, and workloads
+    # imports its siblings by their bare names
+    module = types.ModuleType(name)
+    monkeypatch.setitem(sys.modules, name, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
 
 
 def test_traced_functions_resolve(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     names = [f"{layer}.{fname}" for layer, fnames in spans.SELF_TIME.values()
              for fname in fnames]
     names += list(spans.COUNTERS)
@@ -70,7 +78,7 @@ def latrec_bindings():
 
 
 def test_traced_cli_runs_count_and_restore(monkeypatch, tmp_path, capsys):
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     corner = json.loads((CONFIG_DIR / "corner_implicit.json").read_text())
     corner_path = tmp_path / "corner_oracle.json"
     corner_path.write_text(json.dumps(dict(corner, engine="oracle")))
@@ -94,3 +102,34 @@ def test_traced_cli_runs_count_and_restore(monkeypatch, tmp_path, capsys):
     assert after.keys() == before.keys()
     for name, attrs in before.items():
         assert all(after[name][attr] is value for attr, value in attrs.items()), name
+
+
+# smaller problems for the two workloads whose full size takes seconds; every
+# call keeps its shape
+SMALL = {"solve-oracle": {"HALF_WIDTH": 7, "GRID_T": 4, "LINE_T": 8, "HEAT_STEPS": 8},
+         "point-queries": {"LINE_TIMES": (10, 19), "CORNER_TIMES": (8, 12),
+                           "WALK_STEPS": (4, 6)}}
+
+
+def test_bench_direct_calls_run(monkeypatch, tmp_path):
+    load_bench(monkeypatch, "spans")
+    load_bench(monkeypatch, "speed")
+    workloads = load_bench(monkeypatch, "workloads")
+    paths = []
+    for name, workload_class in workloads.WORKLOADS.items():
+        for attr, value in SMALL.get(name, {}).items():
+            monkeypatch.setattr(workload_class, attr, value)
+        workload = workload_class(1, tmp_path / name)
+        paths += workload.config_paths()
+        workload.prepare()
+        for job in workload.jobs():
+            job.check(job.run())
+    source = (BENCH / "run.py").read_text(encoding="utf-8")
+    child = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "SETUP_CHILD" for target in node.targets))
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", child, str(ROOT / "src"),
+                           str(BENCH), *paths],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0
