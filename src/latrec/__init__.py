@@ -9,10 +9,9 @@ finite-support initial data.
 from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
                       SpecError, StencilEntry)
-from .combinatorics import compositions, expand_stencil_power, multinomial
-from .closed_form import (as_tridiagonal, backward_difference, closed_rows,
-                          closed_value, corner_kernel, corner_spec,
-                          eval_implicit, eval_multistep, eval_nd,
+from .combinatorics import expand_stencil_power
+from .closed_form import (as_tridiagonal, closed_rows, closed_value,
+                          corner_kernel, eval_implicit, eval_multistep, eval_nd,
                           eval_tridiagonal, source_rows, tridiagonal_spec)
 from .oracle import (EvolutionState, Mismatch, Region, VerifyReport,
                      WindowOverflowError, auto_window, oracle_evolve,
@@ -27,11 +26,10 @@ __all__ = [
     "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
     "RandomWalkParams", "Region", "RunConfig", "SpecError",
     "StencilEntry", "VerifyReport", "WindowOverflowError",
-    "as_tridiagonal", "auto_window", "backward_difference", "closed_rows",
-    "closed_value", "compositions", "corner_kernel", "corner_spec",
-    "eval_implicit", "eval_multistep", "eval_nd", "eval_tridiagonal",
-    "expand_stencil_power", "format_rational", "heat_profile", "heat_spec",
-    "load_config", "multinomial", "oracle_evolve", "oracle_step",
+    "as_tridiagonal", "auto_window", "closed_rows", "closed_value",
+    "corner_kernel", "eval_implicit", "eval_multistep", "eval_nd",
+    "eval_tridiagonal", "expand_stencil_power", "format_rational",
+    "heat_profile", "heat_spec", "load_config", "oracle_evolve", "oracle_step",
     "oracle_sweep_implicit", "parse_config", "parse_rational",
     "random_walk_distribution", "random_walk_spec", "source_rows", "spec_hash",
     "tridiagonal_spec", "verify_closed_vs_oracle", "verify_recurrence",

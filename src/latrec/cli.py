@@ -78,15 +78,16 @@ def run(config: RunConfig) -> tuple[int, str]:
 def run_verify(config: RunConfig, evaluator: str,
                t_max: int | None = None) -> tuple[int, str]:
     """Verify the config's query, its times cut at t_max when given: a
-    region's time range ends at t_max, listed points after t_max are dropped."""
+    region's time range ends at t_max, listed points after t_max are dropped,
+    and a query with no time <= t_max is a ConfigError."""
     query = config.query
     if t_max is not None:
         if isinstance(query, Region):
-            query = Region(query.box, min(query.t_lo, t_max), t_max)
+            query = Region(query.box, query.t_lo, t_max) if t_max >= query.t_lo else []
         else:
             query = [(p, t) for p, t in query if t <= t_max]
-            if not query:
-                raise ConfigError("--tmax", f"no query point has time <= {t_max}")
+        if not query:
+            raise ConfigError("--tmax", f"no query point has time <= {t_max}")
     report = verify_closed_vs_oracle(config.spec, config.initial, query,
                                      evaluator=evaluator)
     lines = [f"# spec={spec_hash(config.spec)}", report.summary()]
@@ -248,10 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError, ParseError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ConfigError, SpecError, ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -71,21 +71,6 @@ def as_tridiagonal(spec: EquationSpec) -> tuple[Fraction, Fraction, Fraction] | 
     return coeffs[(-1,)], coeffs[(0,)], coeffs[(1,)]
 
 
-def corner_spec(a: Fraction, b: Fraction, c: Fraction) -> EquationSpec:
-    """U[i+1, j+1] = a U[i, j+1] + b U[i+1, j] + c U[i, j] (corner-implicit).
-
-    b = c = 0 is not representable as a spec (stencils need a nonzero entry);
-    eval_implicit still accepts raw coefficients for that degenerate case.
-    """
-    entries = tuple(e for e in (StencilEntry((1,), 0, Fraction(b)),
-                                StencilEntry((0,), 0, Fraction(c)))
-                    if e.coeff != 0)
-    if not entries:
-        raise SpecError("corner-implicit spec needs b or c nonzero")
-    return EquationSpec(1, 1, (1,), entries, implicit_corner=True,
-                        implicit_coeff=Fraction(a))
-
-
 # ---------------------------------------------------------------------------
 # one-step explicit family
 # ---------------------------------------------------------------------------
@@ -211,15 +196,6 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 # every explicit equation: U = Q / (1 - S)
 # ---------------------------------------------------------------------------
 
-def _accumulate(acc: dict[Point, Fraction], psi: FieldRow, shift: Point,
-                factor: Fraction) -> None:
-    if factor == 0:
-        return
-    for p, v in psi.values.items():
-        key = tuple(c + s for c, s in zip(p, shift))
-        acc[key] = acc.get(key, ZERO) + factor * v
-
-
 def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
     """Q_0..Q_{k-1}, the numerator of the generating function U = Q / (1 - S).
 
@@ -234,7 +210,9 @@ def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
         acc = dict(row.values)
         for coeff, xstep, ystep in steps:
             if s - ystep >= 0:
-                _accumulate(acc, initial.rows[s - ystep], xstep, -coeff)
+                for p, v in initial.rows[s - ystep].values.items():
+                    key = tuple(map(add, p, xstep))
+                    acc[key] = acc.get(key, ZERO) - coeff * v
         out.append(FieldRow._trusted(spec.spatial_dim, {p: v for p, v in acc.items() if v}))
     return out
 
@@ -323,6 +301,8 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
     unbounded rightward support, so it has no row representation here;
     evaluate it pointwise instead.
     """
+    if t_max < 0:
+        raise SpecError("t_max must be >= 0")
     if spec.implicit_corner:
         raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
     q = source_rows(spec, initial)
@@ -332,7 +312,7 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
     lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
     nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
             for qs in q]
-    scale, weights = _multinomial_weights(spec, max(t_max, 0))
+    scale, weights = _multinomial_weights(spec, t_max)
     # time exponent -> [(spatial exponents, W)]
     by_time: dict[int, list[tuple[Point, int]]] = {}
     for exps, weight in weights.items():
@@ -352,19 +332,6 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
         rows.append(FieldRow._trusted(dim, {p: Fraction(v, denom) for p, v in acc.items() if v}))
         by_time.pop(j - k + 1, None)
     return rows
-
-
-def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
-                  evaluator: str = "auto") -> Callable[[Point, int], Fraction]:
-    """(point, time) -> closed-form value for times up to t_max.  "auto"
-    reads rows built by closed_rows, or evaluates the corner-implicit form
-    pointwise; any other name is looked up in EVALUATORS."""
-    if evaluator == "auto":
-        if spec.implicit_corner:
-            return pointwise(spec, initial, "implicit")
-        rows = closed_rows(spec, initial, t_max)
-        return lambda p, t: rows[t].get(p)
-    return pointwise(spec, initial, evaluator)
 
 
 def _tridiagonal_getter(c_exponent: str):
@@ -389,8 +356,9 @@ def _implicit_getter(spec: EquationSpec, initial: InitialData):
 _THREE_POINT = "a three-point one-step 1D stencil"
 
 # evaluator name -> (shape check, the shape it names on failure, maker of the
-# (point, time) -> value callable).  Only formulas that differ in structure
-# have a name: "nd" is the one composition sum of every explicit equation.
+# (point, time) -> value callable); closed_getter is the one lookup.  Only
+# formulas that differ in structure have a name: "nd" is the one composition
+# sum of every explicit equation.
 EVALUATORS = {
     "nd": (lambda spec: not spec.implicit_corner, "an explicit stencil",
            _composition_getter),
@@ -401,10 +369,17 @@ EVALUATORS = {
 }
 
 
-def pointwise(spec: EquationSpec, initial: InitialData,
-              evaluator: str) -> Callable[[Point, int], Fraction]:
-    """(point, time) -> value callable of a named evaluator; SpecError when
-    the spec does not have the evaluator's shape."""
+def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
+                  evaluator: str = "auto") -> Callable[[Point, int], Fraction]:
+    """(point, time) -> closed-form value for times up to t_max.  "auto"
+    reads rows built by closed_rows, or takes "implicit" for the
+    corner-implicit form; any other name is looked up in EVALUATORS, and
+    SpecError is raised when the spec does not have that evaluator's shape."""
+    if evaluator == "auto":
+        if not spec.implicit_corner:
+            rows = closed_rows(spec, initial, t_max)
+            return lambda p, t: rows[t].get(p)
+        evaluator = "implicit"
     if evaluator not in EVALUATORS:
         raise SpecError(f"unknown evaluator {evaluator!r}")
     recognise, shape, make = EVALUATORS[evaluator]
@@ -422,6 +397,6 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
     _check_query(spec, point, time)
     if spec.implicit_corner or spec.time_order != 1:
         evaluator = "implicit" if spec.implicit_corner else "nd"
-        return pointwise(spec, initial, evaluator)(point, time)
+        return closed_getter(spec, initial, time, evaluator)(point, time)
     initial.check_matches(spec)
     return _power_row(spec, initial.rows[0], time, tuple(point)).get(point)

@@ -33,10 +33,6 @@ from typing import Iterator, Sequence
 
 from .lattice import EquationSpec, SpecError
 
-# exponent vector (spatial exponents..., time exponent) -> coefficient
-TermMap = dict[tuple[int, ...], Fraction]
-
-
 def compositions(parts_count: int, total: int) -> Iterator[tuple[int, ...]]:
     """Yield every tuple of `parts_count` nonnegative ints summing to `total`,
     in ascending lexicographic order, each exactly once."""
@@ -233,9 +229,10 @@ def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tupl
     return scale, terms
 
 
-def expand_stencil_power(spec: EquationSpec, j: int) -> TermMap:
-    """TermMap of S(x, y)**j with like terms combined and zeros dropped,
-    read from Miller's recurrence with y as one more axis, over D**j."""
+def expand_stencil_power(spec: EquationSpec, j: int) -> dict[tuple[int, ...], Fraction]:
+    """S(x, y)**j as exponent vector (spatial exponents..., time exponent)
+    -> coefficient, with like terms combined and zeros dropped, read from
+    Miller's recurrence with y as one more axis, over D**j."""
     if j < 0:
         raise SpecError("power must be >= 0")
     terms = [(coeff, (*xstep, ystep)) for coeff, xstep, ystep in stencil_symbol_steps(spec)]

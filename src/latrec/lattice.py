@@ -135,25 +135,21 @@ class EquationSpec:
                 raise SpecError("implicit_corner requires spatial_dim=1 and time_order=1")
             if self.implicit_coeff is None:
                 raise SpecError("implicit_corner spec needs implicit_coeff")
+            if self.spatial_shift != (1,):
+                raise SpecError("corner-implicit spec must have spatial_shift (1,)")
+            for e in entries:
+                if e.offset not in ((0,), (1,)):
+                    raise SpecError(
+                        f"corner-implicit stencil offset {e.offset} not in {{(0,), (1,)}}")
             object.__setattr__(self, "implicit_coeff", Fraction(self.implicit_coeff))
         elif self.implicit_coeff is not None:
             raise SpecError("implicit_coeff is only meaningful with implicit_corner")
 
     def corner_coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(a, b, c) of the corner form U[i+1,j+1] = a U[i,j+1] + b U[i+1,j] + c U[i,j]."""
-        if not self.implicit_corner:
-            raise SpecError("not a corner-implicit spec")
-        if self.spatial_shift != (1,):
-            raise SpecError("corner-implicit spec must have spatial_shift (1,)")
-        b = c = ZERO
-        for e in self.stencil:
-            if e.offset == (1,):
-                b = e.coeff
-            elif e.offset == (0,):
-                c = e.coeff
-            else:
-                raise SpecError(f"corner-implicit stencil offset {e.offset} not in {{(0,), (1,)}}")
-        return self.implicit_coeff, b, c
+        """(a, b, c) of the corner form U[i+1,j+1] = a U[i,j+1] + b U[i+1,j] + c U[i,j]
+        of a corner-implicit spec, whose shape __post_init__ has checked."""
+        coeffs = {e.offset: e.coeff for e in self.stencil}
+        return self.implicit_coeff, coeffs.get((1,), ZERO), coeffs.get((0,), ZERO)
 
 
 @dataclass(frozen=True)

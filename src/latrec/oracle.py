@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import Iterator, Sequence
 
 from . import closed_form
@@ -73,27 +73,18 @@ class EvolutionState:
         return self.rows[-1]
 
 
-def forward_steps(spec: EquationSpec) -> tuple[Point, Point]:
-    """Per-axis (min, max) support displacement of one update:
-    spatial_shift - offset over the stencil entries."""
-    steps = [tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
-             for e in spec.stencil]
-    axes = list(zip(*steps))
-    return tuple(map(min, axes)), tuple(map(max, axes))
-
-
 def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
                 extra: Box | None = None) -> Box | None:
     """Window guaranteed to contain the evolved support up to t_max,
-    hulled with an optional extra box (e.g. the query region)."""
+    hulled with an optional extra box (e.g. the query region): each update
+    moves the support by spatial_shift - offset over the stencil entries."""
     hull = initial.support_hull()
     window = None
     if hull is not None:
-        fw_lo, fw_hi = forward_steps(spec)
-        window = Box(
-            tuple(l + t_max * min(s, 0) for l, s in zip(hull.lo, fw_lo)),
-            tuple(h + t_max * max(s, 0) for h, s in zip(hull.hi, fw_hi)),
-        )
+        # per axis, the displacement of every entry
+        axes = list(zip(*(map(sub, spec.spatial_shift, e.offset) for e in spec.stencil)))
+        window = Box(tuple(l + t_max * min(0, *a) for l, a in zip(hull.lo, axes)),
+                     tuple(h + t_max * max(0, *a) for h, a in zip(hull.hi, axes)))
     if extra is not None:
         window = extra if window is None else window.hull(extra)
     return window
@@ -153,28 +144,25 @@ def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[
     return out
 
 
-def sweep_window(psi: FieldRow, j_max: int, right_edge: int | None = None) -> Box:
-    """Default window for the corner-implicit sweep: the left edge sits at
-    support minimum - j_max - 1, where the left-vanishing solution is zero;
-    the right edge reaches j_max past the support (or further on request)."""
+def sweep_window(psi: FieldRow, j_max: int, right_edge: int) -> Box:
+    """Window for the corner-implicit sweep: the left edge sits at support
+    minimum - j_max - 1, where the left-vanishing solution is zero; the
+    right edge reaches j_max past the support, or right_edge if further."""
     box = psi.support_box()
     if box is None:
         raise SpecError("zero initial row needs no sweep window")
-    lo = box.lo[0] - j_max - 1
-    hi = box.hi[0] + j_max
-    if right_edge is not None:
-        hi = max(hi, right_edge)
-    return Box((lo,), (hi,))
+    return Box((box.lo[0] - j_max - 1,), (max(box.hi[0] + j_max, right_edge),))
 
 
 def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
-                          window: Box | None, j_max: int) -> list[FieldRow]:
+                          window: Box, j_max: int) -> list[FieldRow]:
     """Rows 0..j_max of the left-vanishing solution of
 
         U[i+1, j+1] = a U[i, j+1] + b U[i+1, j] + c U[i, j]
 
     built left-to-right inside the window from a zero left edge.  Values are
     exact for every window point; support may continue past the right edge.
+    sweep_window gives a window that passes both WindowOverflowError checks.
     """
     if psi.dim != 1:
         raise SpecError("corner-implicit sweep is 1D")
@@ -182,8 +170,6 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
         raise SpecError("j_max must be >= 0")
     if not psi.values:
         return [FieldRow.zero(1) for _ in range(j_max + 1)]
-    if window is None:
-        window = sweep_window(psi, j_max)
     box = psi.support_box()
     if box.lo[0] - j_max <= window.lo[0]:
         raise WindowOverflowError(0, (window.lo[0],), window)

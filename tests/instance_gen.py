@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from latrec import (Box, EquationSpec, FieldRow, InitialData, StencilEntry,
-                    auto_window, tridiagonal_spec)
+from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError,
+                    StencilEntry, auto_window, tridiagonal_spec)
 from latrec.oracle import Region
 
 
@@ -41,6 +41,21 @@ def grid_2d_spec(coeffs, s: int, t: int) -> EquationSpec:
     entries = (StencilEntry((u, v), 0, Fraction(c))
                for u, row in enumerate(coeffs) for v, c in enumerate(row))
     return EquationSpec(2, 1, (s, t), tuple(entries))
+
+
+def corner_spec(a: Fraction, b: Fraction, c: Fraction) -> EquationSpec:
+    """U[i+1, j+1] = a U[i, j+1] + b U[i+1, j] + c U[i, j] (corner-implicit).
+
+    b = c = 0 is not representable as a spec (stencils need a nonzero entry);
+    eval_implicit still accepts raw coefficients for that degenerate case.
+    """
+    entries = tuple(e for e in (StencilEntry((1,), 0, Fraction(b)),
+                                StencilEntry((0,), 0, Fraction(c)))
+                    if e.coeff != 0)
+    if not entries:
+        raise SpecError("corner-implicit spec needs b or c nonzero")
+    return EquationSpec(1, 1, (1,), entries, implicit_corner=True,
+                        implicit_coeff=Fraction(a))
 
 
 def rational(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -11,13 +11,13 @@ from operator import add
 from pathlib import Path
 
 from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
-                    RandomWalkParams, StencilEntry, compositions,
-                    eval_implicit, eval_nd, eval_tridiagonal,
+                    RandomWalkParams, StencilEntry, eval_implicit, eval_nd, eval_tridiagonal,
                     expand_stencil_power, heat_profile, oracle_evolve,
                     oracle_sweep_implicit, random_walk_distribution,
                     tridiagonal_spec, verify_closed_vs_oracle)
 from latrec.cli import main as cli_main
 from latrec.cli import parse_table_csv
+from latrec.combinatorics import compositions
 from latrec.oracle import Region
 
 from instance_gen import (field_row, grid_2d_instance, nd_instance,

@@ -141,6 +141,20 @@ def test_verify_tmax_cuts_point_list(capsys, tmp_path):
     assert "--tmax" in err
 
 
+def test_verify_tmax_below_a_region_is_refused_like_a_point_list(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "tridiagonal_mixed.json").read_text())
+    doc["query"] = {"box": [[-2, 2]], "times": [3, 6]}
+    region = write_config(tmp_path, doc, "region.json")
+    doc["query"] = {"points": [{"at": [i], "t": t} for i in range(-2, 3) for t in range(3, 7)]}
+    points = write_config(tmp_path, doc, "points.json")
+    for path in (region, points):
+        status, out, err = run_cli(capsys, "verify", "--config", path, "--tmax", "1")
+        assert (status, out, err) == (2, "", "error: --tmax: no query point has time <= 1\n")
+        status, out, _ = run_cli(capsys, "verify", "--config", path, "--tmax", "4")
+        assert status == 0
+        assert "checked 10 points up to time 4: 0 mismatches" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["demo", "random-walk", "--p", "1/2", "--d", "0", "--q", "1/2", "--steps"],
     ["demo", "heat", "--r", "1/4", "--steps"],

@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
-                    StencilEntry, as_tridiagonal, backward_difference,
-                    closed_rows, closed_value, corner_kernel, corner_spec,
+                    StencilEntry, as_tridiagonal,
+                    closed_rows, closed_value, corner_kernel,
                     eval_implicit, eval_multistep, eval_nd, eval_tridiagonal,
-                    RandomWalkParams, multinomial, oracle_evolve,
+                    RandomWalkParams, oracle_evolve,
                     oracle_sweep_implicit, random_walk_distribution,
                     source_rows, tridiagonal_spec)
 from latrec import closed_form, combinatorics
-from latrec.closed_form import pointwise
+from latrec.closed_form import backward_difference, closed_getter
+from latrec.combinatorics import multinomial
 from latrec.config import load_config
+from latrec.oracle import sweep_window
 
-from instance_gen import (field_row, grid_2d_instance, grid_2d_spec,
-                          line_rows, line_specs, nd_instance,
+from instance_gen import (corner_spec, field_row, grid_2d_instance,
+                          grid_2d_spec, line_rows, line_specs, nd_instance,
                           ninepoint_instance, ninepoint_spec, one_row_instance,
                           one_row_spec, plane_rows, plane_specs, rational,
                           tridiagonal_instance, two_row_instance,
@@ -291,8 +293,8 @@ def test_implicit_matches_sweep_oracle():
     for _ in range(15):
         a, b, c = (rational(rng) for _ in range(3))
         psi = field_row(rng, 1, max_points=4)
-        rows = oracle_sweep_implicit(a, b, c, psi, None, 4)
         box = psi.support_box()
+        rows = oracle_sweep_implicit(a, b, c, psi, sweep_window(psi, 4, box.hi[0]), 4)
         for j in range(5):
             for i in range(box.lo[0] - 5, box.hi[0] + 5):
                 assert eval_implicit(a, b, c, psi, i, j) == rows[j].get((i,))
@@ -458,7 +460,7 @@ def test_closed_rows_match_pointwise_evaluators():
         initial = InitialData((psi0, psi1))
         rows = closed_rows(spec, initial, 5)
         region = verification_region(spec, initial, 5)
-        getter = pointwise(spec, initial, "nd")
+        getter = closed_getter(spec, initial, 5, "nd")
         for t in range(6):
             for p in region.box.points():
                 assert rows[t].get(p) == eval_multistep(spec, initial, p, t) == getter(p, t)
@@ -473,7 +475,7 @@ def test_two_row_getter_builds_source_rows_once(monkeypatch):
 
     monkeypatch.setattr(closed_form, "source_rows", counted)
     spec = two_row_instance(random.Random(1043))
-    getter = pointwise(spec, InitialData((DELTA, DELTA)), "nd")
+    getter = closed_getter(spec, InitialData((DELTA, DELTA)), 3, "nd")
     for t in range(4):
         for i in range(-3, 4):
             getter((i,), t)
@@ -526,6 +528,11 @@ def test_closed_rows_integer_sums_edge_cases():
     ]
     for spec, initial, t_max in cases:
         assert closed_rows(spec, initial, t_max) == oracle_evolve(spec, initial, t_max), spec
+    # a negative t_max is refused as the oracle refuses it, one-step and multistep
+    for spec, initial, _ in cases[:2]:
+        for rows in (closed_rows, oracle_evolve):
+            with pytest.raises(SpecError, match="t_max must be >= 0"):
+                rows(spec, initial, -1)
 
 
 def test_closed_rows_lattice3d_config():

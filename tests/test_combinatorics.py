@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latrec import (EquationSpec, SpecError, StencilEntry, compositions,
-                    expand_stencil_power, multinomial, tridiagonal_spec)
-from latrec.combinatorics import _multinomial_weights, _symbol_power, stencil_symbol_steps
+from latrec import (EquationSpec, SpecError, StencilEntry,
+                    expand_stencil_power, tridiagonal_spec)
+from latrec.combinatorics import (_multinomial_weights, _symbol_power, compositions,
+                                  multinomial, stencil_symbol_steps)
 
 from instance_gen import line_specs, nd_instance
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latrec import (Box, ConfigError, RunConfig, as_tridiagonal, parse_config,
                     spec_hash, tridiagonal_spec)
+from latrec.cli import main
 from latrec.oracle import Region
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -130,17 +131,40 @@ def test_window_key_is_ignored():
     assert parse_config(json.dumps(doc)) == parse_config(json.dumps(MINIMAL_IDENTITY))
 
 
+CORNER = {
+    "spatial_dim": 1, "time_order": 1, "spatial_shift": [1],
+    "implicit_corner": True, "implicit_coeff": "1/2",
+    "stencil": [{"offset": [1], "time_level": 0, "coeff": "1"},
+                {"offset": [0], "time_level": 0, "coeff": "1/3"}],
+    "query": {"box": [[-4, 6]], "times": [0, 3]},
+}
+
+
 def test_implicit_corner_document():
-    doc = {
-        "spatial_dim": 1, "time_order": 1, "spatial_shift": [1],
-        "implicit_corner": True, "implicit_coeff": "1/2",
-        "stencil": [{"offset": [1], "time_level": 0, "coeff": "1"},
-                    {"offset": [0], "time_level": 0, "coeff": "1/3"}],
-        "query": {"box": [[-4, 6]], "times": [0, 3]},
-    }
-    config = parse_config(json.dumps(doc))
+    config = parse_config(json.dumps(CORNER))
     assert config.spec.corner_coefficients() == (Fraction(1, 2), Fraction(1),
                                                  Fraction(1, 3))
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"spatial_shift": [0]}, "corner-implicit spec must have spatial_shift (1,)"),
+    ({"stencil": [{"offset": [2], "time_level": 0, "coeff": "1"}]},
+     "corner-implicit stencil offset (2,) not in {(0,), (1,)}"),
+    ({"stencil": [{"offset": [0], "time_level": 0, "coeff": "1"},
+                  {"offset": [-1], "time_level": 0, "coeff": "1"}]},
+     "corner-implicit stencil offset (-1,) not in {(0,), (1,)}"),
+], ids=["shift", "offset-2", "offset-minus-1"])
+def test_corner_implicit_shape_errors_name_a_path(capsys, tmp_path, change, reason):
+    doc = dict(CORNER, **change)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert (exc.value.path, exc.value.reason) == ("stencil", reason)
+    # every subcommand reports it the same way, before any engine runs
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps(doc))
+    for command in (["verify"], ["solve"], ["expand", "--power", "2"]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: stencil: {reason}\n")
 
 
 def test_implicit_corner_must_be_boolean():

@@ -6,14 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
-                    SpecError, StencilEntry, corner_spec, heat_profile,
+                    SpecError, StencilEntry, heat_profile,
                     oracle_evolve, oracle_step,
                     oracle_sweep_implicit, tridiagonal_spec,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec import closed_form, combinatorics, models
-from latrec.oracle import EvolutionState, Region, WindowOverflowError
+from latrec.oracle import EvolutionState, Region, WindowOverflowError, sweep_window
 
-from instance_gen import (field_row, nd_instance, rational,
+from instance_gen import (corner_spec, field_row, nd_instance, rational,
                           tridiagonal_instance, verification_region)
 
 DELTA = FieldRow.delta(1)
@@ -210,13 +210,15 @@ def test_determinism():
 # ---------------------------------------------------------------------------
 
 def test_sweep_b_c_zero_rows_vanish():
-    rows = oracle_sweep_implicit(Fraction(3), Fraction(0), Fraction(0), DELTA, None, 3)
+    rows = oracle_sweep_implicit(Fraction(3), Fraction(0), Fraction(0), DELTA,
+                                 sweep_window(DELTA, 3, 0), 3)
     assert rows[0] == DELTA
     assert all(not rows[j].values for j in range(1, 4))
 
 
 def test_sweep_copy_shift_row():
-    rows = oracle_sweep_implicit(Fraction(0), Fraction(1), Fraction(1), DELTA, None, 1)
+    rows = oracle_sweep_implicit(Fraction(0), Fraction(1), Fraction(1), DELTA,
+                                 sweep_window(DELTA, 1, 0), 1)
     assert rows[1].values == {(0,): 1, (1,): 1}
 
 

@@ -61,14 +61,15 @@ def test_all_is_pinned():
         "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
         "RandomWalkParams", "Region", "RunConfig", "SpecError", "StencilEntry",
         "VerifyReport", "WindowOverflowError", "as_tridiagonal", "auto_window",
-        "backward_difference", "closed_rows", "closed_value", "compositions",
-        "corner_kernel", "corner_spec", "eval_implicit", "eval_multistep",
-        "eval_nd", "eval_tridiagonal", "expand_stencil_power", "format_rational",
-        "heat_profile", "heat_spec", "load_config", "multinomial", "oracle_evolve",
-        "oracle_step", "oracle_sweep_implicit", "parse_config", "parse_rational",
-        "random_walk_distribution", "random_walk_spec", "source_rows", "spec_hash",
-        "tridiagonal_spec", "verify_closed_vs_oracle", "verify_recurrence",
+        "closed_rows", "closed_value", "corner_kernel", "eval_implicit",
+        "eval_multistep", "eval_nd", "eval_tridiagonal", "expand_stencil_power",
+        "format_rational", "heat_profile", "heat_spec", "load_config",
+        "oracle_evolve", "oracle_step", "oracle_sweep_implicit", "parse_config",
+        "parse_rational", "random_walk_distribution", "random_walk_spec",
+        "source_rows", "spec_hash", "tridiagonal_spec", "verify_closed_vs_oracle",
+        "verify_recurrence",
     ]
+    assert len(latrec.__all__) == 43
     assert len(set(latrec.__all__)) == len(latrec.__all__)
 
 
