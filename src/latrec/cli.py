@@ -20,32 +20,49 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
+from typing import Callable, Iterable
 
-from .closed_form import EVALUATORS, closed_getter
+from .closed_form import EVALUATORS, _power_row, closed_getter
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
-from .exactnum import ParseError, format_rational, parse_rational
-from .lattice import FieldRow, Point, SpecError
-from .models import (HeatParams, RandomWalkParams, heat_profile, heat_spec,
-                     random_walk_distribution, random_walk_spec)
-from .oracle import Region, oracle_getter, query_bounds, verify_closed_vs_oracle
+from .exactnum import ParseError, format_rational, parse_rational, rational_texts
+from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
+from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
+from .oracle import (Region, _evolve, oracle_getter, query_bounds,
+                     verify_closed_vs_oracle)
 
 
-def format_table(dim: int, rows: list[tuple[Point, int, Fraction]],
+def format_table(dim: int, rows: list[tuple[Point, int, str]],
                  header_hash: str, out_format: str) -> str:
-    """Serialize (point, time, value) rows; caller supplies sorted rows."""
+    """Serialize (point, time, value text) rows; caller supplies sorted rows.
+    A CSV line's point prefix is written once per point."""
     if out_format == "csv":
         lines = [f"# spec={header_hash}"]
         lines.append(",".join([f"e{i + 1}" for i in range(dim)] + ["t", "value"]))
-        for p, t, v in rows:
-            lines.append(",".join([str(c) for c in p] + [str(t), format_rational(v)]))
+        point = prefix = None
+        for p, t, text in rows:
+            if p != point:
+                point, prefix = p, "".join(f"{c}," for c in p)
+            lines.append(f"{prefix}{t},{text}")
         return "\n".join(lines) + "\n"
     payload = {
         "spec": header_hash,
-        "rows": [{"at": list(p), "t": t, "value": format_rational(v)}
-                 for p, t, v in rows],
+        "rows": [{"at": list(p), "t": t, "value": text} for p, t, text in rows],
     }
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _value_texts(spec: EquationSpec, initial: InitialData) -> Callable[[int, int], str]:
+    """The text emitter for values of spec from the initial rows: both
+    engines' denominators have only primes of the coefficient and initial
+    denominators."""
+    coeffs = [e.coeff for e in spec.stencil]
+    if spec.implicit_corner:
+        coeffs.append(spec.implicit_coeff)
+    return rational_texts(lcm(*(v.denominator for v in coeffs),
+                              *(v.denominator for row in initial.rows
+                                for v in row.values.values())))
 
 
 def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
@@ -71,19 +88,22 @@ def run(config: RunConfig) -> tuple[int, str]:
         getter = closed_getter(spec, initial, t_max)
     else:
         getter = oracle_getter(spec, initial, t_max, box)
-    table = [(p, t, getter(p, t)) for p, t in config.query_points]
+    text = _value_texts(spec, initial)
+    table = [(p, t, text(*getter(p, t))) for p, t in config.query_points]
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
 
 def run_verify(config: RunConfig, evaluator: str,
                t_max: int | None = None) -> tuple[int, str]:
     """Verify the config's query, its times cut at t_max when given: a
-    region's time range ends at t_max, listed points after t_max are dropped,
-    and a query with no time <= t_max is a ConfigError."""
+    region's time range ends at t_max if that comes before its last time,
+    listed points after t_max are dropped, and a query with no time <= t_max
+    is a ConfigError."""
     query = config.query
     if t_max is not None:
         if isinstance(query, Region):
-            query = Region(query.box, query.t_lo, t_max) if t_max >= query.t_lo else []
+            query = (Region(query.box, query.t_lo, min(query.t_hi, t_max))
+                     if t_max >= query.t_lo else [])
         else:
             query = [(p, t) for p, t in query if t <= t_max]
         if not query:
@@ -139,15 +159,22 @@ def _cmd_verify(args) -> int:
     return status
 
 
-def _cmd_demo_random_walk(args) -> int:
-    params = RandomWalkParams(args.p, args.d, args.q)
-    table = []
-    for j in range(args.steps + 1):
-        for p, v in random_walk_distribution(params, j).sorted_items():
-            table.append((p, j, v))
+def _demo_table(spec: EquationSpec, initial: InitialData,
+                rows: Iterable[tuple[int, dict[Point, int]]], out_format: str) -> str:
+    """The table of the integer rows (den, numerators) at times 0, 1, ... of
+    spec from the initial rows."""
+    text = _value_texts(spec, initial)
+    table = [(p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
+             for p, n in nums.items()]
     table.sort()
-    text = format_table(1, table, spec_hash(random_walk_spec(params)), args.format)
-    _emit(text, args.out)
+    return format_table(1, table, spec_hash(spec), out_format)
+
+
+def _cmd_demo_random_walk(args) -> int:
+    spec = random_walk_spec(RandomWalkParams(args.p, args.d, args.q))
+    delta = FieldRow.delta(1)
+    rows = (_power_row(spec, delta, j) for j in range(args.steps + 1))
+    _emit(_demo_table(spec, InitialData((delta,)), rows, args.format), args.out)
     return 0
 
 
@@ -156,14 +183,9 @@ def _cmd_demo_heat(args) -> int:
     if not params.stable:
         sys.stderr.write(f"note: r={args.r} exceeds 1/2; the update is "
                          f"unstable (no maximum principle)\n")
-    rows = heat_profile(params, FieldRow.delta(1), args.steps)
-    table = []
-    for j, row in enumerate(rows):
-        for p, v in row.sorted_items():
-            table.append((p, j, v))
-    table.sort()
-    text = format_table(1, table, spec_hash(heat_spec(params)), args.format)
-    _emit(text, args.out)
+    spec, initial = heat_spec(params), InitialData((FieldRow.delta(1),))
+    rows = _evolve(spec, initial, args.steps)
+    _emit(_demo_table(spec, initial, rows, args.format), args.out)
     return 0
 
 

@@ -28,10 +28,13 @@ of any dimension, U(t) = S^t psi with S a polynomial in x alone, from
 Miller's power recurrence (``combinatorics._symbol_power``): row t from the
 coefficients of S^t convolved with psi, a point from the coefficients up to
 the farthest one it needs.  Only time order >= 2 takes the series pass:
-``closed_rows`` builds whole rows of Q / (1 - S) from one integer pass over
-sum_J S^J, adding up each row in integers.  ``eval_nd`` keeps the
-composition sum for one-step equations too, as a pointwise witness.  The
-test suite checks every evaluator against the iteration oracle.
+whole rows of Q / (1 - S) from one integer pass over sum_J S^J.  Both row
+builders give integer rows (den, {point: nonzero numerator}), not reduced;
+``closed_getter`` hands their cells out as (numerator, denominator) pairs,
+and ``closed_rows``, ``closed_value`` and ``random_walk_distribution`` build
+a Fraction per cell they return.  ``eval_nd`` keeps the composition sum for
+one-step equations too, as a pointwise witness.  The test suite checks
+every evaluator against the iteration oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .combinatorics import (_multinomial_weights, _symbol_power, compositions,
                             multinomial, stencil_symbol_steps)
@@ -233,17 +236,16 @@ def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
 
 
 def _power_row(spec: EquationSpec, psi: FieldRow, j: int,
-               point: Point | None = None) -> FieldRow:
+               point: Point | None = None) -> tuple[int, dict[Point, int]]:
     """Row j of a one-step equation from row 0 psi, or with `point` that
-    cell of it alone: (D S)^j from Miller's recurrence times psi scaled to
-    integers by L, the lcm of its denominators, over D^j * L, one Fraction
-    per cell."""
+    cell of it alone, as an integer row: (D S)^j from Miller's recurrence
+    times psi scaled to integers by L, the lcm of its denominators, over
+    D^j * L."""
     lcd = lcm(*(v.denominator for v in psi.values.values()))
     nums = [(p, v.numerator * (lcd // v.denominator)) for p, v in psi.values.items()]
     terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
     scale, cells = _symbol_power(terms, j, nums, point)
-    denom = scale ** j * lcd
-    return FieldRow._trusted(spec.spatial_dim, {p: Fraction(v, denom) for p, v in cells.items()})
+    return scale ** j * lcd, cells
 
 
 def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
@@ -284,9 +286,28 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
     return total
 
 
-def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
-    """Rows 0..t_max of U = Q / (1 - S) for any explicit spec: row j sums,
-    over s < k, the terms of sum_J S^J at time exponent j - s applied to Q_s.
+def _rows(spec: EquationSpec, initial: InitialData,
+          t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {point:
+    nonzero numerator}), built as they are read; the arguments are checked
+    before the first row is asked for.  A one-step equation reads each row
+    from Miller's recurrence (_power_row), any other from the series pass
+    (_series_rows)."""
+    if t_max < 0:
+        raise SpecError("t_max must be >= 0")
+    if spec.implicit_corner:
+        raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
+    q = source_rows(spec, initial)
+    if spec.time_order == 1:
+        return (_power_row(spec, q[0], j) for j in range(t_max + 1))
+    return _series_rows(spec, q, t_max)
+
+
+def _series_rows(spec: EquationSpec, q: Sequence[FieldRow],
+                 t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    """Rows 0..t_max of U = Q / (1 - S) from the source rows q of a spec of
+    time order k >= 2: row j sums, over s < k, the terms of sum_J S^J at
+    time exponent j - s applied to Q_s.
 
     One pass of the multinomial kernel gives every term of sum_J S^J up to
     time exponent t_max as an integer W over D**e.  With the Q rows scaled to
@@ -295,20 +316,8 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
         sum_s sum_a D**s * W[j - s, a] * N_s(p - a)  /  (D**j * L)
 
     with the numerators added as ints; a time exponent's terms are dropped
-    after the last row that reads them.  A one-step equation skips the
-    series pass: each row reads S^j from Miller's recurrence instead
-    (``_power_row``).  The corner-implicit solution has
-    unbounded rightward support, so it has no row representation here;
-    evaluate it pointwise instead.
-    """
-    if t_max < 0:
-        raise SpecError("t_max must be >= 0")
-    if spec.implicit_corner:
-        raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
-    q = source_rows(spec, initial)
-    if spec.time_order == 1:
-        return [_power_row(spec, q[0], j) for j in range(t_max + 1)]
-    k, dim = spec.time_order, spec.spatial_dim
+    after the last row that reads them."""
+    k = spec.time_order
     lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
     nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
             for qs in q]
@@ -316,9 +325,8 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
     # time exponent -> [(spatial exponents, W)]
     by_time: dict[int, list[tuple[Point, int]]] = {}
     for exps, weight in weights.items():
-        by_time.setdefault(exps[dim], []).append((exps[:dim], weight))
+        by_time.setdefault(exps[-1], []).append((exps[:-1], weight))
     del weights
-    rows = []
     for j in range(t_max + 1):
         acc: dict[Point, int] = {}
         for s, ns in enumerate(nums):
@@ -328,10 +336,17 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
                 for p, v in ns:
                     key = tuple(map(add, p, a))
                     acc[key] = acc.get(key, 0) + weight * v
-        denom = scale ** j * lcd
-        rows.append(FieldRow._trusted(dim, {p: Fraction(v, denom) for p, v in acc.items() if v}))
+        yield scale ** j * lcd, {p: v for p, v in acc.items() if v}
         by_time.pop(j - k + 1, None)
-    return rows
+
+
+def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
+    """Rows 0..t_max of U = Q / (1 - S) for any explicit spec.  Each
+    integer row of _rows becomes a FieldRow as it is built.  The
+    corner-implicit solution has unbounded rightward support, so it has no
+    row representation here; evaluate it pointwise instead."""
+    dim = spec.spatial_dim
+    return [FieldRow._over(dim, den, nums) for den, nums in _rows(spec, initial, t_max)]
 
 
 def _tridiagonal_getter(c_exponent: str):
@@ -370,15 +385,17 @@ EVALUATORS = {
 
 
 def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
-                  evaluator: str = "auto") -> Callable[[Point, int], Fraction]:
-    """(point, time) -> closed-form value for times up to t_max.  "auto"
-    reads rows built by closed_rows, or takes "implicit" for the
-    corner-implicit form; any other name is looked up in EVALUATORS, and
-    SpecError is raised when the spec does not have that evaluator's shape."""
+                  evaluator: str = "auto") -> Callable[[Point, int], tuple[int, int]]:
+    """(point, time) -> closed-form value as (numerator, positive
+    denominator), not necessarily reduced, for times up to t_max.  "auto"
+    reads the integer rows of _rows, or takes "implicit" for the
+    corner-implicit form; any other name is looked up in EVALUATORS, whose
+    Fraction v enters as (v.numerator, v.denominator), and SpecError is
+    raised when the spec does not have that evaluator's shape."""
     if evaluator == "auto":
         if not spec.implicit_corner:
-            rows = closed_rows(spec, initial, t_max)
-            return lambda p, t: rows[t].get(p)
+            rows = list(_rows(spec, initial, t_max))
+            return lambda p, t: (rows[t][1].get(p, 0), rows[t][0])
         evaluator = "implicit"
     if evaluator not in EVALUATORS:
         raise SpecError(f"unknown evaluator {evaluator!r}")
@@ -386,7 +403,8 @@ def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
     if not recognise(spec):
         raise SpecError(f"spec is not {shape}")
     initial.check_matches(spec)
-    return make(spec, initial)
+    value = make(spec, initial)
+    return lambda p, t: value(p, t).as_integer_ratio()
 
 
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
@@ -397,6 +415,8 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
     _check_query(spec, point, time)
     if spec.implicit_corner or spec.time_order != 1:
         evaluator = "implicit" if spec.implicit_corner else "nd"
-        return closed_getter(spec, initial, time, evaluator)(point, time)
+        return Fraction(*closed_getter(spec, initial, time, evaluator)(point, time))
     initial.check_matches(spec)
-    return _power_row(spec, initial.rows[0], time, tuple(point)).get(point)
+    point = tuple(point)
+    den, cells = _power_row(spec, initial.rows[0], time, point)
+    return Fraction(cells.get(point, 0), den)

@@ -5,7 +5,8 @@ arbitrary-precision rational.  The scalar type is the stdlib
 ``fractions.Fraction``, which already keeps values canonical (positive
 denominator, fully reduced), so equality is structural and arithmetic is
 exact.  This module adds the strict text format used by config files and CSV
-output.
+output, and ``rational_texts``, which writes that format from an integer
+numerator over an unreduced denominator without building a Fraction.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
+from typing import Callable
 
 ZERO = Fraction(0)
 
@@ -75,3 +78,37 @@ def format_rational(x: Fraction) -> str:
     """Inverse of parse_rational: ``num`` when the denominator is 1, else ``num/den``."""
     return str(x)
 
+
+
+def rational_texts(base: int) -> Callable[[int, int], str]:
+    """(n, den) -> format_rational(Fraction(n, den)) for den > 0, fast when
+    every prime of den divides `base`.
+
+    Per distinct den it keeps b = gcd(den, base) and the text "/den".  When
+    b holds every prime of den, a numerator with gcd(n, b) == 1 shares no
+    prime with den, so n/den is already reduced and is written as it
+    stands; only the other numerators pay a full gcd(n, den).  Should den
+    have a prime that base lacks, b is den itself, which is exact too.
+    """
+    rows: dict[int, tuple[int, str]] = {}
+
+    def text(n: int, den: int) -> str:
+        if not n:
+            return "0"
+        row = rows.get(den)
+        if row is None:
+            b = gcd(den, base)
+            # strip b's primes from den, doubling the powers taken each round
+            rest, g = den, b
+            while g > 1:
+                rest //= g
+                g = gcd(rest, g * g)
+            row = rows[den] = (b if rest == 1 else den, "" if den == 1 else f"/{den}")
+        b, tail = row
+        if gcd(n, b) == 1:
+            return f"{n}{tail}"
+        g = gcd(n, den)
+        n, den = n // g, den // g
+        return f"{n}" if den == 1 else f"{n}/{den}"
+
+    return text

@@ -182,6 +182,12 @@ class FieldRow:
         return row
 
     @classmethod
+    def _over(cls, dim: int, den: int, nums: dict[Point, int]) -> "FieldRow":
+        """The row p -> nums[p] / den of an engine's integer row: keys as
+        _trusted takes them, nonzero int numerators, den > 0."""
+        return cls._trusted(dim, {p: Fraction(n, den) for p, n in nums.items()})
+
+    @classmethod
     def delta(cls, dim: int = 1) -> "FieldRow":
         """Unit mass at the origin."""
         return cls(dim, {(0,) * dim: Fraction(1)})

@@ -15,7 +15,9 @@ update a convex average (stable).
 The walk's distribution after j steps is the coefficient list of its
 stencil symbol's j-th power, read from Miller's power recurrence, the one
 routine behind the powers of every one-step equation
-(``closed_form._power_row``); the heat profile iterates.
+(``closed_form._power_row``); the heat profile iterates.  Both build a
+Fraction per cell from the engines' integer rows; ``latrec demo`` writes
+those rows' text without them.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    return _power_row(random_walk_spec(params), FieldRow.delta(1), j)
+    den, nums = _power_row(random_walk_spec(params), FieldRow.delta(1), j)
+    return FieldRow._over(1, den, nums)
 
 
 def heat_profile(params: HeatParams, psi: FieldRow, j_max: int) -> list[FieldRow]:

@@ -3,12 +3,16 @@ evolving support, a left-to-right sweep for the corner-implicit form on a
 window sized from the initial row and the time range, and verifiers that
 compare closed-form values against iterated ones exactly.
 
-Each explicit step adds up its new row in integers: the held rows are scaled
-to integer numerators over the lcm of their own denominators, the new row
-takes one denominator, the lcm over stencil entries of coefficient
-denominator times row denominator, and each nonzero cell becomes one
-Fraction.  The scaling is the oracle's own; it reads nothing of the closed
-form's symbol or powers, so the two engines stay separate algorithms.
+Each explicit step adds up its new row in integers.  A row is held as
+(den, {point: numerator}): nonzero int numerators over one positive
+denominator, not reduced.  The new row's denominator is the lcm over stencil
+entries of coefficient denominator times held-row denominator, and every
+term is an integer multiple of one held numerator.  A Fraction is built only
+where a row leaves the oracle: oracle_evolve and oracle_step return
+FieldRows, while oracle_getter hands out (numerator, denominator) pairs.  The
+scaling is the oracle's own; it reads nothing of the closed form's symbol or
+powers, so the two engines share a row container and no arithmetic.
+verify_closed_vs_oracle compares the two engines' pairs by cross-multiplying;
 verify_recurrence substitutes plain Fractions cell by cell.
 """
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
@@ -90,6 +94,36 @@ def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
     return window
 
 
+def _int_row(row: FieldRow) -> tuple[int, dict[Point, int]]:
+    """A FieldRow as (d, numerators) over d, the lcm of its denominators."""
+    d = lcm(*(v.denominator for v in row.values.values()))
+    return d, {p: v.numerator * (d // v.denominator) for p, v in row.values.items()}
+
+
+def _step(spec: EquationSpec,
+          rows: Sequence[tuple[int, dict[Point, int]]]) -> tuple[int, dict[Point, int]]:
+    """The row after the held integer rows (den, numerators), oldest first:
+    its denominator is the lcm over the entries of coeff.denominator times
+    the held row's den, so every term is an integer multiple of one held
+    numerator."""
+    den = lcm(*(e.coeff.denominator * rows[e.time_level][0] for e in spec.stencil))
+    acc: dict[Point, int] = {}
+    for e in spec.stencil:
+        d, nums = rows[e.time_level]
+        factor = e.coeff.numerator * (den // (e.coeff.denominator * d))
+        delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
+        for p, n in nums.items():
+            key = tuple(map(add, p, delta))
+            acc[key] = acc.get(key, 0) + factor * n
+    return den, {p: v for p, v in acc.items() if v}
+
+
+def _check_steppable(spec: EquationSpec) -> None:
+    if spec.implicit_corner:
+        raise SpecError("the corner-implicit form is not explicitly steppable; "
+                        "use oracle_sweep_implicit")
+
+
 def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
     """Advance one time step: the new row at point e is
 
@@ -97,51 +131,44 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
 
     The sum runs over the held rows' support only, so each new row stays
     sparse and no window bounds it.  It is added up in integers: each held
-    row is scaled to integer numerators over the lcm d of its denominators,
-    and the new row's denominator is the lcm over the entries of
-    coeff.denominator * d, so every term is an integer multiple of one
-    numerator.  Each nonzero cell then becomes one Fraction.
+    row is scaled to integer numerators over the lcm of its denominators,
+    and the new row takes one denominator (see _step).  Each nonzero cell
+    then becomes one Fraction.
     """
-    if spec.implicit_corner:
-        raise SpecError("the corner-implicit form is not explicitly steppable; "
-                        "use oracle_sweep_implicit")
+    _check_steppable(spec)
     if len(state.rows) != spec.time_order:
         raise SpecError(f"state holds {len(state.rows)} rows, "
                         f"spec time_order is {spec.time_order}")
-    scaled = []
-    for row in state.rows:
-        d = lcm(*(v.denominator for v in row.values.values()))
-        scaled.append((d, {p: v.numerator * (d // v.denominator)
-                           for p, v in row.values.items()}))
-    den = lcm(*(e.coeff.denominator * scaled[e.time_level][0] for e in spec.stencil))
-    acc: dict[Point, int] = {}
-    for e in spec.stencil:
-        d, nums = scaled[e.time_level]
-        factor = e.coeff.numerator * (den // (e.coeff.denominator * d))
-        delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
-        for p, n in nums.items():
-            key = tuple(map(add, p, delta))
-            acc[key] = acc.get(key, 0) + factor * n
-    new_row = FieldRow._trusted(spec.spatial_dim,
-                                {p: Fraction(v, den) for p, v in acc.items() if v})
+    den, nums = _step(spec, [_int_row(row) for row in state.rows])
+    new_row = FieldRow._over(spec.spatial_dim, den, nums)
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 
-def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
-    """Rows 0..t_max by repeated stepping; rows 0..time_order-1 are the
-    inputs verbatim."""
+def _evolve(spec: EquationSpec, initial: InitialData,
+            t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    """Rows 0..t_max as integer rows (den, numerators), stepped as they are
+    read; the arguments are checked before the first row is asked for."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     initial.check_matches(spec)
-    k = spec.time_order
-    out = list(initial.rows[:t_max + 1])
-    if t_max < k:
-        return out
-    state = EvolutionState(initial.rows, k - 1)
-    for _ in range(k - 1, t_max):
-        state = oracle_step(spec, state)
-        out.append(state.newest)
-    return out
+    if t_max >= spec.time_order:
+        _check_steppable(spec)
+    return _steps(spec, [_int_row(row) for row in initial.rows], t_max)
+
+
+def _steps(spec: EquationSpec, rows: list[tuple[int, dict[Point, int]]],
+           t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    yield from rows[:t_max + 1]
+    for _ in range(len(rows) - 1, t_max):
+        rows = rows[1:] + [_step(spec, rows)]
+        yield rows[-1]
+
+
+def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
+    """Rows 0..t_max by repeated stepping; rows 0..time_order-1 equal the
+    inputs.  Each row becomes a FieldRow as it is stepped."""
+    dim = spec.spatial_dim
+    return [FieldRow._over(dim, den, nums) for den, nums in _evolve(spec, initial, t_max)]
 
 
 def sweep_window(psi: FieldRow, j_max: int, right_edge: int) -> Box:
@@ -219,11 +246,12 @@ Query = Region | Sequence[tuple[Point, int]]
 
 def query_points(query: Query) -> Iterator[tuple[Point, int]]:
     """The query's (point, time) pairs sorted by point, then time; a
-    region's are generated as they are read."""
+    region's are generated as they are read, and listed points become
+    tuples."""
     if isinstance(query, Region):
         return ((p, t) for p in query.box.points()
                 for t in range(query.t_lo, query.t_hi + 1))
-    return iter(sorted(query))
+    return iter(sorted((tuple(p), t) for p, t in query))
 
 
 def query_bounds(query: Query) -> tuple[Box, int]:
@@ -232,26 +260,31 @@ def query_bounds(query: Query) -> tuple[Box, int]:
         return query.box, query.t_hi
     if not query:
         raise SpecError("the query has no points")
+    if len({len(p) for p, _ in query}) != 1:
+        raise SpecError("the query's points differ in length")
     axes = list(zip(*(p for p, _ in query)))
     return Box(tuple(map(min, axes)), tuple(map(max, axes))), max(t for _, t in query)
 
 
-def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int, box: Box):
-    """(point, time) -> iterated value for times up to t_max, exact at every
-    point of the query box.
+def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int,
+                  box: Box) -> Callable[[Point, int], tuple[int, int]]:
+    """(point, time) -> the iterated value as (numerator, positive
+    denominator), not necessarily reduced, for times up to t_max, exact at
+    every point of the query box.
 
-    Explicit specs iterate the whole support.  The corner-implicit sweep runs
-    on sweep_window with its right edge at the box's right edge."""
+    Explicit specs iterate the whole support in integer rows.  The
+    corner-implicit sweep runs on sweep_window with its right edge at the
+    box's right edge."""
     if spec.implicit_corner:
         a, b, c = spec.corner_coefficients()
         psi = initial.rows[0]
         if not psi.values:
-            return lambda p, t: ZERO
-        rows = oracle_sweep_implicit(
+            return lambda p, t: (0, 1)
+        swept = oracle_sweep_implicit(
             a, b, c, psi, sweep_window(psi, t_max, right_edge=box.hi[0]), t_max)
-    else:
-        rows = oracle_evolve(spec, initial, t_max)
-    return lambda p, t: rows[t].get(p)
+        return lambda p, t: swept[t].get(p).as_integer_ratio()
+    rows = list(_evolve(spec, initial, t_max))
+    return lambda p, t: (rows[t][1].get(p, 0), rows[t][0])
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
@@ -259,7 +292,11 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     """Evaluate both engines at every (point, time) of the query, a Region or
     a list of (point, time) pairs, and report exact mismatches in point,
     then time order.  Mismatches are data, not errors.  The oracle's extent
-    follows from the spec, the initial data and the query."""
+    follows from the spec, the initial data and the query.
+
+    Both engines give (numerator, denominator) pairs; n_c / d_c equals
+    n_o / d_o exactly when n_c * d_o == n_o * d_c, so a Fraction is built
+    only for a mismatch."""
     initial.check_matches(spec)
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
@@ -269,11 +306,11 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     checked = 0
     mismatches = []
     for p, t in query_points(region):
-        cv = closed_get(p, t)
-        ov = oracle_get(p, t)
+        n_c, d_c = closed_get(p, t)
+        n_o, d_o = oracle_get(p, t)
         checked += 1
-        if cv != ov:
-            mismatches.append(Mismatch(p, t, cv, ov))
+        if n_c * d_o != n_o * d_c:
+            mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
     return VerifyReport(checked, tuple(mismatches), t_max)
 
 

@@ -155,6 +155,17 @@ def test_verify_tmax_below_a_region_is_refused_like_a_point_list(capsys, tmp_pat
         assert "checked 10 points up to time 4: 0 mismatches" in out
 
 
+def test_verify_tmax_past_a_region_keeps_its_times_like_a_point_list(capsys, tmp_path):
+    # the config asks for times 0..5 on 13 points: 78 values
+    doc = json.loads((CONFIG_DIR / "tridiagonal_mixed.json").read_text())
+    doc["query"] = {"points": [{"at": [i], "t": t} for i in range(-6, 7) for t in range(6)]}
+    points = write_config(tmp_path, doc, "points.json")
+    for path in (str(CONFIG_DIR / "tridiagonal_mixed.json"), points):
+        status, out, _ = run_cli(capsys, "verify", "--config", path, "--tmax", "9")
+        assert status == 0
+        assert "checked 78 points up to time 5: 0 mismatches" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["demo", "random-walk", "--p", "1/2", "--d", "0", "--q", "1/2", "--steps"],
     ["demo", "heat", "--r", "1/4", "--steps"],

@@ -463,7 +463,8 @@ def test_closed_rows_match_pointwise_evaluators():
         getter = closed_getter(spec, initial, 5, "nd")
         for t in range(6):
             for p in region.box.points():
-                assert rows[t].get(p) == eval_multistep(spec, initial, p, t) == getter(p, t)
+                assert (rows[t].get(p) == eval_multistep(spec, initial, p, t)
+                        == Fraction(*getter(p, t)))
 
 
 def test_two_row_getter_builds_source_rows_once(monkeypatch):

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from latrec.exactnum import ParseError, format_rational, parse_rational
+from latrec.exactnum import ParseError, format_rational, parse_rational, rational_texts
 
 
 def test_parse_canonicalizes():
@@ -60,6 +60,44 @@ def test_parse_error_quotes_long_text_by_its_ends():
 @given(st.fractions())
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def texts_cases(draw):
+    """A base over some of PRIMES, a denominator over base's primes (times 11
+    or 13 now and then, a prime base lacks) and numerators: zero, negative,
+    and sharing powers of the denominator's primes up to and past their
+    exponent in it."""
+    base = 1
+    for p in draw(st.lists(st.sampled_from(PRIMES), max_size=4)):
+        base *= p
+    den = draw(st.sampled_from((1, 1, 1, 11, 13)))
+    for p in PRIMES:
+        if base % p == 0:
+            den *= p ** draw(st.integers(0, 60))
+    numerators = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(-10 ** 9, 10 ** 9))
+        for p in (*PRIMES, 11, 13):
+            n *= p ** draw(st.sampled_from((0, 0, 1, 2, 59, 60, 61)))
+        numerators.append(n)
+    return base, den, numerators
+
+
+@given(texts_cases())
+@example((1, 1, [0, 5, -5]))
+@example((6, 2 ** 40 * 3 ** 7, [0, -(2 ** 40) * 3 ** 9, 2 ** 41, -(3 ** 7), 5 ** 30]))
+@example((7, 7 ** 120, [7 ** 120, -(7 ** 121), 7 ** 119 * 2, 3]))
+@example((2, 2 * 11, [11, -22, 3]))
+def test_rational_texts_equal_format_rational(case):
+    base, den, numerators = case
+    text = rational_texts(base)
+    for _ in range(2):  # the second pass reads the denominator's kept row
+        for n in numerators:
+            assert text(n, den) == format_rational(Fraction(n, den))
 
 
 def test_field_axioms_on_random_triples():

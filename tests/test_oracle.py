@@ -10,8 +10,10 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
                     oracle_evolve, oracle_step,
                     oracle_sweep_implicit, tridiagonal_spec,
                     verify_closed_vs_oracle, verify_recurrence)
-from latrec import closed_form, combinatorics, models
-from latrec.oracle import EvolutionState, Region, WindowOverflowError, sweep_window
+from latrec import cli, closed_form, combinatorics, models, oracle
+from latrec.closed_form import closed_rows
+from latrec.oracle import (EvolutionState, Region, WindowOverflowError, oracle_getter,
+                           sweep_window)
 
 from instance_gen import (corner_spec, field_row, nd_instance, rational,
                           tridiagonal_instance, verification_region)
@@ -131,9 +133,12 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
     for module in (closed_form, combinatorics):
         for name in ("_multinomial_weights", "_symbol_power"):
             monkeypatch.setattr(module, name, closed_form_path)
-    for module in (closed_form, models):
+    for module in (closed_form, models, cli):
         monkeypatch.setattr(module, "_power_row", closed_form_path)
-    monkeypatch.setattr(closed_form, "_composition_sum", closed_form_path)
+    # the closed form's integer rows and every lookup of its evaluators
+    for name in ("_composition_sum", "_rows", "_series_rows", "closed_getter"):
+        monkeypatch.setattr(closed_form, name, closed_form_path)
+    monkeypatch.setattr(cli, "closed_getter", closed_form_path)
     f = Fraction
     line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))
     assert oracle_evolve(line, InitialData((DELTA,)), 2)[2].values == {
@@ -157,6 +162,46 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
     assert [row.values for row in heat[1:]] == [
         {(-1,): f(1, 3), (0,): f(1, 6), (1,): f(1, 6), (2,): f(-1, 6)},
         {(-2,): f(1, 9), (-1,): f(1, 6), (0,): f(2, 9), (1,): f(1, 18), (3,): f(-1, 18)}]
+    # the integer rows behind solve with the oracle engine and demo heat
+    get = oracle_getter(line, InitialData((DELTA,)), 2, Box((-2,), (2,)))
+    assert Fraction(*get((0,), 2)) == f(13, 36) and get((3,), 2)[0] == 0
+    assert cli.main(["demo", "heat", "--r", "1/3", "--steps", "3"]) == 0
+
+
+@given(step_cases())
+@example((EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),
+                                    StencilEntry((0,), 1, Fraction(-1)))),
+          [DELTA, DELTA]))
+@example((tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4)), [FieldRow.zero(1)]))
+@settings(max_examples=150, deadline=None)
+def test_integer_rows_equal_the_other_engines_fraction_rows(case):
+    # the first example's row 2 cancels to zero; the second's rows are all zero
+    spec, rows = case
+    initial = InitialData(rows)
+    t_max = 4
+    pairs = [(list(oracle._evolve(spec, initial, t_max)), closed_rows(spec, initial, t_max)),
+             (list(closed_form._rows(spec, initial, t_max)), oracle_evolve(spec, initial, t_max))]
+    # the support moves at most this far, and one cell past it is zero
+    reach = 1 + t_max * max(abs(s - o) for e in spec.stencil
+                            for s, o in zip(spec.spatial_shift, e.offset))
+    hull = initial.support_hull() or Box((0,) * spec.spatial_dim, (0,) * spec.spatial_dim)
+    box = Box(tuple(c - reach for c in hull.lo), tuple(c + reach for c in hull.hi))
+    for int_rows, fraction_rows in pairs:
+        assert len(int_rows) == len(fraction_rows) == t_max + 1
+        for (den, nums), row in zip(int_rows, fraction_rows):
+            assert type(den) is int and den > 0
+            assert set(nums) == set(row.values)
+            assert all(type(n) is int and n for n in nums.values())
+            for p in box.points():
+                assert Fraction(nums.get(p, 0), den) == row.get(p)
+
+
+def test_negative_t_max_is_refused_when_called():
+    spec = tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4))
+    initial = InitialData((DELTA,))
+    for rows in (oracle_evolve, closed_rows, oracle._evolve, closed_form._rows):
+        with pytest.raises(SpecError, match="t_max must be >= 0"):
+            rows(spec, initial, -1)
 
 
 def test_evolve_t0_returns_initial():
