@@ -23,6 +23,43 @@ from latrec.cli import main
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _entries(offsets, coeffs, levels=None):
+    levels = levels or [0] * len(offsets)
+    return [{"offset": o, "time_level": lv, "coeff": c}
+            for o, lv, c in zip(offsets, levels, coeffs)]
+
+
+LOCAL_CONFIGS = {
+    # the support grows out of the box on every side within two steps
+    "box_cuts_support.json": {
+        "spatial_dim": 2, "time_order": 1, "spatial_shift": [0, 0],
+        "stencil": _entries([[0, 0], [-1, 0], [1, 0], [0, -1], [0, 1]],
+                            ["1/2", "-1/3", "1/4", "2/5", "1/6"]),
+        "initial": {"rows": [[{"at": [0, 0], "value": "1"},
+                              {"at": [2, 1], "value": "-3/4"}]]},
+        "query": {"box": [[-1, 1], [0, 2]], "times": [0, 5]},
+    },
+    # two rows, so the engines' denominators differ; the region starts at t = 3
+    "late_times.json": {
+        "spatial_dim": 1, "time_order": 2, "spatial_shift": [1],
+        "stencil": _entries([[0], [1], [0], [1]], ["1/2", "-1/3", "1/4", "1"],
+                            [0, 0, 1, 1]),
+        "initial": {"rows": [[{"at": [0], "value": "1"}, {"at": [2], "value": "-1/2"}],
+                             [{"at": [1], "value": "3/2"}]]},
+        "query": {"box": [[-4, 6]], "times": [3, 8]},
+    },
+    # listed out of order, (2, t=3) twice, one point far outside the support
+    "repeated_points.json": {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [0],
+        "stencil": _entries([[-1], [0], [1]], ["1/2", "1/3", "1/4"]),
+        "initial": {"rows": [[{"at": [0], "value": "1"}, {"at": [3], "value": "-2/3"}]]},
+        "query": {"points": [{"at": [2], "t": 3}, {"at": [0], "t": 1},
+                            {"at": [2], "t": 3}, {"at": [-9], "t": 2},
+                            {"at": [1], "t": 0}, {"at": [0], "t": 4}]},
+    },
+}
+
+
 def calls(scratch: Path):
     for path in sorted(CONFIG_DIR.glob("*.json")):
         config = ["--config", str(path)]
@@ -40,6 +77,18 @@ def calls(scratch: Path):
                        ["solve", "--config", str(copy), "--format", out_format])
         for power in (0, 3, 7):
             yield f"expand {power} {path.name}", ["expand", *config, "--power", str(power)]
+    for name, doc in LOCAL_CONFIGS.items():
+        for engine in ("verify", "closed", "oracle"):
+            path = scratch / f"{engine}_{name}"
+            path.write_text(json.dumps(dict(doc, engine=engine)))
+            if engine == "verify":
+                for evaluator in ("auto", "nd"):
+                    yield (f"verify {evaluator} {name}",
+                           ["verify", "--config", str(path), "--evaluator", evaluator])
+                continue
+            for out_format in ("csv", "json"):
+                yield (f"solve {engine} {out_format} {name}",
+                       ["solve", "--config", str(path), "--format", out_format])
     for out_format in ("csv", "json"):
         for r in ("1/4", "2/7", "1/2", "2"):
             for steps in ("0", "1", "9", "40"):
@@ -196,6 +245,24 @@ GOLDEN = {
     'expand 0 two_row_mixed.json': (0, '0b3c995fb37a209dfb8aa43c8a626afff53847a927ae190b15a90c0d9bf5f458'),
     'expand 3 two_row_mixed.json': (0, '5a8e493fd080aea67905b395a05c201e8d5343c2a19ad4ee00e6ed60b97bea91'),
     'expand 7 two_row_mixed.json': (0, '1309f3a692d6ff7f37021250bf382480b75696cef772ef40321af91eda57f55e'),
+    'verify auto box_cuts_support.json': (0, '54e2b74d383cf07a37dfa09424969908940b29d317f75c13e00d5aae7d36b52d'),
+    'verify nd box_cuts_support.json': (0, '54e2b74d383cf07a37dfa09424969908940b29d317f75c13e00d5aae7d36b52d'),
+    'solve closed csv box_cuts_support.json': (0, 'dceec5086a5147af9baf7b7caebf42d900e036bbe075e9468ee0dd30b4bf891f'),
+    'solve closed json box_cuts_support.json': (0, 'cc6cf0968625ac8806c837a62ab9710ea47b665c8d840d0a7e0c863a423f6578'),
+    'solve oracle csv box_cuts_support.json': (0, 'dceec5086a5147af9baf7b7caebf42d900e036bbe075e9468ee0dd30b4bf891f'),
+    'solve oracle json box_cuts_support.json': (0, 'cc6cf0968625ac8806c837a62ab9710ea47b665c8d840d0a7e0c863a423f6578'),
+    'verify auto late_times.json': (0, '7bb358caa295bc79c32167d6c4cbd584963959b6814afe647c3bb2a37459fbf8'),
+    'verify nd late_times.json': (0, '7bb358caa295bc79c32167d6c4cbd584963959b6814afe647c3bb2a37459fbf8'),
+    'solve closed csv late_times.json': (0, 'dacb92f090d784c756e98789bcaa81570b893b32575a0a6b17dda8afe09f7d75'),
+    'solve closed json late_times.json': (0, '8fc16d675e5c663685210e2ad9b1a0053d901b8a7e9b9267b20229ab4f533321'),
+    'solve oracle csv late_times.json': (0, 'dacb92f090d784c756e98789bcaa81570b893b32575a0a6b17dda8afe09f7d75'),
+    'solve oracle json late_times.json': (0, '8fc16d675e5c663685210e2ad9b1a0053d901b8a7e9b9267b20229ab4f533321'),
+    'verify auto repeated_points.json': (0, 'e42bc0f5e1262bfa38f3eda1fe6dbf74bc49f98a6f3d239073df6a69a04952e1'),
+    'verify nd repeated_points.json': (0, 'e42bc0f5e1262bfa38f3eda1fe6dbf74bc49f98a6f3d239073df6a69a04952e1'),
+    'solve closed csv repeated_points.json': (0, '2652bca277f6ffa1773733b5a75f5ee4771e8c2ccf711c09d345907b6bba4510'),
+    'solve closed json repeated_points.json': (0, 'b10bc77dcd3237e7be9179e9d463d6e4fe56a53d8f762ee70a8e347daaf52424'),
+    'solve oracle csv repeated_points.json': (0, '2652bca277f6ffa1773733b5a75f5ee4771e8c2ccf711c09d345907b6bba4510'),
+    'solve oracle json repeated_points.json': (0, 'b10bc77dcd3237e7be9179e9d463d6e4fe56a53d8f762ee70a8e347daaf52424'),
     'heat csv r=1/4 steps=0': (0, '0547aeea053a7488ff9e5cc5a5d811a6c6e68f7329563b9845ad2a1d86a37951'),
     'heat csv r=1/4 steps=1': (0, '30b5bac98d3efeda04959a72cd6e6a083d2b1c8c073f1750570073a7b06b45a8'),
     'heat csv r=1/4 steps=9': (0, 'ce4690e2e62befc8a7effe9bd0030b910af83dbc2d1f13f577ad62a48162165b'),
