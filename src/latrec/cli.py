@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable
 
-from .closed_form import EVALUATORS, _power_row, closed_getter
+from .closed_form import EVALUATORS, _power_row, _rows, closed_getter
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
@@ -79,17 +79,27 @@ def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
 
 
 def run(config: RunConfig) -> tuple[int, str]:
-    """Execute a run; returns (exit status, emitted artifact text)."""
+    """Execute a run; returns (exit status, emitted artifact text).
+
+    solve reads an explicit spec's answer from the chosen engine's integer
+    rows (den, {point: nonzero numerator}), one row per time: a queried
+    cell of a row's support gets one text, and every other queried cell is
+    "0".  The corner-implicit form is read cell by cell, from the corner sum
+    or the sweep."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial = config.spec, config.initial
     box, t_max = query_bounds(config.query)
-    if config.engine == "closed":
-        getter = closed_getter(spec, initial, t_max)
-    else:
-        getter = oracle_getter(spec, initial, t_max, box)
     text = _value_texts(spec, initial)
-    table = [(p, t, text(*getter(p, t))) for p, t in config.query_points]
+    closed = config.engine == "closed"
+    if spec.implicit_corner:
+        getter = (closed_getter(spec, initial, "implicit") if closed
+                  else oracle_getter(spec, initial, t_max, box))
+        table = [(p, t, text(*getter(p, t))) for p, t in config.query_points]
+    else:
+        rows = list((_rows if closed else _evolve)(spec, initial, t_max))
+        table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
+                 for p, t in config.query_points]
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
 
@@ -162,11 +172,17 @@ def _cmd_verify(args) -> int:
 def _demo_table(spec: EquationSpec, initial: InitialData,
                 rows: Iterable[tuple[int, dict[Point, int]]], out_format: str) -> str:
     """The table of the integer rows (den, numerators) at times 0, 1, ... of
-    spec from the initial rows."""
+    spec from the initial rows: each point's cells are kept in time order as
+    the rows arrive, and only the points are sorted."""
     text = _value_texts(spec, initial)
-    table = [(p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
-             for p, n in nums.items()]
-    table.sort()
+    by_point: dict[Point, list[tuple[int, str]]] = {}
+    for j, (den, nums) in enumerate(rows):
+        for p, n in nums.items():
+            cells = by_point.get(p)
+            if cells is None:
+                cells = by_point[p] = []
+            cells.append((j, text(n, den)))
+    table = [(p, j, value) for p in sorted(by_point) for j, value in by_point[p]]
     return format_table(1, table, spec_hash(spec), out_format)
 
 

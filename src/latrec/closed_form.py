@@ -384,19 +384,12 @@ EVALUATORS = {
 }
 
 
-def closed_getter(spec: EquationSpec, initial: InitialData, t_max: int,
-                  evaluator: str = "auto") -> Callable[[Point, int], tuple[int, int]]:
-    """(point, time) -> closed-form value as (numerator, positive
-    denominator), not necessarily reduced, for times up to t_max.  "auto"
-    reads the integer rows of _rows, or takes "implicit" for the
-    corner-implicit form; any other name is looked up in EVALUATORS, whose
-    Fraction v enters as (v.numerator, v.denominator), and SpecError is
-    raised when the spec does not have that evaluator's shape."""
-    if evaluator == "auto":
-        if not spec.implicit_corner:
-            rows = list(_rows(spec, initial, t_max))
-            return lambda p, t: (rows[t][1].get(p, 0), rows[t][0])
-        evaluator = "implicit"
+def closed_getter(spec: EquationSpec, initial: InitialData,
+                  evaluator: str) -> Callable[[Point, int], tuple[int, int]]:
+    """(point, time) -> the value of the pointwise evaluator named in
+    EVALUATORS as (numerator, positive denominator): its Fraction v enters
+    as (v.numerator, v.denominator).  SpecError is raised for an unknown
+    name, and when the spec does not have that evaluator's shape."""
     if evaluator not in EVALUATORS:
         raise SpecError(f"unknown evaluator {evaluator!r}")
     recognise, shape, make = EVALUATORS[evaluator]
@@ -415,7 +408,7 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
     _check_query(spec, point, time)
     if spec.implicit_corner or spec.time_order != 1:
         evaluator = "implicit" if spec.implicit_corner else "nd"
-        return Fraction(*closed_getter(spec, initial, time, evaluator)(point, time))
+        return Fraction(*closed_getter(spec, initial, evaluator)(point, time))
     initial.check_matches(spec)
     point = tuple(point)
     den, cells = _power_row(spec, initial.rows[0], time, point)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .lattice import EquationSpec, SpecError
@@ -82,10 +82,9 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     integer (point, value) pairs `row`.
 
     Shifted by its lowest exponent on each axis, A has digits in
-    [0, width], so (D A)**t * N has digits in [0, t * width + span], with
-    span the row's extent on that axis.  A Kronecker substitution
-    x_i = z**u_i, with the last axis on top and each lower axis's radix
-    t * width + span + 1, packs every exponent vector that occurs into a
+    [0, width], so P = (D A)**t has digits in [0, t * width].  A Kronecker
+    substitution x_i = z**u_i, with the last axis on top and each lower
+    axis's radix t * width + 1, packs every exponent vector of P into a
     distinct power of z without a carry, and A becomes a univariate
     polynomial A(z).  For P = (D A(z))**t, z A P' = t P z A' gives, with m0
     the least exponent of A(z),
@@ -95,8 +94,11 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     so P_{t m0} = A_m0**t and every later coefficient, up to t times the
     highest exponent, comes from lower ones in O(terms) integer operations
     and an exact division.  A read below key 0 wraps to the top of the
-    list, which is not yet written.  The row's points pack the same way, so
-    N's product adds keys.
+    list, which is not yet written.  N's extent never enters P's packing,
+    so points of N far apart cost no coefficients.  N multiplies P's
+    nonzero cells in a second packing, whose lower radices also hold N's
+    extent: into a list when its key range is no longer than the product
+    has terms, else into a dict.
 
     Returns D and a map from each cell of (D A)**t * N to its nonzero
     coefficient; with `point`, from that cell alone, the recurrence stopping
@@ -107,13 +109,11 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
         return scale, {}
     axes = list(zip(*[exps for _, exps in terms]))
     low = list(map(min, axes))
-    widths = list(map(sub, map(max, axes), low))
-    row_axes = list(zip(*[p for p, _ in row]))
-    row_low = list(map(min, row_axes))
-    units, radices = [1], []
-    for w, lo, axis in zip(widths, row_low, row_axes[:-1]):
-        radices.append(t * w + max(axis) - lo + 1)
-        units.append(units[-1] * radices[-1])
+    # per axis, the largest digit of P
+    reach = [t * (hi - lo) for hi, lo in zip(map(max, axes), low)]
+    units = [1]
+    for r in reach[:-1]:
+        units.append(units[-1] * (r + 1))
     offset = sum(map(mul, low, units))
     coded = sorted([(sum(map(mul, exps, units)) - offset,
                      coeff.numerator * (scale // coeff.denominator))
@@ -121,17 +121,16 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     m0, a0 = coded[0]
     base = t * m0
     top = t * coded[-1][0]
-    row_offset = sum(map(mul, row_low, units))
-    shifts = [(sum(map(mul, p, units)) - row_offset, v) for p, v in row]
-    origin = [t * lo + q for lo, q in zip(low, row_low)]
+    origin = [t * lo for lo in low]
     stop = top + 1
     if point is not None:
-        digits = list(map(sub, point, origin))
-        # a lower digit outside [0, radix) would carry into the next axis
-        if not all(0 <= d < radix for d, radix in zip(digits, radices)):
-            return scale, {}
-        target = sum(map(mul, digits, units))
-        hits = [(target - s, v) for s, v in shifts if 0 <= target - s <= top]
+        hits = []
+        for q, v in row:
+            digits = list(map(sub, map(sub, point, q), origin))
+            if all(0 <= d <= r for d, r in zip(digits, reach)):
+                key = sum(map(mul, digits, units))
+                if key <= top:
+                    hits.append((key, v))
         if not hits:
             return scale, {}
         stop = max(hits)[0] + 1
@@ -147,16 +146,42 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     if point is not None:
         total = sum(coeffs[k] * v for k, v in hits)
         return scale, {point: total} if total else {}
-    nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
-    out = [0] * (len(coeffs) + max(s for s, _ in shifts))
-    for s, v in shifts:
-        for k, c in nonzero:
-            out[k + s] += c * v
-    cells = [k for k, v in enumerate(out) if v]
+    # the product's packing: each lower axis's radix also holds N's extent
+    row_axes = list(zip(*[p for p, _ in row]))
+    row_low = list(map(min, row_axes))
+    radices = [r + max(axis) - lo + 1 for r, axis, lo in zip(reach[:-1], row_axes, row_low)]
+    out_units = [1]
+    for radix in radices:
+        out_units.append(out_units[-1] * radix)
+    # P's nonzero cells, repacked axis by axis
+    keys = [k for k, c in enumerate(coeffs) if c]
+    values = [coeffs[k] for k in keys]
+    moved = [k // units[-1] * out_units[-1] for k in keys]
+    for u, r, v in zip(units, reach, out_units[:-1]):
+        moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
+    row_offset = sum(map(mul, row_low, out_units))
+    shifts = [(sum(map(mul, p, out_units)) - row_offset, v) for p, v in row]
+    size = moved[-1] + max(shifts)[0] + 1
+    if size <= len(moved) * len(shifts):
+        # a dense product costs no more memory than its terms
+        out = [0] * size
+        for s, v in shifts:
+            for k, c in zip(moved, values):
+                out[k + s] += c * v
+        cells = [k for k, v in enumerate(out) if v]
+    else:
+        out = {}
+        get = out.get
+        for s, v in shifts:
+            for k, c in zip(moved, values):
+                k += s
+                out[k] = get(k, 0) + c * v
+        cells = [k for k, v in out.items() if v]
     # unpack each cell's digits, axis by axis, and zip them into points
+    corner = list(map(add, origin, row_low))
     columns = [[k // u % radix + o for k in cells]
-               for u, radix, o in zip(units, radices, origin)]
-    columns.append([k // units[-1] + origin[-1] for k in cells])
+               for u, radix, o in zip(out_units, radices, corner)]
+    columns.append([k // out_units[-1] + corner[-1] for k in cells])
     return scale, dict(zip(zip(*columns), [out[k] for k in cells]))
 
 

@@ -4,16 +4,20 @@ window sized from the initial row and the time range, and verifiers that
 compare closed-form values against iterated ones exactly.
 
 Each explicit step adds up its new row in integers.  A row is held as
-(den, {point: numerator}): nonzero int numerators over one positive
-denominator, not reduced.  The new row's denominator is the lcm over stencil
-entries of coefficient denominator times held-row denominator, and every
-term is an integer multiple of one held numerator.  A Fraction is built only
-where a row leaves the oracle: oracle_evolve and oracle_step return
-FieldRows, while oracle_getter hands out (numerator, denominator) pairs.  The
-scaling is the oracle's own; it reads nothing of the closed form's symbol or
-powers, so the two engines share a row container and no arithmetic.
-verify_closed_vs_oracle compares the two engines' pairs by cross-multiplying;
-verify_recurrence substitutes plain Fractions cell by cell.
+(den, {key: numerator}): nonzero int numerators over one positive
+denominator, not reduced, each point packed into one int key offset by the
+low corner of auto_window, so a stencil shift is one int addition and no
+digit carries.  The new row's denominator is the lcm over stencil entries
+of coefficient denominator times held-row denominator, and every term is an
+integer multiple of one held numerator.  _evolve hands each row out keyed
+by points again, unpacked once per row.  A Fraction is built only where a
+row leaves the oracle: oracle_evolve and oracle_step return FieldRows,
+while oracle_getter hands out (numerator, denominator) pairs.  The packing
+and the scaling are the oracle's own; it reads nothing of the closed form's
+symbol or powers, so the two engines share a row container and no
+arithmetic.  verify_closed_vs_oracle compares the two engines' integer rows
+one time at a time when both give rows, and cross-multiplies cell by cell
+otherwise; verify_recurrence substitutes plain Fractions cell by cell.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
-from typing import Callable, Iterator, Sequence
+from operator import le, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
@@ -100,24 +104,6 @@ def _int_row(row: FieldRow) -> tuple[int, dict[Point, int]]:
     return d, {p: v.numerator * (d // v.denominator) for p, v in row.values.items()}
 
 
-def _step(spec: EquationSpec,
-          rows: Sequence[tuple[int, dict[Point, int]]]) -> tuple[int, dict[Point, int]]:
-    """The row after the held integer rows (den, numerators), oldest first:
-    its denominator is the lcm over the entries of coeff.denominator times
-    the held row's den, so every term is an integer multiple of one held
-    numerator."""
-    den = lcm(*(e.coeff.denominator * rows[e.time_level][0] for e in spec.stencil))
-    acc: dict[Point, int] = {}
-    for e in spec.stencil:
-        d, nums = rows[e.time_level]
-        factor = e.coeff.numerator * (den // (e.coeff.denominator * d))
-        delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
-        for p, n in nums.items():
-            key = tuple(map(add, p, delta))
-            acc[key] = acc.get(key, 0) + factor * n
-    return den, {p: v for p, v in acc.items() if v}
-
-
 def _check_steppable(spec: EquationSpec) -> None:
     if spec.implicit_corner:
         raise SpecError("the corner-implicit form is not explicitly steppable; "
@@ -130,38 +116,80 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
         sum over entries of  coeff * rows[time_level](e + offset - shift).
 
     The sum runs over the held rows' support only, so each new row stays
-    sparse and no window bounds it.  It is added up in integers: each held
-    row is scaled to integer numerators over the lcm of its denominators,
-    and the new row takes one denominator (see _step).  Each nonzero cell
-    then becomes one Fraction.
+    sparse and no window bounds it.  It is the one step of _evolve, from
+    the held rows as initial data; each nonzero cell of the new row then
+    becomes one Fraction.
     """
     _check_steppable(spec)
     if len(state.rows) != spec.time_order:
         raise SpecError(f"state holds {len(state.rows)} rows, "
                         f"spec time_order is {spec.time_order}")
-    den, nums = _step(spec, [_int_row(row) for row in state.rows])
+    *_, (den, nums) = _evolve(spec, InitialData(state.rows), spec.time_order)
     new_row = FieldRow._over(spec.spatial_dim, den, nums)
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 
 def _evolve(spec: EquationSpec, initial: InitialData,
             t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """Rows 0..t_max as integer rows (den, numerators), stepped as they are
-    read; the arguments are checked before the first row is asked for."""
+    """Rows 0..t_max as integer rows (den, {point: nonzero numerator}),
+    stepped as they are read; the arguments are checked before the first
+    row is asked for."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     initial.check_matches(spec)
     if t_max >= spec.time_order:
         _check_steppable(spec)
-    return _steps(spec, [_int_row(row) for row in initial.rows], t_max)
+    return _steps(spec, initial, t_max)
 
 
-def _steps(spec: EquationSpec, rows: list[tuple[int, dict[Point, int]]],
+def _steps(spec: EquationSpec, initial: InitialData,
            t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    yield from rows[:t_max + 1]
-    for _ in range(len(rows) - 1, t_max):
-        rows = rows[1:] + [_step(spec, rows)]
-        yield rows[-1]
+    """The stepping kernel behind _evolve.
+
+    Held rows are keyed by one int per point.  auto_window bounds the
+    support up to t_max; offset by the window's low corner, every
+    coordinate is a digit in [0, radix) on its axis, the last axis lowest,
+    so a point packs without a carry and each entry's shift
+    spatial_shift - offset is one int added to the key.  A new row's
+    denominator is the lcm over the entries of coeff.denominator times the
+    held row's den, so every term is an integer multiple of one held
+    numerator.  Each stepped row is unpacked to point keys, column by
+    column, once."""
+    dim = spec.spatial_dim
+    window = auto_window(spec, initial, t_max) or Box((0,) * dim, (0,) * dim)
+    # each axis's unit is the product of the radices of the axes after it
+    units = [1]
+    for lo, hi in zip(window.lo[:0:-1], window.hi[:0:-1]):
+        units.insert(0, units[0] * (hi - lo + 1))
+    base = sum(map(mul, window.lo, units))
+    entries = [(e.time_level, e.coeff.numerator, e.coeff.denominator,
+                sum(map(mul, map(sub, spec.spatial_shift, e.offset), units)))
+               for e in spec.stencil]
+    # per axis: its unit, its radix (None on the top axis) and its low end
+    axes = [(u, None if i == 0 else units[i - 1] // u, lo)
+            for i, (u, lo) in enumerate(zip(units, window.lo))]
+    rows = []
+    for row in initial.rows:
+        den, nums = _int_row(row)
+        if len(rows) <= t_max:
+            yield den, nums
+        rows.append((den, {sum(map(mul, p, units)) - base: n for p, n in nums.items()}))
+    for _ in range(spec.time_order - 1, t_max):
+        den = lcm(*(c_den * rows[level][0] for level, _, c_den, _ in entries))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for level, c_num, c_den, shift in entries:
+            d, nums = rows[level]
+            factor = c_num * (den // (c_den * d))
+            for key, n in nums.items():
+                key += shift
+                acc[key] = get(key, 0) + factor * n
+        nums = {key: n for key, n in acc.items() if n}
+        rows = rows[1:] + [(den, nums)]
+        keys = list(nums)
+        columns = [[k // u + lo for k in keys] if radix is None else
+                   [k // u % radix + lo for k in keys] for u, radix, lo in axes]
+        yield den, dict(zip(zip(*columns), nums.values()))
 
 
 def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
@@ -294,15 +322,23 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     then time order.  Mismatches are data, not errors.  The oracle's extent
     follows from the spec, the initial data and the query.
 
-    Both engines give (numerator, denominator) pairs; n_c / d_c equals
+    Under "auto" an explicit spec's two engines each give integer rows
+    (den, {point: nonzero numerator}), which are compared one time at a
+    time (_row_mismatches).  Every other evaluator, and the corner sweep,
+    gives (numerator, denominator) pairs cell by cell; n_c / d_c equals
     n_o / d_o exactly when n_c * d_o == n_o * d_c, so a Fraction is built
     only for a mismatch."""
     initial.check_matches(spec)
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
         raise SpecError("region box dimension differs from the spec")
+    if evaluator == "auto" and not spec.implicit_corner:
+        checked, mismatches = _row_mismatches(
+            closed_form._rows(spec, initial, t_max), _evolve(spec, initial, t_max), region)
+        return VerifyReport(checked, tuple(mismatches), t_max)
     oracle_get = oracle_getter(spec, initial, t_max, box)
-    closed_get = closed_form.closed_getter(spec, initial, t_max, evaluator)
+    closed_get = closed_form.closed_getter(
+        spec, initial, "implicit" if evaluator == "auto" else evaluator)
     checked = 0
     mismatches = []
     for p, t in query_points(region):
@@ -312,6 +348,51 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
         if n_c * d_o != n_o * d_c:
             mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
     return VerifyReport(checked, tuple(mismatches), t_max)
+
+
+def _row_mismatches(closed_rows: Iterable[tuple[int, dict[Point, int]]],
+                    oracle_rows: Iterable[tuple[int, dict[Point, int]]],
+                    query: Query) -> tuple[int, list[Mismatch]]:
+    """The number of (point, time) pairs the query asks for, duplicates
+    included, and the mismatches among them in point, then time order,
+    from both engines' integer rows at times 0, 1, ...
+
+    Both engines drop zero numerators, so rows with equal denominators and
+    equal numerator maps are equal everywhere, and one dict comparison
+    settles that time.  Otherwise only the asked cells of either row's
+    support are cross-multiplied: every other asked cell is 0 on both
+    sides."""
+    if isinstance(query, Region):
+        lo, hi = query.box.lo, query.box.hi
+        checked = query.box.size() * (query.t_hi - query.t_lo + 1)
+        # every asked time has the whole box, each cell once
+        asked = dict.fromkeys(range(query.t_lo, query.t_hi + 1))
+    else:
+        checked = len(query)
+        asked = {}
+        for p, t in query:
+            cells = asked.setdefault(t, {})
+            p = tuple(p)
+            cells[p] = cells.get(p, 0) + 1
+    mismatches = []
+    for t, ((d_c, c_row), (d_o, o_row)) in enumerate(zip(closed_rows, oracle_rows)):
+        if t not in asked or (d_c == d_o and c_row == o_row):
+            continue
+        cells = asked[t]
+        for p in c_row.keys() | o_row.keys():
+            if cells is None:
+                if not (all(map(le, lo, p)) and all(map(le, p, hi))):
+                    continue
+                repeats = 1
+            else:
+                repeats = cells.get(p)
+                if repeats is None:
+                    continue
+            n_c, n_o = c_row.get(p, 0), o_row.get(p, 0)
+            if n_c * d_o != n_o * d_c:
+                mismatches += [Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o))] * repeats
+    mismatches.sort(key=lambda m: (m.point, m.time))
+    return checked, mismatches
 
 
 def verify_recurrence(values: dict[tuple[Point, int], Fraction],

@@ -101,6 +101,35 @@ def test_solve_point_query_json_format(capsys, tmp_path):
     assert values[((-2,), 2)] == "1/16"
 
 
+def test_far_apart_support_verifies_and_solves(capsys, tmp_path):
+    far = 10 ** 12
+    doc = {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [0],
+        "stencil": [{"offset": [-1], "time_level": 0, "coeff": "1/2"},
+                    {"offset": [1], "time_level": 0, "coeff": "1/3"}],
+        "initial": {"rows": [[{"at": [0], "value": "1"},
+                              {"at": [far], "value": "-2/3"}]]},
+        "query": {"points": [{"at": [0], "t": 2}, {"at": [far - 1], "t": 3}]},
+    }
+    plane = dict(doc, spatial_dim=2, spatial_shift=[0, 0], stencil=[
+        {"offset": [-1, 0], "time_level": 0, "coeff": "1/2"},
+        {"offset": [1, 0], "time_level": 0, "coeff": "1/3"},
+        {"offset": [0, 1], "time_level": 0, "coeff": "1/5"}],
+        initial={"rows": [[{"at": [0, 0], "value": "1"},
+                           {"at": [far, -5], "value": "-2/3"}]]},
+        query={"points": [{"at": [0, 0], "t": 2}, {"at": [far - 1, -7], "t": 3}]})
+    for doc, want in ((doc, f"0,2,1/3\n{far - 1},3,-1/9\n"),
+                      (plane, f"0,0,2,1/3\n{far - 1},-7,3,-2/75\n")):
+        for evaluator in ("auto", "nd"):
+            status, out, _ = run_cli(capsys, "verify", "--config", write_config(tmp_path, doc),
+                                     "--evaluator", evaluator)
+            assert status == 0 and "checked 2 points up to time 3: 0 mismatches" in out
+        for engine in ("closed", "oracle"):
+            path = write_config(tmp_path, dict(doc, engine=engine))
+            status, out, _ = run_cli(capsys, "solve", "--config", path)
+            assert status == 0 and out.endswith(want)
+
+
 def test_verify_corpus_all_pass(capsys):
     configs = sorted(CONFIG_DIR.glob("*.json"))
     assert len(configs) >= 10

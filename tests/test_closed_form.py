@@ -460,7 +460,7 @@ def test_closed_rows_match_pointwise_evaluators():
         initial = InitialData((psi0, psi1))
         rows = closed_rows(spec, initial, 5)
         region = verification_region(spec, initial, 5)
-        getter = closed_getter(spec, initial, 5, "nd")
+        getter = closed_getter(spec, initial, "nd")
         for t in range(6):
             for p in region.box.points():
                 assert (rows[t].get(p) == eval_multistep(spec, initial, p, t)
@@ -476,7 +476,7 @@ def test_two_row_getter_builds_source_rows_once(monkeypatch):
 
     monkeypatch.setattr(closed_form, "source_rows", counted)
     spec = two_row_instance(random.Random(1043))
-    getter = closed_getter(spec, InitialData((DELTA, DELTA)), 3, "nd")
+    getter = closed_getter(spec, InitialData((DELTA, DELTA)), "nd")
     for t in range(4):
         for i in range(-3, 4):
             getter((i,), t)
@@ -694,3 +694,31 @@ def test_linearity_translation_scaling_smoke():
                   for e in spec.stencil))
         assert (eval_nd(scaled_spec, psi1, q, t)
                 == lam ** t * eval_nd(spec, psi1, q, t))
+
+
+FAR = 10 ** 12
+FAR_LINE = EquationSpec(1, 1, (0,), (StencilEntry((-1,), 0, Fraction(1, 2)),
+                                     StencilEntry((1,), 0, Fraction(1, 3))))
+FAR_PLANE = EquationSpec(2, 1, (0, 0), (StencilEntry((-1, 0), 0, Fraction(1, 2)),
+                                        StencilEntry((1, 0), 0, Fraction(1, 3)),
+                                        StencilEntry((0, 1), 0, Fraction(1, 5))))
+
+
+@pytest.mark.parametrize("spec, psi, values", [
+    (FAR_LINE, FieldRow(1, {(0,): Fraction(1), (FAR,): Fraction(-2, 3)}),
+     {((0,), 2): Fraction(1, 3), ((FAR - 1,), 3): Fraction(-1, 9),
+      ((FAR + 1,), 1): Fraction(-1, 3), ((5,), 3): 0}),
+    (FAR_PLANE, FieldRow(2, {(0, 0): Fraction(1), (FAR, -5): Fraction(-2, 3)}),
+     {((0, 0), 2): Fraction(1, 3), ((FAR - 1, -7), 3): Fraction(-2, 75),
+      ((FAR + 1, -6), 2): Fraction(-2, 15), ((1, -1), 2): Fraction(1, 5),
+      ((FAR - 1, -6), 3): 0}),
+], ids=["line", "plane"])
+def test_far_apart_support_gives_exact_values(spec, psi, values):
+    # the gap between the points costs the closed form no coefficient
+    initial = InitialData((psi,))
+    rows = oracle_evolve(spec, initial, 3)
+    assert closed_rows(spec, initial, 3) == rows
+    for (p, t), want in values.items():
+        assert closed_value(spec, initial, p, t) == eval_nd(spec, psi, p, t) == want
+        assert rows[t].get(p) == want
+

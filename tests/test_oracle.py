@@ -12,8 +12,8 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec import cli, closed_form, combinatorics, models, oracle
 from latrec.closed_form import closed_rows
-from latrec.oracle import (EvolutionState, Region, WindowOverflowError, oracle_getter,
-                           sweep_window)
+from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport,
+                           WindowOverflowError, oracle_getter, sweep_window)
 
 from instance_gen import (corner_spec, field_row, nd_instance, rational,
                           tridiagonal_instance, verification_region)
@@ -82,13 +82,17 @@ STEP_VALUES = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=7)).filter(bool)
 
 
+FAR = 10 ** 12
+
+
 @st.composite
-def step_cases(draw):
-    """A spec of time order 1-3 and dimension 1-2 with its held rows, empty
-    rows among them.  When drawn, every level-0 entry gets a negated twin on
-    level 1 over an equal row, so those terms cancel exactly (the whole new
-    row when no entry sits on level 2)."""
-    dim = draw(st.integers(1, 2))
+def step_cases(draw, max_dim=2, far=False):
+    """A spec of time order 1-3 and dimension 1..max_dim with its held rows,
+    empty rows among them.  When drawn, every level-0 entry gets a negated
+    twin on level 1 over an equal row, so those terms cancel exactly (the
+    whole new row when no entry sits on level 2).  With `far`, a row may
+    also hold a point FAR cells away on some axis."""
+    dim = draw(st.integers(1, max_dim))
     k = draw(st.integers(1, 3))
     coords = st.tuples(*[st.integers(-1, 1)] * dim)
     keys = draw(st.lists(st.tuples(coords, st.integers(0, k - 1)),
@@ -98,6 +102,11 @@ def step_cases(draw):
     rows = [FieldRow(dim, {} if draw(st.integers(0, 4)) == 4 else
                      draw(st.dictionaries(points, STEP_VALUES, min_size=1, max_size=5)))
             for _ in range(k)]
+    if far and draw(st.booleans()):
+        s = draw(st.integers(0, k - 1))
+        p = [0] * dim
+        p[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([FAR, -FAR]))
+        rows[s] = FieldRow(dim, {**rows[s].values, tuple(p): draw(STEP_VALUES)})
     if k >= 2 and any(e.time_level == 0 for e in entries) and draw(st.booleans()):
         rows[1] = rows[0]
         entries = ([e for e in entries if e.time_level != 1]
@@ -107,21 +116,35 @@ def step_cases(draw):
     return EquationSpec(dim, k, shift, tuple(entries)), rows
 
 
-@given(step_cases())
+@given(step_cases(max_dim=3, far=True))
 @example((EquationSpec(1, 1, (0,), (StencilEntry((0,), 0, Fraction(1)),
                                     StencilEntry((1,), 0, Fraction(-1)))),
           [FieldRow(1, {(0,): Fraction(1), (1,): Fraction(1)})]))
+@example((EquationSpec(2, 2, (1, -1), (StencilEntry((0, 1), 0, HALF),
+                                       StencilEntry((-1, 0), 1, Fraction(-1, 3)))),
+          [FieldRow.zero(2), FieldRow.zero(2)]))
+@example((EquationSpec(3, 1, (0, 0, 1), (StencilEntry((1, 0, 0), 0, HALF),
+                                         StencilEntry((0, -1, 1), 0, Fraction(2, 3)))),
+          [FieldRow(3, {(0, 0, 0): Fraction(1), (-FAR, 2, FAR): Fraction(-3, 2)})]))
 @settings(max_examples=300, deadline=None)
 def test_step_integer_sum_equals_fraction_reference(case):
-    # the example is (1 - x^-1)(1 + x): its middle cell cancels
+    # the first example is (1 - x^-1)(1 + x): its middle cell cancels; the
+    # second's rows are all zero; the third's points lie FAR apart
     spec, rows = case
     state = state_for(spec, *rows)
     held = list(rows)
+    evolved = oracle._evolve(spec, InitialData(rows), spec.time_order + 2)
+    for row, (den, nums) in zip(rows, evolved):
+        assert type(den) is int and den > 0
+        assert FieldRow._over(spec.spatial_dim, den, nums) == row
     for _ in range(3):
         state = oracle_step(spec, state)
         want = reference_step(spec, held)
         assert state.newest.values == want
         assert_trusted_row(state.newest, spec.spatial_dim)
+        den, nums = next(evolved)
+        assert {p: Fraction(n, den) for p, n in nums.items()} == want
+        assert all(type(n) is int and n for n in nums.values())
         held = held[1:] + [state.newest]
         assert list(state.rows) == held
 
@@ -342,6 +365,118 @@ def test_verify_point_list_matches_region():
     report = verify_closed_vs_oracle(corner, InitialData((DELTA,)), region)
     assert report.ok
     assert verify_closed_vs_oracle(corner, InitialData((DELTA,)), points) == report
+
+
+def per_cell_report(closed_get, oracle_rows, query):
+    """The compare loop verify ran before whole rows: every asked (point,
+    time), duplicates included, cross-multiplied one by one."""
+    checked, mismatches = 0, []
+    for p, t in oracle.query_points(query):
+        n_c, d_c = closed_get(p, t)
+        d_o, o_row = oracle_rows[t]
+        n_o = o_row.get(p, 0)
+        checked += 1
+        if n_c * d_o != n_o * d_c:
+            mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
+    return checked, mismatches
+
+
+def row_getter(rows):
+    return lambda p, t: (rows[t][1].get(p, 0), rows[t][0])
+
+
+@st.composite
+def compare_cases(draw):
+    """A step case, a query (a box that may cut the support, over times
+    starting anywhere, or a point list with repeats), both engines' integer
+    rows up to the query's last time, and the closed rows with faults: a
+    cell changed, added or dropped, or a whole row's den and numerators
+    scaled together."""
+    spec, rows = draw(step_cases())
+    initial = InitialData(rows)
+    coords = st.tuples(*[st.integers(-4, 4)] * spec.spatial_dim)
+    if draw(st.booleans()):
+        a, b = draw(coords), draw(coords)
+        t_lo = draw(st.integers(0, 4))
+        query = Region(Box(tuple(map(min, a, b)), tuple(map(max, a, b))),
+                       t_lo, draw(st.integers(t_lo, 4)))
+    else:
+        query = draw(st.lists(st.tuples(coords, st.integers(0, 4)), min_size=1, max_size=8))
+        query += draw(st.lists(st.sampled_from(query), max_size=3))
+    t_max = oracle.query_bounds(query)[1]
+    closed = list(closed_form._rows(spec, initial, t_max))
+    faulty = list(closed)
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.integers(0, t_max))
+        den, nums = faulty[t]
+        if draw(st.booleans()):
+            m = draw(st.integers(2, 6))
+            faulty[t] = (den * m, {p: n * m for p, n in nums.items()})
+        else:
+            p = draw(coords)
+            n = nums.get(p, 0) + draw(st.integers(-2, 2))
+            nums = {q: v for q, v in nums.items() if q != p}
+            faulty[t] = (den, nums | {p: n} if n else nums)
+    return spec, initial, query, closed, faulty, list(oracle._evolve(spec, initial, t_max))
+
+
+@given(compare_cases())
+@settings(max_examples=300, deadline=None)
+def test_row_compare_equals_the_per_cell_loop(case):
+    spec, initial, query, closed, faulty, oracle_rows = case
+    checked, mismatches = per_cell_report(row_getter(closed), oracle_rows, query)
+    assert not mismatches
+    assert verify_closed_vs_oracle(spec, initial, query) == VerifyReport(
+        checked, (), oracle.query_bounds(query)[1])
+    assert oracle._row_mismatches(iter(faulty), iter(oracle_rows), query) == \
+        per_cell_report(row_getter(faulty), oracle_rows, query)
+
+
+def test_verify_reports_a_faulty_closed_cell_only_where_asked(monkeypatch):
+    spec = tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-2, 3)}),))
+    region = Region(Box((-1,), (2,)), 2, 4)
+    points = [((1,), 3), ((5,), 3), ((1,), 3), ((0,), 4)]
+    rows = closed_form._rows
+
+    def patch(t, edit):
+        def faulty(*args):
+            out = list(rows(*args))
+            out[t] = edit(*out[t])
+            return iter(out)
+        monkeypatch.setattr(closed_form, "_rows", faulty)
+
+    den = list(rows(spec, initial, 3))[3][0]
+    patch(3, lambda den, nums: (den, nums | {(1,): nums.get((1,), 0) + 1}))
+    report = verify_closed_vs_oracle(spec, initial, region)
+    assert report.checked == 12 and [(m.point, m.time) for m in report.mismatches] == [((1,), 3)]
+    (m,) = report.mismatches
+    assert m.closed_value - m.oracle_value == Fraction(1, den)
+    listed = verify_closed_vs_oracle(spec, initial, points)
+    assert listed.checked == 4 and listed.mismatches == (m, m)
+    # outside the box, and inside it at a time before the region starts
+    patch(3, lambda den, nums: (den, nums | {(5,): nums.get((5,), 0) + 1}))
+    assert verify_closed_vs_oracle(spec, initial, region).ok
+    patch(1, lambda den, nums: (den, nums | {(0,): nums.get((0,), 0) + 1}))
+    assert verify_closed_vs_oracle(spec, initial, region).ok
+    assert verify_closed_vs_oracle(spec, initial, points).ok
+    # the same values over a multiple of the denominator
+    patch(3, lambda den, nums: (7 * den, {p: 7 * n for p, n in nums.items()}))
+    assert verify_closed_vs_oracle(spec, initial, region) == VerifyReport(12, (), 4)
+    assert verify_closed_vs_oracle(spec, initial, points) == VerifyReport(4, (), 4)
+
+
+def test_tridiagonal_j_n_control_keeps_the_per_cell_report():
+    spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
+    oracle_rows = list(oracle._evolve(spec, initial, 4))
+    closed_get = closed_form.closed_getter(spec, initial, "tridiagonal-j-n")
+    for query in (Region(Box((-3,), (4,)), 2, 4),
+                  [((1,), 3), ((-2,), 2), ((1,), 3), ((4,), 4), ((9,), 1)]):
+        checked, mismatches = per_cell_report(closed_get, oracle_rows, query)
+        assert mismatches
+        report = verify_closed_vs_oracle(spec, initial, query, evaluator="tridiagonal-j-n")
+        assert report == VerifyReport(checked, tuple(mismatches), 4)
 
 
 def test_verify_random_specs_zero_mismatches():
