@@ -35,7 +35,9 @@ from .oracle import (Region, _evolve, oracle_getter, query_bounds,
 
 def format_table(dim: int, rows: list[tuple[Point, int, str]],
                  header_hash: str, out_format: str) -> str:
-    """Serialize (point, time, value text) rows; caller supplies sorted rows.
+    """Serialize (point, time, value text) rows, which the caller supplies
+    sorted by point, then time: solve in its query's order, with "0" for
+    every queried cell off the rows' support, and the demos point by point.
     A CSV line's point prefix is written once per point."""
     if out_format == "csv":
         lines = [f"# spec={header_hash}"]

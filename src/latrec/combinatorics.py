@@ -157,7 +157,7 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     keys = [k for k, c in enumerate(coeffs) if c]
     values = [coeffs[k] for k in keys]
     moved = [k // units[-1] * out_units[-1] for k in keys]
-    for u, r, v in zip(units, reach, out_units[:-1]):
+    for u, r, v in zip(units[:-1], reach[:-1], out_units[:-1]):
         moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
     row_offset = sum(map(mul, row_low, out_units))
     shifts = [(sum(map(mul, p, out_units)) - row_offset, v) for p, v in row]

@@ -157,17 +157,16 @@ def _steps(spec: EquationSpec, initial: InitialData,
     column, once."""
     dim = spec.spatial_dim
     window = auto_window(spec, initial, t_max) or Box((0,) * dim, (0,) * dim)
+    radices = [hi - lo + 1 for lo, hi in zip(window.lo, window.hi)]
     # each axis's unit is the product of the radices of the axes after it
     units = [1]
-    for lo, hi in zip(window.lo[:0:-1], window.hi[:0:-1]):
-        units.insert(0, units[0] * (hi - lo + 1))
+    for radix in radices[:0:-1]:
+        units.insert(0, units[0] * radix)
     base = sum(map(mul, window.lo, units))
     entries = [(e.time_level, e.coeff.numerator, e.coeff.denominator,
                 sum(map(mul, map(sub, spec.spatial_shift, e.offset), units)))
                for e in spec.stencil]
-    # per axis: its unit, its radix (None on the top axis) and its low end
-    axes = [(u, None if i == 0 else units[i - 1] // u, lo)
-            for i, (u, lo) in enumerate(zip(units, window.lo))]
+    axes = list(zip(units, radices, window.lo))
     rows = []
     for row in initial.rows:
         den, nums = _int_row(row)
@@ -187,8 +186,7 @@ def _steps(spec: EquationSpec, initial: InitialData,
         nums = {key: n for key, n in acc.items() if n}
         rows = rows[1:] + [(den, nums)]
         keys = list(nums)
-        columns = [[k // u + lo for k in keys] if radix is None else
-                   [k // u % radix + lo for k in keys] for u, radix, lo in axes]
+        columns = [[k // u % radix + lo for k in keys] for u, radix, lo in axes]
         yield den, dict(zip(zip(*columns), nums.values()))
 
 
