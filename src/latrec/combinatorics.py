@@ -97,8 +97,8 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     list, which is not yet written.  N's extent never enters P's packing,
     so points of N far apart cost no coefficients.  N multiplies P's
     nonzero cells in a second packing, whose lower radices also hold N's
-    extent: into a list when its key range is no longer than the product
-    has terms, else into a dict.
+    extent, into a dict, so the product costs its terms however far apart
+    N's points are.
 
     Returns D and a map from each cell of (D A)**t * N to its nonzero
     coefficient; with `point`, from that cell alone, the recurrence stopping
@@ -161,28 +161,19 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
         moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
     row_offset = sum(map(mul, row_low, out_units))
     shifts = [(sum(map(mul, p, out_units)) - row_offset, v) for p, v in row]
-    size = moved[-1] + max(shifts)[0] + 1
-    if size <= len(moved) * len(shifts):
-        # a dense product costs no more memory than its terms
-        out = [0] * size
-        for s, v in shifts:
-            for k, c in zip(moved, values):
-                out[k + s] += c * v
-        cells = [k for k, v in enumerate(out) if v]
-    else:
-        out = {}
-        get = out.get
-        for s, v in shifts:
-            for k, c in zip(moved, values):
-                k += s
-                out[k] = get(k, 0) + c * v
-        cells = [k for k, v in out.items() if v]
+    out = {}
+    get = out.get
+    for s, v in shifts:
+        for k, c in zip(moved, values):
+            k += s
+            out[k] = get(k, 0) + c * v
+    out = {k: v for k, v in out.items() if v}
     # unpack each cell's digits, axis by axis, and zip them into points
     corner = list(map(add, origin, row_low))
-    columns = [[k // u % radix + o for k in cells]
+    columns = [[k // u % radix + o for k in out]
                for u, radix, o in zip(out_units, radices, corner)]
-    columns.append([k // out_units[-1] + corner[-1] for k in cells])
-    return scale, dict(zip(zip(*columns), [out[k] for k in cells]))
+    columns.append([k // out_units[-1] + corner[-1] for k in out])
+    return scale, dict(zip(zip(*columns), out.values()))
 
 
 def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tuple[int, ...], int]]:
