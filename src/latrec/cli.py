@@ -23,13 +23,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable
 
-from .closed_form import EVALUATORS, _power_row, _rows, closed_getter
+from .closed_form import EVALUATORS, _power_row, closed_getter
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import (Region, _evolve, oracle_getter, query_bounds,
+from .oracle import (Region, engine_rows, oracle_getter, query_bounds,
                      verify_closed_vs_oracle)
 
 
@@ -84,22 +84,22 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text).
 
     solve reads an explicit spec's answer from the chosen engine's integer
-    rows (den, {point: nonzero numerator}), one row per time: a queried
-    cell of a row's support gets one text, and every other queried cell is
-    "0".  The corner-implicit form is read cell by cell, from the corner sum
-    or the sweep."""
+    rows (den, {point: nonzero numerator}) by engine_rows, one row per
+    time: a queried cell of a row's support gets one text, and every other
+    queried cell is "0".  The corner-implicit form is read cell by cell,
+    from the corner sum or the sweep."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial = config.spec, config.initial
     box, t_max = query_bounds(config.query)
     text = _value_texts(spec, initial)
-    closed = config.engine == "closed"
-    if spec.implicit_corner:
-        getter = (closed_getter(spec, initial, "implicit") if closed
+    rows = engine_rows(spec, initial, t_max, config.engine)
+    if rows is None:
+        getter = (closed_getter(spec, initial, "auto") if config.engine == "closed"
                   else oracle_getter(spec, initial, t_max, box))
         table = [(p, t, text(*getter(p, t))) for p, t in config.query_points]
     else:
-        rows = list((_rows if closed else _evolve)(spec, initial, t_max))
+        rows = list(rows)
         table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
                  for p, t in config.query_points]
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
@@ -202,7 +202,7 @@ def _cmd_demo_heat(args) -> int:
         sys.stderr.write(f"note: r={args.r} exceeds 1/2; the update is "
                          f"unstable (no maximum principle)\n")
     spec, initial = heat_spec(params), InitialData((FieldRow.delta(1),))
-    rows = _evolve(spec, initial, args.steps)
+    rows = engine_rows(spec, initial, args.steps, "oracle")
     _emit(_demo_table(spec, initial, rows, args.format), args.out)
     return 0
 

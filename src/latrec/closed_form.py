@@ -388,8 +388,12 @@ def closed_getter(spec: EquationSpec, initial: InitialData,
                   evaluator: str) -> Callable[[Point, int], tuple[int, int]]:
     """(point, time) -> the value of the pointwise evaluator named in
     EVALUATORS as (numerator, positive denominator): its Fraction v enters
-    as (v.numerator, v.denominator).  SpecError is raised for an unknown
-    name, and when the spec does not have that evaluator's shape."""
+    as (v.numerator, v.denominator).  "auto" names "implicit" for the
+    corner-implicit form and "nd" for every other spec.  SpecError is raised
+    for an unknown name, and when the spec does not have that evaluator's
+    shape."""
+    if evaluator == "auto":
+        evaluator = "implicit" if spec.implicit_corner else "nd"
     if evaluator not in EVALUATORS:
         raise SpecError(f"unknown evaluator {evaluator!r}")
     recognise, shape, make = EVALUATORS[evaluator]
@@ -407,8 +411,7 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
     every other explicit equation."""
     _check_query(spec, point, time)
     if spec.implicit_corner or spec.time_order != 1:
-        evaluator = "implicit" if spec.implicit_corner else "nd"
-        return Fraction(*closed_getter(spec, initial, evaluator)(point, time))
+        return Fraction(*closed_getter(spec, initial, "auto")(point, time))
     initial.check_matches(spec)
     point = tuple(point)
     den, cells = _power_row(spec, initial.rows[0], time, point)

@@ -313,6 +313,17 @@ def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int,
     return lambda p, t: (rows[t][1].get(p, 0), rows[t][0])
 
 
+def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int,
+                engine: str) -> Iterator[tuple[int, dict[Point, int]]] | None:
+    """The integer rows (den, {point: nonzero numerator}) at times
+    0..t_max by which engine, "closed" or "oracle", answers an explicit
+    spec: closed_form._rows or _evolve.  None for the corner-implicit form,
+    which each engine answers cell by cell (closed_getter, oracle_getter)."""
+    if spec.implicit_corner:
+        return None
+    return (closed_form._rows if engine == "closed" else _evolve)(spec, initial, t_max)
+
+
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
                             region: Query, evaluator: str = "auto") -> VerifyReport:
     """Evaluate both engines at every (point, time) of the query, a Region or
@@ -321,22 +332,22 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     follows from the spec, the initial data and the query.
 
     Under "auto" an explicit spec's two engines each give integer rows
-    (den, {point: nonzero numerator}), which are compared one time at a
-    time (_row_mismatches).  Every other evaluator, and the corner sweep,
-    gives (numerator, denominator) pairs cell by cell; n_c / d_c equals
-    n_o / d_o exactly when n_c * d_o == n_o * d_c, so a Fraction is built
-    only for a mismatch."""
+    (den, {point: nonzero numerator}) by engine_rows, which are compared
+    one time at a time (_row_mismatches).  Every other evaluator, and
+    both engines of the corner-implicit form, give (numerator, denominator)
+    pairs cell by cell; n_c / d_c equals n_o / d_o exactly when
+    n_c * d_o == n_o * d_c, so a Fraction is built only for a mismatch."""
     initial.check_matches(spec)
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
         raise SpecError("region box dimension differs from the spec")
-    if evaluator == "auto" and not spec.implicit_corner:
+    rows = engine_rows(spec, initial, t_max, "closed") if evaluator == "auto" else None
+    if rows is not None:
         checked, mismatches = _row_mismatches(
-            closed_form._rows(spec, initial, t_max), _evolve(spec, initial, t_max), region)
+            rows, engine_rows(spec, initial, t_max, "oracle"), region)
         return VerifyReport(checked, tuple(mismatches), t_max)
     oracle_get = oracle_getter(spec, initial, t_max, box)
-    closed_get = closed_form.closed_getter(
-        spec, initial, "implicit" if evaluator == "auto" else evaluator)
+    closed_get = closed_form.closed_getter(spec, initial, evaluator)
     checked = 0
     mismatches = []
     for p, t in query_points(region):

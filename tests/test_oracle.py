@@ -13,7 +13,8 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
 from latrec import cli, closed_form, combinatorics, models, oracle
 from latrec.closed_form import closed_rows
 from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport,
-                           WindowOverflowError, oracle_getter, sweep_window)
+                           WindowOverflowError, engine_rows, oracle_getter,
+                           sweep_window)
 
 from instance_gen import (corner_spec, field_row, nd_instance, rational,
                           tridiagonal_instance, verification_region)
@@ -477,6 +478,24 @@ def test_tridiagonal_j_n_control_keeps_the_per_cell_report():
         assert mismatches
         report = verify_closed_vs_oracle(spec, initial, query, evaluator="tridiagonal-j-n")
         assert report == VerifyReport(checked, tuple(mismatches), 4)
+
+
+def test_auto_picks_one_source_per_engine(monkeypatch):
+    delta = InitialData((DELTA,))
+    corner = corner_spec(HALF, Fraction(1), Fraction(1, 3))
+    tri = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
+    # "auto" is the corner sum on the corner-implicit form and "nd" elsewhere
+    for spec, name in ((corner, "implicit"), (tri, "nd")):
+        auto = closed_form.closed_getter(spec, delta, "auto")
+        named = closed_form.closed_getter(spec, delta, name)
+        assert all(auto(p, t) == named(p, t) for p in [(-2,), (0,), (3,)] for t in range(4))
+    # explicit specs are answered by rows, the corner-implicit form cell by cell
+    monkeypatch.setattr(closed_form, "_rows", lambda *args: "closed rows")
+    monkeypatch.setattr(oracle, "_evolve", lambda *args: "oracle rows")
+    assert engine_rows(tri, delta, 3, "closed") == "closed rows"
+    assert engine_rows(tri, delta, 3, "oracle") == "oracle rows"
+    assert engine_rows(corner, delta, 3, "closed") is None
+    assert engine_rows(corner, delta, 3, "oracle") is None
 
 
 def test_verify_random_specs_zero_mismatches():
