@@ -174,17 +174,11 @@ def _cmd_verify(args) -> int:
 def _demo_table(spec: EquationSpec, initial: InitialData,
                 rows: Iterable[tuple[int, dict[Point, int]]], out_format: str) -> str:
     """The table of the integer rows (den, numerators) at times 0, 1, ... of
-    spec from the initial rows: each point's cells are kept in time order as
-    the rows arrive, and only the points are sorted."""
+    spec from the initial rows."""
     text = _value_texts(spec, initial)
-    by_point: dict[Point, list[tuple[int, str]]] = {}
-    for j, (den, nums) in enumerate(rows):
-        for p, n in nums.items():
-            cells = by_point.get(p)
-            if cells is None:
-                cells = by_point[p] = []
-            cells.append((j, text(n, den)))
-    table = [(p, j, value) for p in sorted(by_point) for j, value in by_point[p]]
+    table = [(p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
+             for p, n in nums.items()]
+    table.sort()
     return format_table(1, table, spec_hash(spec), out_format)
 
 
