@@ -57,6 +57,35 @@ LOCAL_CONFIGS = {
                             {"at": [2], "t": 3}, {"at": [-9], "t": 2},
                             {"at": [1], "t": 0}, {"at": [0], "t": 4}]},
     },
+    # a 25x25 box around a support that reaches only two cells from the origin
+    "wide_box.json": {
+        "spatial_dim": 2, "time_order": 1, "spatial_shift": [0, 0],
+        "stencil": _entries([[0, 0], [-1, 0], [0, 1]], ["1/3", "1/4", "-2/5"]),
+        "initial": {"rows": [[{"at": [0, 0], "value": "3/2"},
+                              {"at": [1, -1], "value": "-1"}]]},
+        "query": {"box": [[-12, 12], [-12, 12]], "times": [0, 2]},
+    },
+    # the support drifts right, so (0) and (1) fall behind it; (1) repeats at
+    # two times, (0, t=5) is listed twice
+    "drift_repeats.json": {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [0],
+        "stencil": _entries([[-1], [-2]], ["1/2", "-1/3"]),
+        "initial": {"rows": [[{"at": [0], "value": "1"}, {"at": [1], "value": "2/3"}]]},
+        "query": {"points": [{"at": [1], "t": 4}, {"at": [0], "t": 5},
+                            {"at": [3], "t": 2}, {"at": [1], "t": 1},
+                            {"at": [0], "t": 0}, {"at": [0], "t": 5},
+                            {"at": [1], "t": 4}, {"at": [9], "t": 6},
+                            {"at": [1], "t": 0}]},
+    },
+    # a 2D region from t = 3 whose box holds only part of the support
+    "late_box_2d.json": {
+        "spatial_dim": 2, "time_order": 1, "spatial_shift": [0, 0],
+        "stencil": _entries([[0, 0], [1, 0], [0, -1], [1, 1]],
+                            ["1/2", "2/3", "-1/4", "1/5"]),
+        "initial": {"rows": [[{"at": [0, 0], "value": "1"},
+                              {"at": [-1, 2], "value": "-5/3"}]]},
+        "query": {"box": [[-4, 1], [-1, 4]], "times": [3, 6]},
+    },
 }
 
 
@@ -263,6 +292,24 @@ GOLDEN = {
     'solve closed json repeated_points.json': (0, 'b10bc77dcd3237e7be9179e9d463d6e4fe56a53d8f762ee70a8e347daaf52424'),
     'solve oracle csv repeated_points.json': (0, '2652bca277f6ffa1773733b5a75f5ee4771e8c2ccf711c09d345907b6bba4510'),
     'solve oracle json repeated_points.json': (0, 'b10bc77dcd3237e7be9179e9d463d6e4fe56a53d8f762ee70a8e347daaf52424'),
+    'verify auto wide_box.json': (0, '3f219e38a9d2878b8231e00432bd1a002a36c3d8da351c02429e78eee435b8f0'),
+    'verify nd wide_box.json': (0, '3f219e38a9d2878b8231e00432bd1a002a36c3d8da351c02429e78eee435b8f0'),
+    'solve closed csv wide_box.json': (0, 'c87e717025d2dff76b31068a2603d59ddcf1b84def20da6f1343f6eab47f6518'),
+    'solve closed json wide_box.json': (0, '0f2d37465d9e56b9f8b676ecb7a4d774e1cb94b08a960101854f2c6616293808'),
+    'solve oracle csv wide_box.json': (0, 'c87e717025d2dff76b31068a2603d59ddcf1b84def20da6f1343f6eab47f6518'),
+    'solve oracle json wide_box.json': (0, '0f2d37465d9e56b9f8b676ecb7a4d774e1cb94b08a960101854f2c6616293808'),
+    'verify auto drift_repeats.json': (0, '9dad6de09d9cd2390dabcb4f42b247dbba2b24cced28d17ba877363c86e230d7'),
+    'verify nd drift_repeats.json': (0, '9dad6de09d9cd2390dabcb4f42b247dbba2b24cced28d17ba877363c86e230d7'),
+    'solve closed csv drift_repeats.json': (0, 'c20f46ad31bf516e473999c1bad2f9b79115c266c5a948c0472620d2efdf8d2c'),
+    'solve closed json drift_repeats.json': (0, '2d12855e4201484d070e6f406aa2a72ccf92154fa3128deae56e419e84daef1b'),
+    'solve oracle csv drift_repeats.json': (0, 'c20f46ad31bf516e473999c1bad2f9b79115c266c5a948c0472620d2efdf8d2c'),
+    'solve oracle json drift_repeats.json': (0, '2d12855e4201484d070e6f406aa2a72ccf92154fa3128deae56e419e84daef1b'),
+    'verify auto late_box_2d.json': (0, '00b47c683e86ba2a8f91ec84a90c394ab7ac18c139248a567651f93fce203ea4'),
+    'verify nd late_box_2d.json': (0, '00b47c683e86ba2a8f91ec84a90c394ab7ac18c139248a567651f93fce203ea4'),
+    'solve closed csv late_box_2d.json': (0, '0af805f6c06e9288730f3643610548a90d6ad04a070a1475be0b902abbc050eb'),
+    'solve closed json late_box_2d.json': (0, 'dc7c8a9cde447da203d879138b5c0642e5d00359f76d96f2af02a1bdf34788ff'),
+    'solve oracle csv late_box_2d.json': (0, '0af805f6c06e9288730f3643610548a90d6ad04a070a1475be0b902abbc050eb'),
+    'solve oracle json late_box_2d.json': (0, 'dc7c8a9cde447da203d879138b5c0642e5d00359f76d96f2af02a1bdf34788ff'),
     'heat csv r=1/4 steps=0': (0, '0547aeea053a7488ff9e5cc5a5d811a6c6e68f7329563b9845ad2a1d86a37951'),
     'heat csv r=1/4 steps=1': (0, '30b5bac98d3efeda04959a72cd6e6a083d2b1c8c073f1750570073a7b06b45a8'),
     'heat csv r=1/4 steps=9': (0, 'ce4690e2e62befc8a7effe9bd0030b910af83dbc2d1f13f577ad62a48162165b'),
