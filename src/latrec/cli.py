@@ -11,6 +11,8 @@ Subcommands:
 Exit codes: 0 success / no mismatch, 1 verification found mismatches,
 2 usage or config error.  Output is deterministic: rows sorted
 lexicographically by point, then time, all values in exact rational text.
+solve and the demos text only the nonzero cells of the integer rows they
+stream, and format_table writes each point's lines as one block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import add
 from typing import Callable, Iterable
 
 from .closed_form import EVALUATORS, _power_row, closed_getter
@@ -30,27 +34,28 @@ from .exactnum import ParseError, format_rational, parse_rational, rational_text
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
 from .oracle import (Region, engine_rows, oracle_getter, query_bounds,
-                     verify_closed_vs_oracle)
+                     query_groups, verify_closed_vs_oracle)
 
 
-def format_table(dim: int, rows: list[tuple[Point, int, str]],
+def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], list[str]]],
                  header_hash: str, out_format: str) -> str:
-    """Serialize (point, time, value text) rows, which the caller supplies
-    sorted by point, then time: solve in its query's order, with "0" for
-    every queried cell off the rows' support, and the demos point by point.
-    A CSV line's point prefix is written once per point."""
+    """Serialize (point, times, one value text per time) groups, which the
+    caller supplies sorted by point, then time.  A point's CSV lines are one
+    join of its prefix between the "t," stamps, built once per times tuple."""
     if out_format == "csv":
         lines = [f"# spec={header_hash}"]
         lines.append(",".join([f"e{i + 1}" for i in range(dim)] + ["t", "value"]))
-        point = prefix = None
-        for p, t, text in rows:
-            if p != point:
-                point, prefix = p, "".join(f"{c}," for c in p)
-            lines.append(f"{prefix}{t},{text}")
+        stamps: dict[tuple[int, ...], list[str]] = {}
+        for p, times, texts in groups:
+            if times not in stamps:
+                stamps[times] = [f"{t}," for t in times]
+            prefix = ",".join(map(str, p)) + ","
+            lines.append(prefix + ("\n" + prefix).join(map(add, stamps[times], texts)))
         return "\n".join(lines) + "\n"
     payload = {
         "spec": header_hash,
-        "rows": [{"at": list(p), "t": t, "value": text} for p, t, text in rows],
+        "rows": [{"at": list(p), "t": t, "value": text}
+                 for p, times, texts in groups for t, text in zip(times, texts)],
     }
     return json.dumps(payload, sort_keys=True) + "\n"
 
@@ -83,25 +88,40 @@ def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text).
 
-    solve reads an explicit spec's answer from the chosen engine's integer
-    rows (den, {point: nonzero numerator}) by engine_rows, one row per
-    time: a queried cell of a row's support gets one text, and every other
-    queried cell is "0".  The corner-implicit form is read cell by cell,
-    from the corner sum or the sweep."""
+    solve streams the chosen engine's integer rows (den, {point: nonzero
+    numerator}) by engine_rows and texts only the cells of a row's support
+    asked for at its time; every other queried cell is "0", and a point with
+    none shares one all-"0" list.  The corner-implicit form is read cell by
+    cell, from the corner sum or the sweep."""
     if config.engine == "verify":
         return run_verify(config, "auto")
-    spec, initial = config.spec, config.initial
-    box, t_max = query_bounds(config.query)
+    spec, initial, query = config.spec, config.initial, config.query
+    box, t_max = query_bounds(query)
     text = _value_texts(spec, initial)
+    groups = list(query_groups(query))
+    cells: dict[Point, dict[int, str]] = {p: {} for p, _ in groups}
     rows = engine_rows(spec, initial, t_max, config.engine)
     if rows is None:
         getter = (closed_getter(spec, initial, "auto") if config.engine == "closed"
                   else oracle_getter(spec, initial, t_max, box))
-        table = [(p, t, text(*getter(p, t))) for p, t in config.query_points]
+        for p, times in groups:
+            cells[p] = {t: text(*getter(p, t)) for t in times}
     else:
-        rows = list(rows)
-        table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
-                 for p, t in config.query_points]
+        # time -> {asked point: its cells}; a region asks every point at every time
+        if isinstance(query, Region):
+            asked = dict.fromkeys(range(query.t_lo, t_max + 1), cells)
+        else:
+            asked = {}
+            for p, times in groups:
+                for t in times:
+                    asked.setdefault(t, {})[p] = cells[p]
+        for t, (den, nums) in enumerate(rows):
+            if (at := asked.get(t)) is not None:
+                for p in at.keys() & nums.keys():
+                    at[p][t] = text(nums[p], den)
+    zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
+    table = [(p, times, [*map(found.get, times, repeat("0"))] if (found := cells[p])
+              else zeros[len(times)]) for p, times in groups]
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
 
@@ -174,11 +194,13 @@ def _cmd_verify(args) -> int:
 def _demo_table(spec: EquationSpec, initial: InitialData,
                 rows: Iterable[tuple[int, dict[Point, int]]], out_format: str) -> str:
     """The table of the integer rows (den, numerators) at times 0, 1, ... of
-    spec from the initial rows."""
+    spec from the initial rows, grouped by point: the points are sorted once."""
     text = _value_texts(spec, initial)
-    table = [(p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
-             for p, n in nums.items()]
-    table.sort()
+    cells: dict[Point, dict[int, str]] = {}
+    for j, (den, nums) in enumerate(rows):
+        for p, n in nums.items():
+            cells.setdefault(p, {})[j] = text(n, den)
+    table = [(p, tuple(texts), list(texts.values())) for p, texts in sorted(cells.items())]
     return format_table(1, table, spec_hash(spec), out_format)
 
 

@@ -270,14 +270,22 @@ class VerifyReport:
 Query = Region | Sequence[tuple[Point, int]]
 
 
-def query_points(query: Query) -> Iterator[tuple[Point, int]]:
-    """The query's (point, time) pairs sorted by point, then time; a
-    region's are generated as they are read, and listed points become
-    tuples."""
+def query_groups(query: Query) -> Iterator[tuple[Point, tuple[int, ...]]]:
+    """The query's points, sorted, each with its asked times ascending:
+    a region's points are generated as read and share one times tuple; a
+    listed point becomes a tuple, and its times keep their repeats."""
     if isinstance(query, Region):
-        return ((p, t) for p in query.box.points()
-                for t in range(query.t_lo, query.t_hi + 1))
-    return iter(sorted((tuple(p), t) for p, t in query))
+        times = tuple(range(query.t_lo, query.t_hi + 1))
+        return ((p, times) for p in query.box.points())
+    groups: dict[Point, list[int]] = {}
+    for p, t in query:
+        groups.setdefault(tuple(p), []).append(t)
+    return ((p, tuple(sorted(groups[p]))) for p in sorted(groups))
+
+
+def query_points(query: Query) -> Iterator[tuple[Point, int]]:
+    """The query's (point, time) pairs, sorted: query_groups flattened."""
+    return ((p, t) for p, times in query_groups(query) for t in times)
 
 
 def query_bounds(query: Query) -> tuple[Box, int]:

@@ -1,0 +1,65 @@
+"""The per-cell table writer that solve and the demos used before they wrote
+point by point, kept as a witness for the byte-identity tests: one
+(point, time, text) tuple per queried cell, sorted, then one CSV line or
+JSON row per tuple."""
+
+import json
+
+from latrec.cli import _value_texts
+from latrec.closed_form import closed_getter
+from latrec.config import spec_hash
+from latrec.oracle import Region, engine_rows, oracle_getter, query_bounds
+
+
+def reference_format_table(dim, rows, header_hash, out_format):
+    """Serialize (point, time, value text) rows, sorted by point, then time."""
+    if out_format == "csv":
+        lines = [f"# spec={header_hash}"]
+        lines.append(",".join([f"e{i + 1}" for i in range(dim)] + ["t", "value"]))
+        point = prefix = None
+        for p, t, text in rows:
+            if p != point:
+                point, prefix = p, "".join(f"{c}," for c in p)
+            lines.append(f"{prefix}{t},{text}")
+        return "\n".join(lines) + "\n"
+    payload = {
+        "spec": header_hash,
+        "rows": [{"at": list(p), "t": t, "value": text} for p, t, text in rows],
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def reference_query_points(query):
+    """Every asked (point, time), duplicates included, sorted."""
+    if isinstance(query, Region):
+        return [(p, t) for p in query.box.points()
+                for t in range(query.t_lo, query.t_hi + 1)]
+    return sorted((tuple(p), t) for p, t in query)
+
+
+def reference_solve(config):
+    """solve's bytes: every asked cell looked up in the engine's rows, "0"
+    off their support, or asked of its getter for the corner-implicit form."""
+    spec, initial = config.spec, config.initial
+    box, t_max = query_bounds(config.query)
+    text = _value_texts(spec, initial)
+    rows = engine_rows(spec, initial, t_max, config.engine)
+    if rows is None:
+        getter = (closed_getter(spec, initial, "auto") if config.engine == "closed"
+                  else oracle_getter(spec, initial, t_max, box))
+        table = [(p, t, text(*getter(p, t)))
+                 for p, t in reference_query_points(config.query)]
+    else:
+        rows = list(rows)
+        table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
+                 for p, t in reference_query_points(config.query)]
+    return reference_format_table(spec.spatial_dim, table, spec_hash(spec),
+                                  config.out_format)
+
+
+def reference_demo(spec, initial, rows, out_format):
+    """A demo's bytes: every nonzero cell of the integer rows at times 0, 1, ..."""
+    text = _value_texts(spec, initial)
+    table = sorted((p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
+                   for p, n in nums.items())
+    return reference_format_table(1, table, spec_hash(spec), out_format)

@@ -5,7 +5,9 @@ Every config under ``configs/`` goes through ``verify`` (evaluators
 ``auto`` cut at ``--tmax 3``), ``solve`` with the closed and the oracle
 engine (CSV and JSON) and ``expand`` (powers 0, 3 and 7); ``demo heat``
 runs at r = 1/4, 2/7, 1/2 and 2 for 0, 1, 9 and 40 steps and ``demo
-random-walk`` with three parameter sets, each in CSV and JSON.  Each call's
+random-walk`` with three parameter sets, each in CSV and JSON.  The
+test-local ``LOCAL_CONFIGS`` go through ``verify`` (``auto`` and ``nd``) and
+``solve`` with both engines in CSV and JSON.  Each call's
 exit code and the sha256 of its stdout must equal the recorded digests.  A change that alters any emitted byte or exit code fails here.
 Run this file as a script to print the digests of the current tree.
 """
