@@ -33,8 +33,8 @@ from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import (Region, engine_rows, oracle_getter, query_bounds,
-                     query_groups, verify_closed_vs_oracle)
+from .oracle import (Region, asked_cells, engine_rows, oracle_getter,
+                     query_bounds, query_groups, verify_closed_vs_oracle)
 
 
 def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], list[str]]],
@@ -107,18 +107,13 @@ def run(config: RunConfig) -> tuple[int, str]:
         for p, times in groups:
             cells[p] = {t: text(*getter(p, t)) for t in times}
     else:
-        # time -> {asked point: its cells}; a region asks every point at every time
-        if isinstance(query, Region):
-            asked = dict.fromkeys(range(query.t_lo, t_max + 1), cells)
-        else:
-            asked = {}
-            for p, times in groups:
-                for t in times:
-                    asked.setdefault(t, {})[p] = cells[p]
+        asked = asked_cells(query)
         for t, (den, nums) in enumerate(rows):
-            if (at := asked.get(t)) is not None:
+            if t in asked:
+                # None: a region asks every point at every asked time
+                at = cells if asked[t] is None else asked[t]
                 for p in at.keys() & nums.keys():
-                    at[p][t] = text(nums[p], den)
+                    cells[p][t] = text(nums[p], den)
     zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
     table = [(p, times, [*map(found.get, times, repeat("0"))] if (found := cells[p])
               else zeros[len(times)]) for p, times in groups]

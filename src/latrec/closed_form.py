@@ -19,6 +19,14 @@ rationals.  Evaluators:
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
 
+The three-point sum and the corner kernel (``corner_kernel``, shared with
+``eval_implicit`` as ``_corner_sum``) are evaluated in integers by Horner's
+rule: from one term to the next the power part changes by a fixed ratio,
+so the sum is folded with one multiplication per term, and the binomial or
+multinomial weight steps by an exact division.  The powers left over
+multiply the sum once, and a query holds a few integers at a time, never a
+table of powers.
+
 ``EVALUATORS`` maps each evaluator name to its shape check and evaluator:
 "nd" for every explicit spec, and one name for each formula that differs in
 structure (the three-point sum, its negative control, the corner kernel).
@@ -96,6 +104,12 @@ def eval_nd(spec: EquationSpec, psi: FieldRow, query: Point, time: int) -> Fract
     return _composition_sum(spec, (psi,), query, time)
 
 
+def _scaled(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """D, the lcm of the denominators of a, b, c, and D a, D b, D c."""
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    return scale, *(v.numerator * (scale // v.denominator) for v in (a, b, c))
+
+
 def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
                      i: int, j: int, c_exponent: str = "j-m") -> Fraction:
     """Double binomial sum for the three-point stencil:
@@ -107,12 +121,23 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     it disagrees with the iteration oracle already at j=1).
 
     Only the pairs that land on psi's support are visited: for a support
-    point q, m + n = r = i+j-q, so m runs over ceil(r/2)..min(j, r).  The
-    sum is taken in integers, as in corner_kernel: with D the lcm of the
-    denominators of a, b, c and A = D a, B = D b, C = D c, the power product
-    is A^n B^(m-n) C^e / D^(m+e), where m+e is j for "j-m" and at most 2j
-    for "j-n"; every term goes over one D^top, and psi over the lcm of its
-    denominators.
+    point q, m + n = r = i+j-q, so m runs over m0 = max(ceil(r/2), 0) up to
+    m1 = min(j, r).  The sum is taken in integers: with D the lcm of the
+    denominators of a, b, c and A = D a, B = D b, C = D c, the term at m is
+    w_m A^(r-m) B^(2m-r) C^(j-m) over D^j for "j-m", and
+    w_m A^(r-m) B^(2m-r) C^(j-r+m) D^(j+r-2m) over D^(2j) for "j-n", with
+    w_m = C(j,m) C(m,r-m).  From one m to the next the power part changes by
+    the fixed ratio y/x, x = B^2 and y = A C ("j-m") or x = B^2 C and
+    y = A D^2 ("j-n"), so the terms are summed by Horner's rule with m
+    running down from m1: acc = acc x + w_m P, P = P y.  The weight steps
+    down by the exact division
+
+        w_m = w_{m+1} (2m+2-r)(2m+1-r) // ((j-m)(r-m))
+
+    and the powers left over at m0, A^(r-m1) B^(2m0-r) times C^(j-m1)
+    ("j-m") or C^(j-r+m0) D^(j+r-2m1) ("j-n"), multiply the sum once.  No
+    power table is built: a query holds a few integers at a time.  psi goes
+    over the lcm of its denominators.
     """
     if c_exponent not in ("j-m", "j-n"):
         raise SpecError("c_exponent must be 'j-m' or 'j-n'")
@@ -120,35 +145,54 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
         raise SpecError("time must be >= 0")
     if psi.dim != 1:
         raise SpecError("eval_tridiagonal is defined for 1D rows")
-    scale = lcm(a.denominator, b.denominator, c.denominator)
-    na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
+    scale, na, nb, nc = _scaled(a, b, c)
     row_den = lcm(*(v.denominator for v in psi.values.values()))
-    top = j if c_exponent == "j-m" else 2 * j
+    j_m = c_exponent == "j-m"
+    x, y = (nb * nb, na * nc) if j_m else (nb * nb * nc, na * scale * scale)
     total = 0
     for (q,), v in psi.values.items():
-        sample = v.numerator * (row_den // v.denominator)
         r = i + j - q
-        for m in range(max((r + 1) // 2, 0), min(j, r) + 1):
-            n = r - m
-            e = j - m if c_exponent == "j-m" else j - n
-            total += (comb(j, m) * comb(m, n) * na ** n * nb ** (m - n) * nc ** e
-                      * scale ** (top - m - e) * sample)
-    return Fraction(total, scale ** top * row_den)
+        m0, m1 = max((r + 1) // 2, 0), min(j, r)
+        if m0 > m1:
+            continue
+        weight = comb(j, m1) * comb(m1, r - m1)
+        acc, power = weight, y
+        for m in range(m1 - 1, m0 - 1, -1):
+            weight = weight * (2 * m + 2 - r) * (2 * m + 1 - r) // ((j - m) * (r - m))
+            acc = acc * x + weight * power
+            power *= y
+        acc *= na ** (r - m1) * nb ** (2 * m0 - r)
+        if j_m:
+            acc *= nc ** (j - m1)
+        else:
+            acc *= nc ** (j - r + m0) * scale ** (j + r - 2 * m1)
+        total += acc * v.numerator * (row_den // v.denominator)
+    return Fraction(total, scale ** (j if j_m else 2 * j) * row_den)
 
 
 # ---------------------------------------------------------------------------
 # corner-implicit family
 # ---------------------------------------------------------------------------
 
-def backward_difference(psi: FieldRow, a: Fraction) -> FieldRow:
-    """The row k -> psi(k) - a * psi(k-1), finite-support like psi."""
-    if psi.dim != 1:
-        raise SpecError("backward_difference is defined for 1D rows")
-    out: dict[Point, Fraction] = {}
-    for (k,), v in psi.values.items():
-        out[(k,)] = out.get((k,), ZERO) + v
-        out[(k + 1,)] = out.get((k + 1,), ZERO) - a * v
-    return FieldRow(1, out)
+def _corner_sum(s: int, j: int, na: int, nb: int, ncd: int) -> int:
+    """The numerator over D^(s+j) of corner_kernel(s, j), from A = D a,
+    B = D b and ncd = C D = D^2 c:
+
+        sum_{g=0..G} M_g A^(s-g) B^(j-g) (C D)^g,   G = min(s, j),
+
+    with M_0 = C(s+j, s) and M_g = M_{g-1} (s-g+1)(j-g+1) // ((s+j-g+1) g),
+    an exact division.  The powers are folded by Horner's rule in
+    x = C D and y = A B, acc = acc y + M_g x^g, and multiplied once by
+    A^(s-G) B^(j-G)."""
+    top = min(s, j)
+    weight = acc = comb(s + j, s)
+    power = 1
+    y = na * nb
+    for g in range(1, top + 1):
+        weight = weight * (s - g + 1) * (j - g + 1) // ((s + j - g + 1) * g)
+        power *= ncd
+        acc = acc * y + weight * power
+    return acc * na ** (s - top) * nb ** (j - top)
 
 
 def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
@@ -158,21 +202,13 @@ def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Frac
 
     summed in integers: with D the lcm of the denominators of a, b, c, the
     term is M_g A^(s-g) B^(j-g) (C D)^g / D^(s+j) for A = D a, B = D b,
-    C = D c.  M_0 = C(s+j, s), and M_g steps from M_{g-1} by the ratio
-    (s-g+1)(j-g+1) / ((s+j-g+1) g), an exact division.
+    C = D c, and the terms are folded by Horner's rule in C D and A B
+    (_corner_sum).
     """
     if s < 0 or j < 0:
         raise SpecError("kernel indices must be >= 0")
-    scale = lcm(a.denominator, b.denominator, c.denominator)
-    na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
-    nc *= scale
-    weight = comb(s + j, s)
-    total = 0
-    for g in range(min(s, j) + 1):
-        if g:
-            weight = weight * (s - g + 1) * (j - g + 1) // ((s + j - g + 1) * g)
-        total += weight * na ** (s - g) * nb ** (j - g) * nc ** g
-    return Fraction(total, scale ** (s + j))
+    scale, na, nb, nc = _scaled(a, b, c)
+    return Fraction(_corner_sum(s, j, na, nb, nc * scale), scale ** (s + j))
 
 
 def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
@@ -181,18 +217,37 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 
         sum_{s >= 0} (psi - a shift(psi))(i - s) * corner_kernel(s, j)
 
-    The sum is finite because the differenced row has finite support.
+    The sum is finite because the differenced row has finite support.  It is
+    taken in integers: with psi = N / L over L, the lcm of its denominators,
+    and a = A / D, the differenced row is (D N(k) - A N(k-1)) / (D L), and
+    corner_kernel(s, j) is _corner_sum(s, j) / D^(s+j).  With smax = i - k
+    for the leftmost k of psi's support, every term goes over the one
+    denominator D^(smax+j+1) L, and one Fraction is built at the end.
     """
     if j < 0:
         raise SpecError("time must be >= 0")
-    om = backward_difference(psi, a)
-    total = ZERO
-    for (k,), v in om.values.items():
+    if psi.dim != 1:
+        raise SpecError("eval_implicit is defined for 1D rows")
+    if not psi.values:
+        return ZERO
+    scale, na, nb, nc = _scaled(a, b, c)
+    ncd = nc * scale
+    row_den = lcm(*(v.denominator for v in psi.values.values()))
+    # the differenced row, over scale * row_den
+    diff: dict[int, int] = {}
+    for (k,), v in psi.values.items():
+        n = v.numerator * (row_den // v.denominator)
+        diff[k] = diff.get(k, 0) + scale * n
+        diff[k + 1] = diff.get(k + 1, 0) - na * n
+    s_max = i - min(diff)
+    if s_max < 0:
+        return ZERO
+    total = 0
+    for k, n in diff.items():
         s = i - k
-        if s < 0:
-            continue
-        total += v * corner_kernel(s, j, a, b, c)
-    return total
+        if s >= 0 and n:
+            total += n * _corner_sum(s, j, na, nb, ncd) * scale ** (s_max - s)
+    return Fraction(total, scale ** (s_max + j + 1) * row_den)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,20 @@ def query_points(query: Query) -> Iterator[tuple[Point, int]]:
     return ((p, t) for p, times in query_groups(query) for t in times)
 
 
+def asked_cells(query: Query) -> dict[int, dict[Point, int] | None]:
+    """time -> the cells the query asks for at that time: None for a
+    region, which asks its whole box at every time of its range, else
+    {point: how often the pair is listed}, from query_groups."""
+    if isinstance(query, Region):
+        return dict.fromkeys(range(query.t_lo, query.t_hi + 1))
+    asked: dict[int, dict[Point, int]] = {}
+    for p, times in query_groups(query):
+        for t in times:
+            cells = asked.setdefault(t, {})
+            cells[p] = cells.get(p, 0) + 1
+    return asked
+
+
 def query_bounds(query: Query) -> tuple[Box, int]:
     """The smallest box holding every point of the query, and its latest time."""
     if isinstance(query, Region):
@@ -379,18 +393,12 @@ def _row_mismatches(closed_rows: Iterable[tuple[int, dict[Point, int]]],
     settles that time.  Otherwise only the asked cells of either row's
     support are cross-multiplied: every other asked cell is 0 on both
     sides."""
+    asked = asked_cells(query)
     if isinstance(query, Region):
         lo, hi = query.box.lo, query.box.hi
-        checked = query.box.size() * (query.t_hi - query.t_lo + 1)
-        # every asked time has the whole box, each cell once
-        asked = dict.fromkeys(range(query.t_lo, query.t_hi + 1))
+        checked = query.box.size() * len(asked)
     else:
         checked = len(query)
-        asked = {}
-        for p, t in query:
-            cells = asked.setdefault(t, {})
-            p = tuple(p)
-            cells[p] = cells.get(p, 0) + 1
     mismatches = []
     for t, ((d_c, c_row), (d_o, o_row)) in enumerate(zip(closed_rows, oracle_rows)):
         if t not in asked or (d_c == d_o and c_row == o_row):

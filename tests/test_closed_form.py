@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -15,9 +16,10 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     oracle_sweep_implicit, random_walk_distribution,
                     source_rows, tridiagonal_spec)
 from latrec import closed_form, combinatorics
-from latrec.closed_form import backward_difference, closed_getter
+from latrec.closed_form import closed_getter
 from latrec.combinatorics import multinomial
 from latrec.config import load_config
+from latrec.lattice import Box
 from latrec.oracle import sweep_window
 
 from instance_gen import (corner_spec, field_row, grid_2d_instance,
@@ -150,12 +152,13 @@ def tridiagonal_double_loop(a, b, c, psi, i, j, c_exponent):
 TRI_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
-@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, line_rows(), st.integers(-20, 20),
-       st.integers(0, 12), st.sampled_from(["j-m", "j-n"]))
+@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, line_rows(), st.integers(-46, 46),
+       st.integers(0, 40), st.sampled_from(["j-m", "j-n"]))
 @settings(max_examples=300, deadline=None)
 def test_tridiagonal_landing_pairs_equal_double_loop(a, b, c, psi, i, j, c_exponent):
-    # i in [-20, 20] with j <= 12 and psi on [-4, 4] reaches points left of,
-    # inside and right of the reach of every support point
+    # i in [-46, 46] with j <= 40 and psi on [-4, 4] reaches points left of,
+    # inside and right of the reach of every support point; j up to 40 runs
+    # the weight's descending exact division over up to 21 steps
     assert (eval_tridiagonal(a, b, c, psi, i, j, c_exponent)
             == tridiagonal_double_loop(a, b, c, psi, i, j, c_exponent))
 
@@ -185,6 +188,16 @@ def test_one_row_two_coefficients_single_step():
 # ---------------------------------------------------------------------------
 # corner-implicit pieces
 # ---------------------------------------------------------------------------
+
+def backward_difference(psi: FieldRow, a: Fraction) -> FieldRow:
+    """The row k -> psi(k) - a * psi(k-1) in Fractions: the reference for
+    the differenced row eval_implicit builds in integers."""
+    out = {}
+    for (k,), v in psi.values.items():
+        out[(k,)] = out.get((k,), Fraction(0)) + v
+        out[(k + 1,)] = out.get((k + 1,), Fraction(0)) - a * v
+    return FieldRow(1, out)
+
 
 def test_backward_difference_examples():
     one = Fraction(1)
@@ -298,6 +311,76 @@ def test_implicit_matches_sweep_oracle():
         for j in range(5):
             for i in range(box.lo[0] - 5, box.hi[0] + 5):
                 assert eval_implicit(a, b, c, psi, i, j) == rows[j].get((i,))
+
+
+def implicit_per_point(a, b, c, psi, i, j):
+    """eval_implicit's defining sum in Fractions: the differenced row times
+    the kernel's per-g multinomials, one support point at a time."""
+    return sum((v * corner_kernel_per_g(i - k, j, a, b, c)
+                for (k,), v in backward_difference(psi, a).values.items() if k <= i),
+               Fraction(0))
+
+
+# zero and negative values drawn often, so vanishing powers and signs show
+CORNER_COEFFS = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@given(CORNER_COEFFS, st.one_of(st.just(Fraction(0)), CORNER_COEFFS), CORNER_COEFFS,
+       line_rows(), st.integers(-8, 40), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_implicit_integer_sum_equals_per_point_form(a, b, c, psi, i, j):
+    # psi on [-4, 4], the zero row among them, and i from left of the
+    # support to 44 past it
+    assert eval_implicit(a, b, c, psi, i, j) == implicit_per_point(a, b, c, psi, i, j)
+
+
+@given(CORNER_COEFFS, st.one_of(st.just(Fraction(0)), CORNER_COEFFS), CORNER_COEFFS,
+       line_rows(), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_implicit_integer_sum_equals_sweep(a, b, c, psi, j_max):
+    window = sweep_window(psi, j_max, 8) if psi.values else Box((-1,), (8,))
+    rows = oracle_sweep_implicit(a, b, c, psi, window, j_max)
+    for j in range(j_max + 1):
+        for i in range(window.lo[0], window.hi[0] + 1):
+            assert eval_implicit(a, b, c, psi, i, j) == rows[j].get((i,)), (i, j)
+
+
+# ---------------------------------------------------------------------------
+# single points at the benchmark's large t
+# ---------------------------------------------------------------------------
+
+LARGE_T_COEFFS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+LARGE_T_PSI = FieldRow(1, {(0,): Fraction(1, 2), (1,): Fraction(-3, 2), (3,): Fraction(3, 2)})
+
+
+def test_tridiagonal_at_t_199_equals_closed_value_and_oracle():
+    spec = tridiagonal_spec(*LARGE_T_COEFFS)
+    initial = InitialData((LARGE_T_PSI,))
+    row = oracle_evolve(spec, initial, 199)[199]
+    for i in (-199, -150, -3, 0, 2, 77, 202, 203):
+        want = row.get((i,))
+        assert eval_tridiagonal(*LARGE_T_COEFFS, LARGE_T_PSI, i, 199) == want, i
+        assert closed_value(spec, initial, (i,), 199) == want, i
+
+
+def test_implicit_at_t_84_equals_sweep():
+    psi = LARGE_T_PSI
+    rows = oracle_sweep_implicit(*LARGE_T_COEFFS, psi, sweep_window(psi, 84, 90), 84)
+    for i in (-1, 0, 1, 3, 40, 81, 84, 90):
+        assert eval_implicit(*LARGE_T_COEFFS, psi, i, 84) == rows[84].get((i,)), i
+
+
+def test_tridiagonal_query_at_t_2000_holds_no_power_table():
+    # a table of the j powers of one coefficient would hold O(j^2) bits,
+    # several MiB here; the Horner sum holds a few integers at a time
+    tracemalloc.start()
+    try:
+        eval_tridiagonal(*LARGE_T_COEFFS, LARGE_T_PSI, 7, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 # ---------------------------------------------------------------------------

@@ -156,3 +156,7 @@ def test_query_points_flatten_query_groups():
     assert len({id(times) for _, times in groups}) == 1 and groups[0][1] == (2, 3, 4)
     assert list(oracle.query_groups(points)) == [
         ((-1,), (2, 2)), ((0,), (0,)), ((3,), (1, 5, 5))]
+    # asked_cells: a region's whole box at each time, a list's repeat counts
+    assert oracle.asked_cells(region) == {2: None, 3: None, 4: None}
+    assert oracle.asked_cells(points) == {
+        0: {(0,): 1}, 1: {(3,): 1}, 2: {(-1,): 2}, 5: {(3,): 2}}
