@@ -13,6 +13,13 @@ Exit codes: 0 success / no mismatch, 1 verification found mismatches,
 lexicographically by point, then time, all values in exact rational text.
 solve and the demos text only the nonzero cells of the integer rows they
 stream, and format_table writes each point's lines as one block.
+
+Importing this module builds no parser.  ``main`` parses with one parser,
+built by ``build_parser`` on the first call and kept for the rest of the
+process: a shell ``latrec`` call builds it once, and an in-process caller
+(a test suite, a benchmark, a library user) pays the ~1 ms build once
+rather than on every call.  Parsing leaves the parser as it was, so every
+call writes what a freshly built parser would.
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import lcm
 from operator import add
 from typing import Callable, Iterable
 
-from .closed_form import EVALUATORS, _power_row, closed_getter
+from .closed_form import EVALUATORS, closed_getter
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
@@ -201,9 +209,9 @@ def _demo_table(spec: EquationSpec, initial: InitialData,
 
 def _cmd_demo_random_walk(args) -> int:
     spec = random_walk_spec(RandomWalkParams(args.p, args.d, args.q))
-    delta = FieldRow.delta(1)
-    rows = (_power_row(spec, delta, j) for j in range(args.steps + 1))
-    _emit(_demo_table(spec, InitialData((delta,)), rows, args.format), args.out)
+    initial = InitialData((FieldRow.delta(1),))
+    rows = engine_rows(spec, initial, args.steps, "closed")
+    _emit(_demo_table(spec, initial, rows, args.format), args.out)
     return 0
 
 
@@ -295,9 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one parser of the process, built on main's first call
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command line argv (sys.argv[1:] when None) and return its exit
+    status; a usage error or --help raises SystemExit as argparse does.  The
+    parser is built on the first call and reused by every later one."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SpecError, ParseError, OSError) as exc:

@@ -290,17 +290,36 @@ def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
             f"point of length {len(point)} queried in a dim-{spec.spatial_dim} field")
 
 
+def _power_setup(spec: EquationSpec, psi: FieldRow) -> tuple[
+        int, list[tuple[Point, int]], list[tuple[Fraction, Point]]]:
+    """What every power of a one-step equation from row 0 psi shares: L, the
+    lcm of psi's denominators, psi's integer (point, numerator) pairs over
+    L, and the symbol's (coeff, xstep) terms."""
+    lcd = lcm(*(v.denominator for v in psi.values.values()))
+    nums = [(p, v.numerator * (lcd // v.denominator)) for p, v in psi.values.items()]
+    terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
+    return lcd, nums, terms
+
+
 def _power_row(spec: EquationSpec, psi: FieldRow, j: int,
                point: Point | None = None) -> tuple[int, dict[Point, int]]:
     """Row j of a one-step equation from row 0 psi, or with `point` that
     cell of it alone, as an integer row: (D S)^j from Miller's recurrence
     times psi scaled to integers by L, the lcm of its denominators, over
     D^j * L."""
-    lcd = lcm(*(v.denominator for v in psi.values.values()))
-    nums = [(p, v.numerator * (lcd // v.denominator)) for p, v in psi.values.items()]
-    terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
+    lcd, nums, terms = _power_setup(spec, psi)
     scale, cells = _symbol_power(terms, j, nums, point)
     return scale ** j * lcd, cells
+
+
+def _power_rows(spec: EquationSpec, psi: FieldRow,
+                t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    """Rows 0..t_max of _power_row, the set-up shared by every row worked
+    out once: each row is one _symbol_power call."""
+    lcd, nums, terms = _power_setup(spec, psi)
+    for j in range(t_max + 1):
+        scale, cells = _symbol_power(terms, j, nums)
+        yield scale ** j * lcd, cells
 
 
 def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
@@ -346,15 +365,17 @@ def _rows(spec: EquationSpec, initial: InitialData,
     """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {point:
     nonzero numerator}), built as they are read; the arguments are checked
     before the first row is asked for.  A one-step equation reads each row
-    from Miller's recurrence (_power_row), any other from the series pass
-    (_series_rows)."""
+    from Miller's recurrence (_power_rows): psi's lcd, its integer
+    numerators and the symbol's terms are worked out once for the sweep,
+    and each row is one call of _symbol_power.  Any other equation reads
+    the series pass (_series_rows)."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     if spec.implicit_corner:
         raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
     q = source_rows(spec, initial)
     if spec.time_order == 1:
-        return (_power_row(spec, q[0], j) for j in range(t_max + 1))
+        return _power_rows(spec, q[0], t_max)
     return _series_rows(spec, q, t_max)
 
 

@@ -98,7 +98,13 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     so points of N far apart cost no coefficients.  N multiplies P's
     nonzero cells in a second packing, whose lower radices also hold N's
     extent, into a dict, so the product costs its terms however far apart
-    N's points are.
+    N's points are.  Where the two packings agree (one axis, or N one cell
+    wide on every lower axis) P's keys are used as they are.  N's first
+    point fills the dict in one pass, and the cells that cancel are dropped
+    in the pass that unpacks the keys into points.  A sweep over t calls
+    this once per row; what the set-up works out without t (D, A's integer
+    coefficients, the bounds of A and N on each axis) is redone by each
+    call, a few list passes over the terms and the points of N.
 
     Returns D and a map from each cell of (D A)**t * N to its nonzero
     coefficient; with `point`, from that cell alone, the recurrence stopping
@@ -153,27 +159,34 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     out_units = [1]
     for radix in radices:
         out_units.append(out_units[-1] * radix)
-    # P's nonzero cells, repacked axis by axis
+    # P's nonzero cells, repacked axis by axis unless the packings agree,
+    # as on one axis
     keys = [k for k, c in enumerate(coeffs) if c]
     values = [coeffs[k] for k in keys]
-    moved = [k // units[-1] * out_units[-1] for k in keys]
-    for u, r, v in zip(units[:-1], reach[:-1], out_units[:-1]):
-        moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
+    if out_units == units:
+        moved = keys
+    else:
+        moved = [k // units[-1] * out_units[-1] for k in keys]
+        for u, r, v in zip(units[:-1], reach[:-1], out_units[:-1]):
+            moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
     row_offset = sum(map(mul, row_low, out_units))
-    shifts = [(sum(map(mul, p, out_units)) - row_offset, v) for p, v in row]
-    out = {}
+    (s, v), *shifts = [(sum(map(mul, p, out_units)) - row_offset, v) for p, v in row]
+    out = {k + s: c * v for k, c in zip(moved, values)}
     get = out.get
     for s, v in shifts:
         for k, c in zip(moved, values):
             k += s
             out[k] = get(k, 0) + c * v
-    out = {k: v for k, v in out.items() if v}
-    # unpack each cell's digits, axis by axis, and zip them into points
+    # unpack each cell's digits, axis by axis, and zip them into points,
+    # dropping the cells that cancelled; one axis's key is its digit
     corner = list(map(add, origin, row_low))
+    if len(corner) == 1:
+        o, = corner
+        return scale, {(k + o,): v for k, v in out.items() if v}
     columns = [[k // u % radix + o for k in out]
                for u, radix, o in zip(out_units, radices, corner)]
     columns.append([k // out_units[-1] + corner[-1] for k in out])
-    return scale, dict(zip(zip(*columns), out.values()))
+    return scale, {p: v for p, v in zip(zip(*columns), out.values()) if v}
 
 
 def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tuple[int, ...], int]]:

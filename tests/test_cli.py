@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import latrec
+from latrec import cli
 from latrec.cli import main, parse_table_csv
 from latrec.closed_form import EVALUATORS
 
@@ -425,3 +427,73 @@ def test_console_entry_point_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "0 mismatches" in proc.stdout
+
+
+def test_main_reuses_one_parser_and_writes_what_a_fresh_parser_writes(
+        capsys, monkeypatch, tmp_path):
+    # one process: every call's exit status, stdout and stderr are those of
+    # a call through a freshly built parser, usage errors and --help
+    # included, and no parser is constructed after the first call
+    doc = json.loads((CONFIG_DIR / "grid2d_drift.json").read_text())
+    solve = write_config(tmp_path, dict(doc, engine="closed"))
+    calls = [
+        ["verify", "--config", str(CONFIG_DIR / "tridiagonal_mixed.json")],
+        ["verify", "--config", solve, "--no-such-flag"],
+        ["--help"],
+        ["solve", "--config", solve, "--format", "json"],
+        ["demo", "heat", "--r", "1/3", "--steps", "3"],
+        ["expand", "--config", str(CONFIG_DIR / "ninepoint_uniform.json"), "--power", "2"],
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def outcome(argv):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out, err = capsys.readouterr()
+        return status, out, err
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    shared = [outcome(calls[0])]
+    first = len(built)
+    shared += [outcome(argv) for argv in calls[1:]]
+    assert first > 0 and len(built) == first
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [outcome(argv) for argv in calls]
+    assert len(built) == first * (len(calls) + 1)
+    assert shared == fresh
+    assert [status for status, _, _ in shared] == [0, 2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in shared[1][2]
+    assert shared[2][1].startswith("usage: latrec")
+
+
+def test_importing_the_cli_builds_no_parser_and_a_process_builds_one():
+    code = "\n".join([
+        "import argparse, contextlib, io",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting_init(self, *args, **kwargs):",
+        "    init(self, *args, **kwargs)",
+        "    built.append(self.prog)",
+        "argparse.ArgumentParser.__init__ = counting_init",
+        "import latrec, latrec.cli",
+        "print(len(built))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for _ in range(2):",
+        "        latrec.cli.main(['demo', 'heat', '--r', '1/3', '--steps', '2'])",
+        "print(built.count('latrec'))",
+    ])
+    package_root = str(Path(latrec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]

@@ -5,7 +5,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
@@ -805,3 +805,36 @@ def test_far_apart_support_gives_exact_values(spec, psi, values):
         assert closed_value(spec, initial, p, t) == eval_nd(spec, psi, p, t) == want
         assert rows[t].get(p) == want
 
+
+SWEEP_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+# coordinates near 0 or near FAR, so two points may be 10**12 apart
+SWEEP_COORDS = st.integers(-3, 3) | st.integers(FAR - 2, FAR + 2)
+
+
+@st.composite
+def one_step_sweeps(draw):
+    """A one-step spec in 1 to 3 dimensions and a row 0 for it, possibly
+    empty, whose points may lie 10**12 apart."""
+    dim = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                            min_size=1, max_size=5, unique=True))
+    shift = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+    spec = EquationSpec(dim, 1, shift, tuple(StencilEntry(o, 0, draw(SWEEP_COEFFS))
+                                             for o in offsets))
+    points = draw(st.lists(st.tuples(*[SWEEP_COORDS] * dim), max_size=4, unique=True))
+    return spec, FieldRow(dim, {p: draw(SWEEP_COEFFS) for p in points})
+
+
+@given(one_step_sweeps(), st.integers(0, 5))
+@example((FAR_PLANE, FieldRow.zero(2)), 3)
+@example((FAR_LINE, FieldRow(1, {(0,): Fraction(1), (FAR,): Fraction(-2, 3)})), 5)
+@settings(max_examples=60, deadline=None)
+def test_row_sweep_equals_power_row_and_oracle(case, t_max):
+    # the sweep's one set-up gives, row by row, what _power_row works out
+    # from scratch, and the oracle's rows
+    spec, psi = case
+    initial = InitialData((psi,))
+    rows = list(closed_form._rows(spec, initial, t_max))
+    assert rows == [closed_form._power_row(spec, psi, j) for j in range(t_max + 1)]
+    assert ([FieldRow._over(spec.spatial_dim, den, nums) for den, nums in rows]
+            == oracle_evolve(spec, initial, t_max))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latrec import (EquationSpec, SpecError, StencilEntry,
-                    expand_stencil_power, tridiagonal_spec)
+from latrec import (EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
+                    expand_stencil_power, oracle_evolve, tridiagonal_spec)
 from latrec.combinatorics import (_multinomial_weights, _symbol_power, compositions,
                                   multinomial, stencil_symbol_steps)
 
@@ -173,6 +173,58 @@ def test_symbol_power_equals_composition_sum_and_iterated_product(spec, j, row):
             alone = {cell: got[cell]} if cell in got else {}
             assert _symbol_power(terms, j, ints, cell) == (scale, alone)
     assert _symbol_power(cases[0][0], j, []) == (scale, {})
+
+
+def row_product(spec, j, row):
+    """_symbol_power's (D S)**j * N for the one-step spec and the integer row
+    N, checked to hold no zero and, over D**j, to equal the composition sum
+    times N and row j of the oracle from N."""
+    dim = spec.spatial_dim
+    terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
+    scale, got = _symbol_power(terms, j, row)
+    assert all(got.values())
+    values = {p: Fraction(v, scale ** j) for p, v in got.items()}
+    power = {exps[:dim]: v for exps, v in composition_expansion(spec, j).items()}
+    assert values == poly_mul(power, {p: Fraction(v) for p, v in row})
+    psi = FieldRow(dim, {p: Fraction(v) for p, v in row})
+    assert values == oracle_evolve(spec, InitialData((psi,)), j)[j].values
+    return got
+
+
+def unit_spec(*exps):
+    """A one-step spec whose symbol is the sum of x**e over the exponent
+    vectors e, every coefficient 1."""
+    dim = len(exps[0])
+    return EquationSpec(dim, 1, (0,) * dim, tuple(
+        StencilEntry(tuple(-x for x in e), 0, Fraction(1)) for e in exps))
+
+
+@pytest.mark.parametrize("spec", [
+    unit_spec((0,), (1,)),
+    unit_spec((0, 0), (1, 0), (0, 1)),
+    unit_spec((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 6])
+def test_row_product_drops_the_cells_that_cancel(spec, j):
+    # A = 1 + x (+ y + z) times N = 1 - x: on the line y = z = 0 the product
+    # is (1 + x)**j (1 - x), whose coefficient C(j, k) - C(j, k - 1) is 0 at
+    # the interior cell k = (j + 1) / 2 for odd j
+    dim = spec.spatial_dim
+    x = (1,) + (0,) * (dim - 1)
+    got = row_product(spec, j, [((0,) * dim, 1), (x, -1)])
+    assert (((j + 1) // 2,) + (0,) * (dim - 1) in got) == (j % 2 == 0)
+
+
+@pytest.mark.parametrize("spec, point", [
+    (lattice_spec((1,), (-2,), (3,)), (4,)),
+    (lattice_spec((1, 0), (0, 1), (-1, -1)), (2, -3)),
+    (lattice_spec((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 2)), (-1, 5, 2)),
+], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("j", [0, 1, 4])
+def test_row_product_of_a_one_point_row(spec, point, j):
+    # a row one cell wide on every axis packs as (D S)**j does, so the
+    # product is the power shifted to the point
+    row_product(spec, j, [(point, -3)])
 
 
 @given(line_specs(), st.integers(0, 17))

@@ -157,7 +157,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
     for module in (closed_form, combinatorics):
         for name in ("_multinomial_weights", "_symbol_power"):
             monkeypatch.setattr(module, name, closed_form_path)
-    for module in (closed_form, models, cli):
+    for module in (closed_form, models):
         monkeypatch.setattr(module, "_power_row", closed_form_path)
     # the closed form's integer rows and every lookup of its evaluators
     for name in ("_composition_sum", "_rows", "_series_rows", "closed_getter"):
