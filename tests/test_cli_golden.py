@@ -7,7 +7,10 @@ engine (CSV and JSON) and ``expand`` (powers 0, 3 and 7); ``demo heat``
 runs at r = 1/4, 2/7, 1/2 and 2 for 0, 1, 9 and 40 steps and ``demo
 random-walk`` with three parameter sets, each in CSV and JSON.  The
 test-local ``LOCAL_CONFIGS`` go through ``verify`` (``auto`` and ``nd``) and
-``solve`` with both engines in CSV and JSON.  Each call's
+``solve`` with both engines in CSV and JSON; the corner-implicit
+``CORNER_CONFIGS`` go through ``verify`` (``auto`` and ``implicit``, each
+also cut at ``--tmax 3``) and ``solve`` with both engines in CSV and
+JSON.  Each call's
 exit code and the sha256 of its stdout must equal the recorded digests.  A change that alters any emitted byte or exit code fails here.
 Run this file as a script to print the digests of the current tree.
 """
@@ -90,6 +93,34 @@ LOCAL_CONFIGS = {
     },
 }
 
+# corner-implicit documents, U[i+1, j+1] = a U[i, j+1] + b U[i+1, j] + c U[i, j]
+# with a the implicit_coeff, b the coeff at offset 1 and c at offset 0
+CORNER_CONFIGS = {
+    # listed out of order, (1, t=3) twice, points left of the support and
+    # points right of the support's right end + t
+    "corner_points.json": {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [1],
+        "implicit_corner": True, "implicit_coeff": "1/2",
+        "stencil": _entries([[1], [0]], ["-2/3", "1/5"]),
+        "initial": {"rows": [[{"at": [0], "value": "1"}, {"at": [2], "value": "-1/3"},
+                              {"at": [3], "value": "3/4"}]]},
+        "query": {"points": [{"at": [1], "t": 3}, {"at": [-5], "t": 2},
+                            {"at": [12], "t": 4}, {"at": [1], "t": 3},
+                            {"at": [0], "t": 0}, {"at": [-1], "t": 6},
+                            {"at": [2], "t": 5}, {"at": [20], "t": 6},
+                            {"at": [9], "t": 1}, {"at": [4], "t": 0}]},
+    },
+    # b = 0: no stencil entry at offset 1
+    "corner_b_zero.json": {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [1],
+        "implicit_corner": True, "implicit_coeff": "-1/3",
+        "stencil": _entries([[0]], ["2/5"]),
+        "initial": {"rows": [[{"at": [0], "value": "1"}, {"at": [1], "value": "-1/2"},
+                              {"at": [4], "value": "1/3"}]]},
+        "query": {"box": [[-3, 10]], "times": [0, 6]},
+    },
+}
+
 
 def calls(scratch: Path):
     for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -116,6 +147,19 @@ def calls(scratch: Path):
                 for evaluator in ("auto", "nd"):
                     yield (f"verify {evaluator} {name}",
                            ["verify", "--config", str(path), "--evaluator", evaluator])
+                continue
+            for out_format in ("csv", "json"):
+                yield (f"solve {engine} {out_format} {name}",
+                       ["solve", "--config", str(path), "--format", out_format])
+    for name, doc in CORNER_CONFIGS.items():
+        for engine in ("verify", "closed", "oracle"):
+            path = scratch / f"{engine}_{name}"
+            path.write_text(json.dumps(dict(doc, engine=engine)))
+            if engine == "verify":
+                for evaluator in ("auto", "implicit"):
+                    argv = ["verify", "--config", str(path), "--evaluator", evaluator]
+                    yield f"verify {evaluator} {name}", argv
+                    yield f"verify {evaluator} tmax3 {name}", [*argv, "--tmax", "3"]
                 continue
             for out_format in ("csv", "json"):
                 yield (f"solve {engine} {out_format} {name}",
@@ -312,6 +356,22 @@ GOLDEN = {
     'solve closed json late_box_2d.json': (0, 'dc7c8a9cde447da203d879138b5c0642e5d00359f76d96f2af02a1bdf34788ff'),
     'solve oracle csv late_box_2d.json': (0, '0af805f6c06e9288730f3643610548a90d6ad04a070a1475be0b902abbc050eb'),
     'solve oracle json late_box_2d.json': (0, 'dc7c8a9cde447da203d879138b5c0642e5d00359f76d96f2af02a1bdf34788ff'),
+    'verify auto corner_points.json': (0, '6e780d2881b945c08b870af36c42cc71e8bf2cef9ae02e1366d8c1f5977084b7'),
+    'verify auto tmax3 corner_points.json': (0, 'e0d581094484c9a7087ba286ba846b77279f9c63dc3da0c4a94f56ba479c918b'),
+    'verify implicit corner_points.json': (0, '6e780d2881b945c08b870af36c42cc71e8bf2cef9ae02e1366d8c1f5977084b7'),
+    'verify implicit tmax3 corner_points.json': (0, 'e0d581094484c9a7087ba286ba846b77279f9c63dc3da0c4a94f56ba479c918b'),
+    'solve closed csv corner_points.json': (0, '5def041854e608bc79d4a88f0253ae4f6137b545135082c46f85f3a19604e801'),
+    'solve closed json corner_points.json': (0, '7f3221f1ba982fe92375e2f4dd08699b0d818b4efb6e757c5acde41cc31e21d9'),
+    'solve oracle csv corner_points.json': (0, '5def041854e608bc79d4a88f0253ae4f6137b545135082c46f85f3a19604e801'),
+    'solve oracle json corner_points.json': (0, '7f3221f1ba982fe92375e2f4dd08699b0d818b4efb6e757c5acde41cc31e21d9'),
+    'verify auto corner_b_zero.json': (0, '602da5f715ca21ad5e8b2c6de42e3295a12f27cd88683b653cf8ef7456ca876e'),
+    'verify auto tmax3 corner_b_zero.json': (0, 'a2f4b45113c5d0ff32cc4540da598922e3372e1e44c968a725ca17cce6691c1a'),
+    'verify implicit corner_b_zero.json': (0, '602da5f715ca21ad5e8b2c6de42e3295a12f27cd88683b653cf8ef7456ca876e'),
+    'verify implicit tmax3 corner_b_zero.json': (0, 'a2f4b45113c5d0ff32cc4540da598922e3372e1e44c968a725ca17cce6691c1a'),
+    'solve closed csv corner_b_zero.json': (0, '7f1d407b6ee55141face3f69b438de3ca5fca71490c5f4b672fd0efdc466d3af'),
+    'solve closed json corner_b_zero.json': (0, 'fa1d0810525b88a9108ed22ad61cb878cad04f102e2313f0affca49c130a7acc'),
+    'solve oracle csv corner_b_zero.json': (0, '7f1d407b6ee55141face3f69b438de3ca5fca71490c5f4b672fd0efdc466d3af'),
+    'solve oracle json corner_b_zero.json': (0, 'fa1d0810525b88a9108ed22ad61cb878cad04f102e2313f0affca49c130a7acc'),
     'heat csv r=1/4 steps=0': (0, '0547aeea053a7488ff9e5cc5a5d811a6c6e68f7329563b9845ad2a1d86a37951'),
     'heat csv r=1/4 steps=1': (0, '30b5bac98d3efeda04959a72cd6e6a083d2b1c8c073f1750570073a7b06b45a8'),
     'heat csv r=1/4 steps=9': (0, 'ce4690e2e62befc8a7effe9bd0030b910af83dbc2d1f13f577ad62a48162165b'),
