@@ -11,7 +11,7 @@ from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
                       SpecError, StencilEntry)
 from .combinatorics import expand_stencil_power
 from .closed_form import (as_tridiagonal, closed_rows, closed_value,
-                          corner_kernel, eval_implicit, eval_multistep, eval_nd,
+                          corner_kernel, eval_implicit, eval_nd,
                           eval_tridiagonal, source_rows, tridiagonal_spec)
 from .oracle import (EvolutionState, Mismatch, Region, VerifyReport,
                      WindowOverflowError, auto_window, oracle_evolve,
@@ -27,7 +27,7 @@ __all__ = [
     "RandomWalkParams", "Region", "RunConfig", "SpecError",
     "StencilEntry", "VerifyReport", "WindowOverflowError",
     "as_tridiagonal", "auto_window", "closed_rows", "closed_value",
-    "corner_kernel", "eval_implicit", "eval_multistep", "eval_nd",
+    "corner_kernel", "eval_implicit", "eval_nd",
     "eval_tridiagonal", "expand_stencil_power", "format_rational",
     "heat_profile", "heat_spec", "load_config", "oracle_evolve", "oracle_step",
     "oracle_sweep_implicit", "parse_config", "parse_rational",

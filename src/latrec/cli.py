@@ -35,14 +35,14 @@ from math import lcm
 from operator import add
 from typing import Callable, Iterable
 
-from .closed_form import EVALUATORS, closed_getter
+from .closed_form import EVALUATORS
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import (Region, asked_cells, engine_rows, oracle_getter,
-                     query_bounds, query_groups, verify_closed_vs_oracle)
+from .oracle import (Region, asked_cells, engine_rows, query_bounds, query_groups,
+                     verify_closed_vs_oracle)
 
 
 def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], list[str]]],
@@ -97,10 +97,9 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text).
 
     solve streams the chosen engine's integer rows (den, {point: nonzero
-    numerator}) by engine_rows and texts only the cells of a row's support
-    asked for at its time; every other queried cell is "0", and a point with
-    none shares one all-"0" list.  The corner-implicit form is read cell by
-    cell, from the corner sum or the sweep."""
+    numerator}) by engine_rows, to the query's right edge, and texts only
+    the cells of a row's support asked for at its time; every other queried
+    cell is "0", and a point with none shares one all-"0" list."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial, query = config.spec, config.initial, config.query
@@ -108,20 +107,14 @@ def run(config: RunConfig) -> tuple[int, str]:
     text = _value_texts(spec, initial)
     groups = list(query_groups(query))
     cells: dict[Point, dict[int, str]] = {p: {} for p, _ in groups}
-    rows = engine_rows(spec, initial, t_max, config.engine)
-    if rows is None:
-        getter = (closed_getter(spec, initial, "auto") if config.engine == "closed"
-                  else oracle_getter(spec, initial, t_max, box))
-        for p, times in groups:
-            cells[p] = {t: text(*getter(p, t)) for t in times}
-    else:
-        asked = asked_cells(query)
-        for t, (den, nums) in enumerate(rows):
-            if t in asked:
-                # None: a region asks every point at every asked time
-                at = cells if asked[t] is None else asked[t]
-                for p in at.keys() & nums.keys():
-                    cells[p][t] = text(nums[p], den)
+    asked = asked_cells(query)
+    for t, (den, nums) in enumerate(engine_rows(spec, initial, t_max, config.engine,
+                                                box.hi[0])):
+        if t in asked:
+            # None: a region asks every point at every asked time
+            at = cells if asked[t] is None else asked[t]
+            for p in at.keys() & nums.keys():
+                cells[p][t] = text(nums[p], den)
     zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
     table = [(p, times, [*map(found.get, times, repeat("0"))] if (found := cells[p])
               else zeros[len(times)]) for p, times in groups]

@@ -2,16 +2,14 @@
 
 Every explicit equation has the generating function U = Q / (1 - S): S is
 the stencil symbol and Q holds the initial rows less the stencil terms that
-reach them from earlier initial rows.  Under finite-support initial data
-every evaluator reduces to an exact finite sum, so results are exact
-rationals.  Evaluators:
+reach them from earlier initial rows.  The corner-implicit form has
+omega / (1 - a x - b y - c x y), with omega = psi - a shift(psi).  Under
+finite-support initial data every evaluator reduces to an exact finite sum,
+so results are exact rationals.  Evaluators:
 
-* ``eval_multistep``     -- any explicit equation of any time order and
-                            spatial dimension: one sum over compositions of
-                            the powers of S, sampling Q.
-* ``eval_nd``            -- the same sum for a one-step equation, with row 0
-                            as Q.  Shifted-row, 3x3, n-by-m and two-step
-                            shapes are all instances of this one family.
+* ``eval_nd``            -- one sum over compositions of the powers of S
+                            sampling Q, the "nd" evaluator of every explicit
+                            equation; ``eval_nd`` takes row 0 as Q.
 * ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
                             as a double binomial sum, with a known-inconsistent
                             exponent variant kept as a negative control.
@@ -19,13 +17,11 @@ rationals.  Evaluators:
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
 
-The three-point sum and the corner kernel (``corner_kernel``, shared with
-``eval_implicit`` as ``_corner_sum``) are evaluated in integers by Horner's
-rule: from one term to the next the power part changes by a fixed ratio,
-so the sum is folded with one multiplication per term, and the binomial or
-multinomial weight steps by an exact division.  The powers left over
-multiply the sum once, and a query holds a few integers at a time, never a
-table of powers.
+The three-point sum is evaluated in integers by Horner's rule.  The corner
+form's kernel row j, (b + c x)^j / (1 - a x)^(j+1), solves a first-order
+linear ODE, so its coefficients follow one three-term integer recurrence
+(_kernel): it gives ``corner_kernel``, ``eval_implicit`` and the corner
+form's rows (_corner_rows).  A query holds no table of powers.
 
 ``EVALUATORS`` maps each evaluator name to its shape check and evaluator:
 "nd" for every explicit spec, and one name for each formula that differs in
@@ -36,9 +32,9 @@ of any dimension, U(t) = S^t psi with S a polynomial in x alone, from
 Miller's power recurrence (``combinatorics._symbol_power``): row t from the
 coefficients of S^t convolved with psi, a point from the coefficients up to
 the farthest one it needs.  Only time order >= 2 takes the series pass:
-whole rows of Q / (1 - S) from one integer pass over sum_J S^J.  Both row
-builders give integer rows (den, {point: nonzero numerator}), not reduced;
-``closed_getter`` hands their cells out as (numerator, denominator) pairs,
+whole rows of Q / (1 - S) from one integer pass over sum_J S^J.  Every row
+builder gives integer rows (den, {point: nonzero numerator}), not reduced;
+``closed_getter`` hands its cells out as (numerator, denominator) pairs,
 and ``closed_rows``, ``closed_value`` and ``random_walk_distribution`` build
 a Fraction per cell they return.  ``eval_nd`` keeps the composition sum for
 one-step equations too, as a pointwise witness.  The test suite checks
@@ -174,25 +170,37 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 # corner-implicit family
 # ---------------------------------------------------------------------------
 
-def _corner_sum(s: int, j: int, na: int, nb: int, ncd: int) -> int:
-    """The numerator over D^(s+j) of corner_kernel(s, j), from A = D a,
-    B = D b and ncd = C D = D^2 c:
+def _kernel(j: int, n: int, na: int, nb: int, nc: int, d: int) -> list[int]:
+    """k_0..k_n of kernel row j, k_s = corner_kernel(s, j) D^(s+j), with
+    A = D a, B = D b, C = D c.  The row, (b + c x)^j / (1 - a x)^(j+1),
+    solves a first-order linear ODE, so from k_0 = B^j, dividing exactly,
 
-        sum_{g=0..G} M_g A^(s-g) B^(j-g) (C D)^g,   G = min(s, j),
+        B (s+1) k_{s+1} = (j C D + (j+1) A B - (C D - A B) s) k_s + A C D s k_{s-1}.
 
-    with M_0 = C(s+j, s) and M_g = M_{g-1} (s-g+1)(j-g+1) // ((s+j-g+1) g),
-    an exact division.  The powers are folded by Horner's rule in
-    x = C D and y = A B, acc = acc y + M_g x^g, and multiplied once by
-    A^(s-G) B^(j-G)."""
-    top = min(s, j)
-    weight = acc = comb(s + j, s)
-    power = 1
-    y = na * nb
-    for g in range(1, top + 1):
-        weight = weight * (s - g + 1) * (j - g + 1) // ((s + j - g + 1) * g)
-        power *= ncd
-        acc = acc * y + weight * power
-    return acc * na ** (s - top) * nb ** (j - top)
+    For B = 0, k_s is 0 for s < j, then (C D)^j times row j for (A, 1, 0)."""
+    if not nb:
+        tail = [(nc * d) ** j * k for k in _kernel(j, n - j, na, 1, 0, 1)] if n >= j else []
+        return [0] * min(j, n + 1) + tail
+    cd, ab = nc * d, na * nb
+    lead, slope, acd = j * cd + (j + 1) * ab, cd - ab, na * cd
+    prev, k = 0, nb ** j
+    ks = [k]
+    for s in range(n):
+        prev, k = k, ((lead - slope * s) * k + acd * s * prev) // (nb * (s + 1))
+        ks.append(k)
+    return ks
+
+
+def _kernel_values(j: int, ss, na: int, nb: int, nc: int, d: int) -> dict[int, int]:
+    """{s: k_s} of kernel row j for s in ss: A^(s-m) B^(j-m) r, m = min(s, j),
+    with r the small value at m of _kernel's row max(s, j) for (A B, 1, C D)
+    over 1.  One pass of row j serves every s when none passes j."""
+    ab, cd = na * nb, nc * d
+    if max(ss) <= j:
+        rs = _kernel(j, max(ss), ab, 1, cd, 1)
+        return {s: rs[s] * nb ** (j - s) for s in ss}
+    return {s: _kernel(max(s, j), min(s, j), ab, 1, cd, 1)[-1]
+            * na ** max(s - j, 0) * nb ** max(j - s, 0) for s in ss}
 
 
 def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
@@ -200,15 +208,22 @@ def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Frac
 
         sum_{g=0..min(s,j)} multinomial(s+j-g; s-g, j-g, g) a^(s-g) b^(j-g) c^g
 
-    summed in integers: with D the lcm of the denominators of a, b, c, the
-    term is M_g A^(s-g) B^(j-g) (C D)^g / D^(s+j) for A = D a, B = D b,
-    C = D c, and the terms are folded by Horner's rule in C D and A B
-    (_corner_sum).
-    """
+    from the kernel rows' recurrence over D^(s+j), D the lcm of the
+    denominators of a, b, c (_kernel_values)."""
     if s < 0 or j < 0:
         raise SpecError("kernel indices must be >= 0")
     scale, na, nb, nc = _scaled(a, b, c)
-    return Fraction(_corner_sum(s, j, na, nb, nc * scale), scale ** (s + j))
+    return Fraction(_kernel_values(j, (s,), na, nb, nc, scale)[s], scale ** (s + j))
+
+
+def _differenced(a, b, c, psi: FieldRow) -> tuple[int, int, int, int, int, dict[int, int]]:
+    """D, A, B, C (_scaled), L, the lcm of psi's denominators, and
+    psi - a shift(psi) over D L as {k: D N(k) - A N(k-1)}, psi = N / L."""
+    scale, na, nb, nc = _scaled(a, b, c)
+    lcd = lcm(*(v.denominator for v in psi.values.values()))
+    nums = {k: v.numerator * (lcd // v.denominator) for (k,), v in psi.values.items()}
+    return scale, na, nb, nc, lcd, {k: scale * nums.get(k, 0) - na * nums.get(k - 1, 0)
+                                    for k in {*nums, *(k + 1 for k in nums)}}
 
 
 def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
@@ -218,36 +233,21 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
         sum_{s >= 0} (psi - a shift(psi))(i - s) * corner_kernel(s, j)
 
     The sum is finite because the differenced row has finite support.  It is
-    taken in integers: with psi = N / L over L, the lcm of its denominators,
-    and a = A / D, the differenced row is (D N(k) - A N(k-1)) / (D L), and
-    corner_kernel(s, j) is _corner_sum(s, j) / D^(s+j).  With smax = i - k
-    for the leftmost k of psi's support, every term goes over the one
-    denominator D^(smax+j+1) L, and one Fraction is built at the end.
+    taken in integers: with smax = i - k for the leftmost k of psi's
+    support, every term goes over D^(smax+j+1) L, and one Fraction is built.
     """
     if j < 0:
         raise SpecError("time must be >= 0")
     if psi.dim != 1:
         raise SpecError("eval_implicit is defined for 1D rows")
-    if not psi.values:
+    scale, na, nb, nc, lcd, diff = _differenced(a, b, c, psi)
+    terms = {i - k: n for k, n in diff.items() if k <= i and n}
+    if not terms:
         return ZERO
-    scale, na, nb, nc = _scaled(a, b, c)
-    ncd = nc * scale
-    row_den = lcm(*(v.denominator for v in psi.values.values()))
-    # the differenced row, over scale * row_den
-    diff: dict[int, int] = {}
-    for (k,), v in psi.values.items():
-        n = v.numerator * (row_den // v.denominator)
-        diff[k] = diff.get(k, 0) + scale * n
-        diff[k + 1] = diff.get(k + 1, 0) - na * n
-    s_max = i - min(diff)
-    if s_max < 0:
-        return ZERO
-    total = 0
-    for k, n in diff.items():
-        s = i - k
-        if s >= 0 and n:
-            total += n * _corner_sum(s, j, na, nb, ncd) * scale ** (s_max - s)
-    return Fraction(total, scale ** (s_max + j + 1) * row_den)
+    s_max = max(terms)
+    kernel = _kernel_values(j, terms, na, nb, nc, scale)
+    return Fraction(sum(n * kernel[s] * scale ** (s_max - s) for s, n in terms.items()),
+                    scale ** (s_max + j + 1) * lcd)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +273,6 @@ def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
                     acc[key] = acc.get(key, ZERO) - coeff * v
         out.append(FieldRow._trusted(spec.spatial_dim, {p: v for p, v in acc.items() if v}))
     return out
-
-
-def eval_multistep(spec: EquationSpec, initial: InitialData, point: Point,
-                   time: int) -> Fraction:
-    """Value at (point, time) of any explicit equation: the coefficient of
-    x^point y^time in sum_J S^J Q."""
-    return _composition_sum(spec, source_rows(spec, initial), point, time)
 
 
 def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
@@ -360,23 +353,43 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
     return total
 
 
-def _rows(spec: EquationSpec, initial: InitialData,
-          t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+def _rows(spec: EquationSpec, initial: InitialData, t_max: int,
+          right_edge: int | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
     """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {point:
     nonzero numerator}), built as they are read; the arguments are checked
     before the first row is asked for.  A one-step equation reads each row
     from Miller's recurrence (_power_rows): psi's lcd, its integer
     numerators and the symbol's terms are worked out once for the sweep,
-    and each row is one call of _symbol_power.  Any other equation reads
-    the series pass (_series_rows)."""
+    and each row is one call of _symbol_power.  Corner-implicit rows, which
+    have no right end, reach right_edge (_corner_rows).  Any other equation
+    reads the series pass (_series_rows)."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     if spec.implicit_corner:
-        raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
+        if right_edge is None:
+            raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
+        return _corner_rows(*spec.corner_coefficients(), initial.rows[0], t_max, right_edge)
     q = source_rows(spec, initial)
     if spec.time_order == 1:
         return _power_rows(spec, q[0], t_max)
     return _series_rows(spec, q, t_max)
+
+
+def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, t_max: int,
+                 right_edge: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    """Rows 0..t_max of the corner form from the nonzero row 0 psi, from
+    psi's left end lo to right_edge: row j is the differenced row convolved
+    with kernel row j, over D^(right_edge - lo + j + 1) L."""
+    scale, na, nb, nc, lcd, diff = _differenced(a, b, c, psi)
+    lo, span = min(diff), right_edge - min(diff)
+    lifts = [scale ** (span - s) for s in range(span + 1)]
+    terms = [(k - lo, n) for k, n in diff.items() if n and k <= right_edge]
+    for j in range(t_max + 1):
+        kernel = list(map(mul, _kernel(j, span, na, nb, nc, scale), lifts))
+        acc = [0] * (span + 1)
+        for off, n in terms:
+            acc[off:] = map(add, acc[off:], map(n.__mul__, kernel))
+        yield scale ** (span + j + 1) * lcd, {(lo + x,): v for x, v in enumerate(acc) if v}
 
 
 def _series_rows(spec: EquationSpec, q: Sequence[FieldRow],

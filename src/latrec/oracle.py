@@ -3,21 +3,17 @@ evolving support, a left-to-right sweep for the corner-implicit form on a
 window sized from the initial row and the time range, and verifiers that
 compare closed-form values against iterated ones exactly.
 
-Each explicit step adds up its new row in integers.  A row is held as
-(den, {key: numerator}): nonzero int numerators over one positive
-denominator, not reduced, each point packed into one int key offset by the
-low corner of auto_window, so a stencil shift is one int addition and no
-digit carries.  The new row's denominator is the lcm over stencil entries
-of coefficient denominator times held-row denominator, and every term is an
-integer multiple of one held numerator.  _evolve hands each row out keyed
-by points again, unpacked once per row.  A Fraction is built only where a
-row leaves the oracle: oracle_evolve and oracle_step return FieldRows,
-while oracle_getter hands out (numerator, denominator) pairs.  The packing
-and the scaling are the oracle's own; it reads nothing of the closed form's
-symbol or powers, so the two engines share a row container and no
-arithmetic.  verify_closed_vs_oracle compares the two engines' integer rows
-one time at a time when both give rows, and cross-multiplies cell by cell
-otherwise; verify_recurrence substitutes plain Fractions cell by cell.
+The stepping and the sweep give integer rows (den, {point: nonzero
+numerator}), not reduced.  A step keys each point by one int packed from
+its offset to auto_window's low corner, with no digit carries, so a stencil
+shift is one int addition; it goes over the lcm of coefficient times
+held-row denominators, so every term is an integer multiple of one held
+numerator, and _evolve unpacks each row to point keys once.  The sweep
+holds a row as a list over its window.  oracle_evolve, oracle_step and
+oracle_sweep_implicit build a Fraction per cell.  The oracle reads nothing
+of the closed form's symbol, powers or kernel.  verify_closed_vs_oracle
+compares both engines' rows one time at a time, a named evaluator's values
+cell by cell; verify_recurrence substitutes plain Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import le, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
@@ -228,20 +224,32 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
         raise WindowOverflowError(0, (window.lo[0],), window)
     if box.hi[0] > window.hi[0]:
         raise WindowOverflowError(0, (box.hi[0],), window)
-    lo, hi = window.lo[0], window.hi[0]
-    rows = [psi]
-    prev = psi
+    return [FieldRow._over(1, den, nums)
+            for den, nums in _sweep(a, b, c, psi, window.lo[0], window.hi[0], j_max)]
+
+
+def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, lo: int, hi: int,
+           j_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+    """oracle_sweep_implicit's rows on [lo, hi] from the nonzero row psi, as
+    integer rows.  With D the lcm of the denominators of a, b, c and m psi's
+    left end, row j goes over D^(hi - m + j + 1) L, L psi's lcd.  A step up
+    or right adds at most one factor D to a denominator and values left of m
+    are 0, so each numerator left of hi is a multiple of D, and with A = D a,
+    B = D b, C = D c, N_{j+1}(i+1) = A N_{j+1}(i) // D + B N_j(i+1) + C N_j(i)."""
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
+    lcd, nums = _int_row(psi)
+    lift = scale ** (hi - min(nums)[0] + 1)
+    den, prev = lift * lcd, [nums.get((i,), 0) * lift for i in range(lo, hi + 1)]
+    yield den, {(lo + x,): n for x, n in enumerate(prev) if n}
     for _ in range(j_max):
-        acc: dict[Point, Fraction] = {}
-        val = ZERO  # U at the left edge of the new row
-        for i in range(lo, hi):
-            val = a * val + b * prev.get((i + 1,)) + c * prev.get((i,))
-            if val != 0:
-                acc[(i + 1,)] = val
-        new_row = FieldRow._trusted(1, acc)
-        rows.append(new_row)
-        prev = new_row
-    return rows
+        val, row = 0, [0]
+        for x in range(hi - lo):
+            val = na * val // scale + nb * prev[x + 1] + nc * prev[x]
+            row.append(val)
+        den *= scale
+        yield den, {(lo + x,): n for x, n in enumerate(row) if n}
+        prev = row
 
 
 @dataclass(frozen=True)
@@ -314,36 +322,22 @@ def query_bounds(query: Query) -> tuple[Box, int]:
     return Box(tuple(map(min, axes)), tuple(map(max, axes))), max(t for _, t in query)
 
 
-def oracle_getter(spec: EquationSpec, initial: InitialData, t_max: int,
-                  box: Box) -> Callable[[Point, int], tuple[int, int]]:
-    """(point, time) -> the iterated value as (numerator, positive
-    denominator), not necessarily reduced, for times up to t_max, exact at
-    every point of the query box.
-
-    Explicit specs iterate the whole support in integer rows.  The
-    corner-implicit sweep runs on sweep_window with its right edge at the
-    box's right edge."""
-    if spec.implicit_corner:
-        a, b, c = spec.corner_coefficients()
-        psi = initial.rows[0]
-        if not psi.values:
-            return lambda p, t: (0, 1)
-        swept = oracle_sweep_implicit(
-            a, b, c, psi, sweep_window(psi, t_max, right_edge=box.hi[0]), t_max)
-        return lambda p, t: swept[t].get(p).as_integer_ratio()
-    rows = list(_evolve(spec, initial, t_max))
-    return lambda p, t: (rows[t][1].get(p, 0), rows[t][0])
-
-
-def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int,
-                engine: str) -> Iterator[tuple[int, dict[Point, int]]] | None:
-    """The integer rows (den, {point: nonzero numerator}) at times
-    0..t_max by which engine, "closed" or "oracle", answers an explicit
-    spec: closed_form._rows or _evolve.  None for the corner-implicit form,
-    which each engine answers cell by cell (closed_getter, oracle_getter)."""
-    if spec.implicit_corner:
-        return None
-    return (closed_form._rows if engine == "closed" else _evolve)(spec, initial, t_max)
+def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
+                right_edge: int | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
+    """The integer rows (den, {point: nonzero numerator}) at times 0..t_max
+    by which engine, "closed" or "oracle", answers the spec: closed_form._rows
+    or _evolve.  A corner-implicit row, which has no right end, reaches
+    sweep_window's right edge: right_edge, or t_max past psi if further."""
+    if not spec.implicit_corner:
+        return (closed_form._rows if engine == "closed" else _evolve)(spec, initial, t_max)
+    initial.check_matches(spec)
+    psi = initial.rows[0]
+    if not psi.values:
+        return iter([(1, {})] * (t_max + 1))
+    window = sweep_window(psi, t_max, max(psi.values)[0] if right_edge is None else right_edge)
+    if engine == "closed":
+        return closed_form._rows(spec, initial, t_max, window.hi[0])
+    return _sweep(*spec.corner_coefficients(), psi, window.lo[0], window.hi[0], t_max)
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
@@ -353,32 +347,30 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     then time order.  Mismatches are data, not errors.  The oracle's extent
     follows from the spec, the initial data and the query.
 
-    Under "auto" an explicit spec's two engines each give integer rows
-    (den, {point: nonzero numerator}) by engine_rows, which are compared
-    one time at a time (_row_mismatches).  Every other evaluator, and
-    both engines of the corner-implicit form, give (numerator, denominator)
-    pairs cell by cell; n_c / d_c equals n_o / d_o exactly when
+    Under "auto" both engines' integer rows (engine_rows) are compared one
+    time at a time (_row_mismatches).  A named evaluator's (numerator,
+    denominator) pairs (closed_form.closed_getter) are read against the
+    oracle's rows cell by cell; n_c / d_c equals n_o / d_o exactly when
     n_c * d_o == n_o * d_c, so a Fraction is built only for a mismatch."""
     initial.check_matches(spec)
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
         raise SpecError("region box dimension differs from the spec")
-    rows = engine_rows(spec, initial, t_max, "closed") if evaluator == "auto" else None
-    if rows is not None:
+    if evaluator == "auto":
         checked, mismatches = _row_mismatches(
-            rows, engine_rows(spec, initial, t_max, "oracle"), region)
+            engine_rows(spec, initial, t_max, "closed", box.hi[0]),
+            engine_rows(spec, initial, t_max, "oracle", box.hi[0]), region)
         return VerifyReport(checked, tuple(mismatches), t_max)
-    oracle_get = oracle_getter(spec, initial, t_max, box)
     closed_get = closed_form.closed_getter(spec, initial, evaluator)
-    checked = 0
+    oracle_rows = list(engine_rows(spec, initial, t_max, "oracle", box.hi[0]))
+    points = list(query_points(region))
     mismatches = []
-    for p, t in query_points(region):
+    for p, t in points:
         n_c, d_c = closed_get(p, t)
-        n_o, d_o = oracle_get(p, t)
-        checked += 1
+        d_o, n_o = oracle_rows[t][0], oracle_rows[t][1].get(p, 0)
         if n_c * d_o != n_o * d_c:
             mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
-    return VerifyReport(checked, tuple(mismatches), t_max)
+    return VerifyReport(len(points), tuple(mismatches), t_max)
 
 
 def _row_mismatches(closed_rows: Iterable[tuple[int, dict[Point, int]]],

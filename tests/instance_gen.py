@@ -156,6 +156,11 @@ def verification_region(spec: EquationSpec, initial: InitialData,
 # denominators, so the scale D and the exact divisions are exercised
 LINE_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
 
+# corner-form coefficients, zero and negative values drawn often, so
+# vanishing powers and signs show
+CORNER_COEFFS = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
 
 @st.composite
 def line_specs(draw) -> EquationSpec:

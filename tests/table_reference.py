@@ -6,9 +6,10 @@ JSON row per tuple."""
 import json
 
 from latrec.cli import _value_texts
-from latrec.closed_form import closed_getter
+from latrec.closed_form import eval_implicit
 from latrec.config import spec_hash
-from latrec.oracle import Region, engine_rows, oracle_getter, query_bounds
+from latrec.oracle import (Region, engine_rows, oracle_sweep_implicit, query_bounds,
+                           sweep_window)
 
 
 def reference_format_table(dim, rows, header_hash, out_format):
@@ -39,20 +40,27 @@ def reference_query_points(query):
 
 def reference_solve(config):
     """solve's bytes: every asked cell looked up in the engine's rows, "0"
-    off their support, or asked of its getter for the corner-implicit form."""
+    off their support.  The corner-implicit form's cells are read pointwise
+    instead, from eval_implicit or the public sweep, apart from the rows
+    solve reads."""
     spec, initial = config.spec, config.initial
     box, t_max = query_bounds(config.query)
     text = _value_texts(spec, initial)
-    rows = engine_rows(spec, initial, t_max, config.engine)
-    if rows is None:
-        getter = (closed_getter(spec, initial, "auto") if config.engine == "closed"
-                  else oracle_getter(spec, initial, t_max, box))
-        table = [(p, t, text(*getter(p, t)))
-                 for p, t in reference_query_points(config.query)]
+    points = reference_query_points(config.query)
+    if spec.implicit_corner:
+        a, b, c = spec.corner_coefficients()
+        psi = initial.rows[0]
+        if config.engine == "closed":
+            values = [eval_implicit(a, b, c, psi, p[0], t) for p, t in points]
+        else:
+            window = sweep_window(psi, t_max, box.hi[0]) if psi.values else None
+            swept = oracle_sweep_implicit(a, b, c, psi, window, t_max)
+            values = [swept[t].get(p) for p, t in points]
+        table = [(p, t, text(*v.as_integer_ratio())) for (p, t), v in zip(points, values)]
     else:
-        rows = list(rows)
+        rows = list(engine_rows(spec, initial, t_max, config.engine))
         table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
-                 for p, t in reference_query_points(config.query)]
+                 for p, t in points]
     return reference_format_table(spec.spatial_dim, table, spec_hash(spec),
                                   config.out_format)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     StencilEntry, as_tridiagonal,
                     closed_rows, closed_value, corner_kernel,
-                    eval_implicit, eval_multistep, eval_nd, eval_tridiagonal,
+                    eval_implicit, eval_nd, eval_tridiagonal,
                     RandomWalkParams, oracle_evolve,
                     oracle_sweep_implicit, random_walk_distribution,
                     source_rows, tridiagonal_spec)
@@ -22,7 +22,7 @@ from latrec.config import load_config
 from latrec.lattice import Box
 from latrec.oracle import sweep_window
 
-from instance_gen import (corner_spec, field_row, grid_2d_instance,
+from instance_gen import (CORNER_COEFFS, corner_spec, field_row, grid_2d_instance,
                           grid_2d_spec, line_rows, line_specs, nd_instance,
                           ninepoint_instance, ninepoint_spec, one_row_instance,
                           one_row_spec, plane_rows, plane_specs, rational,
@@ -258,10 +258,16 @@ def corner_kernel_per_g(s, j, a, b, c):
                 for g in range(min(s, j) + 1)), Fraction(0))
 
 
-@given(st.integers(0, 30), st.integers(0, 30),
-       *[st.fractions(min_value=-3, max_value=3, max_denominator=7)] * 3)
-@settings(max_examples=150, deadline=None)
-def test_corner_kernel_ratio_steps_equal_per_g_multinomials(s, j, a, b, c):
+# near the diagonal, and far from it on either side: s >> j and j >> s
+KERNEL_INDICES = st.one_of(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                           st.tuples(st.integers(0, 6), st.integers(40, 120)),
+                           st.tuples(st.integers(40, 120), st.integers(0, 6)))
+
+
+@given(KERNEL_INDICES, *[CORNER_COEFFS] * 3)
+@settings(max_examples=200, deadline=None)
+def test_corner_kernel_ratio_steps_equal_per_g_multinomials(indices, a, b, c):
+    s, j = indices
     assert corner_kernel(s, j, a, b, c) == corner_kernel_per_g(s, j, a, b, c)
 
 
@@ -319,11 +325,6 @@ def implicit_per_point(a, b, c, psi, i, j):
     return sum((v * corner_kernel_per_g(i - k, j, a, b, c)
                 for (k,), v in backward_difference(psi, a).values.items() if k <= i),
                Fraction(0))
-
-
-# zero and negative values drawn often, so vanishing powers and signs show
-CORNER_COEFFS = st.one_of(st.just(Fraction(0)),
-                          st.fractions(min_value=-3, max_value=3, max_denominator=7))
 
 
 @given(CORNER_COEFFS, st.one_of(st.just(Fraction(0)), CORNER_COEFFS), CORNER_COEFFS,
@@ -401,15 +402,21 @@ def test_source_rows_subtract_terms_from_earlier_rows():
                        InitialData((psi,))) == [psi]
 
 
+def nd_value(spec, initial, point, time):
+    """The composition sum of any explicit equation at one point, through
+    the "nd" evaluator."""
+    return Fraction(*closed_getter(spec, initial, "nd")(point, time))
+
+
 def test_multistep_rejects_bad_inputs():
     spec = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
     with pytest.raises(SpecError):
-        eval_multistep(spec, InitialData((DELTA, DELTA)), (0,), -1)
+        nd_value(spec, InitialData((DELTA, DELTA)), (0,), -1)
     with pytest.raises(SpecError):
-        eval_multistep(spec, InitialData((DELTA,)), (0,), 1)
+        nd_value(spec, InitialData((DELTA,)), (0,), 1)
     corner = corner_spec(Fraction(1, 2), Fraction(1), Fraction(1, 3))
     with pytest.raises(SpecError):
-        eval_multistep(corner, InitialData((DELTA,)), (0,), 1)
+        nd_value(corner, InitialData((DELTA,)), (0,), 1)
 
 
 def test_two_row_reproduces_initial_rows():
@@ -419,16 +426,16 @@ def test_two_row_reproduces_initial_rows():
         psi0, psi1 = field_row(rng, 1), field_row(rng, 1)
         initial = InitialData((psi0, psi1))
         for i in range(-6, 7):
-            assert eval_multistep(spec, initial, (i,), 0) == psi0.get((i,))
-            assert eval_multistep(spec, initial, (i,), 1) == psi1.get((i,))
+            assert nd_value(spec, initial, (i,), 0) == psi0.get((i,))
+            assert nd_value(spec, initial, (i,), 1) == psi1.get((i,))
 
 
 def test_two_row_pure_doubling():
     spec = EquationSpec(1, 2, (0,), (StencilEntry((0,), 0, Fraction(1)),))
     initial = InitialData((DELTA, FieldRow.zero(1)))
-    assert eval_multistep(spec, initial, (0,), 2) == 1
-    assert eval_multistep(spec, initial, (0,), 3) == 0
-    assert eval_multistep(spec, initial, (0,), 4) == 1
+    assert nd_value(spec, initial, (0,), 2) == 1
+    assert nd_value(spec, initial, (0,), 3) == 0
+    assert nd_value(spec, initial, (0,), 4) == 1
 
 
 def test_two_row_agrees_with_oracle_randomized():
@@ -442,12 +449,12 @@ def test_two_row_agrees_with_oracle_randomized():
         rows = oracle_evolve(spec, initial, 5)
         for j in range(6):
             for p in region.box.points():
-                assert eval_multistep(spec, initial, p, j) == rows[j].get(p), (spec, p, j)
+                assert nd_value(spec, initial, p, j) == rows[j].get(p), (spec, p, j)
 
 
 def test_multistep_agrees_with_oracle_randomized():
     # time orders 2 and 3 in 1D and 2D: closed_rows over the whole region,
-    # eval_multistep on every region point in 1D and on a sample in 2D
+    # the composition sum on every region point in 1D and on a sample in 2D
     rng = random.Random(1025)
     for case in range(40):
         k, dim = 2 + case % 2, 1 + case // 2 % 2
@@ -462,7 +469,7 @@ def test_multistep_agrees_with_oracle_randomized():
         if dim == 2:
             points = rng.sample(points, 60)
         for p, t in points:
-            assert eval_multistep(spec, initial, p, t) == rows[t].get(p), (spec, p, t)
+            assert nd_value(spec, initial, p, t) == rows[t].get(p), (spec, p, t)
 
 
 def test_multistep_agrees_with_nd_on_one_step_specs():
@@ -473,7 +480,9 @@ def test_multistep_agrees_with_nd_on_one_step_specs():
         psi = field_row(rng, dim, max_points=4, coord_range=2)
         q = tuple(rng.randint(-4, 4) for _ in range(dim))
         t = rng.randint(0, 5)
-        assert eval_multistep(spec, InitialData((psi,)), q, t) == eval_nd(spec, psi, q, t)
+        initial = InitialData((psi,))
+        want = oracle_evolve(spec, initial, t)[t].get(q)
+        assert nd_value(spec, initial, q, t) == eval_nd(spec, psi, q, t) == want
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +555,7 @@ def test_closed_rows_match_pointwise_evaluators():
         getter = closed_getter(spec, initial, "nd")
         for t in range(6):
             for p in region.box.points():
-                assert (rows[t].get(p) == eval_multistep(spec, initial, p, t)
+                assert (rows[t].get(p) == nd_value(spec, initial, p, t)
                         == Fraction(*getter(p, t)))
 
 

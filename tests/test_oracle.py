@@ -6,17 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
-                    SpecError, StencilEntry, heat_profile,
+                    SpecError, StencilEntry, eval_implicit, heat_profile,
                     oracle_evolve, oracle_step,
                     oracle_sweep_implicit, tridiagonal_spec,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec import cli, closed_form, combinatorics, models, oracle
 from latrec.closed_form import closed_rows
 from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport,
-                           WindowOverflowError, engine_rows, oracle_getter,
-                           sweep_window)
+                           WindowOverflowError, engine_rows, sweep_window)
 
-from instance_gen import (corner_spec, field_row, nd_instance, rational,
+from instance_gen import (CORNER_COEFFS, corner_spec, field_row, line_rows, nd_instance, rational,
                           tridiagonal_instance, verification_region)
 
 DELTA = FieldRow.delta(1)
@@ -159,10 +158,12 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
             monkeypatch.setattr(module, name, closed_form_path)
     for module in (closed_form, models):
         monkeypatch.setattr(module, "_power_row", closed_form_path)
-    # the closed form's integer rows and every lookup of its evaluators
-    for name in ("_composition_sum", "_rows", "_series_rows", "closed_getter"):
+    # the closed form's integer rows, every lookup of its evaluators and the
+    # corner form's kernel, its rows and its integer scaling
+    for name in ("_composition_sum", "_rows", "_series_rows", "closed_getter",
+                 "_kernel", "_kernel_values", "_corner_rows", "_differenced",
+                 "eval_implicit", "corner_kernel", "_scaled"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
-    monkeypatch.setattr(cli, "closed_getter", closed_form_path)
     f = Fraction
     line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))
     assert oracle_evolve(line, InitialData((DELTA,)), 2)[2].values == {
@@ -187,9 +188,20 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
         {(-1,): f(1, 3), (0,): f(1, 6), (1,): f(1, 6), (2,): f(-1, 6)},
         {(-2,): f(1, 9), (-1,): f(1, 6), (0,): f(2, 9), (1,): f(1, 18), (3,): f(-1, 18)}]
     # the integer rows behind solve with the oracle engine and demo heat
-    get = oracle_getter(line, InitialData((DELTA,)), 2, Box((-2,), (2,)))
-    assert Fraction(*get((0,), 2)) == f(13, 36) and get((3,), 2)[0] == 0
+    *_, (den, nums) = engine_rows(line, InitialData((DELTA,)), 2, "oracle")
+    assert Fraction(nums[(0,)], den) == f(13, 36) and (3,) not in nums
     assert cli.main(["demo", "heat", "--r", "1/3", "--steps", "3"]) == 0
+    # U[i+1, j+1] = U[i, j+1] / 2 + U[i+1, j] / 3 + U[i, j] / 5 from 1 at 0
+    # and -2 at 1: the public sweep, and the integer rows to the right edge 3
+    corner = corner_spec(HALF, f(1, 3), f(1, 5))
+    psi = FieldRow(1, {(0,): f(1), (1,): f(-2)})
+    want = [{(0,): f(1), (1,): f(-2)},
+            {(0,): f(1, 3), (1,): f(-3, 10), (2,): f(-11, 20), (3,): f(-11, 40)},
+            {(0,): f(1, 9), (1,): f(1, 45), (2,): f(-209, 900), (3,): f(-143, 450)}]
+    rows = oracle_sweep_implicit(HALF, f(1, 3), f(1, 5), psi, sweep_window(psi, 2, 3), 2)
+    assert [{p: v for p, v in row.values.items() if p[0] <= 3} for row in rows] == want
+    rows = engine_rows(corner, InitialData((psi,)), 2, "oracle", 3)
+    assert [{p: Fraction(n, den) for p, n in nums.items()} for den, nums in rows] == want
 
 
 @given(step_cases())
@@ -306,6 +318,49 @@ def test_sweep_rows_satisfy_corner_recurrence():
                 rhs = (a * rows[j + 1].get((i,)) + b * rows[j].get((i + 1,))
                        + c * rows[j].get((i,)))
                 assert lhs == rhs
+
+
+def reference_sweep(a, b, c, psi, window, j_max):
+    """The corner-implicit sweep in Fractions, cell by cell, as the oracle
+    ran it before it stepped integer rows: rows 0..j_max as dicts."""
+    lo, hi = window.lo[0], window.hi[0]
+    rows = [dict(psi.values)]
+    for _ in range(j_max):
+        prev, acc, val = rows[-1], {}, Fraction(0)
+        for i in range(lo, hi):
+            val = a * val + b * prev.get((i + 1,), 0) + c * prev.get((i,), 0)
+            if val:
+                acc[(i + 1,)] = val
+        rows.append(acc)
+    return rows
+
+
+@given(CORNER_COEFFS, st.one_of(st.just(Fraction(0)), CORNER_COEFFS), CORNER_COEFFS,
+       line_rows(), st.integers(0, 9), st.integers(-30, 60))
+@example(HALF, Fraction(0), Fraction(-2, 3), FieldRow(1, {(-1,): HALF, (3,): Fraction(2)}), 6, 40)
+@settings(max_examples=80, deadline=None)
+def test_corner_rows_equal_the_pointwise_sum_and_the_fraction_sweep(a, b, c, psi, t_max,
+                                                                    right_edge):
+    # psi on [-4, 4], the zero row among them; right edges from left of the
+    # support to far right of it
+    if not (b or c):
+        b = HALF  # a corner spec needs b or c
+    spec, initial = corner_spec(a, b, c), InitialData((psi,))
+    rows = {engine: [{p: Fraction(n, den) for p, n in nums.items()}
+                     for den, nums in engine_rows(spec, initial, t_max, engine, right_edge)]
+            for engine in ("closed", "oracle")}
+    if not psi.values:
+        assert rows["closed"] == rows["oracle"] == [{}] * (t_max + 1)
+        return
+    # every cell up to sweep_window's right edge, none past it
+    window = sweep_window(psi, t_max, right_edge)
+    assert window.hi[0] == max(psi.support_box().hi[0] + t_max, right_edge)
+    want = reference_sweep(a, b, c, psi, window, t_max)
+    assert rows["closed"] == rows["oracle"] == want
+    assert [row.values for row in oracle_sweep_implicit(a, b, c, psi, window, t_max)] == want
+    for j, row in enumerate(want):
+        for i in range(window.lo[0], window.hi[0] + 1):
+            assert row.get((i,), 0) == eval_implicit(a, b, c, psi, i, j), (i, j)
 
 
 def test_sweep_window_too_small():
@@ -489,13 +544,21 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         auto = closed_form.closed_getter(spec, delta, "auto")
         named = closed_form.closed_getter(spec, delta, name)
         assert all(auto(p, t) == named(p, t) for p in [(-2,), (0,), (3,)] for t in range(4))
-    # explicit specs are answered by rows, the corner-implicit form cell by cell
-    monkeypatch.setattr(closed_form, "_rows", lambda *args: "closed rows")
+    # every spec is answered by rows; the corner-implicit form's reach
+    # sweep_window's right edge, 3 past the support here or 5 when asked
+    monkeypatch.setattr(closed_form, "_rows", lambda *args: ("closed rows", *args[2:]))
     monkeypatch.setattr(oracle, "_evolve", lambda *args: "oracle rows")
-    assert engine_rows(tri, delta, 3, "closed") == "closed rows"
+    monkeypatch.setattr(oracle, "_sweep", lambda *args: ("sweep", *args[4:]))
+    assert engine_rows(tri, delta, 3, "closed") == ("closed rows", 3)
     assert engine_rows(tri, delta, 3, "oracle") == "oracle rows"
-    assert engine_rows(corner, delta, 3, "closed") is None
-    assert engine_rows(corner, delta, 3, "oracle") is None
+    assert engine_rows(corner, delta, 3, "closed") == ("closed rows", 3, 3)
+    assert engine_rows(corner, delta, 3, "oracle") == ("sweep", -4, 3, 3)
+    assert engine_rows(corner, delta, 3, "closed", 5) == ("closed rows", 3, 5)
+    assert engine_rows(corner, delta, 3, "oracle", -9) == ("sweep", -4, 3, 3)
+    # a zero initial row gives zero rows, and no window
+    zero = InitialData((FieldRow.zero(1),))
+    for engine in ("closed", "oracle"):
+        assert list(engine_rows(corner, zero, 2, engine, 5)) == [(1, {})] * 3
 
 
 def test_verify_random_specs_zero_mismatches():
