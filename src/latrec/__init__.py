@@ -14,9 +14,9 @@ from .closed_form import (as_tridiagonal, closed_rows, closed_value,
                           corner_kernel, eval_implicit, eval_nd,
                           eval_tridiagonal, source_rows, tridiagonal_spec)
 from .oracle import (EvolutionState, Mismatch, Region, VerifyReport,
-                     WindowOverflowError, auto_window, oracle_evolve,
-                     oracle_step, oracle_sweep_implicit,
-                     verify_closed_vs_oracle, verify_recurrence)
+                     auto_window, oracle_evolve, oracle_step,
+                     oracle_sweep_implicit, verify_closed_vs_oracle,
+                     verify_recurrence)
 from .models import (HeatParams, RandomWalkParams, heat_profile, heat_spec,
                      random_walk_distribution, random_walk_spec)
 from .config import ConfigError, RunConfig, load_config, parse_config, spec_hash
@@ -25,9 +25,8 @@ __all__ = [
     "Box", "ConfigError", "EquationSpec", "EvolutionState", "FieldRow",
     "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
     "RandomWalkParams", "Region", "RunConfig", "SpecError",
-    "StencilEntry", "VerifyReport", "WindowOverflowError",
-    "as_tridiagonal", "auto_window", "closed_rows", "closed_value",
-    "corner_kernel", "eval_implicit", "eval_nd",
+    "StencilEntry", "VerifyReport", "as_tridiagonal", "auto_window",
+    "closed_rows", "closed_value", "corner_kernel", "eval_implicit", "eval_nd",
     "eval_tridiagonal", "expand_stencil_power", "format_rational",
     "heat_profile", "heat_spec", "load_config", "oracle_evolve", "oracle_step",
     "oracle_sweep_implicit", "parse_config", "parse_rational",

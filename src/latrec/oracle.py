@@ -1,7 +1,7 @@
 """Ground-truth engine: direct iteration of the recurrences over the
-evolving support, a left-to-right sweep for the corner-implicit form on a
-window sized from the initial row and the time range, and verifiers that
-compare closed-form values against iterated ones exactly.
+evolving support, a left-to-right sweep for the corner-implicit form from
+the initial row's left end to a right edge, and verifiers that compare
+closed-form values against iterated ones exactly.
 
 The stepping and the sweep give integer rows (den, {point: nonzero
 numerator}), not reduced.  A step keys each point by one int packed from
@@ -9,7 +9,7 @@ its offset to auto_window's low corner, with no digit carries, so a stencil
 shift is one int addition; it goes over the lcm of coefficient times
 held-row denominators, so every term is an integer multiple of one held
 numerator, and _evolve unpacks each row to point keys once.  The sweep
-holds a row as a list over its window.  oracle_evolve, oracle_step and
+holds a row as a list up to its right edge.  oracle_evolve, oracle_step and
 oracle_sweep_implicit build a Fraction per cell.  The oracle reads nothing
 of the closed form's symbol, powers or kernel.  verify_closed_vs_oracle
 compares both engines' rows one time at a time, a named evaluator's values
@@ -27,19 +27,6 @@ from typing import Iterable, Iterator, Sequence
 from . import closed_form
 from .exactnum import ZERO
 from .lattice import Box, EquationSpec, FieldRow, InitialData, Point, SpecError
-
-
-class WindowOverflowError(RuntimeError):
-    """The corner-implicit sweep's window is too small for its initial row
-    and time range; names the violating axis."""
-
-    def __init__(self, axis: int, point: Point, window: Box):
-        self.axis = axis
-        self.point = point
-        self.window = window
-        super().__init__(
-            f"support left the window on axis {axis}: point {point} outside "
-            f"[{window.lo[axis]}, {window.hi[axis]}]")
 
 
 class MissingValueError(KeyError):
@@ -194,9 +181,9 @@ def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[
 
 
 def sweep_window(psi: FieldRow, j_max: int, right_edge: int) -> Box:
-    """Window for the corner-implicit sweep: the left edge sits at support
-    minimum - j_max - 1, where the left-vanishing solution is zero; the
-    right edge reaches j_max past the support, or right_edge if further."""
+    """A window for oracle_sweep_implicit, kept for bench/ and the tests; the
+    program reads only right edges.  Its left edge is support minimum -
+    j_max - 1, its right edge j_max past the support, or right_edge if further."""
     box = psi.support_box()
     if box is None:
         raise SpecError("zero initial row needs no sweep window")
@@ -209,37 +196,33 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 
         U[i+1, j+1] = a U[i, j+1] + b U[i+1, j] + c U[i, j]
 
-    built left-to-right inside the window from a zero left edge.  Values are
-    exact for every window point; support may continue past the right edge.
-    sweep_window gives a window that passes both WindowOverflowError checks.
-    """
+    built left-to-right from psi's left end, where the solution starts: every
+    nonzero value up to window.hi, the one edge read, and none past it.  A
+    zero psi needs no window."""
     if psi.dim != 1:
         raise SpecError("corner-implicit sweep is 1D")
     if j_max < 0:
         raise SpecError("j_max must be >= 0")
-    if not psi.values:
+    if not psi.values or window.hi[0] < min(psi.values)[0]:
         return [FieldRow.zero(1) for _ in range(j_max + 1)]
-    box = psi.support_box()
-    if box.lo[0] - j_max <= window.lo[0]:
-        raise WindowOverflowError(0, (window.lo[0],), window)
-    if box.hi[0] > window.hi[0]:
-        raise WindowOverflowError(0, (box.hi[0],), window)
     return [FieldRow._over(1, den, nums)
-            for den, nums in _sweep(a, b, c, psi, window.lo[0], window.hi[0], j_max)]
+            for den, nums in _sweep(a, b, c, psi, window.hi[0], j_max)]
 
 
-def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, lo: int, hi: int,
+def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, hi: int,
            j_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """oracle_sweep_implicit's rows on [lo, hi] from the nonzero row psi, as
-    integer rows.  With D the lcm of the denominators of a, b, c and m psi's
-    left end, row j goes over D^(hi - m + j + 1) L, L psi's lcd.  A step up
-    or right adds at most one factor D to a denominator and values left of m
-    are 0, so each numerator left of hi is a multiple of D, and with A = D a,
-    B = D b, C = D c, N_{j+1}(i+1) = A N_{j+1}(i) // D + B N_j(i+1) + C N_j(i)."""
+    """oracle_sweep_implicit's rows as integer rows, stepped as lists over
+    [m - 1, hi], m <= hi the nonzero psi's left end; values left of m are 0.
+    With D the lcm of the denominators of a, b, c, row j goes over
+    D^(hi - m + j + 1) L, L psi's lcd.  A step up or right adds at most one
+    factor D to a denominator, so each numerator left of hi is a multiple of
+    D, and with A = D a, B = D b, C = D c,
+    N_{j+1}(i+1) = A N_{j+1}(i) // D + B N_j(i+1) + C N_j(i)."""
     scale = lcm(a.denominator, b.denominator, c.denominator)
     na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
     lcd, nums = _int_row(psi)
-    lift = scale ** (hi - min(nums)[0] + 1)
+    lo = min(nums)[0] - 1
+    lift = scale ** (hi - lo)
     den, prev = lift * lcd, [nums.get((i,), 0) * lift for i in range(lo, hi + 1)]
     yield den, {(lo + x,): n for x, n in enumerate(prev) if n}
     for _ in range(j_max):
@@ -326,18 +309,21 @@ def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: st
                 right_edge: int | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
     """The integer rows (den, {point: nonzero numerator}) at times 0..t_max
     by which engine, "closed" or "oracle", answers the spec: closed_form._rows
-    or _evolve.  A corner-implicit row, which has no right end, reaches
-    sweep_window's right edge: right_edge, or t_max past psi if further."""
+    or _evolve.  A corner-implicit row, which has no right end, runs from
+    psi's left end, where it starts, to right_edge, which it requires."""
+    if t_max < 0:
+        raise SpecError("t_max must be >= 0")
     if not spec.implicit_corner:
         return (closed_form._rows if engine == "closed" else _evolve)(spec, initial, t_max)
+    if right_edge is None:
+        raise SpecError("corner-implicit rows have infinite support; give a right edge")
     initial.check_matches(spec)
     psi = initial.rows[0]
-    if not psi.values:
+    if not psi.values or right_edge < min(psi.values)[0]:
         return iter([(1, {})] * (t_max + 1))
-    window = sweep_window(psi, t_max, max(psi.values)[0] if right_edge is None else right_edge)
     if engine == "closed":
-        return closed_form._rows(spec, initial, t_max, window.hi[0])
-    return _sweep(*spec.corner_coefficients(), psi, window.lo[0], window.hi[0], t_max)
+        return closed_form._rows(spec, initial, t_max, right_edge)
+    return _sweep(*spec.corner_coefficients(), psi, right_edge, t_max)
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,

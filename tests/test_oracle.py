@@ -12,8 +12,8 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec import cli, closed_form, combinatorics, models, oracle
 from latrec.closed_form import closed_rows
-from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport,
-                           WindowOverflowError, engine_rows, sweep_window)
+from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport, engine_rows,
+                           sweep_window)
 
 from instance_gen import (CORNER_COEFFS, corner_spec, field_row, line_rows, nd_instance, rational,
                           tridiagonal_instance, verification_region)
@@ -338,6 +338,7 @@ def reference_sweep(a, b, c, psi, window, j_max):
 @given(CORNER_COEFFS, st.one_of(st.just(Fraction(0)), CORNER_COEFFS), CORNER_COEFFS,
        line_rows(), st.integers(0, 9), st.integers(-30, 60))
 @example(HALF, Fraction(0), Fraction(-2, 3), FieldRow(1, {(-1,): HALF, (3,): Fraction(2)}), 6, 40)
+@example(HALF, Fraction(1, 3), Fraction(1, 5), FieldRow(1, {(2,): Fraction(1)}), 3, -5)
 @settings(max_examples=80, deadline=None)
 def test_corner_rows_equal_the_pointwise_sum_and_the_fraction_sweep(a, b, c, psi, t_max,
                                                                     right_edge):
@@ -346,38 +347,43 @@ def test_corner_rows_equal_the_pointwise_sum_and_the_fraction_sweep(a, b, c, psi
     if not (b or c):
         b = HALF  # a corner spec needs b or c
     spec, initial = corner_spec(a, b, c), InitialData((psi,))
-    rows = {engine: [{p: Fraction(n, den) for p, n in nums.items()}
-                     for den, nums in engine_rows(spec, initial, t_max, engine, right_edge)]
-            for engine in ("closed", "oracle")}
+    closed, swept = (list(engine_rows(spec, initial, t_max, engine, right_edge))
+                     for engine in ("closed", "oracle"))
+    # one denominator, an int, per time, and equal numerators
+    assert closed == swept and len(closed) == t_max + 1
+    assert all(type(den) is int for den, _ in closed)
+    left, want = right_edge + 1, [{}] * (t_max + 1)
+    if psi.values:
+        # the Fraction sweep on a window wide on both sides, cut at the right edge
+        left, window = min(psi.values)[0], sweep_window(psi, t_max, right_edge)
+        want = [{p: v for p, v in row.items() if p[0] <= right_edge}
+                for row in reference_sweep(a, b, c, psi, window, t_max)]
+    assert [{p: Fraction(n, den) for p, n in nums.items()} for den, nums in closed] == want
+    for j, (den, nums) in enumerate(closed):
+        # every nonzero cell from psi's left end to the right edge, none past it
+        assert all(left <= i <= right_edge for (i,) in nums)
+        for i in range(left - 1, right_edge + 1):
+            assert Fraction(nums.get((i,), 0), den) == eval_implicit(a, b, c, psi, i, j), (i, j)
+
+
+@given(CORNER_COEFFS, CORNER_COEFFS, CORNER_COEFFS, line_rows(), st.integers(0, 6),
+       st.integers(-12, 12), st.integers(-12, 16))
+@example(HALF, Fraction(1), Fraction(1), FieldRow.delta(1), 3, 0, 4)
+@settings(max_examples=80, deadline=None)
+def test_sweep_reads_only_the_window_right_edge(a, b, c, psi, j_max, left, right):
+    # the left edge anywhere, at or right of psi's left end too, and right
+    # edges left of psi's support, inside it and right of it
+    window = Box((min(left, right),), (right,))
     if not psi.values:
-        assert rows["closed"] == rows["oracle"] == [{}] * (t_max + 1)
+        rows = oracle_sweep_implicit(a, b, c, psi, None, j_max)
+        assert [row.values for row in rows] == [{}] * (j_max + 1)
         return
-    # every cell up to sweep_window's right edge, none past it
-    window = sweep_window(psi, t_max, right_edge)
-    assert window.hi[0] == max(psi.support_box().hi[0] + t_max, right_edge)
-    want = reference_sweep(a, b, c, psi, window, t_max)
-    assert rows["closed"] == rows["oracle"] == want
-    assert [row.values for row in oracle_sweep_implicit(a, b, c, psi, window, t_max)] == want
-    for j, row in enumerate(want):
-        for i in range(window.lo[0], window.hi[0] + 1):
-            assert row.get((i,), 0) == eval_implicit(a, b, c, psi, i, j), (i, j)
-
-
-def test_sweep_window_too_small():
-    # the left edge must sit below support minimum - j_max, where the
-    # left-vanishing solution is zero
-    with pytest.raises(WindowOverflowError) as exc:
-        oracle_sweep_implicit(Fraction(1), Fraction(1), Fraction(1), DELTA,
-                              Box((-3,), (4,)), 3)
-    assert exc.value.axis == 0 and exc.value.point == (-3,)
-    assert len(oracle_sweep_implicit(Fraction(1), Fraction(1), Fraction(1), DELTA,
-                                     Box((-4,), (4,)), 3)) == 4
-    # the initial row must lie inside the window
-    psi = FieldRow(1, {(0,): Fraction(1), (5,): Fraction(-2)})
-    with pytest.raises(WindowOverflowError) as exc:
-        oracle_sweep_implicit(Fraction(1), Fraction(1), Fraction(1), psi,
-                              Box((-10,), (4,)), 3)
-    assert exc.value.axis == 0 and exc.value.point == (5,)
+    rows = oracle_sweep_implicit(a, b, c, psi, window, j_max)
+    # sweep_window's left edge is j_max + 1 left of psi, its right edge
+    # reaches at least psi's right end and right
+    want = [{p: v for p, v in row.items() if p[0] <= right}
+            for row in reference_sweep(a, b, c, psi, sweep_window(psi, j_max, right), j_max)]
+    assert [row.values for row in rows] == want
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +550,36 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         auto = closed_form.closed_getter(spec, delta, "auto")
         named = closed_form.closed_getter(spec, delta, name)
         assert all(auto(p, t) == named(p, t) for p in [(-2,), (0,), (3,)] for t in range(4))
-    # every spec is answered by rows; the corner-implicit form's reach
-    # sweep_window's right edge, 3 past the support here or 5 when asked
+    # every spec is answered by rows; the corner-implicit form's rows run
+    # from psi's left end to the right edge they require
     monkeypatch.setattr(closed_form, "_rows", lambda *args: ("closed rows", *args[2:]))
     monkeypatch.setattr(oracle, "_evolve", lambda *args: "oracle rows")
     monkeypatch.setattr(oracle, "_sweep", lambda *args: ("sweep", *args[4:]))
     assert engine_rows(tri, delta, 3, "closed") == ("closed rows", 3)
     assert engine_rows(tri, delta, 3, "oracle") == "oracle rows"
-    assert engine_rows(corner, delta, 3, "closed") == ("closed rows", 3, 3)
-    assert engine_rows(corner, delta, 3, "oracle") == ("sweep", -4, 3, 3)
     assert engine_rows(corner, delta, 3, "closed", 5) == ("closed rows", 3, 5)
-    assert engine_rows(corner, delta, 3, "oracle", -9) == ("sweep", -4, 3, 3)
-    # a zero initial row gives zero rows, and no window
+    assert engine_rows(corner, delta, 3, "oracle", 5) == ("sweep", 5, 3)
+    assert engine_rows(corner, delta, 3, "closed", 0) == ("closed rows", 3, 0)
+    assert engine_rows(corner, delta, 3, "oracle", 0) == ("sweep", 0, 3)
     zero = InitialData((FieldRow.zero(1),))
     for engine in ("closed", "oracle"):
+        with pytest.raises(SpecError, match="give a right edge"):
+            engine_rows(corner, delta, 3, engine)
+        # a right edge left of psi, or a zero psi, gives zero rows
+        assert list(engine_rows(corner, delta, 2, engine, -1)) == [(1, {})] * 3
         assert list(engine_rows(corner, zero, 2, engine, 5)) == [(1, {})] * 3
+
+
+def test_engine_rows_refuse_a_negative_t_max():
+    two_row = EquationSpec(1, 2, (0,), (StencilEntry((0,), 1, Fraction(1)),
+                                        StencilEntry((1,), 0, HALF)))
+    corner = corner_spec(HALF, Fraction(1), Fraction(1, 3))
+    cases = [(tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3)), (DELTA,)),
+             (two_row, (DELTA, DELTA)), (corner, (DELTA,)), (corner, (FieldRow.zero(1),))]
+    for spec, rows in cases:
+        for engine in ("closed", "oracle"):
+            with pytest.raises(SpecError, match="t_max must be >= 0"):
+                engine_rows(spec, InitialData(rows), -1, engine, 3)
 
 
 def test_verify_random_specs_zero_mismatches():

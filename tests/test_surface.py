@@ -19,7 +19,7 @@ import types
 from pathlib import Path
 
 import latrec
-from latrec.cli import main
+from latrec import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -60,7 +60,7 @@ def test_all_is_pinned():
         "Box", "ConfigError", "EquationSpec", "EvolutionState", "FieldRow",
         "HeatParams", "InitialData", "Mismatch", "ParseError", "Point",
         "RandomWalkParams", "Region", "RunConfig", "SpecError", "StencilEntry",
-        "VerifyReport", "WindowOverflowError", "as_tridiagonal", "auto_window",
+        "VerifyReport", "as_tridiagonal", "auto_window",
         "closed_rows", "closed_value", "corner_kernel", "eval_implicit",
         "eval_nd", "eval_tridiagonal", "expand_stencil_power",
         "format_rational", "heat_profile", "heat_spec", "load_config",
@@ -69,7 +69,7 @@ def test_all_is_pinned():
         "source_rows", "spec_hash", "tridiagonal_spec", "verify_closed_vs_oracle",
         "verify_recurrence",
     ]
-    assert len(latrec.__all__) == 42
+    assert len(latrec.__all__) == 41
     assert len(set(latrec.__all__)) == len(latrec.__all__)
 
 
@@ -87,19 +87,24 @@ def test_traced_cli_runs_count_and_restore(monkeypatch, tmp_path, capsys):
     tracer = spans.Tracer()
     tracer.install()
     try:
+        # cli.main is looked up at the call, so each run is a traced root span
         statuses = [
-            main(["verify", "--config", str(CONFIG_DIR / "two_row_mixed.json")]),
-            main(["solve", "--config", str(corner_path)]),
-            main(["demo", "heat", "--r", "1/4", "--steps", "3"]),
+            cli.main(["verify", "--config", str(CONFIG_DIR / "two_row_mixed.json")]),
+            cli.main(["solve", "--config", str(corner_path)]),
+            cli.main(["demo", "heat", "--r", "1/4", "--steps", "3"]),
         ]
         metrics = tracer.layer_metrics(0.0)
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert statuses == [0, 0, 0]
-    # the CLI steps integer rows, which no span wraps; the corner solve
-    # still sizes its sweep through the traced sweep_window
-    assert "oracle.sweep_window" in {span.name for span in tracer.spans}
+    # the CLI steps integer rows, which no span wraps; the corner solve, the
+    # second root, parses its document and writes its table under its root
+    roots = [i for i, span in enumerate(tracer.spans) if span.parent < 0]
+    assert [tracer.spans[i].name for i in roots] == ["cli.main"] * 3
+    solve = tracer.spans[roots[1] + 1:roots[2]]
+    assert {span.name for span in solve} >= {"config.parse_config", "cli.format_table"}
+    assert all(span.parent >= roots[1] for span in solve)
     assert metrics["oracle.window_cells"] > 0
     assert metrics["oracle.values_checked"] > 0
     after = latrec_bindings()
