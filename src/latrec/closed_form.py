@@ -18,10 +18,10 @@ so results are exact rationals.  Evaluators:
                             solution vanishing left of the initial support.
 
 The three-point sum is evaluated in integers by Horner's rule.  The corner
-form's kernel row j, (b + c x)^j / (1 - a x)^(j+1), solves a first-order
-linear ODE, so its coefficients follow one three-term integer recurrence
-(_kernel): it gives ``corner_kernel``, ``eval_implicit`` and the corner
-form's rows (_corner_rows).  A query holds no table of powers.
+form's kernel row j, (b + c x)^j / (1 - a x)^(j+1), and psi's multiplier
+for row j, (b + c x)^j / (1 - a x)^j, follow Miller's recurrence (_kernel):
+they give ``corner_kernel``, ``eval_implicit`` and the corner form's rows
+(_corner_rows).  A query holds no table of powers.
 
 ``EVALUATORS`` maps each evaluator name to its shape check and evaluator:
 "nd" for every explicit spec, and one name for each formula that differs in
@@ -29,9 +29,9 @@ structure (the three-point sum, its negative control, the corner kernel).
 
 ``closed_rows`` and ``closed_value`` read the powers of a one-step equation
 of any dimension, U(t) = S^t psi with S a polynomial in x alone, from
-Miller's power recurrence (``combinatorics._symbol_power``): row t from the
-coefficients of S^t convolved with psi, a point from the coefficients up to
-the farthest one it needs.  Only time order >= 2 takes the series pass:
+Miller's power recurrence (``combinatorics._symbol_power``) through one
+entry point, _power_rows: row t from the coefficients of S^t convolved
+with psi, a point from the coefficients up to the farthest one it needs.  Only time order >= 2 takes the series pass:
 whole rows of Q / (1 - S) from one integer pass over sum_J S^J.  Every row
 builder gives integer rows (den, {point: nonzero numerator}), not reduced;
 ``closed_getter`` hands its cells out as (numerator, denominator) pairs,
@@ -46,9 +46,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .combinatorics import (_multinomial_weights, _symbol_power, compositions,
+from .combinatorics import (_miller, _multinomial_weights, _symbol_power, compositions,
                             multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, StencilEntry
@@ -170,25 +170,19 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 # corner-implicit family
 # ---------------------------------------------------------------------------
 
-def _kernel(j: int, n: int, na: int, nb: int, nc: int, d: int) -> list[int]:
+def _kernel(j: int, n: int, na: int, nb: int, nc: int, d: int, over: int = 1) -> list[int]:
     """k_0..k_n of kernel row j, k_s = corner_kernel(s, j) D^(s+j), with
-    A = D a, B = D b, C = D c.  The row, (b + c x)^j / (1 - a x)^(j+1),
-    solves a first-order linear ODE, so from k_0 = B^j, dividing exactly,
-
-        B (s+1) k_{s+1} = (j C D + (j+1) A B - (C D - A B) s) k_s + A C D s k_{s-1}.
-
-    For B = 0, k_s is 0 for s < j, then (C D)^j times row j for (A, 1, 0)."""
-    if not nb:
-        tail = [(nc * d) ** j * k for k in _kernel(j, n - j, na, 1, 0, 1)] if n >= j else []
-        return [0] * min(j, n + 1) + tail
-    cd, ab = nc * d, na * nb
-    lead, slope, acd = j * cd + (j + 1) * ab, cd - ab, na * cd
-    prev, k = 0, nb ** j
-    ks = [k]
-    for s in range(n):
-        prev, k = k, ((lead - slope * s) * k + acd * s * prev) // (nb * (s + 1))
-        ks.append(k)
-    return ks
+    A = D a, B = D b, C = D c: the coefficients of (B~)^j / (1 - A x)^(j+over)
+    for B~ = B + C D x, over = 1 (over = 0 gives the corner form's row j over
+    psi).  The row solves F K' = G K (_miller) with F = B~ (1 - A x) and
+    G = j B~' (1 - A x) + (j+over) A B~, from k_0 = B^j.  For B = 0, B~ is
+    C D times x, and the row is (C D)^j / (1 - A x)^(j+over) shifted right by j."""
+    cd = nc * d
+    b0, b1, shift = (nb, cd, 0) if nb else (1, 0, j)
+    # F = b0 + (b1 - A b0) x - A b1 x^2, G = j b1 + (j+over) A b0 + over A b1 x
+    lags = [(1, (j + 1) * b1 + (j + over - 1) * na * b0, b1 - na * b0),
+            (2, (over - 2) * na * b1, -na * b1)]
+    return ([0] * shift + _miller(b0, lags, (nb or cd) ** j, max(n - shift, 0)))[:n + 1]
 
 
 def _kernel_values(j: int, ss, na: int, nb: int, nc: int, d: int) -> dict[int, int]:
@@ -216,16 +210,6 @@ def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Frac
     return Fraction(_kernel_values(j, (s,), na, nb, nc, scale)[s], scale ** (s + j))
 
 
-def _differenced(a, b, c, psi: FieldRow) -> tuple[int, int, int, int, int, dict[int, int]]:
-    """D, A, B, C (_scaled), L, the lcm of psi's denominators, and
-    psi - a shift(psi) over D L as {k: D N(k) - A N(k-1)}, psi = N / L."""
-    scale, na, nb, nc = _scaled(a, b, c)
-    lcd = lcm(*(v.denominator for v in psi.values.values()))
-    nums = {k: v.numerator * (lcd // v.denominator) for (k,), v in psi.values.items()}
-    return scale, na, nb, nc, lcd, {k: scale * nums.get(k, 0) - na * nums.get(k - 1, 0)
-                                    for k in {*nums, *(k + 1 for k in nums)}}
-
-
 def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
                   i: int, j: int) -> Fraction:
     """Left-vanishing particular solution of the corner form at (i, j):
@@ -240,7 +224,12 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
         raise SpecError("time must be >= 0")
     if psi.dim != 1:
         raise SpecError("eval_implicit is defined for 1D rows")
-    scale, na, nb, nc, lcd, diff = _differenced(a, b, c, psi)
+    scale, na, nb, nc = _scaled(a, b, c)
+    lcd = lcm(*(v.denominator for v in psi.values.values()))
+    nums = {k: v.numerator * (lcd // v.denominator) for (k,), v in psi.values.items()}
+    # psi - a shift(psi) over D L is D N(k) - A N(k-1) at k, psi = N / L
+    diff = {k: scale * nums.get(k, 0) - na * nums.get(k - 1, 0)
+            for k in {*nums, *(k + 1 for k in nums)}}
     terms = {i - k: n for k, n in diff.items() if k <= i and n}
     if not terms:
         return ZERO
@@ -283,35 +272,18 @@ def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
             f"point of length {len(point)} queried in a dim-{spec.spatial_dim} field")
 
 
-def _power_setup(spec: EquationSpec, psi: FieldRow) -> tuple[
-        int, list[tuple[Point, int]], list[tuple[Fraction, Point]]]:
-    """What every power of a one-step equation from row 0 psi shares: L, the
-    lcm of psi's denominators, psi's integer (point, numerator) pairs over
-    L, and the symbol's (coeff, xstep) terms."""
+def _power_rows(spec: EquationSpec, psi: FieldRow, times: Iterable[int],
+                point: Point | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
+    """Rows `times` of a one-step equation from row 0 psi, or with `point`
+    that cell of each alone, as integer rows: (D S)^j from Miller's
+    recurrence (_symbol_power) times psi scaled to integers by L, the lcm
+    of its denominators, over D^j L.  L, psi's integer numerators and the
+    symbol's terms are worked out once; each row is one _symbol_power call."""
     lcd = lcm(*(v.denominator for v in psi.values.values()))
     nums = [(p, v.numerator * (lcd // v.denominator)) for p, v in psi.values.items()]
     terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
-    return lcd, nums, terms
-
-
-def _power_row(spec: EquationSpec, psi: FieldRow, j: int,
-               point: Point | None = None) -> tuple[int, dict[Point, int]]:
-    """Row j of a one-step equation from row 0 psi, or with `point` that
-    cell of it alone, as an integer row: (D S)^j from Miller's recurrence
-    times psi scaled to integers by L, the lcm of its denominators, over
-    D^j * L."""
-    lcd, nums, terms = _power_setup(spec, psi)
-    scale, cells = _symbol_power(terms, j, nums, point)
-    return scale ** j * lcd, cells
-
-
-def _power_rows(spec: EquationSpec, psi: FieldRow,
-                t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """Rows 0..t_max of _power_row, the set-up shared by every row worked
-    out once: each row is one _symbol_power call."""
-    lcd, nums, terms = _power_setup(spec, psi)
-    for j in range(t_max + 1):
-        scale, cells = _symbol_power(terms, j, nums)
+    for j in times:
+        scale, cells = _symbol_power(terms, j, nums, point)
         yield scale ** j * lcd, cells
 
 
@@ -353,43 +325,42 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
     return total
 
 
-def _rows(spec: EquationSpec, initial: InitialData, t_max: int,
-          right_edge: int | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
+def _rows(spec: EquationSpec, initial: InitialData,
+          t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
     """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {point:
     nonzero numerator}), built as they are read; the arguments are checked
     before the first row is asked for.  A one-step equation reads each row
-    from Miller's recurrence (_power_rows): psi's lcd, its integer
-    numerators and the symbol's terms are worked out once for the sweep,
-    and each row is one call of _symbol_power.  Corner-implicit rows, which
-    have no right end, reach right_edge (_corner_rows).  Any other equation
-    reads the series pass (_series_rows)."""
+    from Miller's recurrence (_power_rows), any other the series pass
+    (_series_rows).  The corner-implicit form has no symbol S here; its
+    rows are _corner_rows."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
-    if spec.implicit_corner:
-        if right_edge is None:
-            raise SpecError("corner-implicit rows have infinite support; evaluate pointwise")
-        return _corner_rows(*spec.corner_coefficients(), initial.rows[0], t_max, right_edge)
     q = source_rows(spec, initial)
     if spec.time_order == 1:
-        return _power_rows(spec, q[0], t_max)
+        return _power_rows(spec, q[0], range(t_max + 1))
     return _series_rows(spec, q, t_max)
 
 
-def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, t_max: int,
-                 right_edge: int) -> Iterator[tuple[int, dict[Point, int]]]:
+def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, right_edge: int,
+                 t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
     """Rows 0..t_max of the corner form from the nonzero row 0 psi, from
-    psi's left end lo to right_edge: row j is the differenced row convolved
-    with kernel row j, over D^(right_edge - lo + j + 1) L."""
-    scale, na, nb, nc, lcd, diff = _differenced(a, b, c, psi)
-    lo, span = min(diff), right_edge - min(diff)
+    psi's left end m to right_edge.  The equation at row j+1 reads
+    (1 - a x) U_(j+1)(x) = (b + c x) U_j(x) on the rows' generating
+    functions, so row j is psi times (b + c x)^j / (1 - a x)^j (_kernel with
+    over = 0), over D^(right_edge - m + j) L, L psi's lcd."""
+    scale, na, nb, nc = _scaled(a, b, c)
+    lcd = lcm(*(v.denominator for v in psi.values.values()))
+    m = min(psi.values)[0]
+    span = right_edge - m
     lifts = [scale ** (span - s) for s in range(span + 1)]
-    terms = [(k - lo, n) for k, n in diff.items() if n and k <= right_edge]
+    terms = [(k - m, v.numerator * (lcd // v.denominator))
+             for (k,), v in psi.values.items() if k <= right_edge]
     for j in range(t_max + 1):
-        kernel = list(map(mul, _kernel(j, span, na, nb, nc, scale), lifts))
+        kernel = list(map(mul, _kernel(j, span, na, nb, nc, scale, 0), lifts))
         acc = [0] * (span + 1)
         for off, n in terms:
             acc[off:] = map(add, acc[off:], map(n.__mul__, kernel))
-        yield scale ** (span + j + 1) * lcd, {(lo + x,): v for x, v in enumerate(acc) if v}
+        yield scale ** (span + j) * lcd, {(m + x,): v for x, v in enumerate(acc) if v}
 
 
 def _series_rows(spec: EquationSpec, q: Sequence[FieldRow],
@@ -503,5 +474,5 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
         return Fraction(*closed_getter(spec, initial, "auto")(point, time))
     initial.check_matches(spec)
     point = tuple(point)
-    den, cells = _power_row(spec, initial.rows[0], time, point)
+    den, cells = next(_power_rows(spec, initial.rows[0], (time,), point))
     return Fraction(cells.get(point, 0), den)

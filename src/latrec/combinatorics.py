@@ -6,21 +6,23 @@ symbol
     S(x, y) = sum over entries of  coeff * x^(spatial_shift - offset) * y^(time_order - time_level)
 
 raised to a power, or summed over every power as the series sum_J S^J of
-U = Q / (1 - S), with like terms collected.  Every power, in any number of
-axes, comes from a Kronecker substitution followed by J. C. P. Miller's
-recurrence (Knuth, TAOCP Vol. 2, 4.7): ``_symbol_power`` packs each exponent
-vector into one power of a single variable z, wide enough that no digit
-carries, and gives each coefficient of the univariate (D S(z))^t from the
-ones below it in O(entries) integer operations, without forming S^(t-1).
-``expand_stencil_power`` reads it with y as one more axis, and the rows and
-points of every one-step equation (``closed_form.closed_rows``,
-``closed_form.closed_value``, ``models.random_walk_distribution``) read it
-in x alone.  Only time order >= 2 needs the series: ``_multinomial_weights``
-applies the multinomial theorem one stencil entry at a time on
-integer-scaled coefficients, merging like terms after each entry, and leaves
-the division by the common denominator to the caller, once per row cell
-(``closed_form.closed_rows``).  ``compositions`` and ``multinomial`` serve
-the pointwise evaluators, which sum over compositions directly.
+U = Q / (1 - S), with like terms collected.  Every power comes from
+J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), whose one loop,
+``_miller``, gives each coefficient of a K with F K' = G K from the ones
+below it in O(terms of F and G) integer operations; the corner form's
+kernel rows (``closed_form._kernel``) read it too.  ``_symbol_power``
+packs each exponent vector, in any number of axes, into one power of a
+single variable z, wide enough that no digit carries, and reads the
+univariate (D S(z))^t without forming S^(t-1).  ``expand_stencil_power``
+reads it with y as one more axis, and the rows and points of every
+one-step equation (``closed_form.closed_rows``, ``closed_form.closed_value``,
+``models.random_walk_distribution``) in x alone.  Only time order >= 2
+needs the series: ``_multinomial_weights`` applies the multinomial theorem
+one stencil entry at a time on integer-scaled coefficients, merging like
+terms after each entry, and leaves the division by the common denominator
+to the caller, once per row cell (``closed_form.closed_rows``).
+``compositions`` and ``multinomial`` serve the pointwise evaluators, which
+sum over compositions directly.
 """
 
 from __future__ import annotations
@@ -73,32 +75,44 @@ def stencil_symbol_steps(spec: EquationSpec) -> list[tuple[Fraction, tuple[int, 
     ]
 
 
+def _miller(f0: int, lags: Sequence[tuple[int, int, int]], first: int, n: int) -> list[int]:
+    """k_0..k_n of the power series K with F K' = G K and k_0 = first, for
+    integer polynomials F and G with F_0 = f0 != 0, by J. C. P. Miller's
+    recurrence (Knuth, TAOCP Vol. 2, 4.7).  Each (l, u, v) in lags folds F's
+    and G's terms at lag l >= 1, u = G_(l-1) + l F_l and v = F_l, so that
+
+        f0 s k_s = sum over lags of (u - v s) k_(s-l),
+
+    divided exactly.  A read below k_0 lands in the zeros past k_n."""
+    ks = [first] + [0] * (n + max([l for l, _, _ in lags], default=0))
+    for s in range(1, n + 1):
+        total = 0
+        for l, u, v in lags:
+            total += (u - v * s) * ks[s - l]
+        ks[s] = total // (f0 * s)
+    del ks[n + 1:]
+    return ks
+
+
 def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
                   row: Sequence[tuple[tuple[int, ...], int]],
                   point: tuple[int, ...] | None = None) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The integer coefficients of (D A)**t * N by Miller's power recurrence,
-    for A = sum of coeff * x**exps over `terms` (distinct exponent vectors,
-    nonzero coefficients), D the lcm of their denominators and N the row of
-    integer (point, value) pairs `row`.
+    """The integer coefficients of (D A)**t * N by Miller's recurrence
+    (_miller), for A = sum of coeff * x**exps over `terms` (distinct exponent
+    vectors, nonzero coefficients), D the lcm of their denominators and N the
+    row of integer (point, value) pairs `row`.
 
     Shifted by its lowest exponent on each axis, A has digits in
     [0, width], so P = (D A)**t has digits in [0, t * width].  A Kronecker
     substitution x_i = z**u_i, with the last axis on top and each lower
     axis's radix t * width + 1, packs every exponent vector of P into a
     distinct power of z without a carry, and A becomes a univariate
-    polynomial A(z).  For P = (D A(z))**t, z A P' = t P z A' gives, with m0
-    the least exponent of A(z),
-
-        A_m0 (k - t m0) P_k = sum_{a != m0} A_a P_{k+m0-a} ((t+1)(a - m0) - (k - t m0)),
-
-    so P_{t m0} = A_m0**t and every later coefficient, up to t times the
-    highest exponent, comes from lower ones in O(terms) integer operations
-    and an exact division.  A read below key 0 wraps to the top of the
-    list, which is not yet written.  N's extent never enters P's packing,
-    so points of N far apart cost no coefficients.  N multiplies P's
-    nonzero cells in a second packing, whose lower radices also hold N's
-    extent, into a dict, so the product costs its terms however far apart
-    N's points are.  Where the two packings agree (one axis, or N one cell
+    polynomial A(z) with least exponent m0.  P / z**(t m0) is F**t for
+    F = D A(z) / z**m0, so it solves F K' = G K with G = t F' from F_0**t.
+    N's extent never enters P's packing, so points of N far apart cost no
+    coefficients.  N multiplies P's nonzero cells in a second packing,
+    whose lower radices also hold N's extent, into a dict, so the product
+    costs its terms however far apart N's points are.  Where the two packings agree (one axis, or N one cell
     wide on every lower axis) P's keys are used as they are.  N's first
     point fills the dict in one pass, and the cells that cancel are dropped
     in the pass that unpacks the keys into points.  A sweep over t calls
@@ -126,29 +140,22 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
                     for coeff, exps in terms])
     m0, a0 = coded[0]
     base = t * m0
-    top = t * coded[-1][0]
+    n = t * (coded[-1][0] - m0)
     origin = [t * lo for lo in low]
-    stop = top + 1
     if point is not None:
         hits = []
         for q, v in row:
             digits = list(map(sub, map(sub, point, q), origin))
             if all(0 <= d <= r for d, r in zip(digits, reach)):
-                key = sum(map(mul, digits, units))
-                if key <= top:
+                key = sum(map(mul, digits, units)) - base
+                if 0 <= key <= n:
                     hits.append((key, v))
         if not hits:
             return scale, {}
-        stop = max(hits)[0] + 1
-    coeffs = [0] * (top + 1)
-    coeffs[base] = a0 ** t
-    # per other term: its lag a - m0, coefficient and (t+1) * lag + base
-    lags = [(a - m0, n, (t + 1) * (a - m0) + base) for a, n in coded[1:]]
-    for k in range(base + 1, stop):
-        total = 0
-        for lag, n, c in lags:
-            total += (c - k) * n * coeffs[k - lag]
-        coeffs[k] = total // (a0 * (k - base))
+        n = max(hits)[0]
+    # F's term at lag l = a - m0 gives u = (t + 1) l F_l and v = F_l
+    coeffs = _miller(a0, [(a - m0, (t + 1) * (a - m0) * c, c) for a, c in coded[1:]],
+                     a0 ** t, n)
     if point is not None:
         total = sum(coeffs[k] * v for k, v in hits)
         return scale, {point: total} if total else {}
@@ -161,8 +168,8 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
         out_units.append(out_units[-1] * radix)
     # P's nonzero cells, repacked axis by axis unless the packings agree,
     # as on one axis
-    keys = [k for k, c in enumerate(coeffs) if c]
-    values = [coeffs[k] for k in keys]
+    keys = [k for k, c in enumerate(coeffs, base) if c]
+    values = [c for c in coeffs if c]
     if out_units == units:
         moved = keys
     else:

@@ -15,7 +15,7 @@ update a convex average (stable).
 The walk's distribution after j steps is the coefficient list of its
 stencil symbol's j-th power, read from Miller's power recurrence, the one
 routine behind the powers of every one-step equation
-(``closed_form._power_row``); the heat profile iterates.  Both build a
+(``closed_form._power_rows``); the heat profile iterates.  Both build a
 Fraction per cell from the engines' integer rows; ``latrec demo`` writes
 those rows' text without them.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import _power_row, tridiagonal_spec
+from .closed_form import _power_rows, tridiagonal_spec
 from .lattice import EquationSpec, FieldRow, InitialData, SpecError
 from .oracle import oracle_evolve
 
@@ -78,7 +78,7 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    den, nums = _power_row(random_walk_spec(params), FieldRow.delta(1), j)
+    den, nums = next(_power_rows(random_walk_spec(params), FieldRow.delta(1), (j,)))
     return FieldRow._over(1, den, nums)
 
 

@@ -198,11 +198,13 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 
     built left-to-right from psi's left end, where the solution starts: every
     nonzero value up to window.hi, the one edge read, and none past it.  A
-    zero psi needs no window."""
+    zero psi needs no window; a nonzero one is a SpecError without one."""
     if psi.dim != 1:
         raise SpecError("corner-implicit sweep is 1D")
     if j_max < 0:
         raise SpecError("j_max must be >= 0")
+    if psi.values and window is None:
+        raise SpecError("a nonzero initial row needs a sweep window")
     if not psi.values or window.hi[0] < min(psi.values)[0]:
         return [FieldRow.zero(1) for _ in range(j_max + 1)]
     return [FieldRow._over(1, den, nums)
@@ -214,15 +216,16 @@ def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, hi: int,
     """oracle_sweep_implicit's rows as integer rows, stepped as lists over
     [m - 1, hi], m <= hi the nonzero psi's left end; values left of m are 0.
     With D the lcm of the denominators of a, b, c, row j goes over
-    D^(hi - m + j + 1) L, L psi's lcd.  A step up or right adds at most one
-    factor D to a denominator, so each numerator left of hi is a multiple of
-    D, and with A = D a, B = D b, C = D c,
+    D^(hi - m + j) L, L psi's lcd.  A step up or right adds at most one
+    factor D to a denominator, so cell i's value has one dividing
+    D^(i - m + j) L, each numerator left of hi is a multiple of D, and
+    with A = D a, B = D b, C = D c,
     N_{j+1}(i+1) = A N_{j+1}(i) // D + B N_j(i+1) + C N_j(i)."""
     scale = lcm(a.denominator, b.denominator, c.denominator)
     na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
     lcd, nums = _int_row(psi)
     lo = min(nums)[0] - 1
-    lift = scale ** (hi - lo)
+    lift = scale ** (hi - lo - 1)
     den, prev = lift * lcd, [nums.get((i,), 0) * lift for i in range(lo, hi + 1)]
     yield den, {(lo + x,): n for x, n in enumerate(prev) if n}
     for _ in range(j_max):
@@ -307,23 +310,25 @@ def query_bounds(query: Query) -> tuple[Box, int]:
 
 def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
                 right_edge: int | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
-    """The integer rows (den, {point: nonzero numerator}) at times 0..t_max
-    by which engine, "closed" or "oracle", answers the spec: closed_form._rows
-    or _evolve.  A corner-implicit row, which has no right end, runs from
-    psi's left end, where it starts, to right_edge, which it requires."""
+    """The integer rows (den, {point: nonzero numerator}) at times 0..t_max of
+    engine "closed" (closed_form._rows, _corner_rows) or "oracle" (_evolve,
+    _sweep); another name is a SpecError.  A corner-implicit row, which has
+    no right end, runs from psi's left end to right_edge, which it requires."""
+    if engine not in ("closed", "oracle"):
+        raise SpecError(f"unknown engine {engine!r}; use 'closed' or 'oracle'")
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
+    closed = engine == "closed"
     if not spec.implicit_corner:
-        return (closed_form._rows if engine == "closed" else _evolve)(spec, initial, t_max)
+        return (closed_form._rows if closed else _evolve)(spec, initial, t_max)
     if right_edge is None:
         raise SpecError("corner-implicit rows have infinite support; give a right edge")
     initial.check_matches(spec)
     psi = initial.rows[0]
     if not psi.values or right_edge < min(psi.values)[0]:
         return iter([(1, {})] * (t_max + 1))
-    if engine == "closed":
-        return closed_form._rows(spec, initial, t_max, right_edge)
-    return _sweep(*spec.corner_coefficients(), psi, right_edge, t_max)
+    rows = closed_form._corner_rows if closed else _sweep
+    return rows(*spec.corner_coefficients(), psi, right_edge, t_max)
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,

@@ -271,6 +271,27 @@ def test_corner_kernel_ratio_steps_equal_per_g_multinomials(indices, a, b, c):
     assert corner_kernel(s, j, a, b, c) == corner_kernel_per_g(s, j, a, b, c)
 
 
+@given(st.integers(0, 12), st.integers(-8, 8), CORNER_COEFFS, CORNER_COEFFS, CORNER_COEFFS)
+@example(4, -2, Fraction(1, 2), Fraction(0), Fraction(1, 3))
+@example(4, -4, Fraction(1, 2), Fraction(0), Fraction(-2, 3))
+@example(3, 0, Fraction(0), Fraction(0), Fraction(5, 2))
+@settings(max_examples=200, deadline=None)
+def test_kernel_rows_equal_per_g_multinomials(j, past, a, b, c):
+    # k_0..k_n of row j for n below j, at j and past it; b = 0 shifts the
+    # row right by j, so with n + 1 <= j it is all zeros
+    n = max(j + past, 0)
+    scale, na, nb, nc = closed_form._scaled(a, b, c)
+    kernel = [corner_kernel_per_g(s, j, a, b, c) for s in range(n + 1)]
+    row = closed_form._kernel(j, n, na, nb, nc, scale)
+    assert row == [k * scale ** (s + j) for s, k in enumerate(kernel)]
+    # with over = 0, one factor 1 - a x less: the corner form's row j over psi
+    over0 = closed_form._kernel(j, n, na, nb, nc, scale, 0)
+    assert over0 == [(k - a * p) * scale ** (s + j)
+                     for s, (k, p) in enumerate(zip(kernel, [0] + kernel))]
+    if not b and n < j:
+        assert row == over0 == [0] * (n + 1)
+
+
 def test_implicit_time_zero_recovers_psi():
     rng = random.Random(1013)
     for _ in range(20):
@@ -839,11 +860,19 @@ def one_step_sweeps(draw):
 @example((FAR_LINE, FieldRow(1, {(0,): Fraction(1), (FAR,): Fraction(-2, 3)})), 5)
 @settings(max_examples=60, deadline=None)
 def test_row_sweep_equals_power_row_and_oracle(case, t_max):
-    # the sweep's one set-up gives, row by row, what _power_row works out
-    # from scratch, and the oracle's rows
+    # the sweep's one set-up gives, row by row, what one _power_rows call
+    # per time works out from scratch, and the oracle's rows
     spec, psi = case
     initial = InitialData((psi,))
     rows = list(closed_form._rows(spec, initial, t_max))
-    assert rows == [closed_form._power_row(spec, psi, j) for j in range(t_max + 1)]
+    assert rows == list(closed_form._power_rows(spec, psi, range(t_max + 1)))
+    assert rows == [next(closed_form._power_rows(spec, psi, (j,))) for j in range(t_max + 1)]
+    # the point form gives that cell of the row alone: the row's first and
+    # last cells, psi's points and the origin, which may hold no value
+    for j, (den, nums) in enumerate(rows):
+        cells = sorted(nums)
+        for p in {*cells[:1], *cells[-1:], *psi.values, (0,) * spec.spatial_dim}:
+            want = (den, {p: nums[p]} if p in nums else {})
+            assert next(closed_form._power_rows(spec, psi, (j,), p)) == want, (p, j)
     assert ([FieldRow._over(spec.spatial_dim, den, nums) for den, nums in rows]
             == oracle_evolve(spec, initial, t_max))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,15 +155,15 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
         raise AssertionError("the oracle reached a closed-form kernel")
 
     for module in (closed_form, combinatorics):
-        for name in ("_multinomial_weights", "_symbol_power"):
+        for name in ("_multinomial_weights", "_symbol_power", "_miller"):
             monkeypatch.setattr(module, name, closed_form_path)
     for module in (closed_form, models):
-        monkeypatch.setattr(module, "_power_row", closed_form_path)
+        monkeypatch.setattr(module, "_power_rows", closed_form_path)
     # the closed form's integer rows, every lookup of its evaluators and the
     # corner form's kernel, its rows and its integer scaling
     for name in ("_composition_sum", "_rows", "_series_rows", "closed_getter",
-                 "_kernel", "_kernel_values", "_corner_rows", "_differenced",
-                 "eval_implicit", "corner_kernel", "_scaled"):
+                 "_kernel", "_kernel_values", "_corner_rows", "eval_implicit",
+                 "corner_kernel", "_scaled"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
     f = Fraction
     line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))
@@ -359,11 +360,19 @@ def test_corner_rows_equal_the_pointwise_sum_and_the_fraction_sweep(a, b, c, psi
         want = [{p: v for p, v in row.items() if p[0] <= right_edge}
                 for row in reference_sweep(a, b, c, psi, window, t_max)]
     assert [{p: Fraction(n, den) for p, n in nums.items()} for den, nums in closed] == want
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    lcd = lcm(*(v.denominator for v in psi.values.values()))
     for j, (den, nums) in enumerate(closed):
         # every nonzero cell from psi's left end to the right edge, none past it
         assert all(left <= i <= right_edge for (i,) in nums)
+        # row j goes over D^(R - m + j) L, and cell i's value over a
+        # divisor of D^(i - m + j) L
+        if left <= right_edge:
+            assert den == scale ** (right_edge - left + j) * lcd
         for i in range(left - 1, right_edge + 1):
-            assert Fraction(nums.get((i,), 0), den) == eval_implicit(a, b, c, psi, i, j), (i, j)
+            value = Fraction(nums.get((i,), 0), den)
+            assert value == eval_implicit(a, b, c, psi, i, j), (i, j)
+            assert (value * scale ** max(i - left + j, 0) * lcd).denominator == 1, (i, j)
 
 
 @given(CORNER_COEFFS, CORNER_COEFFS, CORNER_COEFFS, line_rows(), st.integers(0, 6),
@@ -553,14 +562,16 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
     # every spec is answered by rows; the corner-implicit form's rows run
     # from psi's left end to the right edge they require
     monkeypatch.setattr(closed_form, "_rows", lambda *args: ("closed rows", *args[2:]))
+    monkeypatch.setattr(closed_form, "_corner_rows", lambda *args: ("corner rows", *args))
     monkeypatch.setattr(oracle, "_evolve", lambda *args: "oracle rows")
-    monkeypatch.setattr(oracle, "_sweep", lambda *args: ("sweep", *args[4:]))
+    monkeypatch.setattr(oracle, "_sweep", lambda *args: ("sweep", *args))
     assert engine_rows(tri, delta, 3, "closed") == ("closed rows", 3)
     assert engine_rows(tri, delta, 3, "oracle") == "oracle rows"
-    assert engine_rows(corner, delta, 3, "closed", 5) == ("closed rows", 3, 5)
-    assert engine_rows(corner, delta, 3, "oracle", 5) == ("sweep", 5, 3)
-    assert engine_rows(corner, delta, 3, "closed", 0) == ("closed rows", 3, 0)
-    assert engine_rows(corner, delta, 3, "oracle", 0) == ("sweep", 0, 3)
+    coeffs = (HALF, Fraction(1), Fraction(1, 3), DELTA)
+    assert engine_rows(corner, delta, 3, "closed", 5) == ("corner rows", *coeffs, 5, 3)
+    assert engine_rows(corner, delta, 3, "oracle", 5) == ("sweep", *coeffs, 5, 3)
+    assert engine_rows(corner, delta, 3, "closed", 0) == ("corner rows", *coeffs, 0, 3)
+    assert engine_rows(corner, delta, 3, "oracle", 0) == ("sweep", *coeffs, 0, 3)
     zero = InitialData((FieldRow.zero(1),))
     for engine in ("closed", "oracle"):
         with pytest.raises(SpecError, match="give a right edge"):
@@ -568,6 +579,29 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         # a right edge left of psi, or a zero psi, gives zero rows
         assert list(engine_rows(corner, delta, 2, engine, -1)) == [(1, {})] * 3
         assert list(engine_rows(corner, zero, 2, engine, 5)) == [(1, {})] * 3
+
+
+def test_engine_rows_refuse_an_unknown_engine():
+    corner = corner_spec(HALF, Fraction(1), Fraction(1, 3))
+    for spec in (tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4)), corner):
+        for engine in ("clsoed", "Oracle", "auto", ""):
+            with pytest.raises(SpecError, match=f"unknown engine {engine!r}"):
+                engine_rows(spec, InitialData((DELTA,)), 3, engine, 4)
+
+
+def test_closed_rows_refuse_the_corner_form():
+    # its rows have no right end; engine_rows takes them to a right edge
+    spec = corner_spec(HALF, Fraction(1), Fraction(1, 3))
+    for rows in (closed_rows, closed_form._rows):
+        with pytest.raises(SpecError):
+            rows(spec, InitialData((DELTA,)), 3)
+
+
+def test_sweep_needs_a_window_for_a_nonzero_row():
+    with pytest.raises(SpecError, match="needs a sweep window"):
+        oracle_sweep_implicit(HALF, Fraction(1), Fraction(1, 3), DELTA, None, 2)
+    rows = oracle_sweep_implicit(HALF, Fraction(1), Fraction(1, 3), FieldRow.zero(1), None, 2)
+    assert [row.values for row in rows] == [{}] * 3
 
 
 def test_engine_rows_refuse_a_negative_t_max():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from latrec import Box, FieldRow, HeatParams, InitialData, RandomWalkParams
 from latrec import cli, oracle
-from latrec.closed_form import _power_row
+from latrec.closed_form import _power_rows
 from latrec.config import RunConfig
 from latrec.models import heat_spec, random_walk_spec
 from latrec.oracle import Region, engine_rows
@@ -90,7 +90,7 @@ def test_demo_random_walk_writes_the_per_cell_tables_bytes(p, q, steps, out_form
     d = 1 - p - q
     spec, delta = random_walk_spec(RandomWalkParams(p, d, q)), FieldRow.delta(1)
     want = reference_demo(spec, InitialData((delta,)),
-                          (_power_row(spec, delta, j) for j in range(steps + 1)),
+                          _power_rows(spec, delta, range(steps + 1)),
                           out_format)
     assert demo_output(["demo", "random-walk", "--p", str(p), "--d", str(d),
                         "--q", str(q), "--steps", str(steps),
