@@ -11,7 +11,8 @@ test-local ``LOCAL_CONFIGS`` go through ``verify`` (``auto`` and ``nd``) and
 ``CORNER_CONFIGS`` go through ``verify`` (``auto`` and ``implicit``, each
 also cut at ``--tmax 3``) and ``solve`` with both engines in CSV and
 JSON.  Each call's
-exit code and the sha256 of its stdout must equal the recorded digests.  A change that alters any emitted byte or exit code fails here.
+exit code and the sha256 of its stdout must equal the recorded digests.  A
+change that alters any emitted byte or exit code fails here.
 Run this file as a script to print the digests of the current tree.
 """
 
@@ -90,6 +91,44 @@ LOCAL_CONFIGS = {
         "initial": {"rows": [[{"at": [0, 0], "value": "1"},
                               {"at": [-1, 2], "value": "-5/3"}]]},
         "query": {"box": [[-4, 1], [-1, 4]], "times": [3, 6]},
+    },
+    # The next three aim at a packing of points into one int per query.  A
+    # nine-point stencil from (0, 0) and (1, 1) fills [-3, 4] x [-3, 4] by
+    # t = 3.  Each point listed here outside that square, below or above it on
+    # either axis, lands on a nonzero cell if it is packed as if it were inside.
+    "outside_points_2d.json": {
+        "spatial_dim": 2, "time_order": 1, "spatial_shift": [0, 0],
+        "stencil": _entries([[dx, dy] for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
+                            ["1/2", "-1/3", "1/4", "1/5", "1/6", "-2/7", "1/8", "1/9",
+                             "3/10"]),
+        "initial": {"rows": [[{"at": [0, 0], "value": "1"},
+                              {"at": [1, 1], "value": "-3/2"}]]},
+        "query": {"points": [{"at": [0, 5], "t": 3}, {"at": [2, -4], "t": 3},
+                            {"at": [5, 0], "t": 2}, {"at": [-4, 1], "t": 3},
+                            {"at": [1, 2], "t": 3}, {"at": [0, 5], "t": 1},
+                            {"at": [1, 9], "t": 3}, {"at": [0, 0], "t": 0},
+                            {"at": [1, 2], "t": 3}, {"at": [4, 4], "t": 3},
+                            {"at": [-3, 12], "t": 3}, {"at": [9, -3], "t": 3}]},
+    },
+    # the same equation asked only at y = 6..9, above every cell it reaches
+    "disjoint_box_2d.json": {
+        "spatial_dim": 2, "time_order": 1, "spatial_shift": [0, 0],
+        "stencil": _entries([[dx, dy] for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
+                            ["1/2", "-1/3", "1/4", "1/5", "1/6", "-2/7", "1/8", "1/9",
+                             "3/10"]),
+        "initial": {"rows": [[{"at": [0, 0], "value": "1"},
+                              {"at": [1, 1], "value": "-3/2"}]]},
+        "query": {"box": [[-1, 2], [6, 9]], "times": [0, 3]},
+    },
+    # time order 3 in 2D, one entry per level and two at the newest
+    "three_rows_2d.json": {
+        "spatial_dim": 2, "time_order": 3, "spatial_shift": [0, 0],
+        "stencil": _entries([[0, 0], [1, 0], [0, -1], [-1, 1]],
+                            ["1/2", "-1/3", "1/4", "1/5"], [2, 1, 0, 2]),
+        "initial": {"rows": [[{"at": [0, 0], "value": "1"}],
+                             [{"at": [1, 0], "value": "-1/2"}, {"at": [0, 1], "value": "2/3"}],
+                             [{"at": [-1, -1], "value": "3/4"}]]},
+        "query": {"box": [[-3, 2], [-2, 3]], "times": [2, 6]},
     },
 }
 
@@ -356,6 +395,24 @@ GOLDEN = {
     'solve closed json late_box_2d.json': (0, 'dc7c8a9cde447da203d879138b5c0642e5d00359f76d96f2af02a1bdf34788ff'),
     'solve oracle csv late_box_2d.json': (0, '0af805f6c06e9288730f3643610548a90d6ad04a070a1475be0b902abbc050eb'),
     'solve oracle json late_box_2d.json': (0, 'dc7c8a9cde447da203d879138b5c0642e5d00359f76d96f2af02a1bdf34788ff'),
+    'verify auto outside_points_2d.json': (0, '76327d6a21d000547b81247e418f39cd41ea244ba10c29535721a60aaea19f06'),
+    'verify nd outside_points_2d.json': (0, '76327d6a21d000547b81247e418f39cd41ea244ba10c29535721a60aaea19f06'),
+    'solve closed csv outside_points_2d.json': (0, '296d6122b948c15ee18a42f9b1154fe27525aedf4eab1b9762fd147106004e20'),
+    'solve closed json outside_points_2d.json': (0, '79b5e90df5c2b5f074710a5176743f3473d457adcfdd76d7990be99843b6621d'),
+    'solve oracle csv outside_points_2d.json': (0, '296d6122b948c15ee18a42f9b1154fe27525aedf4eab1b9762fd147106004e20'),
+    'solve oracle json outside_points_2d.json': (0, '79b5e90df5c2b5f074710a5176743f3473d457adcfdd76d7990be99843b6621d'),
+    'verify auto disjoint_box_2d.json': (0, 'aa37daa841f20c709ab54d832b4c63f975d2c8a60043c28a30c3061d3e178a0a'),
+    'verify nd disjoint_box_2d.json': (0, 'aa37daa841f20c709ab54d832b4c63f975d2c8a60043c28a30c3061d3e178a0a'),
+    'solve closed csv disjoint_box_2d.json': (0, 'c72920beda71ed33842e3405feb9e03fc0fb0286375bddbb224109ae58e0f89c'),
+    'solve closed json disjoint_box_2d.json': (0, '07ec90ab51c1233ab565ea770c8ce7b827e5c9d048fc47da8b5b5f4be434641a'),
+    'solve oracle csv disjoint_box_2d.json': (0, 'c72920beda71ed33842e3405feb9e03fc0fb0286375bddbb224109ae58e0f89c'),
+    'solve oracle json disjoint_box_2d.json': (0, '07ec90ab51c1233ab565ea770c8ce7b827e5c9d048fc47da8b5b5f4be434641a'),
+    'verify auto three_rows_2d.json': (0, 'a0deaa2760f899476b7cd8e11dc83bd36285fa91107e5f1acc9b65872a15b371'),
+    'verify nd three_rows_2d.json': (0, 'a0deaa2760f899476b7cd8e11dc83bd36285fa91107e5f1acc9b65872a15b371'),
+    'solve closed csv three_rows_2d.json': (0, '764f25f2d3257aac4ba4f321aa5e8cd59230228e638bd2bb510d50be8bd0fabb'),
+    'solve closed json three_rows_2d.json': (0, '215e57a3cd808ffbddfe903a3488002a2e0662e3076309ad8d1452eb810f6926'),
+    'solve oracle csv three_rows_2d.json': (0, '764f25f2d3257aac4ba4f321aa5e8cd59230228e638bd2bb510d50be8bd0fabb'),
+    'solve oracle json three_rows_2d.json': (0, '215e57a3cd808ffbddfe903a3488002a2e0662e3076309ad8d1452eb810f6926'),
     'verify auto corner_points.json': (0, '6e780d2881b945c08b870af36c42cc71e8bf2cef9ae02e1366d8c1f5977084b7'),
     'verify auto tmax3 corner_points.json': (0, 'e0d581094484c9a7087ba286ba846b77279f9c63dc3da0c4a94f56ba479c918b'),
     'verify implicit corner_points.json': (0, '6e780d2881b945c08b870af36c42cc71e8bf2cef9ae02e1366d8c1f5977084b7'),
