@@ -11,15 +11,15 @@ Subcommands:
 Exit codes: 0 success / no mismatch, 1 verification found mismatches,
 2 usage or config error.  Output is deterministic: rows sorted
 lexicographically by point, then time, all values in exact rational text.
-solve and the demos text only the nonzero cells of the integer rows they
-stream, and format_table writes each point's lines as one block.
+solve and the demos stream the engines' integer rows, keyed in the query's
+one packing, text only their asked nonzero cells, and unpack each texted
+key once; format_table writes each point's lines as one block.
 
 Importing this module builds no parser.  ``main`` parses with one parser,
 built by ``build_parser`` on the first call and kept for the rest of the
-process: a shell ``latrec`` call builds it once, and an in-process caller
-(a test suite, a benchmark, a library user) pays the ~1 ms build once
-rather than on every call.  Parsing leaves the parser as it was, so every
-call writes what a freshly built parser would.
+process, so an in-process caller (a test suite, a benchmark, a library
+user) pays the ~1 ms build once.  Parsing leaves the parser as it was, so
+every call writes what a freshly built parser would.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from .closed_form import EVALUATORS
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
-from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
+from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, query_packing
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import (Region, asked_cells, engine_rows, query_bounds, query_groups,
+from .oracle import (Region, asked_keys, engine_rows, query_bounds, query_groups,
                      verify_closed_vs_oracle)
 
 
@@ -96,28 +96,28 @@ def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text).
 
-    solve streams the chosen engine's integer rows (den, {point: nonzero
-    numerator}) by engine_rows, to the query's right edge, and texts only
-    the cells of a row's support asked for at its time; every other queried
-    cell is "0", and a point with none shares one all-"0" list."""
+    solve streams the chosen engine's integer rows by engine_rows, keyed in
+    the query's packing up to its right edge, texts only the asked keys
+    (asked_keys) of a row's support and unpacks each texted key once; every
+    other queried cell is "0", and a point with none shares one list."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial, query = config.spec, config.initial, config.query
     box, t_max = query_bounds(query)
+    packing = query_packing(spec, initial, t_max, box.hi[0])
     text = _value_texts(spec, initial)
-    groups = list(query_groups(query))
-    cells: dict[Point, dict[int, str]] = {p: {} for p, _ in groups}
-    asked = asked_cells(query)
+    asked = asked_keys(query, packing)
+    cells: dict[int, dict[int, str]] = {}
     for t, (den, nums) in enumerate(engine_rows(spec, initial, t_max, config.engine,
-                                                box.hi[0])):
+                                                packing)):
         if t in asked:
-            # None: a region asks every point at every asked time
-            at = cells if asked[t] is None else asked[t]
-            for p in at.keys() & nums.keys():
-                cells[p][t] = text(nums[p], den)
+            for k in nums.keys() & asked[t].keys():
+                cells.setdefault(k, {})[t] = text(nums[k], den)
+    found = dict(zip(packing.points(cells), cells.values()))
+    groups = list(query_groups(query))
     zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
-    table = [(p, times, [*map(found.get, times, repeat("0"))] if (found := cells[p])
-              else zeros[len(times)]) for p, times in groups]
+    table = [(p, times, [*map(texts.get, times, repeat("0"))]
+              if (texts := found.get(p)) else zeros[len(times)]) for p, times in groups]
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
 
@@ -187,24 +187,26 @@ def _cmd_verify(args) -> int:
     return status
 
 
-def _demo_table(spec: EquationSpec, initial: InitialData,
-                rows: Iterable[tuple[int, dict[Point, int]]], out_format: str) -> str:
-    """The table of the integer rows (den, numerators) at times 0, 1, ... of
-    spec from the initial rows, grouped by point: the points are sorted once."""
+def _demo_table(spec: EquationSpec, steps: int, engine: str, out_format: str) -> str:
+    """The table of the engine's integer rows at times 0..steps of the 1D
+    spec from a unit mass at 0, grouped by key: the keys are sorted once,
+    as their points sort, and each is unpacked once."""
+    initial = InitialData((FieldRow.delta(1),))
+    packing = query_packing(spec, initial, steps)
     text = _value_texts(spec, initial)
-    cells: dict[Point, dict[int, str]] = {}
-    for j, (den, nums) in enumerate(rows):
-        for p, n in nums.items():
-            cells.setdefault(p, {})[j] = text(n, den)
-    table = [(p, tuple(texts), list(texts.values())) for p, texts in sorted(cells.items())]
+    cells: dict[int, dict[int, str]] = {}
+    for j, (den, nums) in enumerate(engine_rows(spec, initial, steps, engine, packing)):
+        for k, n in nums.items():
+            cells.setdefault(k, {})[j] = text(n, den)
+    keys = sorted(cells)
+    table = [(p, tuple(texts), list(texts.values()))
+             for p, texts in zip(packing.points(keys), map(cells.get, keys))]
     return format_table(1, table, spec_hash(spec), out_format)
 
 
 def _cmd_demo_random_walk(args) -> int:
     spec = random_walk_spec(RandomWalkParams(args.p, args.d, args.q))
-    initial = InitialData((FieldRow.delta(1),))
-    rows = engine_rows(spec, initial, args.steps, "closed")
-    _emit(_demo_table(spec, initial, rows, args.format), args.out)
+    _emit(_demo_table(spec, args.steps, "closed", args.format), args.out)
     return 0
 
 
@@ -213,9 +215,7 @@ def _cmd_demo_heat(args) -> int:
     if not params.stable:
         sys.stderr.write(f"note: r={args.r} exceeds 1/2; the update is "
                          f"unstable (no maximum principle)\n")
-    spec, initial = heat_spec(params), InitialData((FieldRow.delta(1),))
-    rows = engine_rows(spec, initial, args.steps, "oracle")
-    _emit(_demo_table(spec, initial, rows, args.format), args.out)
+    _emit(_demo_table(heat_spec(params), args.steps, "oracle", args.format), args.out)
     return 0
 
 

@@ -21,24 +21,20 @@ The three-point sum is evaluated in integers by Horner's rule.  The corner
 form's kernel row j, (b + c x)^j / (1 - a x)^(j+1), and psi's multiplier
 for row j, (b + c x)^j / (1 - a x)^j, follow Miller's recurrence (_kernel):
 they give ``corner_kernel``, ``eval_implicit`` and the corner form's rows
-(_corner_rows).  A query holds no table of powers.
+(_corner_rows).  ``EVALUATORS`` maps each evaluator name to its shape check
+and evaluator: "nd" for every explicit spec, and one name for each formula
+that differs in structure (the three-point sum, its negative control, the
+corner kernel).
 
-``EVALUATORS`` maps each evaluator name to its shape check and evaluator:
-"nd" for every explicit spec, and one name for each formula that differs in
-structure (the three-point sum, its negative control, the corner kernel).
-
-``closed_rows`` and ``closed_value`` read the powers of a one-step equation
-of any dimension, U(t) = S^t psi with S a polynomial in x alone, from
-Miller's power recurrence (``combinatorics._symbol_power``) through one
-entry point, _power_rows: row t from the coefficients of S^t convolved
-with psi, a point from the coefficients up to the farthest one it needs.  Only time order >= 2 takes the series pass:
-whole rows of Q / (1 - S) from one integer pass over sum_J S^J.  Every row
-builder gives integer rows (den, {point: nonzero numerator}), not reduced;
-``closed_getter`` hands its cells out as (numerator, denominator) pairs,
-and ``closed_rows``, ``closed_value`` and ``random_walk_distribution`` build
-a Fraction per cell they return.  ``eval_nd`` keeps the composition sum for
-one-step equations too, as a pointwise witness.  The test suite checks
-every evaluator against the iteration oracle.
+A one-step equation's rows and points, U(t) = S^t psi, come from Miller's
+power recurrence (``combinatorics._symbol_power``) through _power_rows;
+time order >= 2 takes one integer series pass over sum_J S^J.  Every row
+builder gives integer rows (den, {key: nonzero numerator}), not reduced,
+keyed in the query's one packing (``lattice.query_packing``), which the
+oracle's rows share; ``closed_rows`` and ``random_walk_distribution``
+unpack the keys and build a Fraction per cell.  The pointwise paths
+(``closed_value``, the ``eval_*`` sums) build no packing.  The test suite
+checks every evaluator against the iteration oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +47,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .combinatorics import (_miller, _multinomial_weights, _symbol_power, compositions,
                             multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
-from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, StencilEntry
+from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
+                      StencilEntry, auto_window, query_packing)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +95,13 @@ def eval_nd(spec: EquationSpec, psi: FieldRow, query: Point, time: int) -> Fract
     if psi.dim != spec.spatial_dim:
         raise SpecError(f"psi dim {psi.dim} != spec spatial_dim {spec.spatial_dim}")
     return _composition_sum(spec, (psi,), query, time)
+
+
+def _integer_rows(rows: Sequence[FieldRow]) -> tuple[int, list[dict[Point, int]]]:
+    """L, the lcm of every denominator in rows, and each row times L."""
+    lcd = lcm(*(v.denominator for row in rows for v in row.values.values()))
+    return lcd, [{p: v.numerator * (lcd // v.denominator) for p, v in row.values.items()}
+                 for row in rows]
 
 
 def _scaled(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
@@ -225,8 +229,8 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     if psi.dim != 1:
         raise SpecError("eval_implicit is defined for 1D rows")
     scale, na, nb, nc = _scaled(a, b, c)
-    lcd = lcm(*(v.denominator for v in psi.values.values()))
-    nums = {k: v.numerator * (lcd // v.denominator) for (k,), v in psi.values.items()}
+    lcd, (nums,) = _integer_rows([psi])
+    nums = {k: n for (k,), n in nums.items()}
     # psi - a shift(psi) over D L is D N(k) - A N(k-1) at k, psi = N / L
     diff = {k: scale * nums.get(k, 0) - na * nums.get(k - 1, 0)
             for k in {*nums, *(k + 1 for k in nums)}}
@@ -273,17 +277,17 @@ def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
 
 
 def _power_rows(spec: EquationSpec, psi: FieldRow, times: Iterable[int],
-                point: Point | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
-    """Rows `times` of a one-step equation from row 0 psi, or with `point`
-    that cell of each alone, as integer rows: (D S)^j from Miller's
-    recurrence (_symbol_power) times psi scaled to integers by L, the lcm
-    of its denominators, over D^j L.  L, psi's integer numerators and the
-    symbol's terms are worked out once; each row is one _symbol_power call."""
-    lcd = lcm(*(v.denominator for v in psi.values.values()))
-    nums = [(p, v.numerator * (lcd // v.denominator)) for p, v in psi.values.items()]
+                packing: Packing | None = None,
+                point: Point | None = None) -> Iterator[tuple[int, dict]]:
+    """Rows `times` of a one-step equation from row 0 psi as integer rows
+    keyed in packing, or with `point` that cell of each alone: (D S)^j from
+    Miller's recurrence (_symbol_power) times psi times L, its lcd, over
+    D^j L.  The set-up is worked out once; a row is one _symbol_power call."""
+    lcd, (nums,) = _integer_rows([psi])
+    row = list(nums.items()) if point else [(packing.key(p), n) for p, n in nums.items()]
     terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
     for j in times:
-        scale, cells = _symbol_power(terms, j, nums, point)
+        scale, cells = _symbol_power(terms, j, row, packing and packing.units, point)
         yield scale ** j * lcd, cells
 
 
@@ -325,76 +329,74 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
     return total
 
 
-def _rows(spec: EquationSpec, initial: InitialData,
-          t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {point:
-    nonzero numerator}), built as they are read; the arguments are checked
+def _rows(spec: EquationSpec, initial: InitialData, t_max: int,
+          packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
+    """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {key:
+    nonzero numerator}) keyed in packing, built as they are read; the
+    arguments, and the packing against auto_window's box, are checked
     before the first row is asked for.  A one-step equation reads each row
     from Miller's recurrence (_power_rows), any other the series pass
-    (_series_rows).  The corner-implicit form has no symbol S here; its
-    rows are _corner_rows."""
+    (_series_rows); the corner form's rows are _corner_rows."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     q = source_rows(spec, initial)
+    packing.require(auto_window(spec, initial, t_max))
     if spec.time_order == 1:
-        return _power_rows(spec, q[0], range(t_max + 1))
-    return _series_rows(spec, q, t_max)
+        return _power_rows(spec, q[0], range(t_max + 1), packing)
+    return _series_rows(spec, q, t_max, packing)
 
 
-def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, right_edge: int,
-                 t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """Rows 0..t_max of the corner form from the nonzero row 0 psi, from
-    psi's left end m to right_edge.  The equation at row j+1 reads
-    (1 - a x) U_(j+1)(x) = (b + c x) U_j(x) on the rows' generating
-    functions, so row j is psi times (b + c x)^j / (1 - a x)^j (_kernel with
-    over = 0), over D^(right_edge - m + j) L, L psi's lcd."""
+def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, packing: Packing,
+                 t_max: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """Rows 0..t_max of the corner form from the nonzero row 0 psi, keyed in
+    packing, from psi's left end m to the packing's right end R >= m.  Row
+    j+1 reads (1 - a x) U_(j+1)(x) = (b + c x) U_j(x), so row j is psi times
+    (b + c x)^j / (1 - a x)^j (_kernel with over = 0), over
+    D^(R - m + j) L, L psi's lcd."""
     scale, na, nb, nc = _scaled(a, b, c)
-    lcd = lcm(*(v.denominator for v in psi.values.values()))
-    m = min(psi.values)[0]
-    span = right_edge - m
+    lcd, (nums,) = _integer_rows([psi])
+    (m,), right_edge = min(nums), packing.box.hi[0]
+    span, first = right_edge - m, packing.key((m,))
     lifts = [scale ** (span - s) for s in range(span + 1)]
-    terms = [(k - m, v.numerator * (lcd // v.denominator))
-             for (k,), v in psi.values.items() if k <= right_edge]
+    terms = [(k - m, n) for (k,), n in nums.items() if k <= right_edge]
     for j in range(t_max + 1):
         kernel = list(map(mul, _kernel(j, span, na, nb, nc, scale, 0), lifts))
         acc = [0] * (span + 1)
         for off, n in terms:
             acc[off:] = map(add, acc[off:], map(n.__mul__, kernel))
-        yield scale ** (span + j) * lcd, {(m + x,): v for x, v in enumerate(acc) if v}
+        yield scale ** (span + j) * lcd, {first + x: v for x, v in enumerate(acc) if v}
 
 
-def _series_rows(spec: EquationSpec, q: Sequence[FieldRow],
-                 t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
+def _series_rows(spec: EquationSpec, q: Sequence[FieldRow], t_max: int,
+                 packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
     """Rows 0..t_max of U = Q / (1 - S) from the source rows q of a spec of
-    time order k >= 2: row j sums, over s < k, the terms of sum_J S^J at
-    time exponent j - s applied to Q_s.
-
-    One pass of the multinomial kernel gives every term of sum_J S^J up to
+    time order k >= 2, keyed in packing: row j sums, over s < k, the terms
+    of sum_J S^J at time exponent j - s applied to Q_s.  One pass of the multinomial kernel gives every term of sum_J S^J up to
     time exponent t_max as an integer W over D**e.  With the Q rows scaled to
     integers N_s by L, the lcm of their denominators, row j at p is
 
         sum_s sum_a D**s * W[j - s, a] * N_s(p - a)  /  (D**j * L)
 
-    with the numerators added as ints; a time exponent's terms are dropped
-    after the last row that reads them."""
+    with the numerators added as ints, keys shifted by the packed a; a time
+    exponent's terms are dropped after the last row that reads them.  Only
+    the Q rows read up to t_max, whose cells the packing holds, are packed."""
     k = spec.time_order
-    lcd = lcm(*(v.denominator for qs in q for v in qs.values.values()))
-    nums = [[(p, v.numerator * (lcd // v.denominator)) for p, v in qs.values.items()]
-            for qs in q]
+    lcd, nums = _integer_rows(q)
+    nums = [[(packing.key(p), n) for p, n in ns.items()] for ns in nums[:t_max + 1]]
     scale, weights = _multinomial_weights(spec, t_max)
-    # time exponent -> [(spatial exponents, W)]
-    by_time: dict[int, list[tuple[Point, int]]] = {}
+    # time exponent -> [(packed spatial exponents, W)]
+    by_time: dict[int, list[tuple[int, int]]] = {}
     for exps, weight in weights.items():
-        by_time.setdefault(exps[-1], []).append((exps[:-1], weight))
+        by_time.setdefault(exps[-1], []).append((packing.step(exps[:-1]), weight))
     del weights
     for j in range(t_max + 1):
-        acc: dict[Point, int] = {}
+        acc: dict[int, int] = {}
         for s, ns in enumerate(nums):
             lift = scale ** s
             for a, weight in by_time.get(j - s, ()):
                 weight *= lift
                 for p, v in ns:
-                    key = tuple(map(add, p, a))
+                    key = p + a
                     acc[key] = acc.get(key, 0) + weight * v
         yield scale ** j * lcd, {p: v for p, v in acc.items() if v}
         by_time.pop(j - k + 1, None)
@@ -402,11 +404,12 @@ def _series_rows(spec: EquationSpec, q: Sequence[FieldRow],
 
 def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
     """Rows 0..t_max of U = Q / (1 - S) for any explicit spec.  Each
-    integer row of _rows becomes a FieldRow as it is built.  The
+    integer row of _rows becomes a FieldRow, unpacked, as it is built.  The
     corner-implicit solution has unbounded rightward support, so it has no
     row representation here; evaluate it pointwise instead."""
-    dim = spec.spatial_dim
-    return [FieldRow._over(dim, den, nums) for den, nums in _rows(spec, initial, t_max)]
+    packing = query_packing(spec, initial, t_max)
+    return [FieldRow._over(packing, den, nums)
+            for den, nums in _rows(spec, initial, t_max, packing)]
 
 
 def _tridiagonal_getter(c_exponent: str):
@@ -474,5 +477,5 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
         return Fraction(*closed_getter(spec, initial, "auto")(point, time))
     initial.check_matches(spec)
     point = tuple(point)
-    den, cells = next(_power_rows(spec, initial.rows[0], (time,), point))
+    den, cells = next(_power_rows(spec, initial.rows[0], (time,), point=point))
     return Fraction(cells.get(point, 0), den)

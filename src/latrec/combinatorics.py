@@ -11,18 +11,16 @@ J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), whose one loop,
 ``_miller``, gives each coefficient of a K with F K' = G K from the ones
 below it in O(terms of F and G) integer operations; the corner form's
 kernel rows (``closed_form._kernel``) read it too.  ``_symbol_power``
-packs each exponent vector, in any number of axes, into one power of a
-single variable z, wide enough that no digit carries, and reads the
-univariate (D S(z))^t without forming S^(t-1).  ``expand_stencil_power``
-reads it with y as one more axis, and the rows and points of every
-one-step equation (``closed_form.closed_rows``, ``closed_form.closed_value``,
-``models.random_walk_distribution``) in x alone.  Only time order >= 2
+packs each exponent vector into one power of a single variable z, wide
+enough that no digit carries, reads the univariate (D S(z))^t without
+forming S^(t-1), and keys the product's cells in the caller's packing
+(``lattice.Packing``) without unpacking them.  ``expand_stencil_power``
+reads it with y as one more axis, and the one-step equations' rows and
+points (``closed_form._power_rows``) in x alone.  Only time order >= 2
 needs the series: ``_multinomial_weights`` applies the multinomial theorem
 one stencil entry at a time on integer-scaled coefficients, merging like
-terms after each entry, and leaves the division by the common denominator
-to the caller, once per row cell (``closed_form.closed_rows``).
-``compositions`` and ``multinomial`` serve the pointwise evaluators, which
-sum over compositions directly.
+terms after each entry.  ``compositions`` and ``multinomial`` serve the
+pointwise evaluators, which sum over compositions directly.
 """
 
 from __future__ import annotations
@@ -30,10 +28,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .lattice import EquationSpec, SpecError
+from .lattice import Box, EquationSpec, Packing, SpecError
 
 def compositions(parts_count: int, total: int) -> Iterator[tuple[int, ...]]:
     """Yield every tuple of `parts_count` nonnegative ints summing to `total`,
@@ -95,12 +93,14 @@ def _miller(f0: int, lags: Sequence[tuple[int, int, int]], first: int, n: int) -
 
 
 def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
-                  row: Sequence[tuple[tuple[int, ...], int]],
-                  point: tuple[int, ...] | None = None) -> tuple[int, dict[tuple[int, ...], int]]:
+                  row: Sequence[tuple], out_units: Sequence[int] | None = None,
+                  point: tuple[int, ...] | None = None) -> tuple[int, dict]:
     """The integer coefficients of (D A)**t * N by Miller's recurrence
     (_miller), for A = sum of coeff * x**exps over `terms` (distinct exponent
     vectors, nonzero coefficients), D the lcm of their denominators and N the
-    row of integer (point, value) pairs `row`.
+    integer (key, value) pairs `row`, keys packed in the caller's out_units
+    (lattice.Packing) whose box holds N and the product, or points with
+    `point`.
 
     Shifted by its lowest exponent on each axis, A has digits in
     [0, width], so P = (D A)**t has digits in [0, t * width].  A Kronecker
@@ -110,19 +110,16 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     polynomial A(z) with least exponent m0.  P / z**(t m0) is F**t for
     F = D A(z) / z**m0, so it solves F K' = G K with G = t F' from F_0**t.
     N's extent never enters P's packing, so points of N far apart cost no
-    coefficients.  N multiplies P's nonzero cells in a second packing,
-    whose lower radices also hold N's extent, into a dict, so the product
-    costs its terms however far apart N's points are.  Where the two packings agree (one axis, or N one cell
-    wide on every lower axis) P's keys are used as they are.  N's first
-    point fills the dict in one pass, and the cells that cancel are dropped
-    in the pass that unpacks the keys into points.  A sweep over t calls
-    this once per row; what the set-up works out without t (D, A's integer
-    coefficients, the bounds of A and N on each axis) is redone by each
-    call, a few list passes over the terms and the points of N.
+    coefficients.  P's nonzero cells are repacked, axis by axis, into
+    out_units (on one axis the two packings agree), and N multiplies them
+    into a dict, so the product costs its terms however far apart N's
+    points are; the cells that cancel are dropped and no key is unpacked.
+    A sweep over t calls this once per row, and each call redoes the few
+    list passes over the terms that do not depend on t.
 
-    Returns D and a map from each cell of (D A)**t * N to its nonzero
-    coefficient; with `point`, from that cell alone, the recurrence stopping
-    at the farthest key it reads.
+    Returns D and a map from each cell's key in out_units to its nonzero
+    coefficient in (D A)**t * N; with `point`, from that point alone, the
+    recurrence stopping at the farthest key it reads.
     """
     scale = math.lcm(*[coeff.denominator for coeff, _ in terms])
     if not row:
@@ -159,41 +156,25 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     if point is not None:
         total = sum(coeffs[k] * v for k, v in hits)
         return scale, {point: total} if total else {}
-    # the product's packing: each lower axis's radix also holds N's extent
-    row_axes = list(zip(*[p for p, _ in row]))
-    row_low = list(map(min, row_axes))
-    radices = [r + max(axis) - lo + 1 for r, axis, lo in zip(reach[:-1], row_axes, row_low)]
-    out_units = [1]
-    for radix in radices:
-        out_units.append(out_units[-1] * radix)
     # P's nonzero cells, repacked axis by axis unless the packings agree,
-    # as on one axis
+    # as on one axis; a cell's digits are its exponents less the origin's
     keys = [k for k, c in enumerate(coeffs, base) if c]
     values = [c for c in coeffs if c]
-    if out_units == units:
+    if list(out_units) == units:
         moved = keys
     else:
         moved = [k // units[-1] * out_units[-1] for k in keys]
         for u, r, v in zip(units[:-1], reach[:-1], out_units[:-1]):
             moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
-    row_offset = sum(map(mul, row_low, out_units))
-    (s, v), *shifts = [(sum(map(mul, p, out_units)) - row_offset, v) for p, v in row]
+    shift = sum(map(mul, origin, out_units))
+    (s, v), *shifts = [(k + shift, v) for k, v in row]
     out = {k + s: c * v for k, c in zip(moved, values)}
     get = out.get
     for s, v in shifts:
         for k, c in zip(moved, values):
             k += s
             out[k] = get(k, 0) + c * v
-    # unpack each cell's digits, axis by axis, and zip them into points,
-    # dropping the cells that cancelled; one axis's key is its digit
-    corner = list(map(add, origin, row_low))
-    if len(corner) == 1:
-        o, = corner
-        return scale, {(k + o,): v for k, v in out.items() if v}
-    columns = [[k // u % radix + o for k in out]
-               for u, radix, o in zip(out_units, radices, corner)]
-    columns.append([k // out_units[-1] + corner[-1] for k in out])
-    return scale, {p: v for p, v in zip(zip(*columns), out.values()) if v}
+    return scale, {k: v for k, v in out.items() if v}
 
 
 def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -268,10 +249,15 @@ def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tupl
 def expand_stencil_power(spec: EquationSpec, j: int) -> dict[tuple[int, ...], Fraction]:
     """S(x, y)**j as exponent vector (spatial exponents..., time exponent)
     -> coefficient, with like terms combined and zeros dropped, read from
-    Miller's recurrence with y as one more axis, over D**j."""
+    Miller's recurrence with y as one more axis, over D**j, its keys packed
+    in j times the box of S's exponents."""
     if j < 0:
         raise SpecError("power must be >= 0")
     terms = [(coeff, (*xstep, ystep)) for coeff, xstep, ystep in stencil_symbol_steps(spec)]
-    scale, weights = _symbol_power(terms, j, [((0,) * (spec.spatial_dim + 1), 1)])
+    axes = list(zip(*[exps for _, exps in terms]))
+    packing = Packing(Box(tuple(j * min(a) for a in axes), tuple(j * max(a) for a in axes)))
+    # N is 1 at the origin, whose key is -base
+    scale, weights = _symbol_power(terms, j, [(-packing.base, 1)], packing.units)
     denom = scale ** j
-    return {exps: Fraction(weight, denom) for exps, weight in weights.items()}
+    return {exps: Fraction(weight, denom)
+            for exps, weight in zip(packing.points(weights), weights.values())}

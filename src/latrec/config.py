@@ -29,9 +29,9 @@ from fractions import Fraction
 
 from .exactnum import ParseError, format_rational, parse_rational
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
-                      SpecError, StencilEntry)
+                      SpecError, StencilEntry, query_packing)
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import Region, auto_window, query_bounds, query_points
+from .oracle import Region, query_bounds, query_points
 
 ENGINES = ("closed", "oracle", "verify")
 FORMATS = ("csv", "json")
@@ -212,9 +212,7 @@ def _default_region(spec: EquationSpec, initial: InitialData) -> Region:
         else:
             box = Box((hull.lo[0] - t_hi - 1,), (hull.hi[0] + t_hi + 1,))
     else:
-        box = auto_window(spec, initial, t_hi)
-        if box is None:
-            box = Box((0,) * spec.spatial_dim, (0,) * spec.spatial_dim)
+        box = query_packing(spec, initial, t_hi).box
     return Region(box, 0, t_hi)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import index
+from math import prod
+from operator import index, le, mul, sub
 
 from .exactnum import ZERO
 
@@ -67,6 +68,9 @@ class Box:
             tuple(min(a, b) for a, b in zip(self.lo, other.lo)),
             tuple(max(a, b) for a, b in zip(self.hi, other.hi)),
         )
+
+    def __contains__(self, p) -> bool:
+        return all(map(le, self.lo, p)) and all(map(le, p, self.hi))
 
     def points(self):
         """Iterate all lattice points, last axis fastest (lexicographic)."""
@@ -182,10 +186,10 @@ class FieldRow:
         return row
 
     @classmethod
-    def _over(cls, dim: int, den: int, nums: dict[Point, int]) -> "FieldRow":
-        """The row p -> nums[p] / den of an engine's integer row: keys as
-        _trusted takes them, nonzero int numerators, den > 0."""
-        return cls._trusted(dim, {p: Fraction(n, den) for p, n in nums.items()})
+    def _over(cls, packing: Packing, den: int, nums: dict[int, int]) -> "FieldRow":
+        """The row of an integer row (den > 0, {key: nonzero numerator})."""
+        return cls._trusted(packing.box.dim, {p: Fraction(n, den) for p, n in
+                                              zip(packing.points(nums), nums.values())})
 
     @classmethod
     def delta(cls, dim: int = 1) -> "FieldRow":
@@ -250,3 +254,73 @@ class InitialData:
                 hull = b if hull is None else hull.hull(b)
         return hull
 
+
+def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
+                extra: Box | None = None) -> Box | None:
+    """Window guaranteed to contain the evolved support up to t_max, and so
+    every term of either engine's rows (query_packing's box), hulled with an
+    optional extra box: each update moves the support by
+    spatial_shift - offset over the stencil entries."""
+    hull = initial.support_hull()
+    window = None
+    if hull is not None:
+        # per axis, the displacement of every entry
+        axes = list(zip(*(map(sub, spec.spatial_shift, e.offset) for e in spec.stencil)))
+        window = Box(tuple(l + t_max * min(0, *a) for l, a in zip(hull.lo, axes)),
+                     tuple(h + t_max * max(0, *a) for h, a in zip(hull.hi, axes)))
+    if extra is not None:
+        window = extra if window is None else window.hull(extra)
+    return window
+
+
+class Packing:
+    """One int key per point of `box`: its offsets from box.lo as digits,
+    the last axis lowest, so keys sort as their points do.  A key is linear
+    in its point: a shift by v adds step(v).  The int of a point outside the
+    box may equal an inside point's key, so it is never looked up."""
+
+    def __init__(self, box: Box):
+        self.box, radices = box, [h - l + 1 for l, h in zip(box.lo, box.hi)]
+        self.units = [prod(radices[i + 1:]) for i in range(len(radices))]
+        self.base = self.step(box.lo)
+        self._axes = list(zip(self.units, radices, box.lo))
+
+    def step(self, vector) -> int:
+        return sum(map(mul, vector, self.units))
+
+    def key(self, p: Point) -> int:
+        return self.step(p) - self.base
+
+    def keys(self, box: Box) -> list[int]:
+        """The keys of the points of box inside the packing's box."""
+        return list(map(sum, product(*[range((max(a, l) - l) * u, (min(b, h) - l) * u + 1, u)
+                                       for a, b, l, h, u in zip(box.lo, box.hi, self.box.lo,
+                                                                self.box.hi, self.units)])))
+
+    def points(self, keys) -> list[Point]:
+        """The point of each key, in order: the one unpack."""
+        if len(self._axes) == 1:
+            return [(k + self.box.lo[0],) for k in keys]
+        return list(zip(*[[k // u % r + l for k in keys] for u, r, l in self._axes]))
+
+    def require(self, reach: Box | None) -> None:
+        """Refuse rows that reach past the box: their keys could carry."""
+        if reach is not None and not (reach.lo in self.box and reach.hi in self.box):
+            raise SpecError(f"a packing over {self.box} cannot key rows that reach {reach}")
+
+
+def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,
+                  right_edge: int | None = None) -> Packing:
+    """The one packing of a query's rows 0..t_max on both engines:
+    auto_window's box (the origin for zero rows), or for the corner form,
+    whose rows have no right end, psi's left end to right_edge."""
+    if t_max < 0:
+        raise SpecError("t_max must be >= 0")
+    initial.check_matches(spec)
+    if not spec.implicit_corner:
+        zero = (0,) * spec.spatial_dim
+        return Packing(auto_window(spec, initial, t_max) or Box(zero, zero))
+    if right_edge is None:
+        raise SpecError("corner-implicit rows have infinite support; give a right edge")
+    left = min([right_edge, *(x for x, in initial.rows[0].values)])
+    return Packing(Box((left,), (right_edge,)))

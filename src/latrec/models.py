@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import _power_rows, tridiagonal_spec
-from .lattice import EquationSpec, FieldRow, InitialData, SpecError
+from .lattice import Box, EquationSpec, FieldRow, InitialData, Packing, SpecError
 from .oracle import oracle_evolve
 
 
@@ -78,8 +78,9 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     support is within [-j, j]."""
     if j < 0:
         raise SpecError("step count must be >= 0")
-    den, nums = next(_power_rows(random_walk_spec(params), FieldRow.delta(1), (j,)))
-    return FieldRow._over(1, den, nums)
+    packing = Packing(Box((-j,), (j,)))
+    den, nums = next(_power_rows(random_walk_spec(params), FieldRow.delta(1), (j,), packing))
+    return FieldRow._over(packing, den, nums)
 
 
 def heat_profile(params: HeatParams, psi: FieldRow, j_max: int) -> list[FieldRow]:

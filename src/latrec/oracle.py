@@ -3,17 +3,17 @@ evolving support, a left-to-right sweep for the corner-implicit form from
 the initial row's left end to a right edge, and verifiers that compare
 closed-form values against iterated ones exactly.
 
-The stepping and the sweep give integer rows (den, {point: nonzero
-numerator}), not reduced.  A step keys each point by one int packed from
-its offset to auto_window's low corner, with no digit carries, so a stencil
-shift is one int addition; it goes over the lcm of coefficient times
+The stepping and the sweep give integer rows (den, {key: nonzero
+numerator}), not reduced, keyed in the query's one packing
+(lattice.query_packing), which the closed form's rows share, so a stencil
+shift is one int addition.  A step goes over the lcm of coefficient times
 held-row denominators, so every term is an integer multiple of one held
-numerator, and _evolve unpacks each row to point keys once.  The sweep
-holds a row as a list up to its right edge.  oracle_evolve, oracle_step and
-oracle_sweep_implicit build a Fraction per cell.  The oracle reads nothing
-of the closed form's symbol, powers or kernel.  verify_closed_vs_oracle
-compares both engines' rows one time at a time, a named evaluator's values
-cell by cell; verify_recurrence substitutes plain Fractions.
+numerator.  The sweep holds a row as a list up to its right edge.  Only
+oracle_evolve, oracle_step and oracle_sweep_implicit unpack keys, and build
+a Fraction per cell.  The oracle reads nothing of the closed form's symbol,
+powers or kernel.  verify_closed_vs_oracle compares both engines' packed
+rows one time at a time, a named evaluator's values cell by cell;
+verify_recurrence substitutes plain Fractions at points.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
-from .lattice import Box, EquationSpec, FieldRow, InitialData, Point, SpecError
+from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
+                      auto_window, query_packing)
 
 
 class MissingValueError(KeyError):
@@ -64,23 +64,6 @@ class EvolutionState:
         return self.rows[-1]
 
 
-def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
-                extra: Box | None = None) -> Box | None:
-    """Window guaranteed to contain the evolved support up to t_max,
-    hulled with an optional extra box (e.g. the query region): each update
-    moves the support by spatial_shift - offset over the stencil entries."""
-    hull = initial.support_hull()
-    window = None
-    if hull is not None:
-        # per axis, the displacement of every entry
-        axes = list(zip(*(map(sub, spec.spatial_shift, e.offset) for e in spec.stencil)))
-        window = Box(tuple(l + t_max * min(0, *a) for l, a in zip(hull.lo, axes)),
-                     tuple(h + t_max * max(0, *a) for h, a in zip(hull.hi, axes)))
-    if extra is not None:
-        window = extra if window is None else window.hull(extra)
-    return window
-
-
 def _int_row(row: FieldRow) -> tuple[int, dict[Point, int]]:
     """A FieldRow as (d, numerators) over d, the lcm of its denominators."""
     d = lcm(*(v.denominator for v in row.values.values()))
@@ -107,55 +90,38 @@ def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
     if len(state.rows) != spec.time_order:
         raise SpecError(f"state holds {len(state.rows)} rows, "
                         f"spec time_order is {spec.time_order}")
-    *_, (den, nums) = _evolve(spec, InitialData(state.rows), spec.time_order)
-    new_row = FieldRow._over(spec.spatial_dim, den, nums)
+    initial = InitialData(state.rows)
+    packing = query_packing(spec, initial, spec.time_order)
+    *_, (den, nums) = _evolve(spec, initial, spec.time_order, packing)
+    new_row = FieldRow._over(packing, den, nums)
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 
-def _evolve(spec: EquationSpec, initial: InitialData,
-            t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """Rows 0..t_max as integer rows (den, {point: nonzero numerator}),
-    stepped as they are read; the arguments are checked before the first
-    row is asked for."""
+def _evolve(spec: EquationSpec, initial: InitialData, t_max: int,
+            packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
+    """Rows 0..t_max as integer rows (den, {key: nonzero numerator}) keyed
+    in packing, stepped as they are read; the arguments, and the packing
+    against auto_window's box, are checked before the first row is read."""
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     initial.check_matches(spec)
     if t_max >= spec.time_order:
         _check_steppable(spec)
-    return _steps(spec, initial, t_max)
+    packing.require(auto_window(spec, initial, t_max))
+    return _steps(spec, initial, t_max, packing)
 
 
-def _steps(spec: EquationSpec, initial: InitialData,
-           t_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """The stepping kernel behind _evolve.
-
-    Held rows are keyed by one int per point.  auto_window bounds the
-    support up to t_max; offset by the window's low corner, every
-    coordinate is a digit in [0, radix) on its axis, the last axis lowest,
-    so a point packs without a carry and each entry's shift
-    spatial_shift - offset is one int added to the key.  A new row's
-    denominator is the lcm over the entries of coeff.denominator times the
-    held row's den, so every term is an integer multiple of one held
-    numerator.  Each stepped row is unpacked to point keys, column by
-    column, once."""
-    dim = spec.spatial_dim
-    window = auto_window(spec, initial, t_max) or Box((0,) * dim, (0,) * dim)
-    radices = [hi - lo + 1 for lo, hi in zip(window.lo, window.hi)]
-    # each axis's unit is the product of the radices of the axes after it
-    units = [1]
-    for radix in radices[:0:-1]:
-        units.insert(0, units[0] * radix)
-    base = sum(map(mul, window.lo, units))
+def _steps(spec: EquationSpec, initial: InitialData, t_max: int,
+           packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
+    """The stepping kernel behind _evolve: an entry's shift is one int added
+    to a held key, and a new row goes over the lcm over the entries of
+    coeff.denominator times the held row's den.  Do not change a yielded row."""
     entries = [(e.time_level, e.coeff.numerator, e.coeff.denominator,
-                sum(map(mul, map(sub, spec.spatial_shift, e.offset), units)))
+                packing.step(spec.spatial_shift) - packing.step(e.offset))
                for e in spec.stencil]
-    axes = list(zip(units, radices, window.lo))
-    rows = []
-    for row in initial.rows:
-        den, nums = _int_row(row)
-        if len(rows) <= t_max:
-            yield den, nums
-        rows.append((den, {sum(map(mul, p, units)) - base: n for p, n in nums.items()}))
+    rows = [(den, {packing.key(p): n for p, n in nums.items()})
+            for den, nums in map(_int_row, initial.rows)]
+    yield from rows[:t_max + 1]
     for _ in range(spec.time_order - 1, t_max):
         den = lcm(*(c_den * rows[level][0] for level, _, c_den, _ in entries))
         acc: dict[int, int] = {}
@@ -166,18 +132,16 @@ def _steps(spec: EquationSpec, initial: InitialData,
             for key, n in nums.items():
                 key += shift
                 acc[key] = get(key, 0) + factor * n
-        nums = {key: n for key, n in acc.items() if n}
-        rows = rows[1:] + [(den, nums)]
-        keys = list(nums)
-        columns = [[k // u % radix + lo for k in keys] for u, radix, lo in axes]
-        yield den, dict(zip(zip(*columns), nums.values()))
+        rows = rows[1:] + [(den, {key: n for key, n in acc.items() if n})]
+        yield rows[-1]
 
 
 def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
     """Rows 0..t_max by repeated stepping; rows 0..time_order-1 equal the
     inputs.  Each row becomes a FieldRow as it is stepped."""
-    dim = spec.spatial_dim
-    return [FieldRow._over(dim, den, nums) for den, nums in _evolve(spec, initial, t_max)]
+    packing = query_packing(spec, initial, t_max)
+    return [FieldRow._over(packing, den, nums)
+            for den, nums in _evolve(spec, initial, t_max, packing)]
 
 
 def sweep_window(psi: FieldRow, j_max: int, right_edge: int) -> Box:
@@ -207,34 +171,36 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
         raise SpecError("a nonzero initial row needs a sweep window")
     if not psi.values or window.hi[0] < min(psi.values)[0]:
         return [FieldRow.zero(1) for _ in range(j_max + 1)]
-    return [FieldRow._over(1, den, nums)
-            for den, nums in _sweep(a, b, c, psi, window.hi[0], j_max)]
+    packing = Packing(Box(min(psi.values), window.hi))
+    return [FieldRow._over(packing, den, nums)
+            for den, nums in _sweep(a, b, c, psi, packing, j_max)]
 
 
-def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, hi: int,
-           j_max: int) -> Iterator[tuple[int, dict[Point, int]]]:
-    """oracle_sweep_implicit's rows as integer rows, stepped as lists over
-    [m - 1, hi], m <= hi the nonzero psi's left end; values left of m are 0.
-    With D the lcm of the denominators of a, b, c, row j goes over
-    D^(hi - m + j) L, L psi's lcd.  A step up or right adds at most one
-    factor D to a denominator, so cell i's value has one dividing
-    D^(i - m + j) L, each numerator left of hi is a multiple of D, and
-    with A = D a, B = D b, C = D c,
-    N_{j+1}(i+1) = A N_{j+1}(i) // D + B N_j(i+1) + C N_j(i)."""
+def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, packing: Packing,
+           j_max: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """oracle_sweep_implicit's rows as integer rows keyed in packing,
+    stepped as lists over [m - 1, hi], hi >= m the packing's right edge and
+    m the nonzero psi's left end; values left of m are 0.  With D the lcm
+    of the denominators of a, b, c, row j goes over D^(hi - m + j) L, L
+    psi's lcd.  A step up or right adds at most one factor D to a
+    denominator, so cell i's value has one dividing D^(i - m + j) L, each
+    numerator left of hi is a multiple of D, and with A = D a, B = D b,
+    C = D c, N_{j+1}(i+1) = A N_{j+1}(i) // D + B N_j(i+1) + C N_j(i)."""
     scale = lcm(a.denominator, b.denominator, c.denominator)
     na, nb, nc = (v.numerator * (scale // v.denominator) for v in (a, b, c))
     lcd, nums = _int_row(psi)
-    lo = min(nums)[0] - 1
+    hi, lo = packing.box.hi[0], min(nums)[0] - 1
+    shift = packing.key((lo,))  # cell lo + x has key shift + x
     lift = scale ** (hi - lo - 1)
     den, prev = lift * lcd, [nums.get((i,), 0) * lift for i in range(lo, hi + 1)]
-    yield den, {(lo + x,): n for x, n in enumerate(prev) if n}
+    yield den, {x + shift: n for x, n in enumerate(prev) if n}
     for _ in range(j_max):
         val, row = 0, [0]
         for x in range(hi - lo):
             val = na * val // scale + nb * prev[x + 1] + nc * prev[x]
             row.append(val)
         den *= scale
-        yield den, {(lo + x,): n for x, n in enumerate(row) if n}
+        yield den, {x + shift: n for x, n in enumerate(row) if n}
         prev = row
 
 
@@ -282,17 +248,19 @@ def query_points(query: Query) -> Iterator[tuple[Point, int]]:
     return ((p, t) for p, times in query_groups(query) for t in times)
 
 
-def asked_cells(query: Query) -> dict[int, dict[Point, int] | None]:
-    """time -> the cells the query asks for at that time: None for a
-    region, which asks its whole box at every time of its range, else
-    {point: how often the pair is listed}, from query_groups."""
+def asked_keys(query: Query, packing: Packing) -> dict[int, dict[int, int]]:
+    """time -> {key: times asked} of the query's cells inside the packing,
+    packed once (the others are 0 on both engines); a region's, once each."""
     if isinstance(query, Region):
-        return dict.fromkeys(range(query.t_lo, query.t_hi + 1))
-    asked: dict[int, dict[Point, int]] = {}
+        return dict.fromkeys(range(query.t_lo, query.t_hi + 1),
+                             dict.fromkeys(packing.keys(query.box), 1))
+    asked: dict[int, dict[int, int]] = {}
     for p, times in query_groups(query):
-        for t in times:
-            cells = asked.setdefault(t, {})
-            cells[p] = cells.get(p, 0) + 1
+        if p in packing.box:
+            k = packing.key(p)
+            for t in times:
+                cells = asked.setdefault(t, {})
+                cells[k] = cells.get(k, 0) + 1
     return asked
 
 
@@ -309,96 +277,86 @@ def query_bounds(query: Query) -> tuple[Box, int]:
 
 
 def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
-                right_edge: int | None = None) -> Iterator[tuple[int, dict[Point, int]]]:
-    """The integer rows (den, {point: nonzero numerator}) at times 0..t_max of
+                packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
+    """The integer rows (den, {key: nonzero numerator}) at times 0..t_max of
     engine "closed" (closed_form._rows, _corner_rows) or "oracle" (_evolve,
-    _sweep); another name is a SpecError.  A corner-implicit row, which has
-    no right end, runs from psi's left end to right_edge, which it requires."""
+    _sweep), keyed in the query's packing (lattice.query_packing), which
+    must hold them; another name is a SpecError.  A corner-implicit row,
+    which has no right end, runs from psi's left end to the packing's."""
     if engine not in ("closed", "oracle"):
         raise SpecError(f"unknown engine {engine!r}; use 'closed' or 'oracle'")
     if t_max < 0:
         raise SpecError("t_max must be >= 0")
     closed = engine == "closed"
     if not spec.implicit_corner:
-        return (closed_form._rows if closed else _evolve)(spec, initial, t_max)
-    if right_edge is None:
-        raise SpecError("corner-implicit rows have infinite support; give a right edge")
+        return (closed_form._rows if closed else _evolve)(spec, initial, t_max, packing)
     initial.check_matches(spec)
     psi = initial.rows[0]
-    if not psi.values or right_edge < min(psi.values)[0]:
+    if not psi.values or packing.box.hi[0] < min(psi.values)[0]:
         return iter([(1, {})] * (t_max + 1))
+    packing.require(Box(min(psi.values), packing.box.hi))
     rows = closed_form._corner_rows if closed else _sweep
-    return rows(*spec.corner_coefficients(), psi, right_edge, t_max)
+    return rows(*spec.corner_coefficients(), psi, packing, t_max)
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
                             region: Query, evaluator: str = "auto") -> VerifyReport:
     """Evaluate both engines at every (point, time) of the query, a Region or
     a list of (point, time) pairs, and report exact mismatches in point,
-    then time order.  Mismatches are data, not errors.  The oracle's extent
-    follows from the spec, the initial data and the query.
-
-    Under "auto" both engines' integer rows (engine_rows) are compared one
-    time at a time (_row_mismatches).  A named evaluator's (numerator,
-    denominator) pairs (closed_form.closed_getter) are read against the
-    oracle's rows cell by cell; n_c / d_c equals n_o / d_o exactly when
-    n_c * d_o == n_o * d_c, so a Fraction is built only for a mismatch."""
+    then time order; mismatches are data, not errors.  Under "auto" both
+    engines' integer rows (engine_rows), keyed in the query's one packing,
+    are compared one time at a time (_row_mismatches).  A named evaluator's
+    (numerator, denominator) pairs (closed_form.closed_getter) are
+    cross-multiplied with the oracle's rows cell by cell, so a Fraction is
+    built only for a mismatch."""
     initial.check_matches(spec)
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
         raise SpecError("region box dimension differs from the spec")
+    packing = query_packing(spec, initial, t_max, box.hi[0])
     if evaluator == "auto":
         checked, mismatches = _row_mismatches(
-            engine_rows(spec, initial, t_max, "closed", box.hi[0]),
-            engine_rows(spec, initial, t_max, "oracle", box.hi[0]), region)
+            engine_rows(spec, initial, t_max, "closed", packing),
+            engine_rows(spec, initial, t_max, "oracle", packing), region, packing)
         return VerifyReport(checked, tuple(mismatches), t_max)
     closed_get = closed_form.closed_getter(spec, initial, evaluator)
-    oracle_rows = list(engine_rows(spec, initial, t_max, "oracle", box.hi[0]))
-    points = list(query_points(region))
-    mismatches = []
-    for p, t in points:
-        n_c, d_c = closed_get(p, t)
-        d_o, n_o = oracle_rows[t][0], oracle_rows[t][1].get(p, 0)
-        if n_c * d_o != n_o * d_c:
-            mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
-    return VerifyReport(len(points), tuple(mismatches), t_max)
+    oracle_rows = list(engine_rows(spec, initial, t_max, "oracle", packing))
+    checked, mismatches = 0, []
+    for p, times in query_groups(region):
+        # a point outside the packing has no key and is 0 in every row
+        k = packing.key(p) if p in packing.box else None
+        for t in times:
+            n_c, d_c = closed_get(p, t)
+            d_o, n_o = oracle_rows[t][0], oracle_rows[t][1].get(k, 0)
+            if n_c * d_o != n_o * d_c:
+                mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
+        checked += len(times)
+    return VerifyReport(checked, tuple(mismatches), t_max)
 
 
-def _row_mismatches(closed_rows: Iterable[tuple[int, dict[Point, int]]],
-                    oracle_rows: Iterable[tuple[int, dict[Point, int]]],
-                    query: Query) -> tuple[int, list[Mismatch]]:
+def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
+                    oracle_rows: Iterable[tuple[int, dict[int, int]]],
+                    query: Query, packing: Packing) -> tuple[int, list[Mismatch]]:
     """The number of (point, time) pairs the query asks for, duplicates
     included, and the mismatches among them in point, then time order,
-    from both engines' integer rows at times 0, 1, ...
-
-    Both engines drop zero numerators, so rows with equal denominators and
-    equal numerator maps are equal everywhere, and one dict comparison
-    settles that time.  Otherwise only the asked cells of either row's
-    support are cross-multiplied: every other asked cell is 0 on both
-    sides."""
-    asked = asked_cells(query)
-    if isinstance(query, Region):
-        lo, hi = query.box.lo, query.box.hi
-        checked = query.box.size() * len(asked)
-    else:
-        checked = len(query)
+    from both engines' integer rows at times 0, 1, ..., keyed in packing.
+    Both engines drop zero numerators, so one dict comparison of equal rows
+    settles a time.  Otherwise only the asked keys of either row's support
+    are cross-multiplied (every other asked cell is 0 on both sides), and a
+    key is unpacked to its point only for a mismatch."""
+    asked = asked_keys(query, packing)
+    checked = (query.box.size() * (query.t_hi - query.t_lo + 1)
+               if isinstance(query, Region) else len(query))
     mismatches = []
     for t, ((d_c, c_row), (d_o, o_row)) in enumerate(zip(closed_rows, oracle_rows)):
         if t not in asked or (d_c == d_o and c_row == o_row):
             continue
         cells = asked[t]
-        for p in c_row.keys() | o_row.keys():
-            if cells is None:
-                if not (all(map(le, lo, p)) and all(map(le, p, hi))):
-                    continue
-                repeats = 1
-            else:
-                repeats = cells.get(p)
-                if repeats is None:
-                    continue
-            n_c, n_o = c_row.get(p, 0), o_row.get(p, 0)
+        for k in (c_row.keys() | o_row.keys()) & cells.keys():
+            n_c, n_o = c_row.get(k, 0), o_row.get(k, 0)
             if n_c * d_o != n_o * d_c:
-                mismatches += [Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o))] * repeats
+                (p,) = packing.points((k,))
+                mismatches += [Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o))] * cells[k]
     mismatches.sort(key=lambda m: (m.point, m.time))
     return checked, mismatches
 

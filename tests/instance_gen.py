@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError,
                     StencilEntry, auto_window, tridiagonal_spec)
-from latrec.oracle import Region
+from latrec.lattice import query_packing
+from latrec.oracle import Region, engine_rows
 
 
 # Named shapes of the one explicit family, kept as test fixtures.
@@ -150,6 +151,57 @@ def verification_region(spec: EquationSpec, initial: InitialData,
         window = Box(origin, origin)
     box = Box(tuple(l - pad for l in window.lo), tuple(h + pad for h in window.hi))
     return Region(box, 0, t_max)
+
+
+def reference_step(spec, rows):
+    """One step summed in Fractions, cell by cell, from the held rows
+    (FieldRows, oldest first): the reference for the oracle's integer sum."""
+    acc = {}
+    for e in spec.stencil:
+        delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
+        for p, v in rows[e.time_level].values.items():
+            key = tuple(c + d for c, d in zip(p, delta))
+            acc[key] = acc.get(key, Fraction(0)) + e.coeff * v
+    return {p: v for p, v in acc.items() if v}
+
+
+def box_keys(box: Box):
+    """The tests' own packing of box, written apart from lattice.Packing so
+    that a fault there shows: (key of a point, point of a key).  A key is
+    the point's offsets from box.lo read as digits by Horner's rule, the
+    last axis lowest; a point comes back by divmod, the last axis first."""
+    radices = [h - l + 1 for l, h in zip(box.lo, box.hi)]
+
+    def key(p):
+        k = 0
+        for c, l, r in zip(p, box.lo, radices):
+            assert l <= c < l + r, (p, box)
+            k = k * r + c - l
+        return k
+
+    def point(k):
+        coords = []
+        for l, r in zip(box.lo[::-1], radices[::-1]):
+            k, d = divmod(k, r)
+            coords.append(l + d)
+        assert k == 0, box
+        return tuple(coords[::-1])
+
+    return key, point
+
+
+def point_rows(rows, box: Box) -> list:
+    """Integer rows (den, {key: numerator}) keyed in the packing of box, as
+    (den, {point: numerator}) by box_keys."""
+    _, point = box_keys(box)
+    return [(den, {point(k): n for k, n in nums.items()}) for den, nums in rows]
+
+
+def engine_point_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
+                      right_edge: int | None = None) -> list:
+    """engine_rows in the query's packing (query_packing), keyed by point."""
+    packing = query_packing(spec, initial, t_max, right_edge)
+    return point_rows(engine_rows(spec, initial, t_max, engine, packing), packing.box)
 
 
 # coefficients with negative signs, unit and non-unit numerators and several

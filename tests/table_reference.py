@@ -8,8 +8,9 @@ import json
 from latrec.cli import _value_texts
 from latrec.closed_form import eval_implicit
 from latrec.config import spec_hash
-from latrec.oracle import (Region, engine_rows, oracle_sweep_implicit, query_bounds,
-                           sweep_window)
+from latrec.oracle import Region, oracle_sweep_implicit, query_bounds, sweep_window
+
+from instance_gen import engine_point_rows
 
 
 def reference_format_table(dim, rows, header_hash, out_format):
@@ -58,7 +59,7 @@ def reference_solve(config):
             values = [swept[t].get(p) for p, t in points]
         table = [(p, t, text(*v.as_integer_ratio())) for (p, t), v in zip(points, values)]
     else:
-        rows = list(engine_rows(spec, initial, t_max, config.engine))
+        rows = engine_point_rows(spec, initial, t_max, config.engine)
         table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
                  for p, t in points]
     return reference_format_table(spec.spatial_dim, table, spec_hash(spec),
@@ -66,7 +67,8 @@ def reference_solve(config):
 
 
 def reference_demo(spec, initial, rows, out_format):
-    """A demo's bytes: every nonzero cell of the integer rows at times 0, 1, ..."""
+    """A demo's bytes: every nonzero cell of the integer rows at times 0, 1,
+    ..., keyed by point."""
     text = _value_texts(spec, initial)
     table = sorted((p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
                    for p, n in nums.items())

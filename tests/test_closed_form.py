@@ -19,13 +19,13 @@ from latrec import closed_form, combinatorics
 from latrec.closed_form import closed_getter
 from latrec.combinatorics import multinomial
 from latrec.config import load_config
-from latrec.lattice import Box
+from latrec.lattice import Box, query_packing
 from latrec.oracle import sweep_window
 
 from instance_gen import (CORNER_COEFFS, corner_spec, field_row, grid_2d_instance,
                           grid_2d_spec, line_rows, line_specs, nd_instance,
                           ninepoint_instance, ninepoint_spec, one_row_instance,
-                          one_row_spec, plane_rows, plane_specs, rational,
+                          one_row_spec, plane_rows, plane_specs, point_rows, rational,
                           tridiagonal_instance, two_row_instance,
                           verification_region)
 
@@ -864,15 +864,17 @@ def test_row_sweep_equals_power_row_and_oracle(case, t_max):
     # per time works out from scratch, and the oracle's rows
     spec, psi = case
     initial = InitialData((psi,))
-    rows = list(closed_form._rows(spec, initial, t_max))
-    assert rows == list(closed_form._power_rows(spec, psi, range(t_max + 1)))
-    assert rows == [next(closed_form._power_rows(spec, psi, (j,))) for j in range(t_max + 1)]
+    packing = query_packing(spec, initial, t_max)
+    rows = list(closed_form._rows(spec, initial, t_max, packing))
+    assert rows == list(closed_form._power_rows(spec, psi, range(t_max + 1), packing))
+    assert rows == [next(closed_form._power_rows(spec, psi, (j,), packing))
+                    for j in range(t_max + 1)]
     # the point form gives that cell of the row alone: the row's first and
     # last cells, psi's points and the origin, which may hold no value
-    for j, (den, nums) in enumerate(rows):
+    for j, (den, nums) in enumerate(point_rows(rows, packing.box)):
         cells = sorted(nums)
         for p in {*cells[:1], *cells[-1:], *psi.values, (0,) * spec.spatial_dim}:
             want = (den, {p: nums[p]} if p in nums else {})
-            assert next(closed_form._power_rows(spec, psi, (j,), p)) == want, (p, j)
-    assert ([FieldRow._over(spec.spatial_dim, den, nums) for den, nums in rows]
+            assert next(closed_form._power_rows(spec, psi, (j,), point=p)) == want, (p, j)
+    assert ([FieldRow._over(packing, den, nums) for den, nums in rows]
             == oracle_evolve(spec, initial, t_max))

@@ -6,12 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latrec import (EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
+from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
                     expand_stencil_power, oracle_evolve, tridiagonal_spec)
 from latrec.combinatorics import (_multinomial_weights, _symbol_power, compositions,
                                   multinomial, stencil_symbol_steps)
+from latrec.lattice import Packing
 
-from instance_gen import line_specs, nd_instance
+from instance_gen import box_keys, line_specs, nd_instance
+
+
+def packed_power(terms, j, row):
+    """_symbol_power's (D A)**j * N with N's points packed in a box that
+    holds N and the product, N's box plus j times A's exponent box hulled
+    with 0, as auto_window sizes it, and the cells unpacked by the tests'
+    own packing (box_keys)."""
+    exps, points = list(zip(*[e for _, e in terms])), list(zip(*[p for p, _ in row]))
+    box = Box(tuple(min(0, j * min(e)) + min(p) for e, p in zip(exps, points)),
+              tuple(max(0, j * max(e)) + max(p) for e, p in zip(exps, points)))
+    key, point = box_keys(box)
+    scale, got = _symbol_power(terms, j, [(key(p), v) for p, v in row], Packing(box).units)
+    return scale, {point(k): v for k, v in got.items()}
 
 
 def poly_mul(p, q):
@@ -165,13 +179,13 @@ def test_symbol_power_equals_composition_sum_and_iterated_product(spec, j, row):
     for terms, expected, axes in cases:
         ints = list({p[:axes]: v for p, v in row}.items()) or [((0,) * axes, 1)]
         want = poly_mul(expected, {p: Fraction(v) for p, v in ints})
-        scale, got = _symbol_power(terms, j, ints)
+        scale, got = packed_power(terms, j, ints)
         assert scale == math.lcm(*(e.coeff.denominator for e in spec.stencil))
         assert all(got.values())
         assert {cell: Fraction(w, scale ** j) for cell, w in got.items()} == want
         for cell in probes(want or {(0,) * axes: 0}, axes):
             alone = {cell: got[cell]} if cell in got else {}
-            assert _symbol_power(terms, j, ints, cell) == (scale, alone)
+            assert _symbol_power(terms, j, ints, point=cell) == (scale, alone)
     assert _symbol_power(cases[0][0], j, []) == (scale, {})
 
 
@@ -181,7 +195,7 @@ def row_product(spec, j, row):
     times N and row j of the oracle from N."""
     dim = spec.spatial_dim
     terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
-    scale, got = _symbol_power(terms, j, row)
+    scale, got = packed_power(terms, j, row)
     assert all(got.values())
     values = {p: Fraction(v, scale ** j) for p, v in got.items()}
     power = {exps[:dim]: v for exps, v in composition_expansion(spec, j).items()}
@@ -238,15 +252,15 @@ def test_line_power_mirrors_with_its_symbol(spec, j):
     # past either end of S**j the coefficients are 0
     terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
     delta = [((0,), 1)]
-    scale, coeffs = _symbol_power(terms, j, delta)
+    scale, coeffs = packed_power(terms, j, delta)
     mirrored = [(coeff, (-x,)) for coeff, (x,) in terms]
-    assert _symbol_power(mirrored, j, delta) == (scale, {(-x,): c for (x,), c in coeffs.items()})
+    assert packed_power(mirrored, j, delta) == (scale, {(-x,): c for (x,), c in coeffs.items()})
     kernel_scale, series = _multinomial_weights(spec, j)
     assert kernel_scale == scale
     assert coeffs == {(x,): w for (x, e), w in series.items() if e == j}
     (low,), (high,) = min(coeffs), max(coeffs)
     for x in (low - 3, low - 1, high + 1, high + 3):
-        assert _symbol_power(terms, j, delta, (x,)) == (scale, {})
+        assert _symbol_power(terms, j, delta, point=(x,)) == (scale, {})
 
 
 def test_compositions_examples():

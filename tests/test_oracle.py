@@ -13,10 +13,12 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec import cli, closed_form, combinatorics, models, oracle
 from latrec.closed_form import closed_rows
+from latrec.lattice import query_packing
 from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport, engine_rows,
                            sweep_window)
 
-from instance_gen import (CORNER_COEFFS, corner_spec, field_row, line_rows, nd_instance, rational,
+from instance_gen import (CORNER_COEFFS, box_keys, corner_spec, engine_point_rows, field_row,
+                          line_rows, nd_instance, point_rows, rational, reference_step,
                           tridiagonal_instance, verification_region)
 
 DELTA = FieldRow.delta(1)
@@ -62,18 +64,6 @@ def assert_trusted_row(row, dim):
     for p, v in row.values.items():
         assert type(p) is tuple and len(p) == dim and all(type(c) is int for c in p)
         assert type(v) is Fraction and v != 0
-
-
-def reference_step(spec, rows):
-    """One step summed in Fractions, cell by cell: the reference for
-    oracle_step's integer sum."""
-    acc = {}
-    for e in spec.stencil:
-        delta = tuple(s - o for s, o in zip(spec.spatial_shift, e.offset))
-        for p, v in rows[e.time_level].values.items():
-            key = tuple(c + d for c, d in zip(p, delta))
-            acc[key] = acc.get(key, Fraction(0)) + e.coeff * v
-    return {p: v for p, v in acc.items() if v}
 
 
 # negative values and mixed denominators; the small set makes partial
@@ -134,10 +124,12 @@ def test_step_integer_sum_equals_fraction_reference(case):
     spec, rows = case
     state = state_for(spec, *rows)
     held = list(rows)
-    evolved = oracle._evolve(spec, InitialData(rows), spec.time_order + 2)
+    initial, t_max = InitialData(rows), spec.time_order + 2
+    packing = query_packing(spec, initial, t_max)
+    evolved = iter(point_rows(oracle._evolve(spec, initial, t_max, packing), packing.box))
     for row, (den, nums) in zip(rows, evolved):
         assert type(den) is int and den > 0
-        assert FieldRow._over(spec.spatial_dim, den, nums) == row
+        assert {p: Fraction(n, den) for p, n in nums.items()} == row.values
     for _ in range(3):
         state = oracle_step(spec, state)
         want = reference_step(spec, held)
@@ -159,11 +151,12 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
             monkeypatch.setattr(module, name, closed_form_path)
     for module in (closed_form, models):
         monkeypatch.setattr(module, "_power_rows", closed_form_path)
-    # the closed form's integer rows, every lookup of its evaluators and the
-    # corner form's kernel, its rows and its integer scaling
-    for name in ("_composition_sum", "_rows", "_series_rows", "closed_getter",
-                 "_kernel", "_kernel_values", "_corner_rows", "eval_implicit",
-                 "corner_kernel", "_scaled"):
+    # the closed form's integer rows and their integer scaling, every lookup
+    # of its evaluators and the corner form's kernel, its rows and its
+    # integer scaling; the engines share only the packing (lattice)
+    for name in ("_composition_sum", "_rows", "_series_rows", "_integer_rows",
+                 "closed_getter", "_kernel", "_kernel_values", "_corner_rows",
+                 "eval_implicit", "corner_kernel", "_scaled"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
     f = Fraction
     line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))
@@ -189,7 +182,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
         {(-1,): f(1, 3), (0,): f(1, 6), (1,): f(1, 6), (2,): f(-1, 6)},
         {(-2,): f(1, 9), (-1,): f(1, 6), (0,): f(2, 9), (1,): f(1, 18), (3,): f(-1, 18)}]
     # the integer rows behind solve with the oracle engine and demo heat
-    *_, (den, nums) = engine_rows(line, InitialData((DELTA,)), 2, "oracle")
+    *_, (den, nums) = engine_point_rows(line, InitialData((DELTA,)), 2, "oracle")
     assert Fraction(nums[(0,)], den) == f(13, 36) and (3,) not in nums
     assert cli.main(["demo", "heat", "--r", "1/3", "--steps", "3"]) == 0
     # U[i+1, j+1] = U[i, j+1] / 2 + U[i+1, j] / 3 + U[i, j] / 5 from 1 at 0
@@ -201,7 +194,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
             {(0,): f(1, 9), (1,): f(1, 45), (2,): f(-209, 900), (3,): f(-143, 450)}]
     rows = oracle_sweep_implicit(HALF, f(1, 3), f(1, 5), psi, sweep_window(psi, 2, 3), 2)
     assert [{p: v for p, v in row.values.items() if p[0] <= 3} for row in rows] == want
-    rows = engine_rows(corner, InitialData((psi,)), 2, "oracle", 3)
+    rows = engine_point_rows(corner, InitialData((psi,)), 2, "oracle", 3)
     assert [{p: Fraction(n, den) for p, n in nums.items()} for den, nums in rows] == want
 
 
@@ -216,8 +209,9 @@ def test_integer_rows_equal_the_other_engines_fraction_rows(case):
     spec, rows = case
     initial = InitialData(rows)
     t_max = 4
-    pairs = [(list(oracle._evolve(spec, initial, t_max)), closed_rows(spec, initial, t_max)),
-             (list(closed_form._rows(spec, initial, t_max)), oracle_evolve(spec, initial, t_max))]
+    pairs = [(engine_point_rows(spec, initial, t_max, "oracle"), closed_rows(spec, initial, t_max)),
+             (engine_point_rows(spec, initial, t_max, "closed"),
+              oracle_evolve(spec, initial, t_max))]
     # the support moves at most this far, and one cell past it is zero
     reach = 1 + t_max * max(abs(s - o) for e in spec.stencil
                             for s, o in zip(spec.spatial_shift, e.offset))
@@ -236,7 +230,10 @@ def test_integer_rows_equal_the_other_engines_fraction_rows(case):
 def test_negative_t_max_is_refused_when_called():
     spec = tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4))
     initial = InitialData((DELTA,))
-    for rows in (oracle_evolve, closed_rows, oracle._evolve, closed_form._rows):
+    packing = query_packing(spec, initial, 0)
+    for rows in (oracle_evolve, closed_rows, query_packing,
+                 lambda *args: oracle._evolve(*args, packing),
+                 lambda *args: closed_form._rows(*args, packing)):
         with pytest.raises(SpecError, match="t_max must be >= 0"):
             rows(spec, initial, -1)
 
@@ -348,7 +345,7 @@ def test_corner_rows_equal_the_pointwise_sum_and_the_fraction_sweep(a, b, c, psi
     if not (b or c):
         b = HALF  # a corner spec needs b or c
     spec, initial = corner_spec(a, b, c), InitialData((psi,))
-    closed, swept = (list(engine_rows(spec, initial, t_max, engine, right_edge))
+    closed, swept = (engine_point_rows(spec, initial, t_max, engine, right_edge)
                      for engine in ("closed", "oracle"))
     # one denominator, an int, per time, and equal numerators
     assert closed == swept and len(closed) == t_max + 1
@@ -459,10 +456,10 @@ def row_getter(rows):
 @st.composite
 def compare_cases(draw):
     """A step case, a query (a box that may cut the support, over times
-    starting anywhere, or a point list with repeats), both engines' integer
-    rows up to the query's last time, and the closed rows with faults: a
-    cell changed, added or dropped, or a whole row's den and numerators
-    scaled together."""
+    starting anywhere, or a point list with repeats), the query's packing,
+    both engines' integer rows up to the query's last time keyed by point,
+    and the closed rows with faults: a cell inside the packing changed,
+    added or dropped, or a whole row's den and numerators scaled together."""
     spec, rows = draw(step_cases())
     initial = InitialData(rows)
     coords = st.tuples(*[st.integers(-4, 4)] * spec.spatial_dim)
@@ -475,7 +472,8 @@ def compare_cases(draw):
         query = draw(st.lists(st.tuples(coords, st.integers(0, 4)), min_size=1, max_size=8))
         query += draw(st.lists(st.sampled_from(query), max_size=3))
     t_max = oracle.query_bounds(query)[1]
-    closed = list(closed_form._rows(spec, initial, t_max))
+    packing = query_packing(spec, initial, t_max)
+    closed = engine_point_rows(spec, initial, t_max, "closed")
     faulty = list(closed)
     for _ in range(draw(st.integers(0, 3))):
         t = draw(st.integers(0, t_max))
@@ -485,21 +483,27 @@ def compare_cases(draw):
             faulty[t] = (den * m, {p: n * m for p, n in nums.items()})
         else:
             p = draw(coords)
+            if not all(map(lambda l, c, h: l <= c <= h, packing.box.lo, p, packing.box.hi)):
+                continue  # no row of either engine holds a cell there
             n = nums.get(p, 0) + draw(st.integers(-2, 2))
             nums = {q: v for q, v in nums.items() if q != p}
             faulty[t] = (den, nums | {p: n} if n else nums)
-    return spec, initial, query, closed, faulty, list(oracle._evolve(spec, initial, t_max))
+    return (spec, initial, query, packing, closed, faulty,
+            engine_point_rows(spec, initial, t_max, "oracle"))
 
 
 @given(compare_cases())
 @settings(max_examples=300, deadline=None)
 def test_row_compare_equals_the_per_cell_loop(case):
-    spec, initial, query, closed, faulty, oracle_rows = case
+    spec, initial, query, packing, closed, faulty, oracle_rows = case
     checked, mismatches = per_cell_report(row_getter(closed), oracle_rows, query)
     assert not mismatches
     assert verify_closed_vs_oracle(spec, initial, query) == VerifyReport(
         checked, (), oracle.query_bounds(query)[1])
-    assert oracle._row_mismatches(iter(faulty), iter(oracle_rows), query) == \
+    key, _ = box_keys(packing.box)
+    packed_faulty, packed_oracle = ([(den, {key(p): n for p, n in nums.items()})
+                                     for den, nums in rows] for rows in (faulty, oracle_rows))
+    assert oracle._row_mismatches(iter(packed_faulty), iter(packed_oracle), query, packing) == \
         per_cell_report(row_getter(faulty), oracle_rows, query)
 
 
@@ -511,14 +515,18 @@ def test_verify_reports_a_faulty_closed_cell_only_where_asked(monkeypatch):
     rows = closed_form._rows
 
     def patch(t, edit):
+        # edit(key, den, numerators) of row t, key the packing's (box_keys)
         def faulty(*args):
             out = list(rows(*args))
-            out[t] = edit(*out[t])
+            out[t] = edit(box_keys(args[-1].box)[0], *out[t])
             return iter(out)
         monkeypatch.setattr(closed_form, "_rows", faulty)
 
-    den = list(rows(spec, initial, 3))[3][0]
-    patch(3, lambda den, nums: (den, nums | {(1,): nums.get((1,), 0) + 1}))
+    def bump(p):
+        return lambda key, den, nums: (den, nums | {key(p): nums.get(key(p), 0) + 1})
+
+    den = engine_point_rows(spec, initial, 3, "closed")[3][0]
+    patch(3, bump((1,)))
     report = verify_closed_vs_oracle(spec, initial, region)
     assert report.checked == 12 and [(m.point, m.time) for m in report.mismatches] == [((1,), 3)]
     (m,) = report.mismatches
@@ -526,13 +534,13 @@ def test_verify_reports_a_faulty_closed_cell_only_where_asked(monkeypatch):
     listed = verify_closed_vs_oracle(spec, initial, points)
     assert listed.checked == 4 and listed.mismatches == (m, m)
     # outside the box, and inside it at a time before the region starts
-    patch(3, lambda den, nums: (den, nums | {(5,): nums.get((5,), 0) + 1}))
+    patch(3, bump((5,)))
     assert verify_closed_vs_oracle(spec, initial, region).ok
-    patch(1, lambda den, nums: (den, nums | {(0,): nums.get((0,), 0) + 1}))
+    patch(1, bump((0,)))
     assert verify_closed_vs_oracle(spec, initial, region).ok
     assert verify_closed_vs_oracle(spec, initial, points).ok
     # the same values over a multiple of the denominator
-    patch(3, lambda den, nums: (7 * den, {p: 7 * n for p, n in nums.items()}))
+    patch(3, lambda key, den, nums: (7 * den, {k: 7 * n for k, n in nums.items()}))
     assert verify_closed_vs_oracle(spec, initial, region) == VerifyReport(12, (), 4)
     assert verify_closed_vs_oracle(spec, initial, points) == VerifyReport(4, (), 4)
 
@@ -540,7 +548,7 @@ def test_verify_reports_a_faulty_closed_cell_only_where_asked(monkeypatch):
 def test_tridiagonal_j_n_control_keeps_the_per_cell_report():
     spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
     initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
-    oracle_rows = list(oracle._evolve(spec, initial, 4))
+    oracle_rows = engine_point_rows(spec, initial, 4, "oracle")
     closed_get = closed_form.closed_getter(spec, initial, "tridiagonal-j-n")
     for query in (Region(Box((-3,), (4,)), 2, 4),
                   [((1,), 3), ((-2,), 2), ((1,), 3), ((4,), 4), ((9,), 1)]):
@@ -559,26 +567,33 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         auto = closed_form.closed_getter(spec, delta, "auto")
         named = closed_form.closed_getter(spec, delta, name)
         assert all(auto(p, t) == named(p, t) for p in [(-2,), (0,), (3,)] for t in range(4))
-    # every spec is answered by rows; the corner-implicit form's rows run
-    # from psi's left end to the right edge they require
+    # every spec is answered by rows in the query's one packing; the
+    # corner-implicit form's rows run from psi's left end to the right edge
+    # the packing requires
     monkeypatch.setattr(closed_form, "_rows", lambda *args: ("closed rows", *args[2:]))
     monkeypatch.setattr(closed_form, "_corner_rows", lambda *args: ("corner rows", *args))
-    monkeypatch.setattr(oracle, "_evolve", lambda *args: "oracle rows")
+    monkeypatch.setattr(oracle, "_evolve", lambda *args: ("oracle rows", *args[2:]))
     monkeypatch.setattr(oracle, "_sweep", lambda *args: ("sweep", *args))
-    assert engine_rows(tri, delta, 3, "closed") == ("closed rows", 3)
-    assert engine_rows(tri, delta, 3, "oracle") == "oracle rows"
+    packing = query_packing(tri, delta, 3)
+    assert packing.box == Box((-3,), (3,))
+    assert engine_rows(tri, delta, 3, "closed", packing) == ("closed rows", 3, packing)
+    assert engine_rows(tri, delta, 3, "oracle", packing) == ("oracle rows", 3, packing)
     coeffs = (HALF, Fraction(1), Fraction(1, 3), DELTA)
-    assert engine_rows(corner, delta, 3, "closed", 5) == ("corner rows", *coeffs, 5, 3)
-    assert engine_rows(corner, delta, 3, "oracle", 5) == ("sweep", *coeffs, 5, 3)
-    assert engine_rows(corner, delta, 3, "closed", 0) == ("corner rows", *coeffs, 0, 3)
-    assert engine_rows(corner, delta, 3, "oracle", 0) == ("sweep", *coeffs, 0, 3)
+    for edge in (5, 0):
+        packing = query_packing(corner, delta, 3, edge)
+        assert packing.box == Box((0,), (edge,))
+        assert engine_rows(corner, delta, 3, "closed", packing) == (
+            "corner rows", *coeffs, packing, 3)
+        assert engine_rows(corner, delta, 3, "oracle", packing) == ("sweep", *coeffs, packing, 3)
     zero = InitialData((FieldRow.zero(1),))
+    with pytest.raises(SpecError, match="give a right edge"):
+        query_packing(corner, delta, 3)
     for engine in ("closed", "oracle"):
-        with pytest.raises(SpecError, match="give a right edge"):
-            engine_rows(corner, delta, 3, engine)
         # a right edge left of psi, or a zero psi, gives zero rows
-        assert list(engine_rows(corner, delta, 2, engine, -1)) == [(1, {})] * 3
-        assert list(engine_rows(corner, zero, 2, engine, 5)) == [(1, {})] * 3
+        for initial, edge in ((delta, -1), (zero, 5)):
+            packing = query_packing(corner, initial, 2, edge)
+            assert packing.box == Box((edge,), (edge,))
+            assert list(engine_rows(corner, initial, 2, engine, packing)) == [(1, {})] * 3
 
 
 def test_engine_rows_refuse_an_unknown_engine():
@@ -591,10 +606,11 @@ def test_engine_rows_refuse_an_unknown_engine():
 
 def test_closed_rows_refuse_the_corner_form():
     # its rows have no right end; engine_rows takes them to a right edge
-    spec = corner_spec(HALF, Fraction(1), Fraction(1, 3))
-    for rows in (closed_rows, closed_form._rows):
-        with pytest.raises(SpecError):
-            rows(spec, InitialData((DELTA,)), 3)
+    spec, delta = corner_spec(HALF, Fraction(1), Fraction(1, 3)), InitialData((DELTA,))
+    with pytest.raises(SpecError):
+        closed_rows(spec, delta, 3)
+    with pytest.raises(SpecError):
+        closed_form._rows(spec, delta, 3, query_packing(spec, delta, 3, 5))
 
 
 def test_sweep_needs_a_window_for_a_nonzero_row():
@@ -611,9 +627,12 @@ def test_engine_rows_refuse_a_negative_t_max():
     cases = [(tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3)), (DELTA,)),
              (two_row, (DELTA, DELTA)), (corner, (DELTA,)), (corner, (FieldRow.zero(1),))]
     for spec, rows in cases:
+        initial = InitialData(rows)
+        with pytest.raises(SpecError, match="t_max must be >= 0"):
+            query_packing(spec, initial, -1, 3)
         for engine in ("closed", "oracle"):
             with pytest.raises(SpecError, match="t_max must be >= 0"):
-                engine_rows(spec, InitialData(rows), -1, engine, 3)
+                engine_rows(spec, initial, -1, engine, query_packing(spec, initial, 0, 3))
 
 
 def test_verify_random_specs_zero_mismatches():

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from latrec import Box, FieldRow, HeatParams, InitialData, RandomWalkParams
 from latrec import cli, oracle
-from latrec.closed_form import _power_rows
 from latrec.config import RunConfig
+from latrec.lattice import Packing
 from latrec.models import heat_spec, random_walk_spec
-from latrec.oracle import Region, engine_rows
+from latrec.oracle import Region
 
-from instance_gen import corner_spec, field_row, nd_instance
+from instance_gen import corner_spec, engine_point_rows, field_row, nd_instance
 from table_reference import (reference_demo, reference_format_table,
                              reference_query_points, reference_solve)
 
@@ -76,7 +76,7 @@ FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=9)
        st.integers(0, 25), st.sampled_from(["csv", "json"]))
 def test_demo_heat_writes_the_per_cell_tables_bytes(r, steps, out_format):
     spec, initial = heat_spec(HeatParams(r)), InitialData((FieldRow.delta(1),))
-    want = reference_demo(spec, initial, engine_rows(spec, initial, steps, "oracle"),
+    want = reference_demo(spec, initial, engine_point_rows(spec, initial, steps, "oracle"),
                           out_format)
     assert demo_output(["demo", "heat", "--r", str(r), "--steps", str(steps),
                         "--format", out_format]) == want
@@ -88,9 +88,8 @@ def test_demo_random_walk_writes_the_per_cell_tables_bytes(p, q, steps, out_form
     if p + q > 1:
         p, q = 1 - p, 1 - q
     d = 1 - p - q
-    spec, delta = random_walk_spec(RandomWalkParams(p, d, q)), FieldRow.delta(1)
-    want = reference_demo(spec, InitialData((delta,)),
-                          _power_rows(spec, delta, range(steps + 1)),
+    spec, delta = random_walk_spec(RandomWalkParams(p, d, q)), InitialData((FieldRow.delta(1),))
+    want = reference_demo(spec, delta, engine_point_rows(spec, delta, steps, "closed"),
                           out_format)
     assert demo_output(["demo", "random-walk", "--p", str(p), "--d", str(d),
                         "--q", str(q), "--steps", str(steps),
@@ -129,7 +128,7 @@ def test_solve_texts_each_nonzero_asked_cell_once(monkeypatch):
     rng = random.Random(11)
     spec = nd_instance(rng, 1, time_order=2)
     initial = InitialData(tuple(field_row(rng, 1, max_points=4) for _ in range(2)))
-    rows = list(engine_rows(spec, initial, 8, "oracle"))
+    rows = engine_point_rows(spec, initial, 8, "oracle")
     region = Region(Box((-3,), (4,)), 5, 8)
     # out of order, repeats, a time asked of one point only, a far point
     points = (((1,), 7), ((0,), 2), ((1,), 7), ((-2,), 7), ((0,), 3), ((40,), 8),
@@ -156,7 +155,8 @@ def test_query_points_flatten_query_groups():
     assert len({id(times) for _, times in groups}) == 1 and groups[0][1] == (2, 3, 4)
     assert list(oracle.query_groups(points)) == [
         ((-1,), (2, 2)), ((0,), (0,)), ((3,), (1, 5, 5))]
-    # asked_cells: a region's whole box at each time, a list's repeat counts
-    assert oracle.asked_cells(region) == {2: None, 3: None, 4: None}
-    assert oracle.asked_cells(points) == {
-        0: {(0,): 1}, 1: {(3,): 1}, 2: {(-1,): 2}, 5: {(3,): 2}}
+    # asked_keys: a region's box cut to the packing, once at each time, and
+    # a list's repeat counts; a point outside the packing is never asked
+    cut = {key: 1 for key in (0, 1, 4, 5)}  # (0, 2), (0, 3), (1, 2), (1, 3)
+    assert oracle.asked_keys(region, Packing(Box((0, 2), (2, 5)))) == {2: cut, 3: cut, 4: cut}
+    assert oracle.asked_keys(points, Packing(Box((-1,), (2,)))) == {0: {1: 1}, 2: {0: 2}}
