@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -174,7 +173,8 @@ def _count_flag(text: str) -> int:
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     if args.format:
-        config = replace(config, out_format=args.format)
+        config = RunConfig(config.spec, config.initial, config.query, config.engine,
+                           args.format, config.out_path)
     status, text = run(config)
     _emit(text, args.out if args.out else config.out_path)
     return status

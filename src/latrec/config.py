@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import ParseError, format_rational, parse_rational
-from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point,
-                      SpecError, StencilEntry, query_packing)
+from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point, Record,
+                      SpecError, StencilEntry, _set, query_packing)
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
 from .oracle import Region, query_bounds, query_points
 
@@ -50,14 +49,19 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    spec: EquationSpec
-    initial: InitialData
-    query: Region | tuple[tuple[Point, int], ...]
-    engine: str
-    out_format: str
-    out_path: str | None
+class RunConfig(Record):
+    """One parsed config document: the equation, its data, the query and the output."""
+    __slots__ = ("spec", "initial", "query", "engine", "out_format", "out_path")
+
+    def __init__(self, spec: EquationSpec, initial: InitialData,
+                 query: Region | tuple[tuple[Point, int], ...], engine: str, out_format: str,
+                 out_path: str | None):
+        _set(self, "spec", spec)
+        _set(self, "initial", initial)
+        _set(self, "query", query)
+        _set(self, "engine", engine)
+        _set(self, "out_format", out_format)
+        _set(self, "out_path", out_path)
 
     @property
     def query_points(self) -> list[tuple[Point, int]]:

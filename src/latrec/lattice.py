@@ -9,12 +9,12 @@ points to nonzero rationals (absent means exactly zero).  An
 
 with ``level`` in ``[0, k-1]``.  The corner-implicit 1D form, whose right
 side also references the unknown time level, is marked with a flag and a
-dedicated coefficient slot instead of an out-of-range entry.
+dedicated coefficient slot instead of an out-of-range entry.  Every record
+type of the library is a frozen ``__slots__`` class on ``Record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -23,10 +23,41 @@ from operator import index, le, mul, sub
 from .exactnum import ZERO
 
 Point = tuple[int, ...]
+_set = object.__setattr__
 
 
 class SpecError(ValueError):
     """An equation, field, or parameter violates a structural constraint."""
+
+
+class Record:
+    """A frozen record: its fields are its class's __slots__, set only by
+    the class's __init__, through _set (object.__setattr__).  Records
+    compare, hash and repr by their fields' values, as frozen dataclasses
+    do, refuse assignment and deletion, and copy and pickle by calling the
+    class on their fields."""
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, n) for n in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_point(coords, dim: int, what: str) -> Point:
@@ -46,14 +77,13 @@ def _as_time_level(level) -> int:
         raise SpecError(f"time_level {level!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Closed per-axis interval box [lo[i], hi[i]]."""
+    __slots__ = ("lo", "hi")
 
-    lo: Point
-    hi: Point
-
-    def __post_init__(self):
+    def __init__(self, lo: Point, hi: Point):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
         if len(self.lo) != len(self.hi):
             raise SpecError("box lo/hi dimension mismatch")
         if any(l > h for l, h in zip(self.lo, self.hi)):
@@ -64,10 +94,7 @@ class Box:
         return len(self.lo)
 
     def hull(self, other: "Box") -> "Box":
-        return Box(
-            tuple(min(a, b) for a, b in zip(self.lo, other.lo)),
-            tuple(max(a, b) for a, b in zip(self.hi, other.hi)),
-        )
+        return Box(tuple(map(min, self.lo, other.lo)), tuple(map(max, self.hi, other.hi)))
 
     def __contains__(self, p) -> bool:
         return all(map(le, self.lo, p)) and all(map(le, p, self.hi))
@@ -77,21 +104,20 @@ class Box:
         return product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
     def size(self) -> int:
-        n = 1
-        for l, h in zip(self.lo, self.hi):
-            n *= h - l + 1
-        return n
+        return prod(h - l + 1 for l, h in zip(self.lo, self.hi))
 
 
-@dataclass(frozen=True)
-class StencilEntry:
-    offset: Point
-    time_level: int
-    coeff: Fraction
+class StencilEntry(Record):
+    """One term coeff * U[p + offset, t + time_level] of a stencil."""
+    __slots__ = ("offset", "time_level", "coeff")
+
+    def __init__(self, offset: Point, time_level: int, coeff: Fraction):
+        _set(self, "offset", offset)
+        _set(self, "time_level", time_level)
+        _set(self, "coeff", coeff)
 
 
-@dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(Record):
     """Stencil, shifts and dimensions of one linear partial difference equation.
 
     ``implicit_corner`` marks the 1D one-step corner form
@@ -101,15 +127,18 @@ class EquationSpec:
     where the explicit terms follow the ordinary convention above with
     spatial_shift = (1,).
     """
+    __slots__ = ("spatial_dim", "time_order", "spatial_shift", "stencil", "implicit_corner",
+                 "implicit_coeff")
 
-    spatial_dim: int
-    time_order: int
-    spatial_shift: Point
-    stencil: tuple[StencilEntry, ...]
-    implicit_corner: bool = False
-    implicit_coeff: Fraction | None = None
-
-    def __post_init__(self):
+    def __init__(self, spatial_dim: int, time_order: int, spatial_shift: Point,
+                 stencil: tuple[StencilEntry, ...], implicit_corner: bool = False,
+                 implicit_coeff: Fraction | None = None):
+        _set(self, "spatial_dim", spatial_dim)
+        _set(self, "time_order", time_order)
+        _set(self, "spatial_shift", spatial_shift)
+        _set(self, "stencil", stencil)
+        _set(self, "implicit_corner", implicit_corner)
+        _set(self, "implicit_coeff", implicit_coeff)
         if self.spatial_dim < 1:
             raise SpecError("spatial_dim must be >= 1")
         if self.time_order < 1:
@@ -151,24 +180,22 @@ class EquationSpec:
 
     def corner_coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         """(a, b, c) of the corner form U[i+1,j+1] = a U[i,j+1] + b U[i+1,j] + c U[i,j]
-        of a corner-implicit spec, whose shape __post_init__ has checked."""
+        of a corner-implicit spec, whose shape __init__ has checked."""
         coeffs = {e.offset: e.coeff for e in self.stencil}
         return self.implicit_coeff, coeffs.get((1,), ZERO), coeffs.get((0,), ZERO)
 
 
-@dataclass(frozen=True)
-class FieldRow:
+class FieldRow(Record):
     """Finite-support map from lattice points to nonzero rationals.
 
     Treat instances as immutable.
     """
+    __slots__ = ("dim", "values")
 
-    dim: int
-    values: dict[Point, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, dim: int, values: dict[Point, Fraction] | None = None):
+        _set(self, "dim", dim)
         clean = {}
-        for p, v in self.values.items():
+        for p, v in (values or {}).items():
             p = _as_point(p, self.dim, "field point")
             v = Fraction(v)
             if v != 0:
@@ -177,7 +204,7 @@ class FieldRow:
 
     @classmethod
     def _trusted(cls, dim: int, values: dict[Point, Fraction]) -> "FieldRow":
-        """A row over `values` as given, without __post_init__'s checks: for
+        """A row over `values` as given, without __init__'s checks: for
         internal producers whose keys are int tuples of length dim and whose
         values are nonzero Fractions.  The row takes ownership of the dict."""
         row = object.__new__(cls)
@@ -209,9 +236,8 @@ class FieldRow:
         """Tight per-axis bounds of the support; None for the zero field."""
         if not self.values:
             return None
-        lo = [min(p[i] for p in self.values) for i in range(self.dim)]
-        hi = [max(p[i] for p in self.values) for i in range(self.dim)]
-        return Box(tuple(lo), tuple(hi))
+        axes = list(zip(*self.values))
+        return Box(tuple(map(min, axes)), tuple(map(max, axes)))
 
     def total(self) -> Fraction:
         return sum(self.values.values(), ZERO)
@@ -220,14 +246,12 @@ class FieldRow:
         return sorted(self.values.items())
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(Record):
     """The first time_order rows; row t is the data at time t."""
+    __slots__ = ("rows",)
 
-    rows: tuple[FieldRow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    def __init__(self, rows: tuple[FieldRow, ...]):
+        _set(self, "rows", tuple(rows))
         if not self.rows:
             raise SpecError("initial data needs at least one row")
         dim = self.rows[0].dim

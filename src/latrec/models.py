@@ -22,21 +22,21 @@ those rows' text without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import _power_rows, tridiagonal_spec
-from .lattice import Box, EquationSpec, FieldRow, InitialData, Packing, SpecError
+from .lattice import Box, EquationSpec, FieldRow, InitialData, Packing, Record, SpecError, _set
 from .oracle import oracle_evolve
 
 
-@dataclass(frozen=True)
-class RandomWalkParams:
-    p: Fraction
-    d: Fraction
-    q: Fraction
+class RandomWalkParams(Record):
+    """Step probabilities of a walker: p right, d stay, q left."""
+    __slots__ = ("p", "d", "q")
 
-    def __post_init__(self):
+    def __init__(self, p: Fraction, d: Fraction, q: Fraction):
+        _set(self, "p", p)
+        _set(self, "d", d)
+        _set(self, "q", q)
         for name in ("p", "d", "q"):
             value = Fraction(getattr(self, name))
             object.__setattr__(self, name, value)
@@ -47,12 +47,12 @@ class RandomWalkParams:
                 f"probabilities must sum to 1 exactly, got {self.p + self.d + self.q}")
 
 
-@dataclass(frozen=True)
-class HeatParams:
-    r: Fraction
+class HeatParams(Record):
+    """The transfer coefficient r of discrete heat flow."""
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
+    def __init__(self, r: Fraction):
+        _set(self, "r", Fraction(r))
         if self.r <= 0:
             raise SpecError(f"transfer coefficient r must be > 0, got {self.r}")
 

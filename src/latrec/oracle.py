@@ -18,15 +18,14 @@ verify_recurrence substitutes plain Fractions at points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO
-from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
-                      auto_window, query_packing)
+from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Record,
+                      SpecError, _set, auto_window, query_packing)
 
 
 class MissingValueError(KeyError):
@@ -38,26 +37,26 @@ class MissingValueError(KeyError):
         super().__init__(f"value at point {point}, time {time} is missing")
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Query region: a spatial box crossed with an inclusive time range."""
+    __slots__ = ("box", "t_lo", "t_hi")
 
-    box: Box
-    t_lo: int
-    t_hi: int
-
-    def __post_init__(self):
+    def __init__(self, box: Box, t_lo: int, t_hi: int):
+        _set(self, "box", box)
+        _set(self, "t_lo", t_lo)
+        _set(self, "t_hi", t_hi)
         if self.t_lo < 0 or self.t_hi < self.t_lo:
             raise SpecError(f"bad time range [{self.t_lo}, {self.t_hi}]")
 
 
-@dataclass(frozen=True)
-class EvolutionState:
+class EvolutionState(Record):
     """The most recent time_order rows; rows[-1] is the row at `time`.
     Rows are sparse, so the state has no spatial bound."""
+    __slots__ = ("rows", "time")
 
-    rows: tuple[FieldRow, ...]
-    time: int
+    def __init__(self, rows: tuple[FieldRow, ...], time: int):
+        _set(self, "rows", rows)
+        _set(self, "time", time)
 
     @property
     def newest(self) -> FieldRow:
@@ -204,19 +203,25 @@ def _sweep(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, packing: Packin
         prev = row
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    point: Point
-    time: int
-    closed_value: Fraction
-    oracle_value: Fraction
+class Mismatch(Record):
+    """A (point, time) where the closed form's value differs from the oracle's."""
+    __slots__ = ("point", "time", "closed_value", "oracle_value")
+
+    def __init__(self, point: Point, time: int, closed_value: Fraction, oracle_value: Fraction):
+        _set(self, "point", point)
+        _set(self, "time", time)
+        _set(self, "closed_value", closed_value)
+        _set(self, "oracle_value", oracle_value)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checked: int
-    mismatches: tuple[Mismatch, ...]
-    max_time: int
+class VerifyReport(Record):
+    """How many (point, time) pairs a verify checked, and its mismatches."""
+    __slots__ = ("checked", "mismatches", "max_time")
+
+    def __init__(self, checked: int, mismatches: tuple[Mismatch, ...], max_time: int):
+        _set(self, "checked", checked)
+        _set(self, "mismatches", mismatches)
+        _set(self, "max_time", max_time)
 
     @property
     def ok(self) -> bool:
@@ -343,15 +348,18 @@ def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
     Both engines drop zero numerators, so one dict comparison of equal rows
     settles a time.  Otherwise only the asked keys of either row's support
     are cross-multiplied (every other asked cell is 0 on both sides), and a
-    key is unpacked to its point only for a mismatch."""
-    asked = asked_keys(query, packing)
+    key is unpacked to its point only for a mismatch.  The asked keys are
+    packed at the first unequal row: equal rows read none."""
+    asked = None
     checked = (query.box.size() * (query.t_hi - query.t_lo + 1)
                if isinstance(query, Region) else len(query))
     mismatches = []
     for t, ((d_c, c_row), (d_o, o_row)) in enumerate(zip(closed_rows, oracle_rows)):
-        if t not in asked or (d_c == d_o and c_row == o_row):
+        if d_c == d_o and c_row == o_row:
             continue
-        cells = asked[t]
+        if asked is None:
+            asked = asked_keys(query, packing)
+        cells = asked.get(t, {})
         for k in (c_row.keys() | o_row.keys()) & cells.keys():
             n_c, n_o = c_row.get(k, 0), o_row.get(k, 0)
             if n_c * d_o != n_o * d_c:

@@ -558,6 +558,35 @@ def test_tridiagonal_j_n_control_keeps_the_per_cell_report():
         assert report == VerifyReport(checked, tuple(mismatches), 4)
 
 
+def test_row_compare_packs_the_asked_keys_only_for_an_unequal_row(monkeypatch):
+    spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
+    calls, asked_keys = [], oracle.asked_keys
+    monkeypatch.setattr(oracle, "asked_keys", lambda *args: calls.append(args) or asked_keys(*args))
+    queries = (Region(Box((-3,), (4,)), 2, 4), [((1,), 3), ((-2,), 2), ((1,), 3), ((4,), 4)])
+    assert all(verify_closed_vs_oracle(spec, initial, query).ok for query in queries)
+    assert not calls
+    # closed rows read from the tridiagonal-j-n control, which differ from
+    # the oracle's past time 0: the same mismatches as the per-cell loop
+    packing = query_packing(spec, initial, 4)
+    key, _ = box_keys(packing.box)
+    closed_get = closed_form.closed_getter(spec, initial, "tridiagonal-j-n")
+    control = []
+    for t in range(5):
+        values = {p: Fraction(*closed_get(p, t)) for p in packing.box.points()}
+        den = lcm(*(v.denominator for v in values.values()))
+        control.append((den, {p: v.numerator * (den // v.denominator)
+                              for p, v in values.items() if v}))
+    oracle_rows = engine_point_rows(spec, initial, 4, "oracle")
+    packed_control, packed_oracle = ([(den, {key(p): n for p, n in nums.items()})
+                                      for den, nums in rows] for rows in (control, oracle_rows))
+    for query in queries:
+        calls.clear()
+        report = oracle._row_mismatches(iter(packed_control), iter(packed_oracle), query, packing)
+        assert report == per_cell_report(row_getter(control), oracle_rows, query)
+        assert report[1] and len(calls) == 1
+
+
 def test_auto_picks_one_source_per_engine(monkeypatch):
     delta = InitialData((DELTA,))
     corner = corner_spec(HALF, Fraction(1), Fraction(1, 3))
