@@ -67,6 +67,20 @@ def test_time_level_must_be_an_integer():
             EquationSpec(1, 1, (0,), (StencilEntry((0,), bad, Fraction(1)),))
 
 
+@pytest.mark.parametrize("build, text", [
+    (lambda: EquationSpec(1, 1, (0,), (StencilEntry((0.5,), 0, Fraction(1)),)),
+     "stencil offset (0.5,) is not a sequence of integers"),
+    (lambda: EquationSpec(2, 1, (0, 0), (StencilEntry((0,), 0, Fraction(1)),)),
+     "stencil offset has length 1, expected spatial dimension 2"),
+    (lambda: EquationSpec(1, 1, (0,), (StencilEntry((0,), "0", Fraction(1)),)),
+     "time_level '0' is not an integer"),
+])
+def test_stencil_entry_errors_keep_their_text(build, text):
+    with pytest.raises(SpecError) as err:
+        build()
+    assert str(err.value) == text
+
+
 def test_spatial_shift_must_be_integers():
     entries = (StencilEntry((0,), 0, Fraction(1)),)
     for bad in ((0.5,), ("1",)):
