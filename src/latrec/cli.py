@@ -27,12 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import lcm
 from operator import add
-from typing import Callable, Iterable
 
 from .closed_form import EVALUATORS
 from .combinatorics import expand_stencil_power

@@ -39,10 +39,10 @@ checks every evaluator against the iteration oracle.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (_miller, _multinomial_weights, _symbol_power, compositions,
                             multinomial, stencil_symbol_steps)

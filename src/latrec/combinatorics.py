@@ -26,10 +26,10 @@ pointwise evaluators, which sum over compositions directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul, sub
-from typing import Iterator, Sequence
 
 from .lattice import Box, EquationSpec, Packing, SpecError
 

@@ -22,7 +22,6 @@ JSON path of the offending element.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -322,6 +321,10 @@ def spec_document(spec: EquationSpec) -> dict:
 
 
 def spec_hash(spec: EquationSpec) -> str:
-    """Short stable identifier of the equation, for output headers."""
+    """Short stable identifier of the equation, for output headers.
+
+    hashlib is imported on the first call, not with the module: it loads
+    OpenSSL's libcrypto, and only the hash needs it."""
+    import hashlib
     canonical = json.dumps(spec_document(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
-from typing import Callable
 
 ZERO = Fraction(0)
 

@@ -60,14 +60,21 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _as_point(coords, dim: int, what: str) -> Point:
+def _as_ints(coords, what: str) -> Point:
     try:
-        p = tuple(map(index, coords))
+        return tuple(map(index, coords))
     except TypeError:
         raise SpecError(f"{what} {coords!r} is not a sequence of integers") from None
+
+
+def _check_dim(p: Point, dim: int, what: str) -> Point:
     if len(p) != dim:
         raise SpecError(f"{what} has length {len(p)}, expected spatial dimension {dim}")
     return p
+
+
+def _as_point(coords, dim: int, what: str) -> Point:
+    return _check_dim(_as_ints(coords, what), dim, what)
 
 
 def _as_time_level(level) -> int:
@@ -108,13 +115,15 @@ class Box(Record):
 
 
 class StencilEntry(Record):
-    """One term coeff * U[p + offset, t + time_level] of a stencil."""
+    """One term coeff * U[p + offset, t + time_level] of a stencil.  The
+    fields are normalised here, once: offset to a tuple of ints, time_level
+    to an int and coeff to a Fraction."""
     __slots__ = ("offset", "time_level", "coeff")
 
     def __init__(self, offset: Point, time_level: int, coeff: Fraction):
-        _set(self, "offset", offset)
-        _set(self, "time_level", time_level)
-        _set(self, "coeff", coeff)
+        _set(self, "offset", _as_ints(offset, "stencil offset"))
+        _set(self, "time_level", _as_time_level(time_level))
+        _set(self, "coeff", coeff if type(coeff) is Fraction else Fraction(coeff))
 
 
 class EquationSpec(Record):
@@ -145,12 +154,11 @@ class EquationSpec(Record):
             raise SpecError("time_order must be >= 1")
         object.__setattr__(self, "spatial_shift",
                            _as_point(self.spatial_shift, self.spatial_dim, "spatial_shift"))
-        entries = tuple(
-            StencilEntry(_as_point(e.offset, self.spatial_dim, "stencil offset"),
-                         _as_time_level(e.time_level), Fraction(e.coeff))
-            for e in self.stencil
-            if e.coeff != 0
-        )
+        # the entries are kept as given: each StencilEntry normalised its own
+        # fields, and only the checks against this spec remain
+        entries = tuple(e for e in self.stencil if e.coeff != 0)
+        for e in entries:
+            _check_dim(e.offset, self.spatial_dim, "stencil offset")
         object.__setattr__(self, "stencil", entries)
         if not entries:
             raise SpecError("stencil needs at least one entry with nonzero coeff")

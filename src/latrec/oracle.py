@@ -18,9 +18,9 @@ verify_recurrence substitutes plain Fractions at points.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
 
 from . import closed_form
 from .exactnum import ZERO

@@ -81,6 +81,15 @@ def test_stencil_entry_errors_keep_their_text(build, text):
     assert str(err.value) == text
 
 
+def test_stencil_entry_normalises_its_fields_and_the_spec_keeps_it():
+    entry = StencilEntry([1], True, 2)
+    assert (entry.offset, entry.time_level, entry.coeff) == ((1,), 1, Fraction(2))
+    assert type(entry.coeff) is Fraction and type(entry.time_level) is int
+    dropped = StencilEntry((0,), 0, Fraction(0))
+    spec = EquationSpec(1, 2, (0,), (entry, dropped))
+    assert len(spec.stencil) == 1 and spec.stencil[0] is entry
+
+
 def test_spatial_shift_must_be_integers():
     entries = (StencilEntry((0,), 0, Fraction(1)),)
     for bad in ((0.5,), ("1",)):
