@@ -38,7 +38,7 @@ from .closed_form import EVALUATORS
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
-from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError, query_packing
+from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
 from .oracle import (Region, asked_keys, engine_rows, query_bounds, query_groups,
                      verify_closed_vs_oracle)
@@ -103,12 +103,11 @@ def run(config: RunConfig) -> tuple[int, str]:
         return run_verify(config, "auto")
     spec, initial, query = config.spec, config.initial, config.query
     box, t_max = query_bounds(query)
-    packing = query_packing(spec, initial, t_max, box.hi[0])
+    packing, rows = engine_rows(spec, initial, t_max, config.engine, box.hi[0])
     text = _value_texts(spec, initial)
     asked = asked_keys(query, packing)
     cells: dict[int, dict[int, str]] = {}
-    for t, (den, nums) in enumerate(engine_rows(spec, initial, t_max, config.engine,
-                                                packing)):
+    for t, (den, nums) in enumerate(rows):
         if t in asked:
             for k in nums.keys() & asked[t].keys():
                 cells.setdefault(k, {})[t] = text(nums[k], den)
@@ -192,10 +191,10 @@ def _demo_table(spec: EquationSpec, steps: int, engine: str, out_format: str) ->
     spec from a unit mass at 0, grouped by key: the keys are sorted once,
     as their points sort, and each is unpacked once."""
     initial = InitialData((FieldRow.delta(1),))
-    packing = query_packing(spec, initial, steps)
+    packing, rows = engine_rows(spec, initial, steps, engine)
     text = _value_texts(spec, initial)
     cells: dict[int, dict[int, str]] = {}
-    for j, (den, nums) in enumerate(engine_rows(spec, initial, steps, engine, packing)):
+    for j, (den, nums) in enumerate(rows):
         for k, n in nums.items():
             cells.setdefault(k, {})[j] = text(n, den)
     keys = sorted(cells)

@@ -48,7 +48,7 @@ from .combinatorics import (_miller, _multinomial_weights, _symbol_power, compos
                             multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
-                      StencilEntry, auto_window, query_packing)
+                      StencilEntry, query_packing)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +332,11 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
 def _rows(spec: EquationSpec, initial: InitialData, t_max: int,
           packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
     """Rows 0..t_max of U = Q / (1 - S) as integer rows (den, {key:
-    nonzero numerator}) keyed in packing, built as they are read; the
-    arguments, and the packing against auto_window's box, are checked
-    before the first row is asked for.  A one-step equation reads each row
-    from Miller's recurrence (_power_rows), any other the series pass
-    (_series_rows); the corner form's rows are _corner_rows."""
-    if t_max < 0:
-        raise SpecError("t_max must be >= 0")
+    nonzero numerator}) keyed in packing, the query's (query_packing, which
+    checks the arguments), built as they are read.  A one-step equation
+    reads each row from Miller's recurrence (_power_rows), any other the
+    series pass (_series_rows); the corner form's rows are _corner_rows."""
     q = source_rows(spec, initial)
-    packing.require(auto_window(spec, initial, t_max))
     if spec.time_order == 1:
         return _power_rows(spec, q[0], range(t_max + 1), packing)
     return _series_rows(spec, q, t_max, packing)

@@ -290,9 +290,9 @@ class InitialData(Record):
 def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
                 extra: Box | None = None) -> Box | None:
     """Window guaranteed to contain the evolved support up to t_max, and so
-    every term of either engine's rows (query_packing's box), hulled with an
-    optional extra box: each update moves the support by
-    spatial_shift - offset over the stencil entries."""
+    every term of either engine's rows (query_packing's box, its one caller
+    in the library), hulled with an optional extra box: each update moves
+    the support by spatial_shift - offset over the stencil entries."""
     hull = initial.support_hull()
     window = None
     if hull is not None:
@@ -309,7 +309,9 @@ class Packing:
     """One int key per point of `box`: its offsets from box.lo as digits,
     the last axis lowest, so keys sort as their points do.  A key is linear
     in its point: a shift by v adds step(v).  The int of a point outside the
-    box may equal an inside point's key, so it is never looked up."""
+    box may equal an inside point's key, so it is never looked up, and rows
+    keyed here must stay in the box: query_packing sizes it to their reach,
+    and a packing checks nothing."""
 
     def __init__(self, box: Box):
         self.box, radices = box, [h - l + 1 for l, h in zip(box.lo, box.hi)]
@@ -334,11 +336,6 @@ class Packing:
         if len(self._axes) == 1:
             return [(k + self.box.lo[0],) for k in keys]
         return list(zip(*[[k // u % r + l for k in keys] for u, r, l in self._axes]))
-
-    def require(self, reach: Box | None) -> None:
-        """Refuse rows that reach past the box: their keys could carry."""
-        if reach is not None and not (reach.lo in self.box and reach.hi in self.box):
-            raise SpecError(f"a packing over {self.box} cannot key rows that reach {reach}")
 
 
 def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,

@@ -6,11 +6,13 @@ closed-form values against iterated ones exactly.
 The stepping and the sweep give integer rows (den, {key: nonzero
 numerator}), not reduced, keyed in the query's one packing
 (lattice.query_packing), which the closed form's rows share, so a stencil
-shift is one int addition.  A step goes over the lcm of coefficient times
-held-row denominators, so every term is an integer multiple of one held
-numerator.  The sweep holds a row as a list up to its right edge.  Only
-oracle_evolve, oracle_step and oracle_sweep_implicit unpack keys, and build
-a Fraction per cell.  The oracle reads nothing of the closed form's symbol,
+shift is one int addition.  engine_rows sizes the packing and returns it
+with either engine's rows, so no rows meet a packing sized for other
+arguments.  A step goes over the lcm of coefficient times held-row
+denominators, so every term is an integer multiple of one held numerator.
+The sweep holds a row as a list up to its right edge.  Only oracle_evolve,
+oracle_step and oracle_sweep_implicit unpack keys, and build a Fraction
+per cell.  The oracle reads nothing of the closed form's symbol,
 powers or kernel.  verify_closed_vs_oracle compares both engines' packed
 rows one time at a time, a named evaluator's values cell by cell;
 verify_recurrence substitutes plain Fractions at points.
@@ -24,6 +26,8 @@ from math import lcm
 
 from . import closed_form
 from .exactnum import ZERO
+# auto_window is not called here; it stays importable as oracle.auto_window,
+# the name bench/ sizes and traces windows by
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Record,
                       SpecError, _set, auto_window, query_packing)
 
@@ -69,51 +73,34 @@ def _int_row(row: FieldRow) -> tuple[int, dict[Point, int]]:
     return d, {p: v.numerator * (d // v.denominator) for p, v in row.values.items()}
 
 
-def _check_steppable(spec: EquationSpec) -> None:
-    if spec.implicit_corner:
-        raise SpecError("the corner-implicit form is not explicitly steppable; "
-                        "use oracle_sweep_implicit")
-
-
 def oracle_step(spec: EquationSpec, state: EvolutionState) -> EvolutionState:
     """Advance one time step: the new row at point e is
 
         sum over entries of  coeff * rows[time_level](e + offset - shift).
 
     The sum runs over the held rows' support only, so each new row stays
-    sparse and no window bounds it.  It is the one step of _evolve, from
-    the held rows as initial data; each nonzero cell of the new row then
-    becomes one Fraction.
+    sparse and no window bounds it.  It is the oracle's last row of
+    engine_rows from the held rows as initial data; each nonzero cell of
+    the new row then becomes one Fraction.
     """
-    _check_steppable(spec)
+    if spec.implicit_corner:
+        raise SpecError("the corner-implicit form is not explicitly steppable; "
+                        "use oracle_sweep_implicit")
     if len(state.rows) != spec.time_order:
         raise SpecError(f"state holds {len(state.rows)} rows, "
                         f"spec time_order is {spec.time_order}")
-    initial = InitialData(state.rows)
-    packing = query_packing(spec, initial, spec.time_order)
-    *_, (den, nums) = _evolve(spec, initial, spec.time_order, packing)
+    packing, rows = engine_rows(spec, InitialData(state.rows), spec.time_order, "oracle")
+    *_, (den, nums) = rows
     new_row = FieldRow._over(packing, den, nums)
     return EvolutionState(state.rows[1:] + (new_row,), state.time + 1)
 
 
-def _evolve(spec: EquationSpec, initial: InitialData, t_max: int,
-            packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
-    """Rows 0..t_max as integer rows (den, {key: nonzero numerator}) keyed
-    in packing, stepped as they are read; the arguments, and the packing
-    against auto_window's box, are checked before the first row is read."""
-    if t_max < 0:
-        raise SpecError("t_max must be >= 0")
-    initial.check_matches(spec)
-    if t_max >= spec.time_order:
-        _check_steppable(spec)
-    packing.require(auto_window(spec, initial, t_max))
-    return _steps(spec, initial, t_max, packing)
-
-
 def _steps(spec: EquationSpec, initial: InitialData, t_max: int,
            packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
-    """The stepping kernel behind _evolve: an entry's shift is one int added
-    to a held key, and a new row goes over the lcm over the entries of
+    """The oracle's rows 0..t_max of an explicit spec as integer rows (den,
+    {key: nonzero numerator}) keyed in packing, which engine_rows sizes,
+    stepped as they are read: an entry's shift is one int added to a held
+    key, and a new row goes over the lcm over the entries of
     coeff.denominator times the held row's den.  Do not change a yielded row."""
     entries = [(e.time_level, e.coeff.numerator, e.coeff.denominator,
                 packing.step(spec.spatial_shift) - packing.step(e.offset))
@@ -138,9 +125,8 @@ def _steps(spec: EquationSpec, initial: InitialData, t_max: int,
 def oracle_evolve(spec: EquationSpec, initial: InitialData, t_max: int) -> list[FieldRow]:
     """Rows 0..t_max by repeated stepping; rows 0..time_order-1 equal the
     inputs.  Each row becomes a FieldRow as it is stepped."""
-    packing = query_packing(spec, initial, t_max)
-    return [FieldRow._over(packing, den, nums)
-            for den, nums in _evolve(spec, initial, t_max, packing)]
+    packing, rows = engine_rows(spec, initial, t_max, "oracle")
+    return [FieldRow._over(packing, den, nums) for den, nums in rows]
 
 
 def sweep_window(psi: FieldRow, j_max: int, right_edge: int) -> Box:
@@ -282,26 +268,25 @@ def query_bounds(query: Query) -> tuple[Box, int]:
 
 
 def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
-                packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
-    """The integer rows (den, {key: nonzero numerator}) at times 0..t_max of
-    engine "closed" (closed_form._rows, _corner_rows) or "oracle" (_evolve,
-    _sweep), keyed in the query's packing (lattice.query_packing), which
-    must hold them; another name is a SpecError.  A corner-implicit row,
-    which has no right end, runs from psi's left end to the packing's."""
+                right_edge: int | None = None
+                ) -> tuple[Packing, Iterator[tuple[int, dict[int, int]]]]:
+    """The query's packing (lattice.query_packing, which checks the
+    arguments) and the integer rows (den, {key: nonzero numerator}) at times
+    0..t_max of engine "closed" (closed_form._rows, _corner_rows) or
+    "oracle" (_steps, _sweep), keyed in it; another name is a SpecError.  A
+    corner-implicit row, which has no right end, runs from psi's left end
+    to right_edge."""
     if engine not in ("closed", "oracle"):
         raise SpecError(f"unknown engine {engine!r}; use 'closed' or 'oracle'")
-    if t_max < 0:
-        raise SpecError("t_max must be >= 0")
+    packing = query_packing(spec, initial, t_max, right_edge)
     closed = engine == "closed"
     if not spec.implicit_corner:
-        return (closed_form._rows if closed else _evolve)(spec, initial, t_max, packing)
-    initial.check_matches(spec)
+        return packing, (closed_form._rows if closed else _steps)(spec, initial, t_max, packing)
     psi = initial.rows[0]
-    if not psi.values or packing.box.hi[0] < min(psi.values)[0]:
-        return iter([(1, {})] * (t_max + 1))
-    packing.require(Box(min(psi.values), packing.box.hi))
+    if not psi.values or right_edge < min(psi.values)[0]:
+        return packing, iter([(1, {})] * (t_max + 1))
     rows = closed_form._corner_rows if closed else _sweep
-    return rows(*spec.corner_coefficients(), psi, packing, t_max)
+    return packing, rows(*spec.corner_coefficients(), psi, packing, t_max)
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
@@ -318,14 +303,13 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     box, t_max = query_bounds(region)
     if box.dim != spec.spatial_dim:
         raise SpecError("region box dimension differs from the spec")
-    packing = query_packing(spec, initial, t_max, box.hi[0])
+    packing, oracle_rows = engine_rows(spec, initial, t_max, "oracle", box.hi[0])
     if evaluator == "auto":
-        checked, mismatches = _row_mismatches(
-            engine_rows(spec, initial, t_max, "closed", packing),
-            engine_rows(spec, initial, t_max, "oracle", packing), region, packing)
+        _, closed_rows = engine_rows(spec, initial, t_max, "closed", box.hi[0])
+        checked, mismatches = _row_mismatches(closed_rows, oracle_rows, region, packing)
         return VerifyReport(checked, tuple(mismatches), t_max)
     closed_get = closed_form.closed_getter(spec, initial, evaluator)
-    oracle_rows = list(engine_rows(spec, initial, t_max, "oracle", packing))
+    oracle_rows = list(oracle_rows)
     checked, mismatches = 0, []
     for p, times in query_groups(region):
         # a point outside the packing has no key and is 0 in every row

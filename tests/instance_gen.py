@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError,
                     StencilEntry, auto_window, tridiagonal_spec)
-from latrec.lattice import query_packing
 from latrec.oracle import Region, engine_rows
 
 
@@ -199,9 +198,9 @@ def point_rows(rows, box: Box) -> list:
 
 def engine_point_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
                       right_edge: int | None = None) -> list:
-    """engine_rows in the query's packing (query_packing), keyed by point."""
-    packing = query_packing(spec, initial, t_max, right_edge)
-    return point_rows(engine_rows(spec, initial, t_max, engine, packing), packing.box)
+    """engine_rows in the packing it returns, the query's, keyed by point."""
+    packing, rows = engine_rows(spec, initial, t_max, engine, right_edge)
+    return point_rows(rows, packing.box)
 
 
 # coefficients with negative signs, unit and non-unit numerators and several

@@ -125,8 +125,8 @@ def test_step_integer_sum_equals_fraction_reference(case):
     state = state_for(spec, *rows)
     held = list(rows)
     initial, t_max = InitialData(rows), spec.time_order + 2
-    packing = query_packing(spec, initial, t_max)
-    evolved = iter(point_rows(oracle._evolve(spec, initial, t_max, packing), packing.box))
+    packing, stepped = engine_rows(spec, initial, t_max, "oracle")
+    evolved = iter(point_rows(stepped, packing.box))
     for row, (den, nums) in zip(rows, evolved):
         assert type(den) is int and den > 0
         assert {p: Fraction(n, den) for p, n in nums.items()} == row.values
@@ -230,10 +230,9 @@ def test_integer_rows_equal_the_other_engines_fraction_rows(case):
 def test_negative_t_max_is_refused_when_called():
     spec = tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4))
     initial = InitialData((DELTA,))
-    packing = query_packing(spec, initial, 0)
     for rows in (oracle_evolve, closed_rows, query_packing,
-                 lambda *args: oracle._evolve(*args, packing),
-                 lambda *args: closed_form._rows(*args, packing)):
+                 lambda *args: engine_rows(*args, "closed"),
+                 lambda *args: engine_rows(*args, "oracle")):
         with pytest.raises(SpecError, match="t_max must be >= 0"):
             rows(spec, initial, -1)
 
@@ -596,33 +595,34 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         auto = closed_form.closed_getter(spec, delta, "auto")
         named = closed_form.closed_getter(spec, delta, name)
         assert all(auto(p, t) == named(p, t) for p in [(-2,), (0,), (3,)] for t in range(4))
-    # every spec is answered by rows in the query's one packing; the
-    # corner-implicit form's rows run from psi's left end to the right edge
-    # the packing requires
+    # every spec is answered by rows in the query's one packing, which
+    # engine_rows sizes and returns; the corner-implicit form's rows run
+    # from psi's left end to the right edge
     monkeypatch.setattr(closed_form, "_rows", lambda *args: ("closed rows", *args[2:]))
     monkeypatch.setattr(closed_form, "_corner_rows", lambda *args: ("corner rows", *args))
-    monkeypatch.setattr(oracle, "_evolve", lambda *args: ("oracle rows", *args[2:]))
+    monkeypatch.setattr(oracle, "_steps", lambda *args: ("oracle rows", *args[2:]))
     monkeypatch.setattr(oracle, "_sweep", lambda *args: ("sweep", *args))
-    packing = query_packing(tri, delta, 3)
-    assert packing.box == Box((-3,), (3,))
-    assert engine_rows(tri, delta, 3, "closed", packing) == ("closed rows", 3, packing)
-    assert engine_rows(tri, delta, 3, "oracle", packing) == ("oracle rows", 3, packing)
+    for engine, source in (("closed", "closed rows"), ("oracle", "oracle rows")):
+        packing, rows = engine_rows(tri, delta, 3, engine)
+        assert packing.box == query_packing(tri, delta, 3).box == Box((-3,), (3,))
+        assert rows == (source, 3, packing)
     coeffs = (HALF, Fraction(1), Fraction(1, 3), DELTA)
     for edge in (5, 0):
-        packing = query_packing(corner, delta, 3, edge)
-        assert packing.box == Box((0,), (edge,))
-        assert engine_rows(corner, delta, 3, "closed", packing) == (
-            "corner rows", *coeffs, packing, 3)
-        assert engine_rows(corner, delta, 3, "oracle", packing) == ("sweep", *coeffs, packing, 3)
+        for engine, source in (("closed", "corner rows"), ("oracle", "sweep")):
+            packing, rows = engine_rows(corner, delta, 3, engine, edge)
+            assert packing.box == Box((0,), (edge,))
+            assert rows == (source, *coeffs, packing, 3)
     zero = InitialData((FieldRow.zero(1),))
     with pytest.raises(SpecError, match="give a right edge"):
         query_packing(corner, delta, 3)
     for engine in ("closed", "oracle"):
+        with pytest.raises(SpecError, match="give a right edge"):
+            engine_rows(corner, delta, 3, engine)
         # a right edge left of psi, or a zero psi, gives zero rows
         for initial, edge in ((delta, -1), (zero, 5)):
-            packing = query_packing(corner, initial, 2, edge)
+            packing, rows = engine_rows(corner, initial, 2, engine, edge)
             assert packing.box == Box((edge,), (edge,))
-            assert list(engine_rows(corner, initial, 2, engine, packing)) == [(1, {})] * 3
+            assert list(rows) == [(1, {})] * 3
 
 
 def test_engine_rows_refuse_an_unknown_engine():
@@ -661,7 +661,7 @@ def test_engine_rows_refuse_a_negative_t_max():
             query_packing(spec, initial, -1, 3)
         for engine in ("closed", "oracle"):
             with pytest.raises(SpecError, match="t_max must be >= 0"):
-                engine_rows(spec, initial, -1, engine, query_packing(spec, initial, 0, 3))
+                engine_rows(spec, initial, -1, engine, 3)
 
 
 def test_verify_random_specs_zero_mismatches():

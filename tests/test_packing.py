@@ -2,24 +2,27 @@
 one packing (lattice.query_packing).  These tests unpack the rows with the
 tests' own packing (instance_gen.box_keys) and hold them to tuple-keyed rows
 worked out here: reference_step iterated in Fractions for the oracle, and
-the composition sum for the closed form at small t.  They also check that a
-packing too small for an engine's rows is refused."""
+the composition sum for the closed form at small t.  They also check that
+engine_rows keys every row of both engines inside the query's packing,
+which it sizes itself."""
 
 from fractions import Fraction
+from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
-                    tridiagonal_spec, verify_closed_vs_oracle)
-from latrec import cli, closed_form, oracle
+from latrec import (Box, EquationSpec, FieldRow, InitialData, StencilEntry, load_config,
+                    oracle_step, verify_closed_vs_oracle)
+import latrec
+from latrec import cli, closed_form, lattice, oracle
 from latrec.config import RunConfig
 from latrec.lattice import Packing, query_packing
 from latrec.oracle import Region, engine_rows
 
 from instance_gen import box_keys, corner_spec, point_rows, reference_step
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FAR = 10 ** 12
 VALUES = st.one_of(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]),
                    st.fractions(min_value=-3, max_value=3, max_denominator=7)).filter(bool)
@@ -96,9 +99,9 @@ def values(rows):
 def test_packed_rows_unpack_to_the_reference_rows(case):
     spec, initial, t_max, box = case
     want = reference_rows(spec, initial, t_max)
-    packing = query_packing(spec, initial, t_max)
     for engine in ("closed", "oracle"):
-        rows = list(engine_rows(spec, initial, t_max, engine, packing))
+        packing, rows = engine_rows(spec, initial, t_max, engine)
+        rows = list(rows)
         assert all(type(den) is int and den > 0 and all(nums.values()) for den, nums in rows)
         assert values(point_rows(rows, packing.box)) == want, engine
     # at small t each closed cell is the composition sum, on the support and
@@ -123,49 +126,61 @@ def test_packed_rows_unpack_to_the_reference_rows(case):
             assert all(v == want[t].get(p, 0) for p, t, v in cells), engine
 
 
-def shrunk(box, axis, side):
-    """box one cell short on one axis, at its low (side 0) or high end."""
-    lo, hi = list(box.lo), list(box.hi)
-    if side == 0:
-        lo[axis] += 1
-    else:
-        hi[axis] -= 1
-    return Box(tuple(lo), tuple(hi))
+@st.composite
+def corner_cases(draw):
+    """A corner-implicit spec, psi of one to three points, a horizon and a
+    right edge up to 3 cells left of psi's left end or right of its right
+    end, so that the edge lies left of psi, at its left end, inside it, or
+    past it."""
+    a, b, c = (draw(VALUES) for _ in range(3))
+    psi = FieldRow(1, draw(st.dictionaries(st.tuples(st.integers(-3, 3)), VALUES,
+                                           min_size=1, max_size=3)))
+    (lo,), (hi,) = min(psi.values), max(psi.values)
+    return (corner_spec(a, b, c), InitialData((psi,)), draw(st.integers(0, 3)),
+            draw(st.integers(lo - 3, hi + 3)))
 
 
-def test_a_packing_too_small_for_the_rows_is_refused():
-    f = Fraction
-    plane = EquationSpec(2, 2, (0, 1), (StencilEntry((1, 0), 0, f(1, 2)),
-                                        StencilEntry((0, -1), 1, f(-1, 3))))
-    cases = [(tridiagonal_spec(f(1, 2), f(1, 3), f(1, 4)),
-              InitialData((FieldRow(1, {(0,): f(1), (3,): f(-2)}),))),
-             (plane, InitialData((FieldRow(2, {(0, 0): f(1)}),
-                                  FieldRow(2, {(2, -1): f(3, 2)}))))]
-    for spec, initial in cases:
-        packing = query_packing(spec, initial, 3)
-        for axis in range(spec.spatial_dim):
-            for side in (0, 1):
-                short = Packing(shrunk(packing.box, axis, side))
-                for rows in (oracle._evolve, closed_form._rows):
-                    with pytest.raises(SpecError, match="cannot key rows"):
-                        rows(spec, initial, 3, short)
-                for engine in ("closed", "oracle"):
-                    with pytest.raises(SpecError, match="cannot key rows"):
-                        engine_rows(spec, initial, 3, engine, short)
-        # a packing at least as wide is taken, and gives the same rows
-        wide = Packing(Box(tuple(c - 1 for c in packing.box.lo), packing.box.hi))
-        for engine in ("closed", "oracle"):
-            assert (point_rows(engine_rows(spec, initial, 3, engine, wide), wide.box)
-                    == point_rows(engine_rows(spec, initial, 3, engine, packing),
-                                  packing.box))
-    # the corner form's rows start at psi's left end; its packing ends at
-    # the right edge, and one starting right of psi's left end is refused
-    corner, psi = corner_spec(f(1, 2), f(1, 3), f(1, 5)), FieldRow(1, {(2,): f(1)})
-    packing = query_packing(corner, InitialData((psi,)), 3, 6)
-    assert packing.box == Box((2,), (6,))
+def explicit_cases():
+    """packing_cases with a right edge, the query box's, or none."""
+    return packing_cases().flatmap(lambda case: st.sampled_from(
+        [(*case[:3], None), (*case[:3], case[3].hi[0])]))
+
+
+CORNER = corner_spec(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5))
+SPREAD = InitialData((FieldRow(1, {(-1,): Fraction(1), (2,): Fraction(-2, 3)}),))
+
+
+@given(st.one_of(explicit_cases(), corner_cases()))
+# drift stencils, 0 outside every entry's displacement on some axis: 1D
+# one step, 2D time order 2, 3D time order 3
+@example((EquationSpec(1, 1, (3,), (StencilEntry((0,), 0, Fraction(1, 2)),
+                                    StencilEntry((1,), 0, Fraction(-1, 3)))),
+          InitialData((FieldRow(1, {(0,): Fraction(1), (FAR,): Fraction(2)}),)), 4, 1))
+@example((EquationSpec(2, 2, (-2, 1), (StencilEntry((0, -1), 1, Fraction(1, 2)),
+                                       StencilEntry((1, 1), 0, Fraction(2, 3)))),
+          InitialData((FieldRow(2, {(0, 0): Fraction(1)}),
+                       FieldRow(2, {(-FAR, 1): Fraction(-1, 2)}))), 4, None))
+@example((EquationSpec(3, 3, (2, 0, -2), (StencilEntry((0, 1, 0), 2, Fraction(1, 3)),
+                                          StencilEntry((1, -1, 1), 0, Fraction(-1, 2)),
+                                          StencilEntry((0, 0, -1), 1, Fraction(1, 5)))),
+          InitialData((FieldRow(3, {(0, 0, 0): Fraction(1)}), FieldRow.zero(3),
+                       FieldRow(3, {(1, -1, FAR): Fraction(3, 2)}))), 3, 0))
+# corner right edges left of psi, at its left end, inside it and past it
+@example((CORNER, SPREAD, 3, -3))
+@example((CORNER, SPREAD, 3, -1))
+@example((CORNER, SPREAD, 3, 1))
+@example((CORNER, SPREAD, 3, 5))
+@settings(max_examples=150, deadline=None)
+def test_engine_rows_key_every_term_in_the_query_packing(case):
+    spec, initial, t_max, right_edge = case
+    want = query_packing(spec, initial, t_max, right_edge).box
     for engine in ("closed", "oracle"):
-        with pytest.raises(SpecError, match="cannot key rows"):
-            engine_rows(corner, InitialData((psi,)), 3, engine, Packing(Box((3,), (6,))))
+        packing, rows = engine_rows(spec, initial, t_max, engine, right_edge)
+        assert packing.box == want, engine
+        keys = range(packing.box.size())
+        rows = list(rows)
+        assert len(rows) == t_max + 1
+        assert all(k in keys for _, nums in rows for k in nums), engine
 
 
 def test_the_packing_keys_points_as_the_tests_do():
@@ -179,3 +194,25 @@ def test_the_packing_keys_points_as_the_tests_do():
     assert packing.keys(Box((0, 3, 2), (5, 6, 9))) == [
         key(p) for p in Box((0, 5, 2), (1, 6, 3)).points()]
     assert packing.keys(Box((2, 5, 0), (3, 7, 3))) == []
+
+
+def test_each_engine_sizes_its_rows_with_one_auto_window_call(monkeypatch):
+    # the packing engine_rows sizes is the only one: a verify reads two
+    # engines, and a named evaluator's verify, a solve and a step one each
+    config = load_config(str(CONFIG_DIR / "tridiagonal_mixed.json"))
+    calls, sized = [], lattice.auto_window
+    for module in (latrec, lattice, oracle, closed_form, cli):
+        if vars(module).get("auto_window") is sized:
+            monkeypatch.setattr(module, "auto_window",
+                                lambda *args: calls.append(args) or sized(*args))
+    spec, initial = config.spec, config.initial
+    runs = {"verify": (lambda: cli.run_verify(config, "auto"), 2),
+            "verify tridiagonal": (lambda: cli.run_verify(config, "tridiagonal"), 1),
+            "oracle_step": (lambda: oracle_step(spec, oracle.EvolutionState(initial.rows, 0)), 1)}
+    for engine in ("closed", "oracle"):
+        solve = RunConfig(spec, initial, config.query, engine, "csv", None)
+        runs[f"solve {engine}"] = (lambda solve=solve: cli.run(solve), 1)
+    for name, (run, want) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == want, name
