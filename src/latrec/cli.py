@@ -38,10 +38,9 @@ from .closed_form import EVALUATORS
 from .combinatorics import expand_stencil_power
 from .config import ConfigError, RunConfig, load_config, spec_hash
 from .exactnum import ParseError, format_rational, parse_rational, rational_texts
-from .lattice import EquationSpec, FieldRow, InitialData, Point, SpecError
+from .lattice import EquationSpec, FieldRow, InitialData, Point, Query, SpecError
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import (Region, asked_keys, engine_rows, query_bounds, query_groups,
-                     verify_closed_vs_oracle)
+from .oracle import engine_rows, verify_closed_vs_oracle
 
 
 def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], list[str]]],
@@ -95,24 +94,25 @@ def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text).
 
-    solve streams the chosen engine's integer rows by engine_rows, keyed in
-    the query's packing up to its right edge, texts only the asked keys
-    (asked_keys) of a row's support and unpacks each texted key once; every
-    other queried cell is "0", and a point with none shares one list."""
+    solve reads the query through lattice.Query.of, which checks it, streams
+    the chosen engine's integer rows by engine_rows, keyed in the query's
+    packing up to its right edge, texts only the asked keys
+    (Query.asked_keys) of a row's support and unpacks each texted key once;
+    every other queried cell is "0", and a point with none shares one list."""
     if config.engine == "verify":
         return run_verify(config, "auto")
-    spec, initial, query = config.spec, config.initial, config.query
-    box, t_max = query_bounds(query)
-    packing, rows = engine_rows(spec, initial, t_max, config.engine, box.hi[0])
+    spec, initial = config.spec, config.initial
+    query = Query.of(config.query, spec.spatial_dim)
+    packing, rows = engine_rows(spec, initial, query.t_max, config.engine, query.box.hi[0])
     text = _value_texts(spec, initial)
-    asked = asked_keys(query, packing)
+    asked = query.asked_keys(packing)
     cells: dict[int, dict[int, str]] = {}
     for t, (den, nums) in enumerate(rows):
         if t in asked:
             for k in nums.keys() & asked[t].keys():
                 cells.setdefault(k, {})[t] = text(nums[k], den)
     found = dict(zip(packing.points(cells), cells.values()))
-    groups = list(query_groups(query))
+    groups = list(query.groups())
     zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
     table = [(p, times, [*map(texts.get, times, repeat("0"))]
               if (texts := found.get(p)) else zeros[len(times)]) for p, times in groups]
@@ -121,19 +121,13 @@ def run(config: RunConfig) -> tuple[int, str]:
 
 def run_verify(config: RunConfig, evaluator: str,
                t_max: int | None = None) -> tuple[int, str]:
-    """Verify the config's query, its times cut at t_max when given: a
-    region's time range ends at t_max if that comes before its last time,
-    listed points after t_max are dropped, and a query with no time <= t_max
-    is a ConfigError."""
-    query = config.query
-    if t_max is not None:
-        if isinstance(query, Region):
-            query = (Region(query.box, query.t_lo, min(query.t_hi, t_max))
-                     if t_max >= query.t_lo else [])
-        else:
-            query = [(p, t) for p, t in query if t <= t_max]
-        if not query:
-            raise ConfigError("--tmax", f"no query point has time <= {t_max}")
+    """Verify the config's query (lattice.Query.of), its times cut at t_max
+    when given (Query.cut): a region's time range ends at t_max if that
+    comes before its last time, listed points after t_max are dropped, and
+    a query with no time <= t_max is a ConfigError."""
+    query = Query.of(config.query, config.spec.spatial_dim)
+    if t_max is not None and (query := query.cut(t_max)) is None:
+        raise ConfigError("--tmax", f"no query point has time <= {t_max}")
     report = verify_closed_vs_oracle(config.spec, config.initial, query,
                                      evaluator=evaluator)
     lines = [f"# spec={spec_hash(config.spec)}", report.summary()]

@@ -26,10 +26,9 @@ import json
 from fractions import Fraction
 
 from .exactnum import ParseError, format_rational, parse_rational
-from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point, Record,
-                      SpecError, StencilEntry, _set, query_packing)
+from .lattice import (Box, EquationSpec, FieldRow, InitialData, Point, Query, Record,
+                      Region, SpecError, StencilEntry, _set, query_packing)
 from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
-from .oracle import Region, query_bounds, query_points
 
 ENGINES = ("closed", "oracle", "verify")
 FORMATS = ("csv", "json")
@@ -65,12 +64,13 @@ class RunConfig(Record):
     @property
     def query_points(self) -> list[tuple[Point, int]]:
         """The query as an explicit (point, time) list, region expanded,
-        sorted lexicographically by point then time."""
-        return list(query_points(self.query))
+        sorted lexicographically by point then time (lattice.Query.groups)."""
+        return [(p, t) for p, times in Query.of(self.query, self.spec.spatial_dim).groups()
+                for t in times]
 
     @property
     def t_max(self) -> int:
-        return query_bounds(self.query)[1]
+        return Query.of(self.query, self.spec.spatial_dim).t_max
 
 
 def _rational(value, path: str) -> Fraction:

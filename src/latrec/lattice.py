@@ -77,11 +77,11 @@ def _as_point(coords, dim: int, what: str) -> Point:
     return _check_dim(_as_ints(coords, what), dim, what)
 
 
-def _as_time_level(level) -> int:
+def _as_int(value, what: str) -> int:
     try:
-        return index(level)
+        return index(value)
     except TypeError:
-        raise SpecError(f"time_level {level!r} is not an integer") from None
+        raise SpecError(f"{what} {value!r} is not an integer") from None
 
 
 class Box(Record):
@@ -122,7 +122,7 @@ class StencilEntry(Record):
 
     def __init__(self, offset: Point, time_level: int, coeff: Fraction):
         _set(self, "offset", _as_ints(offset, "stencil offset"))
-        _set(self, "time_level", _as_time_level(time_level))
+        _set(self, "time_level", _as_int(time_level, "time_level"))
         _set(self, "coeff", coeff if type(coeff) is Fraction else Fraction(coeff))
 
 
@@ -353,3 +353,93 @@ def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,
         raise SpecError("corner-implicit rows have infinite support; give a right edge")
     left = min([right_edge, *(x for x, in initial.rows[0].values)])
     return Packing(Box((left,), (right_edge,)))
+
+
+class Region(Record):
+    """Query region: a spatial box crossed with an inclusive time range."""
+    __slots__ = ("box", "t_lo", "t_hi")
+
+    def __init__(self, box: Box, t_lo: int, t_hi: int):
+        _set(self, "box", box)
+        _set(self, "t_lo", t_lo)
+        _set(self, "t_hi", t_hi)
+        if self.t_lo < 0 or self.t_hi < self.t_lo:
+            raise SpecError(f"bad time range [{self.t_lo}, {self.t_hi}]")
+
+
+class Query(Record):
+    """The (point, time) pairs a solve or verify asks for, as blocks: (Box,
+    times ascending) pairs sorted by point, each point of a box asked at
+    each of its times.  Query.of is the one reader of a query's form."""
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[Box, tuple[int, ...]], ...]):
+        _set(self, "blocks", blocks)
+
+    @classmethod
+    def of(cls, query, dim: int) -> "Query":
+        """A Query as it is, a Region as one block (its box, its time range),
+        (point, time) pairs as one one-point block per distinct point, with
+        repeated times kept.  A point not of length dim, a coordinate or time
+        that is not an int, a negative time or no pairs is a SpecError."""
+        if isinstance(query, Query):
+            _check_dim(query.box.lo, dim, "query point")
+            return query
+        if isinstance(query, Region):
+            for corner in (query.box.lo, query.box.hi):
+                _as_point(corner, dim, "query box corner")
+            t_lo, t_hi = (_as_int(t, "query time") for t in (query.t_lo, query.t_hi))
+            return cls(((query.box, tuple(range(t_lo, t_hi + 1))),))
+        groups: dict[Point, list[int]] = {}
+        for p, t in query:
+            if (t := _as_int(t, "query time")) < 0:
+                raise SpecError(f"query time {t} must be >= 0")
+            groups.setdefault(_as_point(p, dim, "query point"), []).append(t)
+        if not groups:
+            raise SpecError("the query has no points")
+        return cls(tuple((Box(p, p), tuple(sorted(ts))) for p, ts in sorted(groups.items())))
+
+    def groups(self):
+        """Each asked point, sorted, with its block's one times tuple."""
+        return ((p, times) for box, times in self.blocks for p in box.points())
+
+    @property
+    def box(self) -> Box:
+        """The smallest box holding every asked point."""
+        los, his = zip(*[(box.lo, box.hi) for box, _ in self.blocks])
+        return Box(tuple(map(min, zip(*los))), tuple(map(max, zip(*his))))
+
+    @property
+    def t_max(self) -> int:
+        return max(times[-1] for _, times in self.blocks)
+
+    @property
+    def checked(self) -> int:
+        """The number of asked (point, time) pairs, repeats included."""
+        return sum(box.size() * len(times) for box, times in self.blocks)
+
+    def cut(self, t_max: int) -> "Query | None":
+        """The query without its times after t_max; None when none is left."""
+        blocks = tuple((box, cut) for box, times in self.blocks
+                       if (cut := tuple(t for t in times if t <= t_max)))
+        return Query(blocks) if blocks else None
+
+    def asked_keys(self, packing: Packing) -> dict[int, dict[int, int]]:
+        """time -> {key: times asked} of the cells inside the packing (the
+        others are 0 on both engines); the times one block alone asks share
+        its one dict."""
+        asked: dict[int, dict[int, int]] = {}
+        merged = set()
+        for box, times in self.blocks:
+            if not (cells := dict.fromkeys(packing.keys(box), 1)):
+                continue
+            for t in times:
+                if t not in asked:
+                    asked[t] = cells
+                    continue
+                if t not in merged:
+                    merged.add(t)
+                    asked[t] = dict(asked[t])
+                for k in cells:
+                    asked[t][k] = asked[t].get(k, 0) + 1
+        return asked

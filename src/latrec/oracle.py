@@ -14,22 +14,23 @@ The sweep holds a row as a list up to its right edge.  Only oracle_evolve,
 oracle_step and oracle_sweep_implicit unpack keys, and build a Fraction
 per cell.  The oracle reads nothing of the closed form's symbol,
 powers or kernel.  verify_closed_vs_oracle compares both engines' packed
-rows one time at a time, a named evaluator's values cell by cell;
-verify_recurrence substitutes plain Fractions at points.
+rows one time at a time over a lattice.Query, a named evaluator's values
+cell by cell as each oracle row is stepped; verify_recurrence substitutes
+plain Fractions at points.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import lcm
 
 from . import closed_form
 from .exactnum import ZERO
 # auto_window is not called here; it stays importable as oracle.auto_window,
-# the name bench/ sizes and traces windows by
-from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Record,
-                      SpecError, _set, auto_window, query_packing)
+# the name bench/ sizes and traces windows by, and Region as oracle.Region
+from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Query, Record,
+                      Region, SpecError, _set, auto_window, query_packing)
 
 
 class MissingValueError(KeyError):
@@ -39,18 +40,6 @@ class MissingValueError(KeyError):
         self.point = point
         self.time = time
         super().__init__(f"value at point {point}, time {time} is missing")
-
-
-class Region(Record):
-    """Query region: a spatial box crossed with an inclusive time range."""
-    __slots__ = ("box", "t_lo", "t_hi")
-
-    def __init__(self, box: Box, t_lo: int, t_hi: int):
-        _set(self, "box", box)
-        _set(self, "t_lo", t_lo)
-        _set(self, "t_hi", t_hi)
-        if self.t_lo < 0 or self.t_hi < self.t_lo:
-            raise SpecError(f"bad time range [{self.t_lo}, {self.t_hi}]")
 
 
 class EvolutionState(Record):
@@ -218,55 +207,6 @@ class VerifyReport(Record):
                 f"{len(self.mismatches)} mismatches")
 
 
-Query = Region | Sequence[tuple[Point, int]]
-
-
-def query_groups(query: Query) -> Iterator[tuple[Point, tuple[int, ...]]]:
-    """The query's points, sorted, each with its asked times ascending:
-    a region's points are generated as read and share one times tuple; a
-    listed point becomes a tuple, and its times keep their repeats."""
-    if isinstance(query, Region):
-        times = tuple(range(query.t_lo, query.t_hi + 1))
-        return ((p, times) for p in query.box.points())
-    groups: dict[Point, list[int]] = {}
-    for p, t in query:
-        groups.setdefault(tuple(p), []).append(t)
-    return ((p, tuple(sorted(groups[p]))) for p in sorted(groups))
-
-
-def query_points(query: Query) -> Iterator[tuple[Point, int]]:
-    """The query's (point, time) pairs, sorted: query_groups flattened."""
-    return ((p, t) for p, times in query_groups(query) for t in times)
-
-
-def asked_keys(query: Query, packing: Packing) -> dict[int, dict[int, int]]:
-    """time -> {key: times asked} of the query's cells inside the packing,
-    packed once (the others are 0 on both engines); a region's, once each."""
-    if isinstance(query, Region):
-        return dict.fromkeys(range(query.t_lo, query.t_hi + 1),
-                             dict.fromkeys(packing.keys(query.box), 1))
-    asked: dict[int, dict[int, int]] = {}
-    for p, times in query_groups(query):
-        if p in packing.box:
-            k = packing.key(p)
-            for t in times:
-                cells = asked.setdefault(t, {})
-                cells[k] = cells.get(k, 0) + 1
-    return asked
-
-
-def query_bounds(query: Query) -> tuple[Box, int]:
-    """The smallest box holding every point of the query, and its latest time."""
-    if isinstance(query, Region):
-        return query.box, query.t_hi
-    if not query:
-        raise SpecError("the query has no points")
-    if len({len(p) for p, _ in query}) != 1:
-        raise SpecError("the query's points differ in length")
-    axes = list(zip(*(p for p, _ in query)))
-    return Box(tuple(map(min, axes)), tuple(map(max, axes))), max(t for _, t in query)
-
-
 def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
                 right_edge: int | None = None
                 ) -> tuple[Packing, Iterator[tuple[int, dict[int, int]]]]:
@@ -290,67 +230,68 @@ def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: st
 
 
 def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
-                            region: Query, evaluator: str = "auto") -> VerifyReport:
-    """Evaluate both engines at every (point, time) of the query, a Region or
-    a list of (point, time) pairs, and report exact mismatches in point,
-    then time order; mismatches are data, not errors.  Under "auto" both
-    engines' integer rows (engine_rows), keyed in the query's one packing,
-    are compared one time at a time (_row_mismatches).  A named evaluator's
-    (numerator, denominator) pairs (closed_form.closed_getter) are
-    cross-multiplied with the oracle's rows cell by cell, so a Fraction is
-    built only for a mismatch."""
+                            region: Region | Query | Iterable[tuple[Point, int]],
+                            evaluator: str = "auto") -> VerifyReport:
+    """Evaluate both engines at every (point, time) of the query, a Region,
+    (point, time) pairs or a Query (lattice.Query.of, which checks it), and
+    report exact mismatches in point, then time order; mismatches are data,
+    not errors.  Under "auto" both engines' integer rows (engine_rows),
+    keyed in the query's one packing, are compared one time at a time
+    (_row_mismatches).  A named evaluator's (numerator, denominator) pairs
+    (closed_form.closed_getter) are cross-multiplied with each oracle row's
+    asked cells as the row is stepped, so no row is kept; a point outside the
+    packing has no key and is 0 in every row."""
     initial.check_matches(spec)
-    box, t_max = query_bounds(region)
-    if box.dim != spec.spatial_dim:
-        raise SpecError("region box dimension differs from the spec")
-    packing, oracle_rows = engine_rows(spec, initial, t_max, "oracle", box.hi[0])
+    query = Query.of(region, spec.spatial_dim)
+    t_max, right_edge = query.t_max, query.box.hi[0]
+    packing, oracle_rows = engine_rows(spec, initial, t_max, "oracle", right_edge)
     if evaluator == "auto":
-        _, closed_rows = engine_rows(spec, initial, t_max, "closed", box.hi[0])
-        checked, mismatches = _row_mismatches(closed_rows, oracle_rows, region, packing)
-        return VerifyReport(checked, tuple(mismatches), t_max)
-    closed_get = closed_form.closed_getter(spec, initial, evaluator)
-    oracle_rows = list(oracle_rows)
-    checked, mismatches = 0, []
-    for p, times in query_groups(region):
-        # a point outside the packing has no key and is 0 in every row
-        k = packing.key(p) if p in packing.box else None
-        for t in times:
-            n_c, d_c = closed_get(p, t)
-            d_o, n_o = oracle_rows[t][0], oracle_rows[t][1].get(k, 0)
-            if n_c * d_o != n_o * d_c:
-                mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
-        checked += len(times)
-    return VerifyReport(checked, tuple(mismatches), t_max)
+        _, closed_rows = engine_rows(spec, initial, t_max, "closed", right_edge)
+        mismatches = _row_mismatches(closed_rows, oracle_rows, query, packing)
+    else:
+        closed_get = closed_form.closed_getter(spec, initial, evaluator)
+        asked: dict[int, list[list[tuple[Point, int | None]]]] = {}
+        for box, times in query.blocks:
+            cells = [(p, packing.key(p) if p in packing.box else None) for p in box.points()]
+            for t in times:
+                asked.setdefault(t, []).append(cells)
+        mismatches = []
+        for t, (d_o, o_row) in enumerate(oracle_rows):
+            for cells in asked.get(t, ()):
+                for p, k in cells:
+                    n_c, d_c = closed_get(p, t)
+                    n_o = o_row.get(k, 0)
+                    if n_c * d_o != n_o * d_c:
+                        mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
+    mismatches.sort(key=lambda m: (m.point, m.time))
+    return VerifyReport(query.checked, tuple(mismatches), t_max)
 
 
 def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
                     oracle_rows: Iterable[tuple[int, dict[int, int]]],
-                    query: Query, packing: Packing) -> tuple[int, list[Mismatch]]:
-    """The number of (point, time) pairs the query asks for, duplicates
-    included, and the mismatches among them in point, then time order,
-    from both engines' integer rows at times 0, 1, ..., keyed in packing.
-    Both engines drop zero numerators, so one dict comparison of equal rows
-    settles a time.  Otherwise only the asked keys of either row's support
-    are cross-multiplied (every other asked cell is 0 on both sides), and a
-    key is unpacked to its point only for a mismatch.  The asked keys are
-    packed at the first unequal row: equal rows read none."""
+                    query: Query, packing: Packing) -> list[Mismatch]:
+    """The mismatches among the query's (point, time) pairs, a repeated
+    pair once per repeat, in time order, from both engines' integer rows at
+    times 0, 1, ..., keyed in packing.  Both engines drop zero numerators,
+    so one dict comparison of equal rows settles a time.  Otherwise only
+    the asked keys of either row's support are cross-multiplied (every
+    other asked cell is 0 on both sides), and a key is unpacked to its
+    point only for a mismatch.  The asked keys are packed at the first
+    unequal row: equal rows read none."""
     asked = None
-    checked = (query.box.size() * (query.t_hi - query.t_lo + 1)
-               if isinstance(query, Region) else len(query))
     mismatches = []
     for t, ((d_c, c_row), (d_o, o_row)) in enumerate(zip(closed_rows, oracle_rows)):
         if d_c == d_o and c_row == o_row:
             continue
         if asked is None:
-            asked = asked_keys(query, packing)
+            asked = query.asked_keys(packing)
         cells = asked.get(t, {})
         for k in (c_row.keys() | o_row.keys()) & cells.keys():
             n_c, n_o = c_row.get(k, 0), o_row.get(k, 0)
             if n_c * d_o != n_o * d_c:
                 (p,) = packing.points((k,))
                 mismatches += [Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o))] * cells[k]
-    mismatches.sort(key=lambda m: (m.point, m.time))
-    return checked, mismatches
+    return mismatches
 
 
 def verify_recurrence(values: dict[tuple[Point, int], Fraction],

@@ -8,7 +8,7 @@ import json
 from latrec.cli import _value_texts
 from latrec.closed_form import eval_implicit
 from latrec.config import spec_hash
-from latrec.oracle import Region, oracle_sweep_implicit, query_bounds, sweep_window
+from latrec.oracle import Region, oracle_sweep_implicit, sweep_window
 
 from instance_gen import engine_point_rows
 
@@ -45,16 +45,16 @@ def reference_solve(config):
     instead, from eval_implicit or the public sweep, apart from the rows
     solve reads."""
     spec, initial = config.spec, config.initial
-    box, t_max = query_bounds(config.query)
     text = _value_texts(spec, initial)
     points = reference_query_points(config.query)
+    right, t_max = max(p[0] for p, _ in points), max(t for _, t in points)
     if spec.implicit_corner:
         a, b, c = spec.corner_coefficients()
         psi = initial.rows[0]
         if config.engine == "closed":
             values = [eval_implicit(a, b, c, psi, p[0], t) for p, t in points]
         else:
-            window = sweep_window(psi, t_max, box.hi[0]) if psi.values else None
+            window = sweep_window(psi, t_max, right) if psi.values else None
             swept = oracle_sweep_implicit(a, b, c, psi, window, t_max)
             values = [swept[t].get(p) for p, t in points]
         table = [(p, t, text(*v.as_integer_ratio())) for (p, t), v in zip(points, values)]

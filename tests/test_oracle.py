@@ -13,13 +13,14 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
                     verify_closed_vs_oracle, verify_recurrence)
 from latrec import cli, closed_form, combinatorics, models, oracle
 from latrec.closed_form import closed_rows
-from latrec.lattice import query_packing
+from latrec.lattice import Query, query_packing
 from latrec.oracle import (EvolutionState, Mismatch, Region, VerifyReport, engine_rows,
                            sweep_window)
 
 from instance_gen import (CORNER_COEFFS, box_keys, corner_spec, engine_point_rows, field_row,
                           line_rows, nd_instance, point_rows, rational, reference_step,
                           tridiagonal_instance, verification_region)
+from table_reference import reference_query_points
 
 DELTA = FieldRow.delta(1)
 HALF = Fraction(1, 2)
@@ -438,7 +439,7 @@ def per_cell_report(closed_get, oracle_rows, query):
     """The compare loop verify ran before whole rows: every asked (point,
     time), duplicates included, cross-multiplied one by one."""
     checked, mismatches = 0, []
-    for p, t in oracle.query_points(query):
+    for p, t in reference_query_points(query):
         n_c, d_c = closed_get(p, t)
         d_o, o_row = oracle_rows[t]
         n_o = o_row.get(p, 0)
@@ -470,7 +471,7 @@ def compare_cases(draw):
     else:
         query = draw(st.lists(st.tuples(coords, st.integers(0, 4)), min_size=1, max_size=8))
         query += draw(st.lists(st.sampled_from(query), max_size=3))
-    t_max = oracle.query_bounds(query)[1]
+    t_max = Query.of(query, spec.spatial_dim).t_max
     packing = query_packing(spec, initial, t_max)
     closed = engine_point_rows(spec, initial, t_max, "closed")
     faulty = list(closed)
@@ -497,12 +498,14 @@ def test_row_compare_equals_the_per_cell_loop(case):
     spec, initial, query, packing, closed, faulty, oracle_rows = case
     checked, mismatches = per_cell_report(row_getter(closed), oracle_rows, query)
     assert not mismatches
+    query_ = Query.of(query, spec.spatial_dim)
     assert verify_closed_vs_oracle(spec, initial, query) == VerifyReport(
-        checked, (), oracle.query_bounds(query)[1])
+        checked, (), query_.t_max)
     key, _ = box_keys(packing.box)
     packed_faulty, packed_oracle = ([(den, {key(p): n for p, n in nums.items()})
                                      for den, nums in rows] for rows in (faulty, oracle_rows))
-    assert oracle._row_mismatches(iter(packed_faulty), iter(packed_oracle), query, packing) == \
+    mismatches = oracle._row_mismatches(iter(packed_faulty), iter(packed_oracle), query_, packing)
+    assert (query_.checked, sorted(mismatches, key=lambda m: (m.point, m.time))) == \
         per_cell_report(row_getter(faulty), oracle_rows, query)
 
 
@@ -557,11 +560,47 @@ def test_tridiagonal_j_n_control_keeps_the_per_cell_report():
         assert report == VerifyReport(checked, tuple(mismatches), 4)
 
 
+def test_a_named_evaluator_reads_each_oracle_row_as_it_is_stepped(monkeypatch):
+    spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
+    initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
+    log, engine_rows, closed_getter = [], oracle.engine_rows, closed_form.closed_getter
+
+    def logged_rows(*args):
+        packing, rows = engine_rows(*args)
+        if args[3] != "oracle":
+            return packing, rows
+        return packing, (log.append(("row", t)) or row for t, row in enumerate(rows))
+
+    def logged_getter(*args):
+        get = closed_getter(*args)
+        return lambda p, t: log.append(("value", p, t)) or get(p, t)
+
+    monkeypatch.setattr(oracle, "engine_rows", logged_rows)
+    monkeypatch.setattr(closed_form, "closed_getter", logged_getter)
+    # (9,) lies outside the packing: it is still evaluated, against 0
+    for query in (Region(Box((-3,), (4,)), 2, 4),
+                  [((1,), 3), ((-2,), 2), ((1,), 3), ((9,), 1), ((4,), 4)]):
+        log.clear()
+        report = verify_closed_vs_oracle(spec, initial, query, evaluator="tridiagonal-j-n")
+        assert report.mismatches
+        drawn, values = -1, []
+        for entry in log:
+            if entry[0] == "row":
+                assert entry[1] == drawn + 1
+                drawn += 1
+            else:
+                # every value at time t is asked for after row t is drawn
+                # and before row t + 1 is
+                assert entry[2] == drawn
+                values.append(entry[1:])
+        assert sorted(values) == reference_query_points(query)
+
+
 def test_row_compare_packs_the_asked_keys_only_for_an_unequal_row(monkeypatch):
     spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
     initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
-    calls, asked_keys = [], oracle.asked_keys
-    monkeypatch.setattr(oracle, "asked_keys", lambda *args: calls.append(args) or asked_keys(*args))
+    calls, asked_keys = [], Query.asked_keys
+    monkeypatch.setattr(Query, "asked_keys", lambda *args: calls.append(args) or asked_keys(*args))
     queries = (Region(Box((-3,), (4,)), 2, 4), [((1,), 3), ((-2,), 2), ((1,), 3), ((4,), 4)])
     assert all(verify_closed_vs_oracle(spec, initial, query).ok for query in queries)
     assert not calls
@@ -581,9 +620,13 @@ def test_row_compare_packs_the_asked_keys_only_for_an_unequal_row(monkeypatch):
                                       for den, nums in rows] for rows in (control, oracle_rows))
     for query in queries:
         calls.clear()
-        report = oracle._row_mismatches(iter(packed_control), iter(packed_oracle), query, packing)
-        assert report == per_cell_report(row_getter(control), oracle_rows, query)
-        assert report[1] and len(calls) == 1
+        query_ = Query.of(query, 1)
+        mismatches = oracle._row_mismatches(iter(packed_control), iter(packed_oracle), query_,
+                                            packing)
+        mismatches.sort(key=lambda m: (m.point, m.time))
+        assert (query_.checked, mismatches) == per_cell_report(row_getter(control), oracle_rows,
+                                                               query)
+        assert mismatches and len(calls) == 1
 
 
 def test_auto_picks_one_source_per_engine(monkeypatch):

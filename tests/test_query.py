@@ -1,0 +1,135 @@
+"""lattice.Query: the one record a solve or verify reads its query through,
+built by Query.of from a Region or a list of (point, time) pairs, which
+checks it once."""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from latrec import (Box, FieldRow, InitialData, Region, SpecError, tridiagonal_spec,
+                    verify_closed_vs_oracle)
+from latrec import cli
+from latrec.config import RunConfig
+from latrec.lattice import Packing, Query
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "latrec"
+SPEC = tridiagonal_spec(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+DELTA = InitialData((FieldRow.delta(1),))
+
+
+@st.composite
+def regions_as_pairs(draw):
+    """A Region, the same cells as a shuffled pair list, and a packing that
+    may cut the region, hold it or miss it."""
+    dim = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
+    hi = tuple(l + draw(st.integers(0, 3)) for l in lo)
+    t_lo = draw(st.integers(0, 5))
+    region = Region(Box(lo, hi), t_lo, draw(st.integers(t_lo, 8)))
+    pairs = [(p, t) for p in region.box.points() for t in range(t_lo, region.t_hi + 1)]
+    p_lo = tuple(draw(st.integers(-6, 6)) for _ in range(dim))
+    packing = Packing(Box(p_lo, tuple(l + draw(st.integers(0, 6)) for l in p_lo)))
+    return dim, region, draw(st.permutations(pairs)), packing
+
+
+def view(query):
+    return None if query is None else (list(query.groups()), query.box, query.t_max,
+                                       query.checked)
+
+
+@given(regions_as_pairs())
+def test_a_region_and_its_cells_listed_give_one_query(case):
+    dim, region, pairs, packing = case
+    by_region, by_pairs = Query.of(region, dim), Query.of(pairs, dim)
+    assert view(by_region) == view(by_pairs)
+    asked = by_region.asked_keys(packing)
+    assert asked == by_pairs.asked_keys(packing)
+    # a region packs its keys once, into one dict that all its times share
+    assert len({id(cells) for cells in asked.values()}) <= 1
+    for t in range(region.t_hi + 2):
+        # the --tmax rules: a region's range ends at t, listed pairs after t
+        # are dropped, and a query with nothing left is None
+        want = (view(Query.of(Region(region.box, region.t_lo, min(region.t_hi, t)), dim))
+                if t >= region.t_lo else None)
+        assert view(by_region.cut(t)) == view(by_pairs.cut(t)) == want
+        kept = [(p, s) for p, s in pairs if s <= t]
+        assert view(by_pairs.cut(t)) == (view(Query.of(kept, dim)) if kept else None)
+
+
+BAD_QUERIES = [
+    ([((0, 0), 1)], "query point has length 2, expected spatial dimension 1"),
+    (Region(Box((0, 0), (1, 1)), 0, 2),
+     "query box corner has length 2, expected spatial dimension 1"),
+    ([((Fraction(1, 2),), 1)], "query point (Fraction(1, 2),) is not a sequence of integers"),
+    (Region(Box((0.5,), (1,)), 0, 2), "query box corner (0.5,) is not a sequence of integers"),
+    ([((0,), 1.5)], "query time 1.5 is not an integer"),
+    (Region(Box((0,), (1,)), 0, 2.5), "query time 2.5 is not an integer"),
+    ([((0,), -1), ((0,), 3)], "query time -1 must be >= 0"),
+    ([((0,), -1)], "query time -1 must be >= 0"),
+    ([], "the query has no points"),
+]
+
+
+@pytest.mark.parametrize("query, text", BAD_QUERIES)
+def test_a_bad_query_is_refused_by_every_reader(query, text, monkeypatch, capsys):
+    with pytest.raises(SpecError) as info:
+        Query.of(query, 1)
+    assert str(info.value) == text
+    for evaluator in ("auto", "tridiagonal", "nd"):
+        with pytest.raises(SpecError, match=re.escape(text)):
+            verify_closed_vs_oracle(SPEC, DELTA, query, evaluator=evaluator)
+    for engine in ("closed", "oracle", "verify"):
+        config = RunConfig(SPEC, DELTA, query, engine, "csv", None)
+        with pytest.raises(SpecError, match=re.escape(text)):
+            cli.run(config)
+        monkeypatch.setattr(cli, "load_config", lambda path: config)
+        for command in ("solve", "verify"):
+            assert cli.main([command, "--config", "unused.json"]) == 2
+            assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+def test_a_query_of_another_dimension_is_refused():
+    query = Query.of([((0, 0), 1)], 2)
+    assert Query.of(query, 2) is query
+    with pytest.raises(SpecError, match="query point has length 2"):
+        Query.of(query, 1)
+
+
+def is_region_check(node):
+    """An isinstance call whose class argument names Region."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "Region"
+               or isinstance(n, ast.Attribute) and n.attr == "Region"
+               for n in ast.walk(node.args[1]))
+
+
+def test_only_query_of_reads_the_form_of_a_query():
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_of = {id(n) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "Query"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "of"
+                 for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if is_region_check(node):
+                (inside if id(node) in in_of else outside).append(f"{path.name}:{node.lineno}")
+    assert not outside
+    assert len(inside) == 1
+
+
+def test_config_imports_nothing_from_oracle():
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "oracle" not in (node.module or "").split(".")
+            assert all(alias.name != "oracle" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("oracle" not in alias.name.split(".") for alias in node.names)

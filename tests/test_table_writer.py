@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latrec import Box, FieldRow, HeatParams, InitialData, RandomWalkParams
-from latrec import cli, oracle
+from latrec import cli
 from latrec.config import RunConfig
-from latrec.lattice import Packing
+from latrec.lattice import Packing, Query
 from latrec.models import heat_spec, random_walk_spec
 from latrec.oracle import Region
 
@@ -145,18 +145,19 @@ def test_solve_texts_each_nonzero_asked_cell_once(monkeypatch):
 def test_query_points_flatten_query_groups():
     region = Region(Box((-1, 2), (1, 3)), 2, 4)
     points = [((3,), 5), ((-1,), 2), ((3,), 1), ((-1,), 2), ([0], 0), ((3,), 5)]
-    for query in (region, Region(Box((4,), (6,)), 0, 0), points):
-        groups = list(oracle.query_groups(query))
+    for query, dim in ((region, 2), (Region(Box((4,), (6,)), 0, 0), 1), (points, 1)):
+        groups = list(Query.of(query, dim).groups())
         assert [p for p, _ in groups] == sorted({p for p, _ in groups})
         assert all(list(times) == sorted(times) for _, times in groups)
         assert ([(p, t) for p, times in groups for t in times]
-                == list(oracle.query_points(query)) == reference_query_points(query))
-    groups = list(oracle.query_groups(region))
+                == reference_query_points(query))
+    groups = list(Query.of(region, 2).groups())
     assert len({id(times) for _, times in groups}) == 1 and groups[0][1] == (2, 3, 4)
-    assert list(oracle.query_groups(points)) == [
+    assert list(Query.of(points, 1).groups()) == [
         ((-1,), (2, 2)), ((0,), (0,)), ((3,), (1, 5, 5))]
     # asked_keys: a region's box cut to the packing, once at each time, and
     # a list's repeat counts; a point outside the packing is never asked
     cut = {key: 1 for key in (0, 1, 4, 5)}  # (0, 2), (0, 3), (1, 2), (1, 3)
-    assert oracle.asked_keys(region, Packing(Box((0, 2), (2, 5)))) == {2: cut, 3: cut, 4: cut}
-    assert oracle.asked_keys(points, Packing(Box((-1,), (2,)))) == {0: {1: 1}, 2: {0: 2}}
+    asked = Query.of(region, 2).asked_keys(Packing(Box((0, 2), (2, 5))))
+    assert asked == {2: cut, 3: cut, 4: cut} and len({id(c) for c in asked.values()}) == 1
+    assert Query.of(points, 1).asked_keys(Packing(Box((-1,), (2,)))) == {0: {1: 1}, 2: {0: 2}}
