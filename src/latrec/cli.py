@@ -12,8 +12,9 @@ Exit codes: 0 success / no mismatch, 1 verification found mismatches,
 2 usage or config error.  Output is deterministic: rows sorted
 lexicographically by point, then time, all values in exact rational text.
 solve and the demos stream the engines' integer rows, keyed in the query's
-one packing, text only their asked nonzero cells, and unpack each texted
-key once; format_table writes each point's lines as one block.
+one packing, text only their asked nonzero cells, one cell of each mirrored
+pair of a row that is its own mirror image (_text_row), and unpack each
+texted key once; format_table writes each point's lines as one block.
 
 Importing this module builds no parser.  ``main`` parses with one parser,
 built by ``build_parser`` on the first call and kept for the rest of the
@@ -78,6 +79,29 @@ def _value_texts(spec: EquationSpec, initial: InitialData) -> Callable[[int, int
                                 for v in row.values.values())))
 
 
+def _text_row(cells: dict[int, dict[int, str]], t: int, text: Callable[[int, int], str],
+              den: int, nums: dict[int, int], keys: Iterable[int]) -> None:
+    """Set cells[k][t] to the text of cell k of the integer row (den, nums)
+    at time t, for each k of keys, all in nums.  With c the sum of the
+    row's least and greatest key, when every cell k equals cell c - k, as
+    in a row that is its own reflection through its support's centre (keys
+    are linear in the point and sort as points do, so in any dimension),
+    one key of each pair k, c - k in keys is texted and the other shares
+    its string.  The check stops at the first cell that differs, and any
+    other row texts each key."""
+    if nums:
+        c, get = min(nums) + max(nums), nums.get
+        if all(get(c - k) == n for k, n in nums.items()):
+            done: dict[int, str] = {}
+            for k in keys:
+                if (s := done.get(c - k)) is None:
+                    s = done[k] = text(nums[k], den)
+                cells.setdefault(k, {})[t] = s
+            return
+    for k in keys:
+        cells.setdefault(k, {})[t] = text(nums[k], den)
+
+
 def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
     """Inverse of the CSV table format (used by tests and downstream tools)."""
     rows = []
@@ -97,8 +121,9 @@ def run(config: RunConfig) -> tuple[int, str]:
     solve reads the query through lattice.Query.of, which checks it, streams
     the chosen engine's integer rows by engine_rows, keyed in the query's
     packing up to its right edge, texts only the asked keys
-    (Query.asked_keys) of a row's support and unpacks each texted key once;
-    every other queried cell is "0", and a point with none shares one list."""
+    (Query.asked_keys) of a row's support, one key of each mirrored pair of a
+    mirrored row (_text_row), and unpacks each texted key once; every other
+    queried cell is "0", and a point with none shares one list."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial = config.spec, config.initial
@@ -109,8 +134,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     cells: dict[int, dict[int, str]] = {}
     for t, (den, nums) in enumerate(rows):
         if t in asked:
-            for k in nums.keys() & asked[t].keys():
-                cells.setdefault(k, {})[t] = text(nums[k], den)
+            _text_row(cells, t, text, den, nums, nums.keys() & asked[t].keys())
     found = dict(zip(packing.points(cells), cells.values()))
     groups = list(query.groups())
     zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
@@ -182,15 +206,15 @@ def _cmd_verify(args) -> int:
 
 def _demo_table(spec: EquationSpec, steps: int, engine: str, out_format: str) -> str:
     """The table of the engine's integer rows at times 0..steps of the 1D
-    spec from a unit mass at 0, grouped by key: the keys are sorted once,
-    as their points sort, and each is unpacked once."""
+    spec from a unit mass at 0, grouped by key: a mirrored row's pairs are
+    texted once each (_text_row; every row of demo heat), the keys are
+    sorted once, as their points sort, and each is unpacked once."""
     initial = InitialData((FieldRow.delta(1),))
     packing, rows = engine_rows(spec, initial, steps, engine)
     text = _value_texts(spec, initial)
     cells: dict[int, dict[int, str]] = {}
     for j, (den, nums) in enumerate(rows):
-        for k, n in nums.items():
-            cells.setdefault(k, {})[j] = text(n, den)
+        _text_row(cells, j, text, den, nums, nums)
     keys = sorted(cells)
     table = [(p, tuple(texts), list(texts.values()))
              for p, texts in zip(packing.points(keys), map(cells.get, keys))]

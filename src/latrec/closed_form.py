@@ -48,7 +48,7 @@ from .combinatorics import (_miller, _multinomial_weights, _symbol_power, compos
                             multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
-                      StencilEntry, query_packing)
+                      StencilEntry, _as_int, _as_ints, query_packing)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +268,15 @@ def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
     return out
 
 
-def _check_query(spec: EquationSpec, point: Point, time: int) -> None:
+def _check_query(spec: EquationSpec, point: Point, time: int) -> tuple[Point, int]:
+    """The point as a tuple of ints and the time as an int, checked."""
+    point, time = _as_ints(point, "point"), _as_int(time, "time")
     if time < 0:
         raise SpecError("time must be >= 0")
     if len(point) != spec.spatial_dim:
         raise SpecError(
             f"point of length {len(point)} queried in a dim-{spec.spatial_dim} field")
+    return point, time
 
 
 def _power_rows(spec: EquationSpec, psi: FieldRow, times: Iterable[int],
@@ -304,7 +307,7 @@ def _composition_sum(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
     displacement and weight are only worked out once its time exponent
     lands on a source row.
     """
-    _check_query(spec, point, time)
+    point, time = _check_query(spec, point, time)
     steps = stencil_symbol_steps(spec)
     coeffs = [coeff for coeff, _, _ in steps]
     ysteps = [ystep for _, _, ystep in steps]
@@ -468,10 +471,9 @@ def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
     """Single-point closed-form value: the corner-implicit sum, Miller's
     power recurrence for a one-step equation, or the one composition sum of
     every other explicit equation."""
-    _check_query(spec, point, time)
+    point, time = _check_query(spec, point, time)
     if spec.implicit_corner or spec.time_order != 1:
         return Fraction(*closed_getter(spec, initial, "auto")(point, time))
     initial.check_matches(spec)
-    point = tuple(point)
     den, cells = next(_power_rows(spec, initial.rows[0], (time,), point=point))
     return Fraction(cells.get(point, 0), den)

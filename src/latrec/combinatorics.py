@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul, sub
 
-from .lattice import Box, EquationSpec, Packing, SpecError
+from .lattice import Box, EquationSpec, Packing, SpecError, _as_int
 
 def compositions(parts_count: int, total: int) -> Iterator[tuple[int, ...]]:
     """Yield every tuple of `parts_count` nonnegative ints summing to `total`,
@@ -251,7 +251,7 @@ def expand_stencil_power(spec: EquationSpec, j: int) -> dict[tuple[int, ...], Fr
     -> coefficient, with like terms combined and zeros dropped, read from
     Miller's recurrence with y as one more axis, over D**j, its keys packed
     in j times the box of S's exponents."""
-    if j < 0:
+    if (j := _as_int(j, "power")) < 0:
         raise SpecError("power must be >= 0")
     terms = [(coeff, (*xstep, ystep)) for coeff, xstep, ystep in stencil_symbol_steps(spec)]
     axes = list(zip(*[exps for _, exps in terms]))

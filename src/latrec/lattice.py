@@ -343,7 +343,7 @@ def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,
     """The one packing of a query's rows 0..t_max on both engines:
     auto_window's box (the origin for zero rows), or for the corner form,
     whose rows have no right end, psi's left end to right_edge."""
-    if t_max < 0:
+    if _as_int(t_max, "t_max") < 0:
         raise SpecError("t_max must be >= 0")
     initial.check_matches(spec)
     if not spec.implicit_corner:
@@ -380,8 +380,9 @@ class Query(Record):
     def of(cls, query, dim: int) -> "Query":
         """A Query as it is, a Region as one block (its box, its time range),
         (point, time) pairs as one one-point block per distinct point, with
-        repeated times kept.  A point not of length dim, a coordinate or time
-        that is not an int, a negative time or no pairs is a SpecError."""
+        repeated times kept.  A query that is none of these, an item that is
+        not a (point, time) pair, a point not of length dim, a coordinate or
+        time that is not an int, a negative time or no pairs is a SpecError."""
         if isinstance(query, Query):
             _check_dim(query.box.lo, dim, "query point")
             return query
@@ -390,8 +391,16 @@ class Query(Record):
                 _as_point(corner, dim, "query box corner")
             t_lo, t_hi = (_as_int(t, "query time") for t in (query.t_lo, query.t_hi))
             return cls(((query.box, tuple(range(t_lo, t_hi + 1))),))
+        try:
+            pairs = iter(query)
+        except TypeError:
+            raise SpecError(f"query {query!r} is not a Region or (point, time) pairs") from None
         groups: dict[Point, list[int]] = {}
-        for p, t in query:
+        for pair in pairs:
+            try:
+                p, t = pair
+            except (TypeError, ValueError):
+                raise SpecError(f"query pair {pair!r} is not a (point, time) pair") from None
             if (t := _as_int(t, "query time")) < 0:
                 raise SpecError(f"query time {t} must be >= 0")
             groups.setdefault(_as_point(p, dim, "query point"), []).append(t)

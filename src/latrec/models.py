@@ -25,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .closed_form import _power_rows, tridiagonal_spec
-from .lattice import Box, EquationSpec, FieldRow, InitialData, Packing, Record, SpecError, _set
+from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Record, SpecError,
+                      _as_int, _set)
 from .oracle import oracle_evolve
 
 
@@ -76,7 +77,7 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     The walker starts at 0 with probability 1, so the row after j steps is
     the coefficient list of the stencil symbol raised to the power j; its
     support is within [-j, j]."""
-    if j < 0:
+    if (j := _as_int(j, "step count")) < 0:
         raise SpecError("step count must be >= 0")
     packing = Packing(Box((-j,), (j,)))
     den, nums = next(_power_rows(random_walk_spec(params), FieldRow.delta(1), (j,), packing))

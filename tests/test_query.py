@@ -1,6 +1,7 @@
 """lattice.Query: the one record a solve or verify reads its query through,
 built by Query.of from a Region or a list of (point, time) pairs, which
-checks it once."""
+checks it once; and the int checks of the library's other point and time
+arguments."""
 
 import ast
 import re
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latrec import (Box, FieldRow, InitialData, Region, SpecError, tridiagonal_spec,
+from latrec import (Box, FieldRow, HeatParams, InitialData, RandomWalkParams, Region,
+                    SpecError, closed_rows, closed_value, eval_nd, expand_stencil_power,
+                    heat_profile, oracle_evolve, random_walk_distribution, tridiagonal_spec,
                     verify_closed_vs_oracle)
 from latrec import cli
 from latrec.config import RunConfig
@@ -72,6 +75,11 @@ BAD_QUERIES = [
     ([((0,), -1), ((0,), 3)], "query time -1 must be >= 0"),
     ([((0,), -1)], "query time -1 must be >= 0"),
     ([], "the query has no points"),
+    ([((0,),)], "query pair ((0,),) is not a (point, time) pair"),
+    ([((0,), 1, 2)], "query pair ((0,), 1, 2) is not a (point, time) pair"),
+    ([5], "query pair 5 is not a (point, time) pair"),
+    (5, "query 5 is not a Region or (point, time) pairs"),
+    (None, "query None is not a Region or (point, time) pairs"),
 ]
 
 
@@ -91,6 +99,33 @@ def test_a_bad_query_is_refused_by_every_reader(query, text, monkeypatch, capsys
         for command in ("solve", "verify"):
             assert cli.main([command, "--config", "unused.json"]) == 2
             assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+HALF = Fraction(1, 2)
+WALK = RandomWalkParams(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+NOT_INTS = [
+    (lambda: closed_value(SPEC, DELTA, (0.5,), 3), "point (0.5,) is not a sequence of integers"),
+    (lambda: closed_value(SPEC, DELTA, (0,), 3.0), "time 3.0 is not an integer"),
+    (lambda: closed_value(SPEC, DELTA, (0,), "3"), "time '3' is not an integer"),
+    (lambda: eval_nd(SPEC, DELTA.rows[0], (0,), 2.0), "time 2.0 is not an integer"),
+    (lambda: oracle_evolve(SPEC, DELTA, 2.5), "t_max 2.5 is not an integer"),
+    (lambda: closed_rows(SPEC, DELTA, 2.5), "t_max 2.5 is not an integer"),
+    (lambda: heat_profile(HeatParams(HALF), DELTA.rows[0], 2.5), "t_max 2.5 is not an integer"),
+    (lambda: random_walk_distribution(WALK, 2.0), "step count 2.0 is not an integer"),
+    (lambda: expand_stencil_power(SPEC, 2.0), "power 2.0 is not an integer"),
+]
+
+
+@pytest.mark.parametrize("call, text", NOT_INTS)
+def test_a_time_or_point_that_is_not_an_int_is_refused(call, text):
+    with pytest.raises(SpecError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_an_int_like_time_or_point_is_read_as_an_int():
+    assert closed_value(SPEC, DELTA, [True], 3) == closed_value(SPEC, DELTA, (1,), 3)
+    assert random_walk_distribution(WALK, True) == random_walk_distribution(WALK, 1)
 
 
 def test_a_query_of_another_dimension_is_refused():
