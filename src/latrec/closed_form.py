@@ -28,7 +28,12 @@ corner kernel).
 
 A one-step equation's rows and points, U(t) = S^t psi, come from Miller's
 power recurrence (``combinatorics._symbol_power``) through _power_rows;
-time order >= 2 takes one integer series pass over sum_J S^J.  Every row
+time order >= 2 takes the integer series sum_J S^J.  A 1D symbol whose
+x-steps are 0 and one sign reads it one column per power of x
+(``combinatorics._column_weights``): its rows from every column, its
+points (_column_value) from the columns the source rows reach.  Any other
+symbol's rows take one multinomial pass over the whole series, and its
+points the composition sum.  Every row
 builder gives integer rows (den, {key: nonzero numerator}), not reduced,
 keyed in the query's one packing (``lattice.query_packing``), which the
 oracle's rows share; ``closed_rows`` and ``random_walk_distribution``
@@ -44,8 +49,8 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul
 
-from .combinatorics import (_miller, _multinomial_weights, _symbol_power, compositions,
-                            multinomial, stencil_symbol_steps)
+from .combinatorics import (_column_sign, _column_weights, _miller, _multinomial_weights,
+                            _symbol_power, compositions, multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
                       StencilEntry, _as_int, _as_ints, query_packing)
@@ -141,6 +146,11 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     """
     if c_exponent not in ("j-m", "j-n"):
         raise SpecError("c_exponent must be 'j-m' or 'j-n'")
+    # an identity test first, so that an int pays no call
+    if type(i) is not int:
+        i = _as_int(i, "point")
+    if type(j) is not int:
+        j = _as_int(j, "time")
     if j < 0:
         raise SpecError("time must be >= 0")
     if psi.dim != 1:
@@ -224,6 +234,10 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     taken in integers: with smax = i - k for the leftmost k of psi's
     support, every term goes over D^(smax+j+1) L, and one Fraction is built.
     """
+    if type(i) is not int:
+        i = _as_int(i, "point")
+    if type(j) is not int:
+        j = _as_int(j, "time")
     if j < 0:
         raise SpecError("time must be >= 0")
     if psi.dim != 1:
@@ -370,9 +384,12 @@ def _series_rows(spec: EquationSpec, q: Sequence[FieldRow], t_max: int,
                  packing: Packing) -> Iterator[tuple[int, dict[int, int]]]:
     """Rows 0..t_max of U = Q / (1 - S) from the source rows q of a spec of
     time order k >= 2, keyed in packing: row j sums, over s < k, the terms
-    of sum_J S^J at time exponent j - s applied to Q_s.  One pass of the multinomial kernel gives every term of sum_J S^J up to
-    time exponent t_max as an integer W over D**e.  With the Q rows scaled to
-    integers N_s by L, the lcm of their denominators, row j at p is
+    of sum_J S^J at time exponent j - s applied to Q_s.  One kernel call
+    gives every term of sum_J S^J up to time exponent t_max as an integer W
+    over D**e: the columns (_column_weights) when the x-steps are 0 and one
+    sign (_column_sign), else the multinomial pass over the whole symbol
+    (_multinomial_weights).  With the Q rows scaled to integers N_s by L,
+    the lcm of their denominators, row j at p is
 
         sum_s sum_a D**s * W[j - s, a] * N_s(p - a)  /  (D**j * L)
 
@@ -382,7 +399,8 @@ def _series_rows(spec: EquationSpec, q: Sequence[FieldRow], t_max: int,
     k = spec.time_order
     lcd, nums = _integer_rows(q)
     nums = [[(packing.key(p), n) for p, n in ns.items()] for ns in nums[:t_max + 1]]
-    scale, weights = _multinomial_weights(spec, t_max)
+    kernel = _column_weights if _column_sign(spec) else _multinomial_weights
+    scale, weights = kernel(spec, t_max)
     # time exponent -> [(packed spatial exponents, W)]
     by_time: dict[int, list[tuple[int, int]]] = {}
     for exps, weight in weights.items():
@@ -466,14 +484,39 @@ def closed_getter(spec: EquationSpec, initial: InitialData,
     return lambda p, t: value(p, t).as_integer_ratio()
 
 
+def _column_value(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
+                  time: int) -> Fraction:
+    """U(point, time) from the source rows q of a spec with a _column_sign
+    sigma: a cell c of Q_s reads column (point - c) sigma of sum_J S^J at
+    time exponent time - s, so only those columns are built
+    (_column_weights), each up to the largest time - s read from it.  The
+    terms go over D**time L, L the lcm of q's denominators, as in
+    _series_rows."""
+    sign = _column_sign(spec)
+    lcd, nums = _integer_rows(q[:time + 1])
+    (p,) = point
+    reads, columns = [], {}
+    for s, ns in enumerate(nums):
+        for (c,), n in ns.items():
+            if (i := (p - c) * sign) >= 0:
+                columns[i] = max(columns.get(i, 0), time - s)
+                reads.append(((p - c, time - s), s, n))
+    scale, weights = _column_weights(spec, time, columns)
+    return Fraction(sum(n * weights.get(key, 0) * scale ** s for key, s, n in reads),
+                    scale ** time * lcd)
+
+
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
     """Single-point closed-form value: the corner-implicit sum, Miller's
-    power recurrence for a one-step equation, or the one composition sum of
-    every other explicit equation."""
+    power recurrence for a one-step equation, the columns of sum_J S^J that
+    Q reaches for a multistep 1D spec with x-steps 0 and +-1 (_column_value),
+    or the one composition sum of every other explicit equation."""
     point, time = _check_query(spec, point, time)
-    if spec.implicit_corner or spec.time_order != 1:
+    if spec.implicit_corner or (spec.time_order != 1 and not _column_sign(spec)):
         return Fraction(*closed_getter(spec, initial, "auto")(point, time))
+    if spec.time_order != 1:
+        return _column_value(spec, source_rows(spec, initial), point, time)
     initial.check_matches(spec)
     den, cells = next(_power_rows(spec, initial.rows[0], (time,), point=point))
     return Fraction(cells.get(point, 0), den)

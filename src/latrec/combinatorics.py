@@ -19,8 +19,14 @@ reads it with y as one more axis, and the one-step equations' rows and
 points (``closed_form._power_rows``) in x alone.  Only time order >= 2
 needs the series: ``_multinomial_weights`` applies the multinomial theorem
 one stencil entry at a time on integer-scaled coefficients, merging like
-terms after each entry.  ``compositions`` and ``multinomial`` serve the
-pointwise evaluators, which sum over compositions directly.
+terms after each entry, about T^4 states to time exponent T.  When the
+symbol is 1D with x-steps 0 and one sign sigma (``_column_sign``), S =
+S0(y) + x^sigma S1(y) and ``_column_weights`` reads the same terms one
+column S1^i / (1 - S0)^(i+1) per power of x in O(T^2) steps: column 0 is
+the multinomial pass over S0's entries alone, every other column one
+``_miller`` run, none read from another.  ``compositions`` and
+``multinomial`` serve the pointwise evaluators, which sum over
+compositions directly.
 """
 
 from __future__ import annotations
@@ -243,6 +249,89 @@ def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tupl
             exps.append(d - bound)
         exps.append(code)
         terms[tuple(exps)] = weight
+    return scale, terms
+
+
+def _column_sign(spec: EquationSpec) -> int | None:
+    """sigma when the spec is explicit and 1D and its entries' x-steps take
+    exactly the two values 0 and sigma = +1 or -1, so that
+    S = S0(y) + x**sigma S1(y); None for any other spec."""
+    if spec.implicit_corner or spec.spatial_dim != 1:
+        return None
+    (shift,) = spec.spatial_shift
+    xsteps = {shift - e.offset[0] for e in spec.stencil}
+    return 1 if xsteps == {0, 1} else -1 if xsteps == {0, -1} else None
+
+
+def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _column_weights(spec: EquationSpec, limit: int, columns: dict[int, int] | None = None
+                    ) -> tuple[int, dict[tuple[int, int], int]]:
+    """The terms of sum_J S**J with time exponent e <= limit, as
+    _multinomial_weights gives them, for a spec with a _column_sign sigma:
+    S = S0(y) + x**sigma S1(y), so that
+
+        [x**(sigma i)] sum_J S**J = S1**i / (1 - S0)**(i+1).
+
+    y is scaled as there: with f_u = n_u * D**(ystep_u - 1), S0 and S1 have
+    integer coefficients and every coefficient is W / D**e.  Column 0,
+    1 / (1 - S0), is _multinomial_weights over the x-step-0 entries alone,
+    over D0**e, lifted by (D / D0)**e.  Column i >= 1 is y**(v i) K for
+    S1 = y**v R(y), R_0 != 0: K = R**i / (1 - S0)**(i+1) solves F K' = G K
+    (_miller) with F = R (1 - S0) and G = i R' (1 - S0) + (i+1) S0' R from
+    k_0 = R_0**i.  No column reads another, and Miller's steps carry
+    step-dependent coefficients and an exact division, so this is not the
+    iteration U = Q + S U; it is the corner kernel's
+    (b + c x)**j / (1 - a x)**(j+1) with y in place of x.  Rows cost
+    O(limit**2) steps against the multinomial pass's O(limit**4) states.
+
+    `columns` maps each column i wanted to the largest time exponent it is
+    read to (default: every column, each to `limit`).  Returns D and a map
+    from (sigma i, e) to W, zeros dropped.
+    """
+    sign = _column_sign(spec)
+    steps = stencil_symbol_steps(spec)
+    scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
+    s0, s1 = [0] * (spec.time_order + 1), [0] * (spec.time_order + 1)
+    for coeff, (xstep,), ystep in steps:
+        (s1 if xstep else s0)[ystep] = (coeff.numerator * (scale // coeff.denominator)
+                                        * scale ** (ystep - 1))
+    v = next(e for e, f in enumerate(s1) if f)
+    r = s1[v:]
+    if columns is None:
+        columns = dict.fromkeys(range(limit // v + 1), limit)
+    terms = {}
+    if 0 in columns:
+        zero = EquationSpec(1, spec.time_order, spec.spatial_shift,
+                            tuple(e for e in spec.stencil if e.offset == spec.spatial_shift))
+        zero_scale, weights = _multinomial_weights(zero, columns[0])
+        lift = scale // zero_scale
+        for (_, e), weight in weights.items():
+            terms[0, e] = weight * lift ** e
+    one_less = [1] + [-f for f in s0[1:]]
+    f = _times(r, one_less)
+    # G = i P + (i+1) Q, P = R' (1 - S0), Q = S0' R, both of degree < len(f) - 1
+    p = _times([e * c for e, c in enumerate(r)][1:], one_less)
+    q = _times([e * c for e, c in enumerate(s0)][1:], r)
+    p += [0] * (len(f) - len(p))
+    q += [0] * (len(f) - len(q))
+    # lag l's u = G_(l-1) + l F_l = i (P + Q)_(l-1) + Q_(l-1) + l F_l
+    lags = [(l, p[l - 1] + q[l - 1], q[l - 1] + l * f[l], f[l]) for l in range(1, len(f))]
+    lags = [lag for lag in lags if any(lag[1:])]
+    for i, top in columns.items():
+        if i and top >= v * i:
+            ks = _miller(r[0], [(l, i * pq + c, fl) for l, pq, c, fl in lags],
+                         r[0] ** i, top - v * i)
+            for e, k in enumerate(ks, v * i):
+                if k:
+                    terms[sign * i, e] = k
     return scale, terms
 
 

@@ -4,7 +4,8 @@ Coefficients are rationals with numerators in [-5, 5] and denominators in
 [1, 5]; initial data has at most 7 support points.  Everything is driven by
 an explicit random.Random so failures reproduce exactly, except the
 hypothesis strategies at the end, which draw one-step 1D and 2D equations
-and rows for the tests of Miller's power recurrence.
+and rows for the tests of Miller's power recurrence, and the multistep 1D
+equations whose series is read column by column.
 """
 
 from __future__ import annotations
@@ -221,6 +222,31 @@ def line_specs(draw) -> EquationSpec:
     shift = draw(st.integers(-2, 2))
     return EquationSpec(1, 1, (shift,), tuple(
         StencilEntry((o,), 0, draw(LINE_COEFFS)) for o in offsets))
+
+
+@st.composite
+def column_specs(draw) -> EquationSpec:
+    """1D specs of time order 2 or 3 whose x-steps are exactly 0 and
+    sigma = +1 or -1, so S = S0(y) + x**sigma S1(y): S0's entries sit at
+    the shift and S1's at shift - sigma, each at a nonempty set of time
+    levels.  S1's lowest time exponent v is 1 when it has an entry at the
+    top level and >= 2 otherwise."""
+    k = draw(st.integers(2, 3))
+    sign = draw(st.sampled_from((1, -1)))
+    shift = draw(st.integers(-2, 2))
+    levels = st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)
+    return EquationSpec(1, k, (shift,), tuple(
+        StencilEntry((offset,), level, draw(LINE_COEFFS))
+        for offset in (shift, shift - sign) for level in draw(levels)))
+
+
+def column_spec(sign: int, zero: dict[int, str], step: dict[int, str],
+                time_order: int = 2) -> EquationSpec:
+    """The spec with S0's entries {time level: coeff} at offset 0 and S1's
+    at offset -sign, under shift 0."""
+    return EquationSpec(1, time_order, (0,), tuple(
+        StencilEntry((offset,), level, Fraction(coeff))
+        for offset, entries in ((0, zero), (-sign, step)) for level, coeff in entries.items()))
 
 
 def line_rows():

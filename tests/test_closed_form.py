@@ -14,16 +14,16 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     eval_implicit, eval_nd, eval_tridiagonal,
                     RandomWalkParams, oracle_evolve,
                     oracle_sweep_implicit, random_walk_distribution,
-                    source_rows, tridiagonal_spec)
+                    source_rows, tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import closed_form, combinatorics
 from latrec.closed_form import closed_getter
 from latrec.combinatorics import multinomial
 from latrec.config import load_config
 from latrec.lattice import Box, query_packing
-from latrec.oracle import sweep_window
+from latrec.oracle import Region, sweep_window
 
-from instance_gen import (CORNER_COEFFS, corner_spec, field_row, grid_2d_instance,
-                          grid_2d_spec, line_rows, line_specs, nd_instance,
+from instance_gen import (CORNER_COEFFS, column_spec, column_specs, corner_spec, field_row,
+                          grid_2d_instance, grid_2d_spec, line_rows, line_specs, nd_instance,
                           ninepoint_instance, ninepoint_spec, one_row_instance,
                           one_row_spec, plane_rows, plane_specs, point_rows, rational,
                           tridiagonal_instance, two_row_instance,
@@ -506,6 +506,114 @@ def test_multistep_agrees_with_nd_on_one_step_specs():
         assert nd_value(spec, initial, q, t) == eval_nd(spec, psi, q, t) == want
 
 
+def _entry(offset, level, coeff):
+    return StencilEntry(offset, level, Fraction(coeff))
+
+
+# a spec of the x-steps {0, sigma} family and one drawn row per time level
+COLUMN_CASES = column_specs().flatmap(lambda spec: st.tuples(
+    st.just(spec), st.lists(line_rows(), min_size=spec.time_order, max_size=spec.time_order)))
+
+
+@given(COLUMN_CASES, st.integers(0, 12), st.lists(st.integers(-8, 8), min_size=1, max_size=3))
+@example((column_spec(1, {0: "1/2", 1: "-1/3"}, {0: "1/4", 1: "1"}),
+          [FieldRow(1, {(0,): Fraction(1, 2), (2,): Fraction(-3, 2)}),
+           FieldRow(1, {(1,): Fraction(3, 2)})]), 12, [-3, 4, 8])
+@settings(max_examples=60, deadline=None)
+def test_column_value_equals_composition_sum(case, t, xs):
+    # a point of the x-steps {0, sigma} family reads only the columns its
+    # source cells reach; the composition sum is the witness
+    spec, rows = case
+    initial = InitialData(tuple(rows))
+    for x in xs:
+        assert closed_value(spec, initial, (x,), t) == nd_value(spec, initial, (x,), t)
+
+
+@given(COLUMN_CASES, st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_column_rows_equal_oracle(case, t_max):
+    spec, rows = case
+    initial = InitialData(tuple(rows))
+    assert closed_rows(spec, initial, t_max) == oracle_evolve(spec, initial, t_max)
+
+
+# The benchmark's two-row shape: U[i+1, t+2] = 1/2 U[i, t] - 1/3 U[i+1, t]
+# + 1/4 U[i, t+1] + U[i+1, t+1], x-steps 1 and 0
+TWO_ROW = EquationSpec(1, 2, (1,), (_entry((0,), 0, "1/2"), _entry((1,), 0, "-1/3"),
+                                    _entry((0,), 1, "1/4"), _entry((1,), 1, "1")))
+TWO_ROW_INITIAL = InitialData((FieldRow(1, {(0,): Fraction(1, 2), (2,): Fraction(-3, 2)}),
+                               FieldRow(1, {(-1,): Fraction(3, 2)})))
+
+
+def test_column_value_equals_oracle_at_t_60():
+    three = column_spec(-1, {0: "1/2", 2: "-1/3"}, {1: "2/3", 2: "1/5"}, 3)
+    cases = [(TWO_ROW, TWO_ROW_INITIAL),
+             (three, InitialData((DELTA, FieldRow(1, {(2,): Fraction(-1, 2)}), DELTA)))]
+    for spec, initial in cases:
+        rows = oracle_evolve(spec, initial, 61)
+        for t in (59, 60, 61):
+            support = sorted(rows[t].values)
+            for p in support[::7] + [support[-1], (support[0][0] - 1,), (support[-1][0] + 1,)]:
+                assert closed_value(spec, initial, p, t) == rows[t].get(p)
+
+
+@pytest.mark.parametrize("spec", [
+    # x-steps {1, 2}, {-1, 0, 1}, {0} and {1}, and a 2D spec
+    EquationSpec(1, 2, (0,), (_entry((-1,), 0, "1/2"), _entry((-2,), 1, "-1/3"))),
+    EquationSpec(1, 2, (0,), (_entry((-1,), 0, "1/2"), _entry((0,), 1, "-1/3"),
+                              _entry((1,), 1, "1/4"))),
+    EquationSpec(1, 2, (0,), (_entry((0,), 0, "1/2"), _entry((0,), 1, "1"))),
+    EquationSpec(1, 2, (1,), (_entry((0,), 0, "1/2"),)),
+    EquationSpec(2, 3, (0, 0), (_entry((0, 0), 0, "1/2"), _entry((1, 0), 2, "-1/3"))),
+])
+def test_other_multistep_symbols_keep_the_multinomial_kernel(monkeypatch, spec):
+    # rows and a point of a multistep spec outside the column family reach
+    # the multinomial kernel and the composition sum with the whole symbol
+    seen = []
+    weights, composition = closed_form._multinomial_weights, closed_form._composition_sum
+
+    def multinomial_kernel(spec, limit):
+        seen.append(spec)
+        return weights(spec, limit)
+
+    def composition_sum(spec, *args):
+        seen.append(spec)
+        return composition(spec, *args)
+
+    monkeypatch.setattr(closed_form, "_multinomial_weights", multinomial_kernel)
+    monkeypatch.setattr(closed_form, "_composition_sum", composition_sum)
+    origin = (0,) * spec.spatial_dim
+    initial = InitialData(tuple(FieldRow(spec.spatial_dim, {origin: Fraction(1, 3 + s)})
+                                for s in range(spec.time_order)))
+    rows = oracle_evolve(spec, initial, 6)
+    assert closed_rows(spec, initial, 6) == rows
+    assert closed_value(spec, initial, origin, 6) == rows[6].get(origin)
+    assert seen == [spec, spec]
+
+
+def test_two_row_at_t_80_never_takes_the_multinomial_pass(monkeypatch):
+    # the columns' only multinomial pass is over S0's entries, at most one
+    # per time level; a fallback to the whole symbol's pass fails here
+    seen = []
+    weights = combinatorics._multinomial_weights
+
+    def multinomial_kernel(spec, limit):
+        seen.append(len(spec.stencil))
+        assert len(spec.stencil) <= spec.time_order
+        return weights(spec, limit)
+
+    monkeypatch.setattr(combinatorics, "_multinomial_weights", multinomial_kernel)
+    monkeypatch.setattr(closed_form, "_multinomial_weights", multinomial_kernel)
+    report = verify_closed_vs_oracle(TWO_ROW, TWO_ROW_INITIAL, Region(Box((-2,), (83,)), 0, 80))
+    assert report.ok and report.checked == 86 * 81
+    assert seen == [2]
+    # a point reads column 0 only when a source cell sits on it
+    row = oracle_evolve(TWO_ROW, TWO_ROW_INITIAL, 80)[80]
+    for x in (0, 40):
+        assert closed_value(TWO_ROW, TWO_ROW_INITIAL, (x,), 80) == row.get((x,))
+    assert seen == [2, 2]
+
+
 # ---------------------------------------------------------------------------
 # 2D 3x3 and corner-stencil families through eval_nd
 # ---------------------------------------------------------------------------
@@ -601,10 +709,6 @@ def test_closed_rows_3x3_match_oracle_at_large_time():
     psi = FieldRow(2, {(0, 0): Fraction(1), (2, -1): Fraction(-3, 2)})
     initial = InitialData((psi,))
     assert closed_rows(spec, initial, 14) == oracle_evolve(spec, initial, 14)
-
-
-def _entry(offset, level, coeff):
-    return StencilEntry(offset, level, Fraction(coeff))
 
 
 def test_closed_rows_integer_sums_edge_cases():
@@ -746,9 +850,11 @@ def test_line_paths_read_no_composition_or_multinomial_kernel(monkeypatch):
     for t in (0, 5, 12):
         assert random_walk_distribution(walk, t) == walk_rows[t]
     assert set(dims) == {1, 2, 3}
-    # the patches are live: an equation of time order 2 does reach them
+    # the patches are live: an equation of time order 2 does reach them,
+    # through x-steps -1, 0 and 1, which have no columns (_column_sign)
     two_step = EquationSpec(1, 2, (0,), (StencilEntry((0,), 1, Fraction(1)),
-                                         StencilEntry((1,), 0, Fraction(-1, 2))))
+                                         StencilEntry((1,), 0, Fraction(-1, 2)),
+                                         StencilEntry((-1,), 0, Fraction(1, 3))))
     initial = InitialData((DELTA, DELTA))
     with pytest.raises(AssertionError):
         closed_value(two_step, initial, (0,), 2)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
                     expand_stencil_power, oracle_evolve, tridiagonal_spec)
-from latrec.combinatorics import (_multinomial_weights, _symbol_power, compositions,
-                                  multinomial, stencil_symbol_steps)
+from latrec.combinatorics import (_column_sign, _column_weights, _multinomial_weights,
+                                  _symbol_power, compositions, multinomial,
+                                  stencil_symbol_steps)
 from latrec.lattice import Packing
 
-from instance_gen import box_keys, line_specs, nd_instance
+from instance_gen import box_keys, column_spec, column_specs, line_specs, nd_instance
 
 
 def packed_power(terms, j, row):
@@ -115,6 +116,27 @@ def test_series_kernel_equals_summed_powers(spec, t_max):
                 expected[exps] = expected.get(exps, 0) + coef
     assert {exps: Fraction(w, scale ** exps[-1]) for exps, w in weights.items()} == {
         exps: coef for exps, coef in expected.items() if coef != 0}
+
+
+@given(column_specs(), st.integers(0, 14))
+@example(column_spec(1, {1: "1/2"}, {1: "-2/3"}), 14)                  # v = 1, one term
+@example(column_spec(-1, {0: "1", 1: "1/3"}, {0: "5/2"}), 14)          # v = 2
+@example(column_spec(1, {2: "-1/4"}, {0: "2/3", 1: "3"}, 3), 14)       # v = 2, two terms
+@example(column_spec(-1, {0: "1/2"}, {0: "1/5", 1: "-1", 2: "3/4"}, 3), 14)  # v = 1, three
+@example(column_spec(1, {1: "1"}, {0: "1"}, 3), 14)                    # v = 3
+@settings(max_examples=150, deadline=None)
+def test_column_weights_equal_multinomial_weights(spec, limit):
+    # [x**(sigma i)] sum_J S**J column by column, every coefficient W / D**e,
+    # equals the multinomial pass over the whole symbol; asked for some
+    # columns, each to its own limit, it gives those terms alone
+    sign = _column_sign(spec)
+    assert sign in (1, -1)
+    scale, weights = _multinomial_weights(spec, limit)
+    assert _column_weights(spec, limit) == (scale, weights)
+    columns = {i: limit - i % 3 for i in range(0, limit + 1, 2)}
+    assert _column_weights(spec, limit, columns) == (scale, {
+        (x, e): w for (x, e), w in weights.items()
+        if x * sign in columns and e <= columns[x * sign]})
 
 
 def line_spec(shift, *entries):

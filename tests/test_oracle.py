@@ -148,15 +148,15 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
         raise AssertionError("the oracle reached a closed-form kernel")
 
     for module in (closed_form, combinatorics):
-        for name in ("_multinomial_weights", "_symbol_power", "_miller"):
+        for name in ("_multinomial_weights", "_column_weights", "_symbol_power", "_miller"):
             monkeypatch.setattr(module, name, closed_form_path)
     for module in (closed_form, models):
         monkeypatch.setattr(module, "_power_rows", closed_form_path)
     # the closed form's integer rows and their integer scaling, every lookup
     # of its evaluators and the corner form's kernel, its rows and its
     # integer scaling; the engines share only the packing (lattice)
-    for name in ("_composition_sum", "_rows", "_series_rows", "_integer_rows",
-                 "closed_getter", "_kernel", "_kernel_values", "_corner_rows",
+    for name in ("_composition_sum", "_column_value", "_rows", "_series_rows",
+                 "_integer_rows", "closed_getter", "_kernel", "_kernel_values", "_corner_rows",
                  "eval_implicit", "corner_kernel", "_scaled"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
     f = Fraction

@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latrec import (Box, FieldRow, HeatParams, InitialData, RandomWalkParams, Region,
-                    SpecError, closed_rows, closed_value, eval_nd, expand_stencil_power,
-                    heat_profile, oracle_evolve, random_walk_distribution, tridiagonal_spec,
-                    verify_closed_vs_oracle)
+                    SpecError, closed_rows, closed_value, eval_implicit, eval_nd,
+                    eval_tridiagonal, expand_stencil_power, heat_profile, oracle_evolve,
+                    random_walk_distribution, tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import cli
 from latrec.config import RunConfig
 from latrec.lattice import Packing, Query
@@ -102,6 +102,7 @@ def test_a_bad_query_is_refused_by_every_reader(query, text, monkeypatch, capsys
 
 
 HALF = Fraction(1, 2)
+ABC = (HALF, Fraction(1, 3), Fraction(1, 4))
 WALK = RandomWalkParams(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 NOT_INTS = [
     (lambda: closed_value(SPEC, DELTA, (0.5,), 3), "point (0.5,) is not a sequence of integers"),
@@ -113,6 +114,10 @@ NOT_INTS = [
     (lambda: heat_profile(HeatParams(HALF), DELTA.rows[0], 2.5), "t_max 2.5 is not an integer"),
     (lambda: random_walk_distribution(WALK, 2.0), "step count 2.0 is not an integer"),
     (lambda: expand_stencil_power(SPEC, 2.0), "power 2.0 is not an integer"),
+    (lambda: eval_tridiagonal(*ABC, DELTA.rows[0], 1, 2.0), "time 2.0 is not an integer"),
+    (lambda: eval_tridiagonal(*ABC, DELTA.rows[0], "1", 2), "point '1' is not an integer"),
+    (lambda: eval_implicit(*ABC, DELTA.rows[0], 1.0, 2), "point 1.0 is not an integer"),
+    (lambda: eval_implicit(*ABC, DELTA.rows[0], 1, "2"), "time '2' is not an integer"),
 ]
 
 
@@ -126,6 +131,9 @@ def test_a_time_or_point_that_is_not_an_int_is_refused(call, text):
 def test_an_int_like_time_or_point_is_read_as_an_int():
     assert closed_value(SPEC, DELTA, [True], 3) == closed_value(SPEC, DELTA, (1,), 3)
     assert random_walk_distribution(WALK, True) == random_walk_distribution(WALK, 1)
+    psi = DELTA.rows[0]
+    for evaluate in (eval_tridiagonal, eval_implicit):
+        assert evaluate(*ABC, psi, True, True) == evaluate(*ABC, psi, 1, 1)
 
 
 def test_a_query_of_another_dimension_is_refused():
