@@ -35,9 +35,14 @@ def main() -> int:
             verdict = "ok" if bad == ov else "j-n diverges"
             if bad != ov:
                 divergences += 1
-            assert good == ov, (i, j)
             print(f"{i:>4} {j:>3} {str(ov):>10} {str(good):>10} {str(bad):>10}  {verdict}")
+            if good != ov:
+                print(f"outer-index variant differs from the oracle at i={i}, j={j}")
+                return 1
     print()
+    if not divergences:
+        print("the inner-index control agrees with the oracle everywhere")
+        return 1
     print(f"outer-index variant: exact everywhere; "
           f"inner-index variant: {divergences} divergent points")
     return 0

@@ -39,10 +39,12 @@ def main() -> int:
     for j in range(args.steps + 1):
         dist = random_walk_distribution(params, j)
         mean, var = moments(dist)
-        assert dist.total() == 1
-        assert mean == j * step_mean
-        assert var == j * step_var
         print(f"{j:>3} {str(dist.total()):>5} {str(mean):>10} {str(var):>12}")
+        for name, got, want in (("mass", dist.total(), 1), ("mean", mean, j * step_mean),
+                                ("variance", var, j * step_var)):
+            if got != want:
+                print(f"j={j}: {name} is {got}, the identity gives {want}")
+                return 1
     print("all moment identities hold exactly")
     return 0
 

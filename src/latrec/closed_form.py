@@ -19,12 +19,13 @@ so results are exact rationals.  Evaluators:
 
 The three-point sum is evaluated in integers by Horner's rule.  The corner
 form's kernel row j, (b + c x)^j / (1 - a x)^(j+1), and psi's multiplier
-for row j, (b + c x)^j / (1 - a x)^j, follow Miller's recurrence (_kernel):
-they give ``corner_kernel``, ``eval_implicit`` and the corner form's rows
-(_corner_rows).  ``EVALUATORS`` maps each evaluator name to its shape check
-and evaluator: "nd" for every explicit spec, and one name for each formula
-that differs in structure (the three-point sum, its negative control, the
-corner kernel).
+for row j, (b + c x)^j / (1 - a x)^j, are powers R^i / (1 - P)^e of one
+quotient, read by Miller's recurrence (``combinatorics._miller``): they
+give ``corner_kernel``, ``eval_implicit`` and the corner form's rows
+(_corner_rows).  ``EVALUATORS`` maps each evaluator name to its shape
+check and evaluator: "nd" for every explicit spec, and one name for each
+formula that differs in structure (the three-point sum, its negative
+control, the corner kernel).
 
 A one-step equation's rows and points, U(t) = S^t psi, come from Miller's
 power recurrence (``combinatorics._symbol_power``) through _power_rows;
@@ -184,31 +185,18 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 # corner-implicit family
 # ---------------------------------------------------------------------------
 
-def _kernel(j: int, n: int, na: int, nb: int, nc: int, d: int, over: int = 1) -> list[int]:
-    """k_0..k_n of kernel row j, k_s = corner_kernel(s, j) D^(s+j), with
-    A = D a, B = D b, C = D c: the coefficients of (B~)^j / (1 - A x)^(j+over)
-    for B~ = B + C D x, over = 1 (over = 0 gives the corner form's row j over
-    psi).  The row solves F K' = G K (_miller) with F = B~ (1 - A x) and
-    G = j B~' (1 - A x) + (j+over) A B~, from k_0 = B^j.  For B = 0, B~ is
-    C D times x, and the row is (C D)^j / (1 - A x)^(j+over) shifted right by j."""
-    cd = nc * d
-    b0, b1, shift = (nb, cd, 0) if nb else (1, 0, j)
-    # F = b0 + (b1 - A b0) x - A b1 x^2, G = j b1 + (j+over) A b0 + over A b1 x
-    lags = [(1, (j + 1) * b1 + (j + over - 1) * na * b0, b1 - na * b0),
-            (2, (over - 2) * na * b1, -na * b1)]
-    return ([0] * shift + _miller(b0, lags, (nb or cd) ** j, max(n - shift, 0)))[:n + 1]
-
-
 def _kernel_values(j: int, ss, na: int, nb: int, nc: int, d: int) -> dict[int, int]:
-    """{s: k_s} of kernel row j for s in ss: A^(s-m) B^(j-m) r, m = min(s, j),
-    with r the small value at m of _kernel's row max(s, j) for (A B, 1, C D)
-    over 1.  One pass of row j serves every s when none passes j."""
-    ab, cd = na * nb, nc * d
+    """{s: k_s} of kernel row j for s in ss, k_s = corner_kernel(s, j) D^(s+j):
+    A^(s-m) B^(j-m) r, m = min(s, j), with A = D a, B = D b, C = D c and r
+    the value at m of row max(s, j) of (1 + C D x)^i / (1 - A B x)^(i+1)
+    (_miller).  One pass of row j serves every s when none passes j."""
+    r, p = [(0, 1), (1, nc * d)], [(1, na * nb)]
     if max(ss) <= j:
-        rs = _kernel(j, max(ss), ab, 1, cd, 1)
+        (rs,) = _miller(r, p, [(j, j + 1, max(ss))])
         return {s: rs[s] * nb ** (j - s) for s in ss}
-    return {s: _kernel(max(s, j), min(s, j), ab, 1, cd, 1)[-1]
-            * na ** max(s - j, 0) * nb ** max(j - s, 0) for s in ss}
+    rows = _miller(r, p, [(max(s, j), max(s, j) + 1, min(s, j)) for s in ss])
+    return {s: row[-1] * na ** max(s - j, 0) * nb ** max(j - s, 0)
+            for s, row in zip(ss, rows)}
 
 
 def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
@@ -218,6 +206,7 @@ def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Frac
 
     from the kernel rows' recurrence over D^(s+j), D the lcm of the
     denominators of a, b, c (_kernel_values)."""
+    s, j = _as_int(s, "kernel index"), _as_int(j, "kernel index")
     if s < 0 or j < 0:
         raise SpecError("kernel indices must be >= 0")
     scale, na, nb, nc = _scaled(a, b, c)
@@ -364,7 +353,8 @@ def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, packing: 
     """Rows 0..t_max of the corner form from the nonzero row 0 psi, keyed in
     packing, from psi's left end m to the packing's right end R >= m.  Row
     j+1 reads (1 - a x) U_(j+1)(x) = (b + c x) U_j(x), so row j is psi times
-    (b + c x)^j / (1 - a x)^j (_kernel with over = 0), over
+    (b + c x)^j / (1 - a x)^j: with A = D a, B = D b, C = D c, row j of
+    (B + C D x)^j / (1 - A x)^j (_miller), all rows on one set-up, over
     D^(R - m + j) L, L psi's lcd."""
     scale, na, nb, nc = _scaled(a, b, c)
     lcd, (nums,) = _integer_rows([psi])
@@ -372,8 +362,10 @@ def _corner_rows(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow, packing: 
     span, first = right_edge - m, packing.key((m,))
     lifts = [scale ** (span - s) for s in range(span + 1)]
     terms = [(k - m, n) for (k,), n in nums.items() if k <= right_edge]
-    for j in range(t_max + 1):
-        kernel = list(map(mul, _kernel(j, span, na, nb, nc, scale, 0), lifts))
+    rows = _miller([(0, nb), (1, nc * scale)], [(1, na)],
+                   ((j, j, span) for j in range(t_max + 1)))
+    for j, row in enumerate(rows):
+        kernel = list(map(mul, row, lifts))
         acc = [0] * (span + 1)
         for off, n in terms:
             acc[off:] = map(add, acc[off:], map(n.__mul__, kernel))

@@ -6,14 +6,15 @@ symbol
     S(x, y) = sum over entries of  coeff * x^(spatial_shift - offset) * y^(time_order - time_level)
 
 raised to a power, or summed over every power as the series sum_J S^J of
-U = Q / (1 - S), with like terms collected.  Every power comes from
-J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), whose one loop,
-``_miller``, gives each coefficient of a K with F K' = G K from the ones
-below it in O(terms of F and G) integer operations; the corner form's
-kernel rows (``closed_form._kernel``) read it too.  ``_symbol_power``
-packs each exponent vector into one power of a single variable z, wide
-enough that no digit carries, reads the univariate (D S(z))^t without
-forming S^(t-1), and keys the product's cells in the caller's packing
+U = Q / (1 - S), with like terms collected.  Every power is read by one
+routine, ``_miller``: the coefficients of R^i / (1 - P)^e for integer
+polynomials R and P, by J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+4.7), each from the ones below it in O(terms of R (1 - P)) integer
+operations.  Its callers give only R, P, i and e; the corner form's kernel
+rows (``closed_form``) read it too.  ``_symbol_power`` packs each exponent
+vector into one power of a single variable z, wide enough that no digit
+carries, reads the univariate (D S(z))^t without forming S^(t-1), and
+keys the product's cells in the caller's packing
 (``lattice.Packing``) without unpacking them.  ``expand_stencil_power``
 reads it with y as one more axis, and the one-step equations' rows and
 points (``closed_form._power_rows``) in x alone.  Only time order >= 2
@@ -24,7 +25,7 @@ symbol is 1D with x-steps 0 and one sign sigma (``_column_sign``), S =
 S0(y) + x^sigma S1(y) and ``_column_weights`` reads the same terms one
 column S1^i / (1 - S0)^(i+1) per power of x in O(T^2) steps: column 0 is
 the multinomial pass over S0's entries alone, every other column one
-``_miller`` run, none read from another.  ``compositions`` and
+``_miller`` power, none read from another.  ``compositions`` and
 ``multinomial`` serve the pointwise evaluators, which sum over
 compositions directly.
 """
@@ -32,7 +33,7 @@ compositions directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul, sub
@@ -79,23 +80,52 @@ def stencil_symbol_steps(spec: EquationSpec) -> list[tuple[Fraction, tuple[int, 
     ]
 
 
-def _miller(f0: int, lags: Sequence[tuple[int, int, int]], first: int, n: int) -> list[int]:
-    """k_0..k_n of the power series K with F K' = G K and k_0 = first, for
-    integer polynomials F and G with F_0 = f0 != 0, by J. C. P. Miller's
-    recurrence (Knuth, TAOCP Vol. 2, 4.7).  Each (l, u, v) in lags folds F's
-    and G's terms at lag l >= 1, u = G_(l-1) + l F_l and v = F_l, so that
+def _miller(r: Sequence[tuple[int, int]], p: Sequence[tuple[int, int]],
+            powers: Iterable[tuple[int, int, int]]) -> Iterator[list[int]]:
+    """k_0..k_n of K = R**i / (1 - P)**e for each (i, e, n) in powers, by
+    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), for integer
+    polynomials R and P as (exponent, coefficient) pairs: R's sorted, P's
+    without a constant term.  R**0 is 1, also for R = 0.
 
-        f0 s k_s = sum over lags of (u - v s) k_(s-l),
+    With R = x**v R~, R~_0 != 0, K is x**(v i) zeros and then the series
+    R~**i / (1 - P)**e, which solves F K' = G K for F = R~ (1 - P),
+    C = P' R~ and G = i F' + (i + e) C, from R~_0**i:
 
-    divided exactly.  A read below k_0 lands in the zeros past k_n."""
-    ks = [first] + [0] * (n + max([l for l, _, _ in lags], default=0))
-    for s in range(1, n + 1):
-        total = 0
-        for l, u, v in lags:
-            total += (u - v * s) * ks[s - l]
-        ks[s] = total // (f0 * s)
-    del ks[n + 1:]
-    return ks
+        F_0 s k_s = sum over l >= 1 of ((i + 1) l F_l + (i + e) C_(l-1) - F_l s) k_(s-l),
+
+    divided exactly.  F and C are worked out once for all the powers."""
+    if r and not r[0][1]:
+        r = [term for term in r if term[1]]
+    zero = not r
+    if zero:
+        r = [(0, 1)]
+    v, f0 = r[0]
+    f = {a - v: c for a, c in r}
+    c_lag: dict[int, int] = {}  # l -> C_(l-1)
+    for b, q in p:
+        for a, c in r:
+            l = a - v + b
+            f[l] = f.get(l, 0) - q * c
+            c_lag[l] = c_lag.get(l, 0) + b * q * c
+    get = c_lag.get
+    reach = max(f)
+    for i, e, n in powers:
+        front = v * i
+        if front > n or zero and i:
+            yield [0] * (n + 1)
+            continue
+        lags = [(l, (i + 1) * l * fl + (i + e) * cl, fl) for l, fl in f.items()
+                if l and ((cl := get(l, 0)) or fl)]
+        m = n - front
+        # a read below k_0 lands in the zeros past k_m
+        ks = [f0 ** i] + [0] * (m + reach)
+        for s in range(1, m + 1):
+            total = 0
+            for l, u, w in lags:
+                total += (u - w * s) * ks[s - l]
+            ks[s] = total // (f0 * s)
+        del ks[m + 1:]
+        yield [0] * front + ks if front else ks
 
 
 def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
@@ -113,8 +143,8 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     substitution x_i = z**u_i, with the last axis on top and each lower
     axis's radix t * width + 1, packs every exponent vector of P into a
     distinct power of z without a carry, and A becomes a univariate
-    polynomial A(z) with least exponent m0.  P / z**(t m0) is F**t for
-    F = D A(z) / z**m0, so it solves F K' = G K with G = t F' from F_0**t.
+    polynomial A(z).  P is R**t for R = D A(z), one _miller power with no
+    denominator, its first t m0 coefficients zero for A's least exponent m0.
     N's extent never enters P's packing, so points of N far apart cost no
     coefficients.  P's nonzero cells are repacked, axis by axis, into
     out_units (on one axis the two packings agree), and N multiplies them
@@ -141,30 +171,26 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     coded = sorted([(sum(map(mul, exps, units)) - offset,
                      coeff.numerator * (scale // coeff.denominator))
                     for coeff, exps in terms])
-    m0, a0 = coded[0]
-    base = t * m0
-    n = t * (coded[-1][0] - m0)
+    n = t * coded[-1][0]
     origin = [t * lo for lo in low]
     if point is not None:
         hits = []
         for q, v in row:
             digits = list(map(sub, map(sub, point, q), origin))
             if all(0 <= d <= r for d, r in zip(digits, reach)):
-                key = sum(map(mul, digits, units)) - base
-                if 0 <= key <= n:
+                key = sum(map(mul, digits, units))
+                if key <= n:
                     hits.append((key, v))
         if not hits:
             return scale, {}
         n = max(hits)[0]
-    # F's term at lag l = a - m0 gives u = (t + 1) l F_l and v = F_l
-    coeffs = _miller(a0, [(a - m0, (t + 1) * (a - m0) * c, c) for a, c in coded[1:]],
-                     a0 ** t, n)
+    (coeffs,) = _miller(coded, (), [(t, 0, n)])
     if point is not None:
         total = sum(coeffs[k] * v for k, v in hits)
         return scale, {point: total} if total else {}
     # P's nonzero cells, repacked axis by axis unless the packings agree,
     # as on one axis; a cell's digits are its exponents less the origin's
-    keys = [k for k, c in enumerate(coeffs, base) if c]
+    keys = [k for k, c in enumerate(coeffs) if c]
     values = [c for c in coeffs if c]
     if list(out_units) == units:
         moved = keys
@@ -263,15 +289,6 @@ def _column_sign(spec: EquationSpec) -> int | None:
     return 1 if xsteps == {0, 1} else -1 if xsteps == {0, -1} else None
 
 
-def _times(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The coefficients of the product of two integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _column_weights(spec: EquationSpec, limit: int, columns: dict[int, int] | None = None
                     ) -> tuple[int, dict[tuple[int, int], int]]:
     """The terms of sum_J S**J with time exponent e <= limit, as
@@ -283,14 +300,13 @@ def _column_weights(spec: EquationSpec, limit: int, columns: dict[int, int] | No
     y is scaled as there: with f_u = n_u * D**(ystep_u - 1), S0 and S1 have
     integer coefficients and every coefficient is W / D**e.  Column 0,
     1 / (1 - S0), is _multinomial_weights over the x-step-0 entries alone,
-    over D0**e, lifted by (D / D0)**e.  Column i >= 1 is y**(v i) K for
-    S1 = y**v R(y), R_0 != 0: K = R**i / (1 - S0)**(i+1) solves F K' = G K
-    (_miller) with F = R (1 - S0) and G = i R' (1 - S0) + (i+1) S0' R from
-    k_0 = R_0**i.  No column reads another, and Miller's steps carry
-    step-dependent coefficients and an exact division, so this is not the
-    iteration U = Q + S U; it is the corner kernel's
-    (b + c x)**j / (1 - a x)**(j+1) with y in place of x.  Rows cost
-    O(limit**2) steps against the multinomial pass's O(limit**4) states.
+    over D0**e, lifted by (D / D0)**e.  Columns i >= 1 are the powers
+    (R, P, i, e) = (S1, S0, i, i + 1) of one _miller call.  No column reads
+    another, and Miller's steps carry step-dependent coefficients and an
+    exact division, so this is not the iteration U = Q + S U; it is the
+    corner kernel's (b + c x)**j / (1 - a x)**(j+1) with y in place of x.
+    Rows cost O(limit**2) steps against the multinomial pass's O(limit**4)
+    states.
 
     `columns` maps each column i wanted to the largest time exponent it is
     read to (default: every column, each to `limit`).  Returns D and a map
@@ -299,12 +315,12 @@ def _column_weights(spec: EquationSpec, limit: int, columns: dict[int, int] | No
     sign = _column_sign(spec)
     steps = stencil_symbol_steps(spec)
     scale = math.lcm(*(coeff.denominator for coeff, _, _ in steps))
-    s0, s1 = [0] * (spec.time_order + 1), [0] * (spec.time_order + 1)
+    s0, r = [], []
     for coeff, (xstep,), ystep in steps:
-        (s1 if xstep else s0)[ystep] = (coeff.numerator * (scale // coeff.denominator)
-                                        * scale ** (ystep - 1))
-    v = next(e for e, f in enumerate(s1) if f)
-    r = s1[v:]
+        (r if xstep else s0).append(
+            (ystep, coeff.numerator * (scale // coeff.denominator) * scale ** (ystep - 1)))
+    r.sort()
+    v = r[0][0]
     if columns is None:
         columns = dict.fromkeys(range(limit // v + 1), limit)
     terms = {}
@@ -315,23 +331,11 @@ def _column_weights(spec: EquationSpec, limit: int, columns: dict[int, int] | No
         lift = scale // zero_scale
         for (_, e), weight in weights.items():
             terms[0, e] = weight * lift ** e
-    one_less = [1] + [-f for f in s0[1:]]
-    f = _times(r, one_less)
-    # G = i P + (i+1) Q, P = R' (1 - S0), Q = S0' R, both of degree < len(f) - 1
-    p = _times([e * c for e, c in enumerate(r)][1:], one_less)
-    q = _times([e * c for e, c in enumerate(s0)][1:], r)
-    p += [0] * (len(f) - len(p))
-    q += [0] * (len(f) - len(q))
-    # lag l's u = G_(l-1) + l F_l = i (P + Q)_(l-1) + Q_(l-1) + l F_l
-    lags = [(l, p[l - 1] + q[l - 1], q[l - 1] + l * f[l], f[l]) for l in range(1, len(f))]
-    lags = [lag for lag in lags if any(lag[1:])]
-    for i, top in columns.items():
-        if i and top >= v * i:
-            ks = _miller(r[0], [(l, i * pq + c, fl) for l, pq, c, fl in lags],
-                         r[0] ** i, top - v * i)
-            for e, k in enumerate(ks, v * i):
-                if k:
-                    terms[sign * i, e] = k
+    wanted = [i for i in columns if i]
+    for i, ks in zip(wanted, _miller(r, s0, [(i, i + 1, columns[i]) for i in wanted])):
+        for e, k in enumerate(ks):
+            if k:
+                terms[sign * i, e] = k
     return scale, terms
 
 

@@ -30,7 +30,7 @@ from .exactnum import ZERO
 # auto_window is not called here; it stays importable as oracle.auto_window,
 # the name bench/ sizes and traces windows by, and Region as oracle.Region
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Query, Record,
-                      Region, SpecError, _set, auto_window, query_packing)
+                      Region, SpecError, _as_int, _set, auto_window, query_packing)
 
 
 class MissingValueError(KeyError):
@@ -139,7 +139,7 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     zero psi needs no window; a nonzero one is a SpecError without one."""
     if psi.dim != 1:
         raise SpecError("corner-implicit sweep is 1D")
-    if j_max < 0:
+    if (j_max := _as_int(j_max, "j_max")) < 0:
         raise SpecError("j_max must be >= 0")
     if psi.values and window is None:
         raise SpecError("a nonzero initial row needs a sweep window")

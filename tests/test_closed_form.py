@@ -17,7 +17,7 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     source_rows, tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import closed_form, combinatorics
 from latrec.closed_form import closed_getter
-from latrec.combinatorics import multinomial
+from latrec.combinatorics import _miller, multinomial
 from latrec.config import load_config
 from latrec.lattice import Box, query_packing
 from latrec.oracle import Region, sweep_window
@@ -282,10 +282,12 @@ def test_kernel_rows_equal_per_g_multinomials(j, past, a, b, c):
     n = max(j + past, 0)
     scale, na, nb, nc = closed_form._scaled(a, b, c)
     kernel = [corner_kernel_per_g(s, j, a, b, c) for s in range(n + 1)]
-    row = closed_form._kernel(j, n, na, nb, nc, scale)
+    # R = B + C D x, P = A x, in integers over D^(s+j)
+    quotient = [(0, nb), (1, nc * scale)], [(1, na)]
+    (row,) = _miller(*quotient, [(j, j + 1, n)])
     assert row == [k * scale ** (s + j) for s, k in enumerate(kernel)]
-    # with over = 0, one factor 1 - a x less: the corner form's row j over psi
-    over0 = closed_form._kernel(j, n, na, nb, nc, scale, 0)
+    # with e = j, one factor 1 - a x less: the corner form's row j over psi
+    (over0,) = _miller(*quotient, [(j, j, n)])
     assert over0 == [(k - a * p) * scale ** (s + j)
                      for s, (k, p) in enumerate(zip(kernel, [0] + kernel))]
     if not b and n < j:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
                     expand_stencil_power, oracle_evolve, tridiagonal_spec)
-from latrec.combinatorics import (_column_sign, _column_weights, _multinomial_weights,
-                                  _symbol_power, compositions, multinomial,
+from latrec.combinatorics import (_column_sign, _column_weights, _miller,
+                                  _multinomial_weights, _symbol_power, compositions, multinomial,
                                   stencil_symbol_steps)
 from latrec.lattice import Packing
 
@@ -137,6 +137,48 @@ def test_column_weights_equal_multinomial_weights(spec, limit):
     assert _column_weights(spec, limit, columns) == (scale, {
         (x, e): w for (x, e), w in weights.items()
         if x * sign in columns and e <= columns[x * sign]})
+
+
+def series_quotient(r, p, i, e, n):
+    """k_0..k_n of R**i / (1 - P)**e by plain truncated series arithmetic:
+    R multiplied in i times, then e long divisions by 1 - P."""
+    def dense(pairs):
+        out = [0] * (n + 1)
+        for a, c in pairs:
+            if a <= n:
+                out[a] += c
+        return out
+
+    k, factor, divisor = dense([(0, 1)]), dense(r), dense([(0, 1)] + [(b, -q) for b, q in p])
+    for _ in range(i):
+        k = [sum(k[a] * factor[s - a] for a in range(s + 1)) for s in range(n + 1)]
+    for _ in range(e):
+        out = []
+        for s in range(n + 1):
+            out.append(k[s] - sum(divisor[b] * out[s - b] for b in range(1, s + 1)))
+        k = out
+    return k
+
+
+def sparse_poly(exponents, coeffs, size):
+    return st.lists(st.tuples(exponents, coeffs), max_size=size,
+                    unique_by=lambda term: term[0]).map(sorted)
+
+
+@given(sparse_poly(st.integers(0, 6), st.integers(-4, 4), 3),
+       sparse_poly(st.integers(1, 4), st.integers(-4, 4).filter(bool), 3).filter(bool),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 12)),
+                min_size=1, max_size=3))
+@example([], [(1, 2)], [(0, 3, 6), (2, 1, 6)])                  # R = 0: R**0 = 1, R**2 = 0
+@example([(2, 3), (5, -1)], [(1, -2), (3, 1)], [(3, 0, 5), (3, 0, 9), (2, 4, 12)])
+@example([(0, 0), (1, 2)], [(2, 3)], [(0, 0, 4), (4, 2, 3)])    # a zero lowest term: v = 1
+@settings(max_examples=300, deadline=None)
+def test_miller_equals_truncated_series_arithmetic(r, p, powers):
+    # e independent of i and e = 0 with P != 0, P of 1 to 3 terms, R with
+    # v >= 2 read to n < v i, R = 0, negative coefficients; one set-up
+    # serves every power
+    assert list(_miller(r, p, powers)) == [series_quotient(r, p, i, e, n)
+                                           for i, e, n in powers]
 
 
 def line_spec(shift, *entries):

@@ -156,7 +156,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
     # of its evaluators and the corner form's kernel, its rows and its
     # integer scaling; the engines share only the packing (lattice)
     for name in ("_composition_sum", "_column_value", "_rows", "_series_rows",
-                 "_integer_rows", "closed_getter", "_kernel", "_kernel_values", "_corner_rows",
+                 "_integer_rows", "closed_getter", "_kernel_values", "_corner_rows",
                  "eval_implicit", "corner_kernel", "_scaled"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
     f = Fraction

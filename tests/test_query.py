@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latrec import (Box, FieldRow, HeatParams, InitialData, RandomWalkParams, Region,
-                    SpecError, closed_rows, closed_value, eval_implicit, eval_nd,
-                    eval_tridiagonal, expand_stencil_power, heat_profile, oracle_evolve,
-                    random_walk_distribution, tridiagonal_spec, verify_closed_vs_oracle)
+                    SpecError, closed_rows, closed_value, corner_kernel, eval_implicit,
+                    eval_nd, eval_tridiagonal, expand_stencil_power, heat_profile,
+                    oracle_evolve, oracle_sweep_implicit, random_walk_distribution,
+                    tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import cli
 from latrec.config import RunConfig
 from latrec.lattice import Packing, Query
@@ -104,6 +105,7 @@ def test_a_bad_query_is_refused_by_every_reader(query, text, monkeypatch, capsys
 HALF = Fraction(1, 2)
 ABC = (HALF, Fraction(1, 3), Fraction(1, 4))
 WALK = RandomWalkParams(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+WINDOW = Box((-4,), (4,))
 NOT_INTS = [
     (lambda: closed_value(SPEC, DELTA, (0.5,), 3), "point (0.5,) is not a sequence of integers"),
     (lambda: closed_value(SPEC, DELTA, (0,), 3.0), "time 3.0 is not an integer"),
@@ -118,6 +120,13 @@ NOT_INTS = [
     (lambda: eval_tridiagonal(*ABC, DELTA.rows[0], "1", 2), "point '1' is not an integer"),
     (lambda: eval_implicit(*ABC, DELTA.rows[0], 1.0, 2), "point 1.0 is not an integer"),
     (lambda: eval_implicit(*ABC, DELTA.rows[0], 1, "2"), "time '2' is not an integer"),
+    (lambda: corner_kernel(2.0, 3, *ABC), "kernel index 2.0 is not an integer"),
+    (lambda: corner_kernel(2, 3.0, *ABC), "kernel index 3.0 is not an integer"),
+    (lambda: corner_kernel("2", 3, *ABC), "kernel index '2' is not an integer"),
+    (lambda: oracle_sweep_implicit(*ABC, DELTA.rows[0], WINDOW, 2.5),
+     "j_max 2.5 is not an integer"),
+    (lambda: oracle_sweep_implicit(*ABC, DELTA.rows[0], WINDOW, "3"),
+     "j_max '3' is not an integer"),
 ]
 
 
@@ -134,6 +143,9 @@ def test_an_int_like_time_or_point_is_read_as_an_int():
     psi = DELTA.rows[0]
     for evaluate in (eval_tridiagonal, eval_implicit):
         assert evaluate(*ABC, psi, True, True) == evaluate(*ABC, psi, 1, 1)
+    assert corner_kernel(True, True, *ABC) == corner_kernel(1, 1, *ABC)
+    assert (oracle_sweep_implicit(*ABC, psi, WINDOW, True)
+            == oracle_sweep_implicit(*ABC, psi, WINDOW, 1))
 
 
 def test_a_query_of_another_dimension_is_refused():

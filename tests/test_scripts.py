@@ -4,16 +4,71 @@ from pathlib import Path
 
 import pytest
 
+from latrec import FieldRow, random_walk_distribution
+
 SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("name", ["run_verify_corpus", "walk_variance",
-                                  "c_exponent_comparison"])
-def test_script_main_exits_zero(capsys, monkeypatch, name):
+def load(name, monkeypatch):
     path = SCRIPT_DIR / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", [str(path)])
-    assert module.main() == 0
+    return module
+
+
+@pytest.mark.parametrize("name", ["run_verify_corpus", "walk_variance",
+                                  "c_exponent_comparison"])
+def test_script_main_exits_zero(capsys, monkeypatch, name):
+    assert load(name, monkeypatch).main() == 0
     assert capsys.readouterr().out
+
+
+# each fault breaks one moment identity at j = 2 and leaves the ones before it
+WALK_FAULTS = {
+    "mass": lambda params, dist: {p: 2 * v for p, v in dist.values.items()},
+    "mean": lambda params, dist: {(x + 1,): v for (x,), v in dist.values.items()},
+    "variance": lambda params, dist: random_walk_distribution(params, 1).values,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WALK_FAULTS))
+def test_walk_variance_exits_one_on_a_broken_identity(capsys, monkeypatch, fault):
+    module = load("walk_variance", monkeypatch)
+
+    def distribution(params, j):
+        dist = random_walk_distribution(params, j)
+        if j != 2:
+            return dist
+        return FieldRow(1, WALK_FAULTS[fault](params, dist))
+
+    monkeypatch.setattr(module, "random_walk_distribution", distribution)
+    assert module.main() == 1
+    out = capsys.readouterr().out
+    assert f"j=2: {fault} is " in out
+    assert "all moment identities hold exactly" not in out
+
+
+def test_c_exponent_comparison_exits_one_when_the_outer_variant_is_wrong(capsys,
+                                                                          monkeypatch):
+    module = load("c_exponent_comparison", monkeypatch)
+    real = module.eval_tridiagonal
+
+    def evaluate(a, b, c, psi, i, j, c_exponent="j-m"):
+        value = real(a, b, c, psi, i, j, c_exponent=c_exponent)
+        return value + 1 if (i, j, c_exponent) == (0, 2, "j-m") else value
+
+    monkeypatch.setattr(module, "eval_tridiagonal", evaluate)
+    assert module.main() == 1
+    assert "differs from the oracle at i=0, j=2" in capsys.readouterr().out
+
+
+def test_c_exponent_comparison_exits_one_when_the_control_does_not_diverge(capsys,
+                                                                            monkeypatch):
+    module = load("c_exponent_comparison", monkeypatch)
+    real = module.eval_tridiagonal
+    monkeypatch.setattr(module, "eval_tridiagonal",
+                        lambda a, b, c, psi, i, j, c_exponent="j-m": real(a, b, c, psi, i, j))
+    assert module.main() == 1
+    assert "agrees with the oracle everywhere" in capsys.readouterr().out
