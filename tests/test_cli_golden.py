@@ -5,7 +5,9 @@ Every config under ``configs/`` goes through ``verify`` (evaluators
 ``auto`` cut at ``--tmax 3``), ``solve`` with the closed and the oracle
 engine (CSV and JSON) and ``expand`` (powers 0, 3 and 7); ``demo heat``
 runs at r = 1/4, 2/7, 1/2 and 2 for 0, 1, 9 and 40 steps and ``demo
-random-walk`` with three parameter sets, each in CSV and JSON.  The
+random-walk`` with three parameter sets, each in CSV and JSON, and in CSV
+``demo heat`` at r = 2/7 and 1/4 for 120 steps and ``demo random-walk`` in
+sevenths for 80 steps.  The
 test-local ``LOCAL_CONFIGS`` go through ``verify`` (``auto`` and ``nd``) and
 ``solve`` with both engines in CSV and JSON; the corner-implicit
 ``CORNER_CONFIGS`` go through ``verify`` (``auto`` and ``implicit``, each
@@ -213,6 +215,12 @@ def calls(scratch: Path):
             yield (f"random-walk {out_format} p={p} d={d} q={q}",
                    ["demo", "random-walk", "--p", p, "--d", d, "--q", q,
                     "--steps", steps, "--format", out_format])
+    # deep rows over a prime-power denominator, where a value's numerator
+    # shares up to the fifth power of the prime
+    for r in ("2/7", "1/4"):
+        yield f"heat csv r={r} steps=120", ["demo", "heat", "--r", r, "--steps", "120"]
+    yield ("random-walk csv p=1/7 d=2/7 q=4/7 steps=80",
+           ["demo", "random-walk", "--p", "1/7", "--d", "2/7", "--q", "4/7", "--steps", "80"])
 
 
 def digests():
@@ -467,6 +475,9 @@ GOLDEN = {
     'random-walk json p=1/2 d=0 q=1/2': (0, '30f9a472fcd79d05218fe00332fdec02eefb67c98ec083c30afad2ed219278a1'),
     'random-walk json p=1/3 d=1/6 q=1/2': (0, 'f6c4f0912d3cb51da16d329869a3f7ba60e62c3576b055587838548bcf56b39e'),
     'random-walk json p=2/7 d=3/7 q=2/7': (0, '5e3580f9ae9eb2cc62bcbc1ff19e1245336adb725c2a86f6a1ceb056999b3b34'),
+    'heat csv r=2/7 steps=120': (0, '3b58a0ea958ab8168fc7590f58189cb1f02433c5c243b4200cf5159bb172e2d1'),
+    'heat csv r=1/4 steps=120': (0, '9ebe93539c9ddc258cd135b0e6fdba5011545b1734b50de25c2cbab47812b627'),
+    'random-walk csv p=1/7 d=2/7 q=4/7 steps=80': (0, '0d73c094b702e41b933b9d7f3435804312e269149212f6b04112e9b7593da690'),
 }
 
 
