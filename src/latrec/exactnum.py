@@ -6,7 +6,9 @@ arbitrary-precision rational.  The scalar type is the stdlib
 denominator, fully reduced), so equality is structural and arithmetic is
 exact.  This module adds the strict text format used by config files and CSV
 output, and ``rational_texts``, which writes that format from an integer
-numerator over an unreduced denominator without building a Fraction.
+numerator over an unreduced denominator without building a Fraction: over
+a power of one prime it cancels the prime's valuation, and over any other
+denominator a gcd.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 
 ZERO = Fraction(0)
 
@@ -84,31 +86,93 @@ def rational_texts(base: int) -> Callable[[int, int], str]:
     """(n, den) -> format_rational(Fraction(n, den)) for den > 0, fast when
     every prime of den divides `base`.
 
-    Per distinct den it keeps b = gcd(den, base) and the text "/den".  When
-    b holds every prime of den, a numerator with gcd(n, b) == 1 shares no
-    prime with den, so n/den is already reduced and is written as it
-    stands; only the other numerators pay a full gcd(n, den).  Should den
-    have a prime that base lacks, b is den itself, which is exact too.
+    Per distinct den it keeps a row: b = gcd(den, base), the text "/den",
+    and whether den is p**e for one prime p of b.  For such a den, a
+    numerator that p does not divide is written as it stands; any other is
+    divided by p**v, v its valuation at p capped at e (for p = 2 read off
+    its lowest set bit, for an odd p counted by one-digit divisions), and
+    the text of den / p**v is kept per v.  For any other den, when b holds
+    every prime of den, a numerator with gcd(n, b) == 1 shares no prime
+    with den, so n/den is already reduced and is written as it stands;
+    only the other numerators pay a full gcd(n, den).  Should den have a
+    prime that base lacks, b is den itself, which is exact too.
     """
-    rows: dict[int, tuple[int, str]] = {}
+    # den -> (b, "/den"), or, when den = p**e, (None, (p, e, "/den", tails))
+    # with tails[v] the tail of den / p**v ("" at v = e)
+    rows: dict[int, tuple] = {}
+    primes: dict[int, int | None] = {}  # b -> _prime_of(b)
+
+    def keep(den: int) -> tuple:
+        b = gcd(den, base)
+        if b not in primes:
+            primes[b] = _prime_of(b)
+        p, tail = primes[b], "" if den == 1 else f"/{den}"
+        if p is not None:
+            # den's primes are all p's only when den is this power of p
+            e = round(log(den, p))
+            if p ** e == den:
+                return None, (p, e, tail, {})
+        # strip b's primes from den, doubling the powers taken each round
+        rest, g = den, b
+        while g > 1:
+            rest //= g
+            g = gcd(rest, g * g)
+        return (b if rest == 1 else den), tail
 
     def text(n: int, den: int) -> str:
         if not n:
             return "0"
         row = rows.get(den)
         if row is None:
-            b = gcd(den, base)
-            # strip b's primes from den, doubling the powers taken each round
-            rest, g = den, b
-            while g > 1:
-                rest //= g
-                g = gcd(rest, g * g)
-            row = rows[den] = (b if rest == 1 else den, "" if den == 1 else f"/{den}")
+            row = rows[den] = keep(den)
         b, tail = row
-        if gcd(n, b) == 1:
-            return f"{n}{tail}"
-        g = gcd(n, den)
-        n, den = n // g, den // g
-        return f"{n}" if den == 1 else f"{n}/{den}"
+        if b is not None:
+            if gcd(n, b) == 1:
+                return f"{n}{tail}"
+            g = gcd(n, den)
+            n, den = n // g, den // g
+            return f"{n}" if den == 1 else f"{n}/{den}"
+        p, e, tail, tails = tail
+        if p == 2:
+            if n & 1:
+                return f"{n}{tail}"
+            v = (n & -n).bit_length() - 1
+            if v > e:
+                v = e
+            n >>= v
+        else:
+            if n % p:
+                return f"{n}{tail}"
+            n //= p
+            v = 1
+            while v < e and not n % p:
+                n //= p
+                v += 1
+        s = tails.get(v)
+        if s is None:
+            s = tails[v] = "" if v == e else f"/{den // p ** v}"
+        return f"{n}{s}"
 
     return text
+
+
+# _prime_of seeks a factor of b by trial division below this bound, so the
+# p it gives is below _TRIAL**2 and dividing by it takes one digit of an int
+_TRIAL = 1 << 10
+
+
+def _prime_of(b: int) -> int | None:
+    """p when b is a power of one prime p, else None.  A b past _TRIAL**2
+    with no factor below _TRIAL is not tested further and gives None."""
+    if b < 2:
+        return None
+    p = 2
+    while b % p:
+        p += 1
+        if p * p > b:
+            return b
+        if p == _TRIAL:
+            return None
+    while not b % p:
+        b //= p
+    return p if b == 1 else None

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from latrec import exactnum
 from latrec.exactnum import ParseError, format_rational, parse_rational, rational_texts
 
 
@@ -67,13 +69,17 @@ PRIMES = (2, 3, 5, 7)
 
 @st.composite
 def texts_cases(draw):
-    """A base over some of PRIMES, a denominator over base's primes (times 11
-    or 13 now and then, a prime base lacks) and numerators: zero, negative,
-    and sharing powers of the denominator's primes up to and past their
-    exponent in it."""
-    base = 1
-    for p in draw(st.lists(st.sampled_from(PRIMES), max_size=4)):
-        base *= p
+    """A base over some of PRIMES, half the time a power of one of them, a
+    denominator over base's primes (times 11 or 13 now and then, a prime
+    base lacks) and numerators: zero, negative, and sharing powers of the
+    denominator's primes up to and past their exponent in it, and past
+    the largest power of 3 and of 7 below 2**30."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(PRIMES)) ** draw(st.integers(1, 3))
+    else:
+        base = 1
+        for p in draw(st.lists(st.sampled_from(PRIMES), max_size=4)):
+            base *= p
     den = draw(st.sampled_from((1, 1, 1, 11, 13)))
     for p in PRIMES:
         if base % p == 0:
@@ -82,7 +88,7 @@ def texts_cases(draw):
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(-10 ** 9, 10 ** 9))
         for p in (*PRIMES, 11, 13):
-            n *= p ** draw(st.sampled_from((0, 0, 1, 2, 59, 60, 61)))
+            n *= p ** draw(st.sampled_from((0, 0, 1, 2, 11, 20, 59, 60, 61)))
         numerators.append(n)
     return base, den, numerators
 
@@ -92,12 +98,50 @@ def texts_cases(draw):
 @example((6, 2 ** 40 * 3 ** 7, [0, -(2 ** 40) * 3 ** 9, 2 ** 41, -(3 ** 7), 5 ** 30]))
 @example((7, 7 ** 120, [7 ** 120, -(7 ** 121), 7 ** 119 * 2, 3]))
 @example((2, 2 * 11, [11, -22, 3]))
+# p = 2, negative numerators, their valuation below, at and past the exponent
+@example((8, 2 ** 40, [-1, -6, -(2 ** 39) * 7, -(2 ** 40), -(2 ** 45) * 3]))
+# odd p, valuations past 7**10 and 3**18 (the largest powers below 2**30)
+# and past the denominator's exponent
+@example((7, 7 ** 30, [7 ** 11 * 2, -(7 ** 11), 7 ** 29 * 4, 7 ** 31 * 3]))
+@example((9, 3 ** 25, [3 ** 20, -(3 ** 20) * 2, 3 ** 19 * 5, 3 ** 26]))
+@example((3, 3 ** 5, [3 ** 20, -(3 ** 5), 3 ** 4 * 2]))
+# a prime-power base whose denominator carries a prime it lacks
+@example((7, 7 ** 5 * 11, [11, 7 * 11, 7 ** 6 * 11, -(7 ** 2), 2]))
+@example((4, 2 ** 9 * 13, [13 * 2 ** 10, -26, 2 ** 3, 3]))
+# base 1: every denominator but 1 has primes base lacks
+@example((1, 11 ** 3, [11, -(11 ** 2) * 5, 2, 11 ** 4]))
+@example((1, 2 ** 5 * 7, [2 ** 6 * 7, -14, 3]))
 def test_rational_texts_equal_format_rational(case):
     base, den, numerators = case
     text = rational_texts(base)
     for _ in range(2):  # the second pass reads the denominator's kept row
         for n in numerators:
             assert text(n, den) == format_rational(Fraction(n, den))
+
+
+@pytest.mark.parametrize("base, den, prime, wide", [
+    (7, 7 ** 120, 7, False), (4, 2 ** 300, 2, False), (60, 60 ** 40, 2, True)],
+    ids=["7^120", "2^300", "60^40"])
+def test_rational_texts_over_a_prime_power_take_no_wide_gcd(monkeypatch, base, den,
+                                                             prime, wide):
+    """Over p**e, texting takes no gcd whose two arguments both reach 2**64;
+    over the composite 60**40 a numerator that shares a prime takes one, so
+    the count can fail."""
+    calls = []
+
+    def counted(a, b):
+        if abs(a) >= 1 << 64 and abs(b) >= 1 << 64:
+            calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(exactnum, "gcd", counted)
+    rng = random.Random(den.bit_length())
+    text = rational_texts(base)
+    for v in (0, 0, 1, 2, 5, 39, 40, 41, 119, 120, 121, 300, 303):
+        for sign in (1, -1):
+            n = sign * rng.getrandbits(330) * prime ** v
+            assert text(n, den) == format_rational(Fraction(n, den))
+    assert bool(calls) == wide
 
 
 def test_field_axioms_on_random_triples():

@@ -25,6 +25,20 @@ def test_script_main_exits_zero(capsys, monkeypatch, name):
     assert capsys.readouterr().out
 
 
+def test_run_verify_corpus_reports_a_config_that_does_not_load(capsys, monkeypatch,
+                                                               tmp_path):
+    module = load("run_verify_corpus", monkeypatch)
+    good = (module.CONFIG_DIR / "identity.json").read_text()
+    (tmp_path / "a_good.json").write_text(good)
+    (tmp_path / "b_bad.json").write_text('{"spatial_dim": 1}')
+    monkeypatch.setattr(module, "CONFIG_DIR", tmp_path)
+    assert module.main() == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("a_good.json  spec=")
+    assert lines[1] == "b_bad.json   error: time_order: missing required field"
+    assert lines[2] == "2 configs checked"
+
+
 # each fault breaks one moment identity at j = 2 and leaves the ones before it
 WALK_FAULTS = {
     "mass": lambda params, dist: {p: 2 * v for p, v in dist.values.items()},
