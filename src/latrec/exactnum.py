@@ -89,24 +89,21 @@ def rational_texts(base: int) -> Callable[[int, int], str]:
     Per distinct den it keeps a row: b = gcd(den, base), the text "/den",
     and whether den is p**e for one prime p of b.  For such a den, a
     numerator that p does not divide is written as it stands; any other is
-    divided by p**v, v its valuation at p capped at e (for p = 2 read off
-    its lowest set bit, for an odd p counted by one-digit divisions), and
-    the text of den / p**v is kept per v.  For any other den, when b holds
-    every prime of den, a numerator with gcd(n, b) == 1 shares no prime
-    with den, so n/den is already reduced and is written as it stands;
-    only the other numerators pay a full gcd(n, den).  Should den have a
-    prime that base lacks, b is den itself, which is exact too.
+    divided by p**v, v its valuation at p capped at e and counted by
+    one-digit divisions, and the text of den / p**v is kept per v.  For
+    any other den, when b holds every prime of den, a numerator with
+    gcd(n, b) == 1 shares no prime with den, so n/den is already reduced
+    and is written as it stands; only the other numerators pay a full
+    gcd(n, den).  Should den have a prime that base lacks, b is den
+    itself, which is exact too.
     """
     # den -> (b, "/den"), or, when den = p**e, (None, (p, e, "/den", tails))
     # with tails[v] the tail of den / p**v ("" at v = e)
     rows: dict[int, tuple] = {}
-    primes: dict[int, int | None] = {}  # b -> _prime_of(b)
 
     def keep(den: int) -> tuple:
         b = gcd(den, base)
-        if b not in primes:
-            primes[b] = _prime_of(b)
-        p, tail = primes[b], "" if den == 1 else f"/{den}"
+        p, tail = _prime_of(b), "" if den == 1 else f"/{den}"
         if p is not None:
             # den's primes are all p's only when den is this power of p
             e = round(log(den, p))
@@ -133,21 +130,13 @@ def rational_texts(base: int) -> Callable[[int, int], str]:
             n, den = n // g, den // g
             return f"{n}" if den == 1 else f"{n}/{den}"
         p, e, tail, tails = tail
-        if p == 2:
-            if n & 1:
-                return f"{n}{tail}"
-            v = (n & -n).bit_length() - 1
-            if v > e:
-                v = e
-            n >>= v
-        else:
-            if n % p:
-                return f"{n}{tail}"
+        if n % p:
+            return f"{n}{tail}"
+        n //= p
+        v = 1
+        while v < e and not n % p:
             n //= p
-            v = 1
-            while v < e and not n % p:
-                n //= p
-                v += 1
+            v += 1
         s = tails.get(v)
         if s is None:
             s = tails[v] = "" if v == e else f"/{den // p ** v}"
