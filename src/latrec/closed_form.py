@@ -28,7 +28,8 @@ formula that differs in structure (the three-point sum, its negative
 control, the corner kernel).
 
 A one-step equation's rows and points, U(t) = S^t psi, come from Miller's
-power recurrence (``combinatorics._symbol_power``) through _power_rows;
+power recurrence (``combinatorics._symbol_powers``, one set-up for every
+row of a sweep, halved for a centrally symmetric S) through _power_rows;
 time order >= 2 takes the integer series sum_J S^J.  A 1D symbol whose
 x-steps are 0 and one sign reads it one column per power of x
 (``combinatorics._column_weights``): its rows from every column, its
@@ -51,7 +52,7 @@ from math import comb, lcm
 from operator import add, mul
 
 from .combinatorics import (_column_sign, _column_weights, _miller, _multinomial_weights,
-                            _symbol_power, compositions, multinomial, stencil_symbol_steps)
+                            _symbol_powers, compositions, multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
                       StencilEntry, _as_int, _as_ints, query_packing)
@@ -282,18 +283,18 @@ def _check_query(spec: EquationSpec, point: Point, time: int) -> tuple[Point, in
     return point, time
 
 
-def _power_rows(spec: EquationSpec, psi: FieldRow, times: Iterable[int],
+def _power_rows(spec: EquationSpec, psi: FieldRow, times: Sequence[int],
                 packing: Packing | None = None,
                 point: Point | None = None) -> Iterator[tuple[int, dict]]:
     """Rows `times` of a one-step equation from row 0 psi as integer rows
     keyed in packing, or with `point` that cell of each alone: (D S)^j from
-    Miller's recurrence (_symbol_power) times psi times L, its lcd, over
-    D^j L.  The set-up is worked out once; a row is one _symbol_power call."""
+    Miller's recurrence times psi times L, its lcd, over D^j L, every row
+    on the one set-up of _symbol_powers."""
     lcd, (nums,) = _integer_rows([psi])
     row = list(nums.items()) if point else [(packing.key(p), n) for p, n in nums.items()]
     terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
-    for j in times:
-        scale, cells = _symbol_power(terms, j, row, packing and packing.units, point)
+    powers = _symbol_powers(terms, times, row, packing and packing.units, point)
+    for j, (scale, cells) in zip(times, powers):
         yield scale ** j * lcd, cells
 
 

@@ -11,13 +11,15 @@ routine, ``_miller``: the coefficients of R^i / (1 - P)^e for integer
 polynomials R and P, by J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2,
 4.7), each from the ones below it in O(terms of R (1 - P)) integer
 operations.  Its callers give only R, P, i and e; the corner form's kernel
-rows (``closed_form``) read it too.  ``_symbol_power`` packs each exponent
-vector into one power of a single variable z, wide enough that no digit
-carries, reads the univariate (D S(z))^t without forming S^(t-1), and
-keys the product's cells in the caller's packing
-(``lattice.Packing``) without unpacking them.  ``expand_stencil_power``
-reads it with y as one more axis, and the one-step equations' rows and
-points (``closed_form._power_rows``) in x alone.  Only time order >= 2
+rows (``closed_form``) read it too.  ``_symbol_powers`` packs each
+exponent vector into one power of a single variable z, wide enough that
+no digit carries, reads the univariate (D S(z))^t without forming
+S^(t-1), to its middle coefficient when S is centrally symmetric, and
+keys the product's cells in the caller's packing (``lattice.Packing``)
+without unpacking them, by list slices in 1D; a sweep over t sets up once.
+``expand_stencil_power`` reads one power with y as one more axis, and the
+one-step equations' rows and points (``closed_form._power_rows``) a
+sweep in x alone.  Only time order >= 2
 needs the series: ``_multinomial_weights`` applies the multinomial theorem
 one stencil entry at a time on integer-scaled coefficients, merging like
 terms after each entry, about T^4 states to time exponent T.  When the
@@ -36,7 +38,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import mul, sub
+from operator import add, mul, neg, sub
 
 from .lattice import Box, EquationSpec, Packing, SpecError, _as_int
 
@@ -128,15 +130,15 @@ def _miller(r: Sequence[tuple[int, int]], p: Sequence[tuple[int, int]],
         yield [0] * front + ks if front else ks
 
 
-def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
-                  row: Sequence[tuple], out_units: Sequence[int] | None = None,
-                  point: tuple[int, ...] | None = None) -> tuple[int, dict]:
-    """The integer coefficients of (D A)**t * N by Miller's recurrence
-    (_miller), for A = sum of coeff * x**exps over `terms` (distinct exponent
-    vectors, nonzero coefficients), D the lcm of their denominators and N the
-    integer (key, value) pairs `row`, keys packed in the caller's out_units
-    (lattice.Packing) whose box holds N and the product, or points with
-    `point`.
+def _symbol_powers(terms: Sequence[tuple[Fraction, tuple[int, ...]]], times: Iterable[int],
+                   row: Sequence[tuple], out_units: Sequence[int] | None = None,
+                   point: tuple[int, ...] | None = None) -> Iterator[tuple[int, dict]]:
+    """For each t of times, the integer coefficients of (D A)**t * N by
+    Miller's recurrence (_miller), for A = sum of coeff * x**exps over
+    `terms` (distinct exponent vectors, nonzero coefficients), D the lcm of
+    their denominators and N the integer (key, value) pairs `row`, keys
+    packed in the caller's out_units (lattice.Packing) whose box holds N and
+    every product, or points with `point`.
 
     Shifted by its lowest exponent on each axis, A has digits in
     [0, width], so P = (D A)**t has digits in [0, t * width].  A Kronecker
@@ -144,69 +146,133 @@ def _symbol_power(terms: Sequence[tuple[Fraction, tuple[int, ...]]], t: int,
     axis's radix t * width + 1, packs every exponent vector of P into a
     distinct power of z without a carry, and A becomes a univariate
     polynomial A(z).  P is R**t for R = D A(z), one _miller power with no
-    denominator, its first t m0 coefficients zero for A's least exponent m0.
-    N's extent never enters P's packing, so points of N far apart cost no
-    coefficients.  P's nonzero cells are repacked, axis by axis, into
-    out_units (on one axis the two packings agree), and N multiplies them
-    into a dict, so the product costs its terms however far apart N's
-    points are; the cells that cancel are dropped and no key is unpacked.
-    A sweep over t calls this once per row, and each call redoes the few
-    list passes over the terms that do not depend on t.
+    denominator, its first t v coefficients zero for A's least packed
+    exponent v.  N's extent never enters P's packing, so points of N far
+    apart cost no coefficients.
 
-    Returns D and a map from each cell's key in out_units to its nonzero
+    What does not depend on t is worked out once per sweep: D, the integer
+    coefficients, the per-axis bounds, whether A is centrally symmetric,
+    N sorted, and in 1D, where no radix enters, the packed R.  A centrally
+    symmetric A (about any point, so with drift too) packs, past its
+    leading zeros, into a palindrome at every t, and so does R**t:
+    Miller's recurrence runs to the middle coefficient and the rest are
+    its mirror image.
+
+    In 1D the two packings agree, and N multiplies P in by list slices: one
+    dense accumulator per cluster of N's points, split wherever consecutive
+    points lie more than len(P) apart, so a row costs at most |N| len(P)
+    cells however far apart N's points are.  On more axes P's nonzero
+    cells are repacked, axis by axis, into out_units, and N multiplies them
+    into a dict, which costs the product's terms.  Either way the cells
+    that cancel are dropped and no key is unpacked.
+
+    Yields D and a map from each cell's key in out_units to its nonzero
     coefficient in (D A)**t * N; with `point`, from that point alone, the
-    recurrence stopping at the farthest key it reads.
+    recurrence stopping at the farthest key it reads, never mirrored.
     """
     scale = math.lcm(*[coeff.denominator for coeff, _ in terms])
-    if not row:
-        return scale, {}
+    ints = [coeff.numerator * (scale // coeff.denominator) for coeff, _ in terms]
     axes = list(zip(*[exps for _, exps in terms]))
     low = list(map(min, axes))
-    # per axis, the largest digit of P
-    reach = [t * (hi - lo) for hi, lo in zip(map(max, axes), low)]
-    units = [1]
-    for r in reach[:-1]:
-        units.append(units[-1] * (r + 1))
-    offset = sum(map(mul, low, units))
-    coded = sorted([(sum(map(mul, exps, units)) - offset,
-                     coeff.numerator * (scale // coeff.denominator))
-                    for coeff, exps in terms])
-    n = t * coded[-1][0]
-    origin = [t * lo for lo in low]
-    if point is not None:
-        hits = []
-        for q, v in row:
-            digits = list(map(sub, map(sub, point, q), origin))
-            if all(0 <= d <= r for d, r in zip(digits, reach)):
-                key = sum(map(mul, digits, units))
-                if key <= n:
-                    hits.append((key, v))
-        if not hits:
-            return scale, {}
-        n = max(hits)[0]
-    (coeffs,) = _miller(coded, (), [(t, 0, n)])
-    if point is not None:
-        total = sum(coeffs[k] * v for k, v in hits)
-        return scale, {point: total} if total else {}
-    # P's nonzero cells, repacked axis by axis unless the packings agree,
-    # as on one axis; a cell's digits are its exponents less the origin's
-    keys = [k for k, c in enumerate(coeffs) if c]
-    values = [c for c in coeffs if c]
-    if list(out_units) == units:
-        moved = keys
+    width = list(map(sub, map(max, axes), low))
+    line = len(low) == 1
+    if line:
+        coded = sorted(zip([e - low[0] for e in axes[0]], ints))
     else:
+        digits = [(tuple(map(sub, exps, low)), c) for (_, exps), c in zip(terms, ints)]
+    if point is None:
+        row = sorted(row)
+        # A is centrally symmetric when the cell at digits d holds what the
+        # cell at width - d holds
+        cells = [((k,), c) for k, c in coded] if line else sorted(digits)
+        mirrored = cells == sorted([(tuple(map(sub, width, d)), c) for d, c in cells])
+    for t in times:
+        if not row:
+            yield scale, {}
+            continue
+        # per axis, the largest digit of P
+        reach = [t * w for w in width]
+        units = [1]
+        for r in reach[:-1]:
+            units.append(units[-1] * (r + 1))
+        if not line:
+            coded = sorted([(sum(map(mul, d, units)), c) for d, c in digits])
+        n = t * coded[-1][0]
+        origin = [t * lo for lo in low]
+        if point is not None:
+            hits = []
+            for q, value in row:
+                ds = list(map(sub, map(sub, point, q), origin))
+                if all(0 <= d <= r for d, r in zip(ds, reach)):
+                    key = sum(map(mul, ds, units))
+                    if key <= n:
+                        hits.append((key, value))
+            if not hits:
+                yield scale, {}
+                continue
+            (coeffs,) = _miller(coded, (), [(t, 0, max(hits)[0])])
+            total = sum(coeffs[k] * value for k, value in hits)
+            yield scale, {point: total} if total else {}
+            continue
+        if mirrored:
+            # P is t v zeros, v A's least packed exponent, then a palindrome
+            # of m + 1 coefficients: the first half + 1, then the rest mirrored
+            front = t * coded[0][0]
+            half = (n - front) // 2
+            (coeffs,) = _miller(coded, (), [(t, 0, front + half)])
+            coeffs += coeffs[front:n - half][::-1]
+        else:
+            (coeffs,) = _miller(coded, (), [(t, 0, n)])
+        shift = sum(map(mul, origin, out_units))
+        if line:
+            yield scale, _slice_product(coeffs, row, shift)
+            continue
+        # P's nonzero cells, repacked axis by axis; a cell's digits are its
+        # exponents less the origin's
+        keys = [k for k, c in enumerate(coeffs) if c]
+        values = [c for c in coeffs if c]
         moved = [k // units[-1] * out_units[-1] for k in keys]
-        for u, r, v in zip(units[:-1], reach[:-1], out_units[:-1]):
-            moved = [m + k // u % (r + 1) * v for m, k in zip(moved, keys)]
-    shift = sum(map(mul, origin, out_units))
-    (s, v), *shifts = [(k + shift, v) for k, v in row]
-    out = {k + s: c * v for k, c in zip(moved, values)}
-    get = out.get
-    for s, v in shifts:
-        for k, c in zip(moved, values):
-            k += s
-            out[k] = get(k, 0) + c * v
-    return scale, {k: v for k, v in out.items() if v}
+        for u, r, o in zip(units[:-1], reach[:-1], out_units[:-1]):
+            moved = [m + k // u % (r + 1) * o for m, k in zip(moved, keys)]
+        (s, value), *shifts = [(k + shift, value) for k, value in row]
+        out = {k + s: c * value for k, c in zip(moved, values)}
+        get = out.get
+        for s, value in shifts:
+            for k, c in zip(moved, values):
+                k += s
+                out[k] = get(k, 0) + c * value
+        yield scale, {k: value for k, value in out.items() if value}
+
+
+def _slice_product(coeffs: list[int], row: Sequence[tuple[int, int]], shift: int) -> dict:
+    """The nonzero cells of P * N on one axis, for P's coefficients `coeffs`
+    from key `shift` and N the sorted integer (key, value) pairs `row`.
+    Each cluster of N's points, a new one wherever a point lies more than
+    len(coeffs) past the one before it, fills one dense list: its first
+    point's multiple of P, then each other point's added or subtracted by
+    a slice.  P is scaled once per distinct magnitude of N's values."""
+    span = len(coeffs)
+    scaled = {1: coeffs}
+    clusters = []
+    first = 0
+    for last in range(1, len(row) + 1):
+        if last < len(row) and row[last][0] - row[last - 1][0] <= span:
+            continue
+        lo = row[first][0]
+        acc = None
+        for q, value in row[first:last]:
+            part = scaled.get(m := abs(value))
+            if part is None:
+                part = scaled[m] = list(map(m.__mul__, coeffs))
+            if acc is None:
+                acc = part[:] if value > 0 else list(map(neg, part))
+                acc += [0] * (row[last - 1][0] - lo)
+            else:
+                o = q - lo
+                acc[o:o + span] = map(add if value > 0 else sub, acc[o:o + span], part)
+        clusters.append((lo + shift, acc))
+        first = last
+    return {base + i: c for base, acc in clusters for i, c in enumerate(acc) if c}
 
 
 def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -350,7 +416,7 @@ def expand_stencil_power(spec: EquationSpec, j: int) -> dict[tuple[int, ...], Fr
     axes = list(zip(*[exps for _, exps in terms]))
     packing = Packing(Box(tuple(j * min(a) for a in axes), tuple(j * max(a) for a in axes)))
     # N is 1 at the origin, whose key is -base
-    scale, weights = _symbol_power(terms, j, [(-packing.base, 1)], packing.units)
+    scale, weights = next(_symbol_powers(terms, (j,), [(-packing.base, 1)], packing.units))
     denom = scale ** j
     return {exps: Fraction(weight, denom)
             for exps, weight in zip(packing.points(weights), weights.values())}

@@ -77,8 +77,30 @@ def _part(text: str, m: re.Match, group: int) -> int:
 
 
 def format_rational(x: Fraction) -> str:
-    """Inverse of parse_rational: ``num`` when the denominator is 1, else ``num/den``."""
-    return str(x)
+    """Inverse of parse_rational: ``num`` when the denominator is 1, else
+    ``num/den``, either part of any length (_decimal)."""
+    try:
+        return str(x)
+    except ValueError:  # a part past the interpreter's digit limit
+        num = _decimal(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  Past the interpreter's limit on the
+    digits of an int's text (Python 3.10.7 and later), n is split by a
+    power of 10 into halves that are each texted the same way; the limit
+    is neither read nor changed."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    # about half of n's digits: log10(2) is just over 3/10
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 
@@ -103,7 +125,7 @@ def rational_texts(base: int) -> Callable[[int, int], str]:
 
     def keep(den: int) -> tuple:
         b = gcd(den, base)
-        p, tail = _prime_of(b), "" if den == 1 else f"/{den}"
+        p, tail = _prime_of(b), "" if den == 1 else "/" + _decimal(den)
         if p is not None:
             # den's primes are all p's only when den is this power of p
             e = round(log(den, p))
@@ -123,24 +145,25 @@ def rational_texts(base: int) -> Callable[[int, int], str]:
         if row is None:
             row = rows[den] = keep(den)
         b, tail = row
-        if b is not None:
-            if gcd(n, b) == 1:
+        try:
+            if b is not None:
+                if gcd(n, b) == 1:
+                    return f"{n}{tail}"
+                g = gcd(n, den)
+                return f"{n // g}" if den == g else f"{n // g}/{den // g}"
+            p, e, tail, tails = tail
+            if n % p:
                 return f"{n}{tail}"
-            g = gcd(n, den)
-            n, den = n // g, den // g
-            return f"{n}" if den == 1 else f"{n}/{den}"
-        p, e, tail, tails = tail
-        if n % p:
-            return f"{n}{tail}"
-        n //= p
-        v = 1
-        while v < e and not n % p:
-            n //= p
-            v += 1
-        s = tails.get(v)
-        if s is None:
-            s = tails[v] = "" if v == e else f"/{den // p ** v}"
-        return f"{n}{s}"
+            m, v = n // p, 1
+            while v < e and not m % p:
+                m //= p
+                v += 1
+            s = tails.get(v)
+            if s is None:
+                s = tails[v] = "" if v == e else "/" + _decimal(den // p ** v)
+            return f"{m}{s}"
+        except ValueError:  # a part past the interpreter's digit limit
+            return format_rational(Fraction(n, den))
 
     return text
 

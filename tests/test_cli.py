@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 import latrec
 from latrec import cli
 from latrec.cli import main, parse_table_csv
-from latrec.closed_form import EVALUATORS
+from latrec.closed_form import EVALUATORS, closed_value, eval_tridiagonal
+from latrec.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -339,6 +341,80 @@ def test_integer_literal_past_digit_limit_exits_two(capsys, tmp_path):
     assert status == 2 and out == ""
     assert err.startswith("error: $: invalid JSON: ")
     assert err.count("\n") == 1
+
+
+# 1/10**100: a value at t = 44 has a denominator of 4,401 digits or more,
+# past the interpreter's default limit of 4,300 on an int's text
+TINY = "1/1" + "0" * 100
+
+
+def digit_limit():
+    """The interpreter's limit on int-to-str digits; None before 3.10.7."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get and get()
+
+
+def decimal_text(x):
+    """x's rational text by Decimal, which has no digit limit."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def past_limit_config(tmp_path, offsets, engine):
+    return write_config(tmp_path, {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [0],
+        "stencil": [{"offset": [o], "time_level": 0, "coeff": TINY} for o in offsets],
+        "initial": {"rows": [[{"at": [0], "value": "1"}]]},
+        "query": {"points": [{"at": [0], "t": 44}]}, "engine": engine,
+    }, name=f"{engine}_past_limit.json")
+
+
+def test_solve_writes_a_value_past_the_digit_limit(capsys, tmp_path):
+    # the value 10**-4400 is written whole, the limit stays as it was after
+    # exit 0, and input past the limit still exits 2
+    limit = digit_limit()
+    path = past_limit_config(tmp_path, [0], "closed")
+    status, out, err = run_cli(capsys, "solve", "--config", path)
+    assert (status, err) == (0, "")
+    config = load_config(path)
+    value = closed_value(config.spec, config.initial, (0,), 44)
+    assert value == Fraction(1, 10 ** 4400)
+    assert out.splitlines()[2] == f"0,44,{decimal_text(value)}"
+    assert digit_limit() == limit
+    doc = json.loads(Path(path).read_text())
+    doc["stencil"][0]["coeff"] = "1/" + "3" * 5000
+    status, out, err = run_cli(capsys, "solve", "--config", write_config(tmp_path, doc))
+    assert status == 2 and out == ""
+    assert err.startswith("error: stencil[0].coeff: cannot parse rational")
+    assert digit_limit() == limit
+
+
+def test_verify_mismatch_line_writes_values_past_the_digit_limit(capsys, tmp_path):
+    limit = digit_limit()
+    path = past_limit_config(tmp_path, [-1, 0, 1], "verify")
+    status, out, err = run_cli(capsys, "verify", "--config", path,
+                               "--evaluator", "tridiagonal-j-n")
+    assert (status, err) == (1, "")
+    config = load_config(path)
+    tiny = Fraction(TINY)
+    closed = eval_tridiagonal(tiny, tiny, tiny, config.initial.rows[0], 0, 44, "j-n")
+    oracle = closed_value(config.spec, config.initial, (0,), 44)
+    assert len(str(Decimal(oracle.denominator))) > 4300
+    assert out.splitlines()[1:] == [
+        "checked 1 points up to time 44: 1 mismatches",
+        f"mismatch at (0,) t=44: closed={decimal_text(closed)} oracle={decimal_text(oracle)}"]
+    assert digit_limit() == limit
+
+
+def test_values_past_the_digit_limit_need_no_limit_setting(capsys, tmp_path, monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no sys.set_int_max_str_digits: the
+    # writers neither read nor set it, and write the same bytes
+    path = past_limit_config(tmp_path, [0], "closed")
+    status, want, _ = run_cli(capsys, "solve", "--config", path)
+    assert status == 0 and len(want) > 4400
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run_cli(capsys, "solve", "--config", path) == (0, want, "")
 
 
 def test_demo_random_walk_conserves_probability(capsys):

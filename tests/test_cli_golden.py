@@ -7,7 +7,9 @@ engine (CSV and JSON) and ``expand`` (powers 0, 3 and 7); ``demo heat``
 runs at r = 1/4, 2/7, 1/2 and 2 for 0, 1, 9 and 40 steps and ``demo
 random-walk`` with three parameter sets, each in CSV and JSON, and in CSV
 ``demo heat`` at r = 2/7 and 1/4 for 120 steps and ``demo random-walk`` in
-sevenths for 80 steps.  The
+sevenths for 80 steps.  ``PAST_LIMIT_CONFIGS`` write values past the
+interpreter's limit on an int's digits, through ``solve`` with the closed
+engine and a ``tridiagonal-j-n`` mismatch line.  The
 test-local ``LOCAL_CONFIGS`` go through ``verify`` (``auto`` and ``nd``) and
 ``solve`` with both engines in CSV and JSON; the corner-implicit
 ``CORNER_CONFIGS`` go through ``verify`` (``auto`` and ``implicit``, each
@@ -162,6 +164,21 @@ CORNER_CONFIGS = {
     },
 }
 
+# values past the interpreter's default limit of 4,300 digits on an int's
+# text: coefficient 1/10**100 to t = 44, one entry solved by the closed
+# engine (10**-4400) and three entries under the j-n control, whose
+# mismatch line writes both values
+TINY = "1/1" + "0" * 100
+PAST_LIMIT_CONFIGS = {
+    name: {
+        "spatial_dim": 1, "time_order": 1, "spatial_shift": [0],
+        "stencil": _entries([[o] for o in offsets], [TINY] * len(offsets)),
+        "initial": {"rows": [[{"at": [0], "value": "1"}]]},
+        "query": {"points": [{"at": [0], "t": 44}]},
+    }
+    for name, offsets in (("past_limit_point.json", [0]), ("past_limit_line.json", [-1, 0, 1]))
+}
+
 
 def calls(scratch: Path):
     for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -221,6 +238,12 @@ def calls(scratch: Path):
         yield f"heat csv r={r} steps=120", ["demo", "heat", "--r", r, "--steps", "120"]
     yield ("random-walk csv p=1/7 d=2/7 q=4/7 steps=80",
            ["demo", "random-walk", "--p", "1/7", "--d", "2/7", "--q", "4/7", "--steps", "80"])
+    for (name, doc), (label, engine, argv) in zip(PAST_LIMIT_CONFIGS.items(), (
+            ("solve closed csv", "closed", ["solve"]),
+            ("verify tridiagonal-j-n", "verify", ["verify", "--evaluator", "tridiagonal-j-n"]))):
+        path = scratch / f"{engine}_{name}"
+        path.write_text(json.dumps(dict(doc, engine=engine)))
+        yield f"{label} {name}", [*argv, "--config", str(path)]
 
 
 def digests():
@@ -478,6 +501,8 @@ GOLDEN = {
     'heat csv r=2/7 steps=120': (0, '3b58a0ea958ab8168fc7590f58189cb1f02433c5c243b4200cf5159bb172e2d1'),
     'heat csv r=1/4 steps=120': (0, '9ebe93539c9ddc258cd135b0e6fdba5011545b1734b50de25c2cbab47812b627'),
     'random-walk csv p=1/7 d=2/7 q=4/7 steps=80': (0, '0d73c094b702e41b933b9d7f3435804312e269149212f6b04112e9b7593da690'),
+    'solve closed csv past_limit_point.json': (0, '002287f74323249886505afe62bd6e05df58f0fa8f9ffe4c7e5f28ee1ff8c942'),
+    'verify tridiagonal-j-n past_limit_line.json': (1, 'e19105ee21081ae50c1b5a6223b44988f443c35305507297b34acfbee51b4a39'),
 }
 
 

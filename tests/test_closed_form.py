@@ -2,7 +2,9 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from operator import sub
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
                     source_rows, tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import closed_form, combinatorics
 from latrec.closed_form import closed_getter
-from latrec.combinatorics import _miller, multinomial
+from latrec.combinatorics import _miller, multinomial, stencil_symbol_steps
 from latrec.config import load_config
 from latrec.lattice import Box, query_packing
 from latrec.oracle import Region, sweep_window
@@ -28,6 +30,8 @@ from instance_gen import (CORNER_COEFFS, column_spec, column_specs, corner_spec,
                           one_row_spec, plane_rows, plane_specs, point_rows, rational,
                           tridiagonal_instance, two_row_instance,
                           verification_region)
+import power_reference
+from power_reference import reference_symbol_power
 
 DELTA = FieldRow.delta(1)
 DELTA2 = FieldRow.delta(2)
@@ -834,13 +838,13 @@ def test_line_paths_read_no_composition_or_multinomial_kernel(monkeypatch):
         raise AssertionError("a one-step equation took the slow path")
 
     dims = []
-    symbol_power = combinatorics._symbol_power
+    symbol_powers = combinatorics._symbol_powers
 
-    def power(terms, *args):
+    def powers(terms, *args):
         dims.append(len(terms[0][1]))
-        return symbol_power(terms, *args)
+        return symbol_powers(terms, *args)
 
-    monkeypatch.setattr(closed_form, "_symbol_power", power)
+    monkeypatch.setattr(closed_form, "_symbol_powers", powers)
     monkeypatch.setattr(closed_form, "_composition_sum", slow_path)
     monkeypatch.setattr(closed_form, "_multinomial_weights", slow_path)
     monkeypatch.setattr(combinatorics, "_multinomial_weights", slow_path)
@@ -986,3 +990,121 @@ def test_row_sweep_equals_power_row_and_oracle(case, t_max):
             assert next(closed_form._power_rows(spec, psi, (j,), point=p)) == want, (p, j)
     assert ([FieldRow._over(packing, den, nums) for den, nums in rows]
             == oracle_evolve(spec, initial, t_max))
+
+
+def centrally_symmetric(spec):
+    """Whether S's coefficients, by exponent vector, map onto themselves
+    through the centre of the exponents' bounding box."""
+    cells = {tuple(map(sub, spec.spatial_shift, e.offset)): e.coeff for e in spec.stencil}
+    ends = [min(axis) + max(axis) for axis in zip(*cells)]
+    return all(cells.get(tuple(map(sub, ends, p))) == c for p, c in cells.items())
+
+
+MIRROR_FAR = 10 ** 6
+# coordinates near 0 and near 10**6 on either side
+MIRROR_COORDS = (st.integers(-3, 3) | st.integers(MIRROR_FAR - 2, MIRROR_FAR + 2)
+                 | st.integers(-MIRROR_FAR - 2, -MIRROR_FAR + 2))
+
+
+@st.composite
+def mirror_sweeps(draw):
+    """A one-step spec in 1 to 3 dimensions whose stencil is centrally
+    symmetric about a drawn point, a half-integer one too, so that S
+    drifts; or that stencil with one coefficient doubled or one entry
+    dropped, which may break the symmetry.  With it a nonzero row 0, values
+    of either sign, whose points may lie 10**6 apart."""
+    dim = draw(st.integers(1, 3))
+    ends = draw(st.tuples(*[st.integers(-3, 3)] * dim))  # twice the centre
+    coeffs = {}
+    for o in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=3)):
+        coeffs[o] = coeffs[tuple(map(sub, ends, o))] = draw(SWEEP_COEFFS)
+    change = draw(st.sampled_from([None, "double", "drop"]))
+    if change:
+        o = draw(st.sampled_from(sorted(coeffs)))
+        if change == "double":
+            coeffs[o] *= 2
+        elif len(coeffs) > 1:
+            del coeffs[o]
+    shift = draw(st.tuples(*[st.integers(-1, 1)] * dim))
+    spec = EquationSpec(dim, 1, shift, tuple(StencilEntry(o, 0, c)
+                                             for o, c in sorted(coeffs.items())))
+    points = draw(st.lists(st.tuples(*[MIRROR_COORDS] * dim), min_size=1, max_size=4,
+                           unique=True))
+    return spec, FieldRow(dim, {p: draw(SWEEP_COEFFS) for p in points})
+
+
+def line(*cells, values=((0, 1),)):
+    """A 1D one-step spec with coefficient c at exponent e for (e, c) in
+    cells, and a row 0 of the (point, value) pairs values."""
+    spec = EquationSpec(1, 1, (0,), tuple(StencilEntry((-e,), 0, Fraction(c))
+                                          for e, c in cells))
+    return spec, FieldRow(1, {(p,): Fraction(v) for p, v in values})
+
+
+@given(mirror_sweeps(), st.integers(0, 6))
+@example(line((3, "-2/3")), 0)                       # n = 0 at t = 0 and one entry
+@example(line((3, "-2/3"), values=((0, 2), (MIRROR_FAR, -1))), 6)
+@example(line((0, 1), (1, 1), values=((0, 1), (1, -1))), 5)  # (1 + x)**t (1 - x) cancels
+@example(line((-1, "1/3"), (0, "1/4"), (1, "1/3")), 6)      # symmetric about 0
+@example(line((-1, "1/3"), (0, "1/4"), (1, "1/2")), 6)      # near-symmetric
+@example(line((1, "-1/2"), (2, "1/3"), (4, "1/3"), (5, "-1/2"),
+              values=((-MIRROR_FAR, 3), (0, -1), (2, 1), (MIRROR_FAR, 2))), 6)  # drift, gaps
+@example((EquationSpec(2, 1, (0, 0), tuple(
+    StencilEntry(o, 0, Fraction(c)) for o, c in (((0, 0), 1), ((1, 0), 1), ((0, 1), 1),
+                                                 ((1, 1), 1)))),
+          FieldRow(2, {(0, 0): Fraction(1), (1, 0): Fraction(-1)})), 3)  # 2D, cancels
+@settings(max_examples=80, deadline=None)
+def test_mirrored_rows_equal_the_per_row_power_and_the_oracle(case, t_max):
+    # Each row of the sweep equals the per-row dict product worked out from
+    # scratch (power_reference) and the oracle's row.  A centrally symmetric
+    # S with more than one entry runs Miller's recurrence to about the
+    # middle of the power at every t > 0; any other runs it to the end.
+    spec, psi = case
+    initial = InitialData((psi,))
+    packing = query_packing(spec, initial, t_max)
+    terms = [(coeff, xstep) for coeff, xstep, _ in stencil_symbol_steps(spec)]
+    lcd, (nums,) = closed_form._integer_rows([psi])
+    row = [(packing.key(p), n) for p, n in nums.items()]
+    times = range(t_max + 1)
+    reads = []
+
+    def recording(r, p, powers):
+        powers = list(powers)
+        reads.extend(n for _, _, n in powers)
+        return _miller(r, p, powers)
+
+    with mock.patch.object(combinatorics, "_miller", recording):
+        got = list(combinatorics._symbol_powers(terms, times, row, packing.units))
+    halves, reads = reads, []
+    with mock.patch.object(power_reference, "_miller", recording):
+        assert got == [reference_symbol_power(terms, t, row, packing.units) for t in times]
+    mirrored = centrally_symmetric(spec) and len(terms) > 1
+    for t, half, full in zip(times, halves, reads, strict=True):
+        if mirrored and t:
+            assert full // 2 <= half < full, (t, half, full)
+        else:
+            assert half == full, (t, half, full)
+    assert ([FieldRow._over(packing, scale ** t * lcd, cells)
+             for t, (scale, cells) in zip(times, got)] == oracle_evolve(spec, initial, t_max))
+
+
+@pytest.mark.parametrize("cells", [
+    ((-1, "1/3"), (0, "1/4"), (1, "1/3")), ((-1, "1/2"), (0, "1/3"), (1, "1/4"))],
+    ids=["symmetric", "asymmetric"])
+def test_row_points_far_apart_fill_no_dense_span(cells):
+    # three clusters 10**6 apart: each fills a list of its own, a few
+    # hundred cells long, where one list across the gaps would take 16 MB
+    # for a single row; all 61 rows together take about 1 MB
+    spec, psi = line(*cells, values=((-MIRROR_FAR, 1), (0, -3), (1, 2), (MIRROR_FAR, 3)))
+    initial = InitialData((psi,))
+    t_max = 60
+    packing = query_packing(spec, initial, t_max)
+    tracemalloc.start()
+    try:
+        rows = list(closed_form._rows(spec, initial, t_max, packing))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, peak
+    assert [FieldRow._over(packing, den, nums) for den, nums in rows] == oracle_evolve(
+        spec, initial, t_max)

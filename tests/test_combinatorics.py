@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 from latrec import (Box, EquationSpec, FieldRow, InitialData, SpecError, StencilEntry,
                     expand_stencil_power, oracle_evolve, tridiagonal_spec)
 from latrec.combinatorics import (_column_sign, _column_weights, _miller,
-                                  _multinomial_weights, _symbol_power, compositions, multinomial,
+                                  _multinomial_weights, _symbol_powers, compositions, multinomial,
                                   stencil_symbol_steps)
 from latrec.lattice import Packing
 
 from instance_gen import box_keys, column_spec, column_specs, line_specs, nd_instance
 
 
+def symbol_power(terms, j, row, out_units=None, point=None):
+    """Row j alone of _symbol_powers: D and (D A)**j * N."""
+    return next(_symbol_powers(terms, (j,), row, out_units, point))
+
+
 def packed_power(terms, j, row):
-    """_symbol_power's (D A)**j * N with N's points packed in a box that
+    """symbol_power's (D A)**j * N with N's points packed in a box that
     holds N and the product, N's box plus j times A's exponent box hulled
     with 0, as auto_window sizes it, and the cells unpacked by the tests'
     own packing (box_keys)."""
@@ -25,7 +30,7 @@ def packed_power(terms, j, row):
     box = Box(tuple(min(0, j * min(e)) + min(p) for e, p in zip(exps, points)),
               tuple(max(0, j * max(e)) + max(p) for e, p in zip(exps, points)))
     key, point = box_keys(box)
-    scale, got = _symbol_power(terms, j, [(key(p), v) for p, v in row], Packing(box).units)
+    scale, got = symbol_power(terms, j, [(key(p), v) for p, v in row], Packing(box).units)
     return scale, {point(k): v for k, v in got.items()}
 
 
@@ -249,12 +254,12 @@ def test_symbol_power_equals_composition_sum_and_iterated_product(spec, j, row):
         assert {cell: Fraction(w, scale ** j) for cell, w in got.items()} == want
         for cell in probes(want or {(0,) * axes: 0}, axes):
             alone = {cell: got[cell]} if cell in got else {}
-            assert _symbol_power(terms, j, ints, point=cell) == (scale, alone)
-    assert _symbol_power(cases[0][0], j, []) == (scale, {})
+            assert symbol_power(terms, j, ints, point=cell) == (scale, alone)
+    assert symbol_power(cases[0][0], j, []) == (scale, {})
 
 
 def row_product(spec, j, row):
-    """_symbol_power's (D S)**j * N for the one-step spec and the integer row
+    """symbol_power's (D S)**j * N for the one-step spec and the integer row
     N, checked to hold no zero and, over D**j, to equal the composition sum
     times N and row j of the oracle from N."""
     dim = spec.spatial_dim
@@ -324,7 +329,7 @@ def test_line_power_mirrors_with_its_symbol(spec, j):
     assert coeffs == {(x,): w for (x, e), w in series.items() if e == j}
     (low,), (high,) = min(coeffs), max(coeffs)
     for x in (low - 3, low - 1, high + 1, high + 3):
-        assert _symbol_power(terms, j, delta, point=(x,)) == (scale, {})
+        assert symbol_power(terms, j, delta, point=(x,)) == (scale, {})
 
 
 def test_compositions_examples():

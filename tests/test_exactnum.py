@@ -1,9 +1,11 @@
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latrec import exactnum
@@ -142,6 +144,68 @@ def test_rational_texts_over_a_prime_power_take_no_wide_gcd(monkeypatch, base, d
             n = sign * rng.getrandbits(330) * prime ** v
             assert text(n, den) == format_rational(Fraction(n, den))
     assert bool(calls) == wide
+
+
+# Decimal texts an int without the interpreter's limit on int-to-str digits,
+# so it is the reference past that limit (4,300 digits by default)
+def decimal_text(x):
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def digit_limit():
+    """The interpreter's limit on int-to-str digits; None before 3.10.7."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get and get()
+
+
+# bit lengths around 4,300 digits (14,284 bits) and well past it
+BIG_BITS = st.sampled_from([1, 64, 14_280, 14_284, 14_285, 14_300, 30_000, 70_000])
+
+
+@given(BIG_BITS, st.integers(0, 2 ** 64), st.booleans(), st.integers(0, 3))
+@example(14_284, 0, False, 0)
+@example(1, 0, False, 0)
+@settings(deadline=None)
+def test_decimal_texts_an_int_of_any_size(bits, low, negative, tens):
+    # ints near a power of 2 or of 10, so halves with leading zeros come up
+    for n in (2 ** bits - low, 2 ** bits + low, 10 ** (bits * 3 // 10 + tens) + low):
+        n = -n if negative else n
+        assert exactnum._decimal(n) == str(Decimal(n))
+
+
+@given(BIG_BITS, BIG_BITS, st.integers(-5, 5), st.integers(0, 3))
+@example(14_300, 1, 1, 0)
+@example(1, 14_300, -1, 0)
+@settings(deadline=None)
+def test_writers_text_values_past_the_digit_limit(num_bits, den_bits, sign, v):
+    # every branch of rational_texts: a numerator that shares no prime with
+    # den, one reduced by a gcd, and, over a power of 7, one that 7 does not
+    # divide (v = 0) or one divided by 7**v (2**k + 1 is never a multiple of 7)
+    limit = digit_limit()
+    num = (2 ** num_bits + 1) * sign
+    den = 3 ** (den_bits // 2 + 1) * 5
+    for base, den, n in ((15, den, num), (15, den, num * 3 ** 4),
+                         (7, 7 ** (den_bits // 3 + 1), num * 7 ** v)):
+        if not n:
+            continue
+        want = decimal_text(Fraction(n, den))
+        assert format_rational(Fraction(n, den)) == want
+        text = rational_texts(base)
+        assert [text(n, den), text(n, den)] == [want, want]
+    assert digit_limit() == limit
+
+
+def test_writers_need_no_digit_limit_setting(monkeypatch):
+    # Python 3.10.0 to 3.10.6 have neither sys.set_int_max_str_digits nor
+    # the limit; the writers read and set neither attribute
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    value = Fraction(-(10 ** 5000) - 1, 7 ** 6000)
+    want = decimal_text(value)
+    assert format_rational(value) == want
+    assert rational_texts(7)(value.numerator, value.denominator) == want
 
 
 def test_field_axioms_on_random_triples():

@@ -148,7 +148,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
         raise AssertionError("the oracle reached a closed-form kernel")
 
     for module in (closed_form, combinatorics):
-        for name in ("_multinomial_weights", "_column_weights", "_symbol_power", "_miller"):
+        for name in ("_multinomial_weights", "_column_weights", "_symbol_powers", "_miller"):
             monkeypatch.setattr(module, name, closed_form_path)
     for module in (closed_form, models):
         monkeypatch.setattr(module, "_power_rows", closed_form_path)
