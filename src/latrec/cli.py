@@ -119,8 +119,8 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute a run; returns (exit status, emitted artifact text).
 
     solve reads the query through lattice.Query.of, which checks it, streams
-    the chosen engine's integer rows by engine_rows, keyed in the query's
-    packing up to its right edge, texts only the asked keys
+    the chosen engine's integer rows by engine_rows, keyed in the packing
+    of the query's box, texts only the asked keys
     (Query.asked_keys) of a row's support, one key of each mirrored pair of a
     mirrored row (_text_row), and unpacks each texted key once; every other
     queried cell is "0", and a point with none shares one list."""
@@ -128,7 +128,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return run_verify(config, "auto")
     spec, initial = config.spec, config.initial
     query = Query.of(config.query, spec.spatial_dim)
-    packing, rows = engine_rows(spec, initial, query.t_max, config.engine, query.box.hi[0])
+    packing, rows = engine_rows(spec, initial, query.t_max, config.engine, query.box)
     text = _value_texts(spec, initial)
     asked = query.asked_keys(packing)
     cells: dict[int, dict[int, str]] = {}

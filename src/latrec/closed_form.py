@@ -25,21 +25,23 @@ give ``corner_kernel``, ``eval_implicit`` and the corner form's rows
 (_corner_rows).  ``EVALUATORS`` maps each evaluator name to its shape
 check and evaluator: "nd" for every explicit spec, and one name for each
 formula that differs in structure (the three-point sum, its negative
-control, the corner kernel).
+control, the corner kernel); ``closed_getter`` is the one lookup.  "auto"
+is no evaluator: it names verify's comparison of whole rows.
 
 A one-step equation's rows and points, U(t) = S^t psi, come from Miller's
 power recurrence (``combinatorics._symbol_powers``, one set-up for every
 row of a sweep, halved for a centrally symmetric S) through _power_rows;
-time order >= 2 takes the integer series sum_J S^J.  A 1D symbol whose
-x-steps are 0 and one sign reads it one column per power of x
-(``combinatorics._column_weights``): its rows from every column, its
-points (_column_value) from the columns the source rows reach.  Any other
-symbol's rows take one multinomial pass over the whole series, and its
-points the composition sum.  Every row
-builder gives integer rows (den, {key: nonzero numerator}), not reduced,
-keyed in the query's one packing (``lattice.query_packing``), which the
-oracle's rows share; ``closed_rows`` and ``random_walk_distribution``
-unpack the keys and build a Fraction per cell.  The pointwise paths
+time order >= 2 takes the integer series sum_J S^J, rows and points
+alike.  A 1D symbol whose x-steps are 0 and one sign reads it one column
+per power of x (``combinatorics._column_weights``): its rows from every
+column, its points (_series_value) from the columns the source rows
+reach.  Any other symbol's rows and points take one multinomial pass over
+the whole series.  The composition sum is "nd" and ``eval_nd``, a
+witness no other path reads.  Every row builder gives integer rows (den,
+{key: nonzero numerator}), not reduced, keyed in the query's one packing
+(``lattice.query_packing``), which the oracle's rows share;
+``closed_rows`` and ``random_walk_distribution`` unpack the keys and
+build a Fraction per cell.  The pointwise paths
 (``closed_value``, the ``eval_*`` sums) build no packing.  The test suite
 checks every evaluator against the iteration oracle.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .combinatorics import (_column_sign, _column_weights, _miller, _multinomial_weights,
                             _symbol_powers, compositions, multinomial, stencil_symbol_steps)
@@ -461,12 +463,8 @@ def closed_getter(spec: EquationSpec, initial: InitialData,
                   evaluator: str) -> Callable[[Point, int], tuple[int, int]]:
     """(point, time) -> the value of the pointwise evaluator named in
     EVALUATORS as (numerator, positive denominator): its Fraction v enters
-    as (v.numerator, v.denominator).  "auto" names "implicit" for the
-    corner-implicit form and "nd" for every other spec.  SpecError is raised
-    for an unknown name, and when the spec does not have that evaluator's
-    shape."""
-    if evaluator == "auto":
-        evaluator = "implicit" if spec.implicit_corner else "nd"
+    as (v.numerator, v.denominator).  SpecError is raised for an unknown
+    name, and when the spec does not have that evaluator's shape."""
     if evaluator not in EVALUATORS:
         raise SpecError(f"unknown evaluator {evaluator!r}")
     recognise, shape, make = EVALUATORS[evaluator]
@@ -477,39 +475,43 @@ def closed_getter(spec: EquationSpec, initial: InitialData,
     return lambda p, t: value(p, t).as_integer_ratio()
 
 
-def _column_value(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
+def _series_value(spec: EquationSpec, q: Sequence[FieldRow], point: Point,
                   time: int) -> Fraction:
-    """U(point, time) from the source rows q of a spec with a _column_sign
-    sigma: a cell c of Q_s reads column (point - c) sigma of sum_J S^J at
-    time exponent time - s, so only those columns are built
-    (_column_weights), each up to the largest time - s read from it.  The
-    terms go over D**time L, L the lcm of q's denominators, as in
-    _series_rows."""
+    """U(point, time) from the source rows q of a spec of time order >= 2,
+    from the series kernel its rows use (_series_rows): a cell c of Q_s
+    reads the term of sum_J S^J at (point - c, time - s).  A spec with a
+    _column_sign sigma builds only the columns (point - c) sigma >= 0 read,
+    each to the largest time - s read from it (_column_weights); any other
+    takes the multinomial pass to time exponent time (_multinomial_weights).
+    The terms go over D**time L, L the lcm of q's denominators."""
     sign = _column_sign(spec)
     lcd, nums = _integer_rows(q[:time + 1])
-    (p,) = point
     reads, columns = [], {}
     for s, ns in enumerate(nums):
-        for (c,), n in ns.items():
-            if (i := (p - c) * sign) >= 0:
+        for c, n in ns.items():
+            a = tuple(map(sub, point, c))
+            if sign:
+                if (i := a[0] * sign) < 0:
+                    continue
                 columns[i] = max(columns.get(i, 0), time - s)
-                reads.append(((p - c, time - s), s, n))
-    scale, weights = _column_weights(spec, time, columns)
+            reads.append(((*a, time - s), s, n))
+    scale, weights = (_column_weights(spec, time, columns) if sign
+                      else _multinomial_weights(spec, time))
     return Fraction(sum(n * weights.get(key, 0) * scale ** s for key, s, n in reads),
                     scale ** time * lcd)
 
 
 def closed_value(spec: EquationSpec, initial: InitialData, point: Point,
                  time: int) -> Fraction:
-    """Single-point closed-form value: the corner-implicit sum, Miller's
-    power recurrence for a one-step equation, the columns of sum_J S^J that
-    Q reaches for a multistep 1D spec with x-steps 0 and +-1 (_column_value),
-    or the one composition sum of every other explicit equation."""
+    """Single-point closed-form value: the corner-implicit sum
+    (eval_implicit), Miller's power recurrence for a one-step equation, or
+    the series kernel of the rows for every other explicit equation
+    (_series_value)."""
     point, time = _check_query(spec, point, time)
-    if spec.implicit_corner or (spec.time_order != 1 and not _column_sign(spec)):
-        return Fraction(*closed_getter(spec, initial, "auto")(point, time))
-    if spec.time_order != 1:
-        return _column_value(spec, source_rows(spec, initial), point, time)
     initial.check_matches(spec)
+    if spec.implicit_corner:
+        return eval_implicit(*spec.corner_coefficients(), initial.rows[0], point[0], time)
+    if spec.time_order != 1:
+        return _series_value(spec, source_rows(spec, initial), point, time)
     den, cells = next(_power_rows(spec, initial.rows[0], (time,), point=point))
     return Fraction(cells.get(point, 0), den)

@@ -9,8 +9,11 @@ points to nonzero rationals (absent means exactly zero).  An
 
 with ``level`` in ``[0, k-1]``.  The corner-implicit 1D form, whose right
 side also references the unknown time level, is marked with a flag and a
-dedicated coefficient slot instead of an out-of-range entry.  Every record
-type of the library is a frozen ``__slots__`` class on ``Record``.
+dedicated coefficient slot instead of an out-of-range entry.  A ``Packing``
+keys the points of one box by ints; ``query_packing`` sizes the one packing
+of a query to hold both engines' rows and the query's box, so every asked
+cell has a key.  Every record type of the library is a frozen ``__slots__``
+class on ``Record``.
 """
 
 from __future__ import annotations
@@ -290,9 +293,9 @@ class InitialData(Record):
 def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
                 extra: Box | None = None) -> Box | None:
     """Window guaranteed to contain the evolved support up to t_max, and so
-    every term of either engine's rows (query_packing's box, its one caller
-    in the library), hulled with an optional extra box: each update moves
-    the support by spatial_shift - offset over the stencil entries."""
+    every term of either engine's rows, hulled with an optional extra box
+    (query_packing's box, from the query's box): each update moves the
+    support by spatial_shift - offset over the stencil entries."""
     hull = initial.support_hull()
     window = None
     if hull is not None:
@@ -310,8 +313,8 @@ class Packing:
     the last axis lowest, so keys sort as their points do.  A key is linear
     in its point: a shift by v adds step(v).  The int of a point outside the
     box may equal an inside point's key, so it is never looked up, and rows
-    keyed here must stay in the box: query_packing sizes it to their reach,
-    and a packing checks nothing."""
+    and queries keyed here must stay in the box: query_packing sizes it to
+    their reach and the query's box, and a packing checks nothing."""
 
     def __init__(self, box: Box):
         self.box, radices = box, [h - l + 1 for l, h in zip(box.lo, box.hi)]
@@ -326,10 +329,10 @@ class Packing:
         return self.step(p) - self.base
 
     def keys(self, box: Box) -> list[int]:
-        """The keys of the points of box inside the packing's box."""
-        return list(map(sum, product(*[range((max(a, l) - l) * u, (min(b, h) - l) * u + 1, u)
-                                       for a, b, l, h, u in zip(box.lo, box.hi, self.box.lo,
-                                                                self.box.hi, self.units)])))
+        """The keys of the points of box, which the packing's box holds."""
+        return list(map(sum, product(*[range((a - l) * u, (b - l) * u + 1, u)
+                                       for a, b, l, u in zip(box.lo, box.hi, self.box.lo,
+                                                             self.units)])))
 
     def points(self, keys) -> list[Point]:
         """The point of each key, in order: the one unpack."""
@@ -339,20 +342,21 @@ class Packing:
 
 
 def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,
-                  right_edge: int | None = None) -> Packing:
-    """The one packing of a query's rows 0..t_max on both engines:
-    auto_window's box (the origin for zero rows), or for the corner form,
-    whose rows have no right end, psi's left end to right_edge."""
+                  box: Box | None = None) -> Packing:
+    """The one packing of a query's rows 0..t_max on both engines, holding
+    the query's box when given: auto_window's box hulled with it (the
+    origin for zero rows and no box), or for the corner form, whose rows
+    have no right end, the box and psi's left end to the box's right edge."""
     if _as_int(t_max, "t_max") < 0:
         raise SpecError("t_max must be >= 0")
     initial.check_matches(spec)
     if not spec.implicit_corner:
         zero = (0,) * spec.spatial_dim
-        return Packing(auto_window(spec, initial, t_max) or Box(zero, zero))
-    if right_edge is None:
+        return Packing(auto_window(spec, initial, t_max, box) or Box(zero, zero))
+    if box is None:
         raise SpecError("corner-implicit rows have infinite support; give a right edge")
-    left = min([right_edge, *(x for x, in initial.rows[0].values)])
-    return Packing(Box((left,), (right_edge,)))
+    left = min([box.lo[0], *(x for x, in initial.rows[0].values)])
+    return Packing(Box((left,), box.hi))
 
 
 class Region(Record):
@@ -434,14 +438,13 @@ class Query(Record):
         return Query(blocks) if blocks else None
 
     def asked_keys(self, packing: Packing) -> dict[int, dict[int, int]]:
-        """time -> {key: times asked} of the cells inside the packing (the
-        others are 0 on both engines); the times one block alone asks share
-        its one dict."""
+        """time -> {key: times asked} of the asked cells, in a packing that
+        holds the query's box; the times one block alone asks share its one
+        dict."""
         asked: dict[int, dict[int, int]] = {}
         merged = set()
         for box, times in self.blocks:
-            if not (cells := dict.fromkeys(packing.keys(box), 1)):
-                continue
+            cells = dict.fromkeys(packing.keys(box), 1)
             for t in times:
                 if t not in asked:
                     asked[t] = cells

@@ -13,15 +13,18 @@ denominators, so every term is an integer multiple of one held numerator.
 The sweep holds a row as a list up to its right edge.  Only oracle_evolve,
 oracle_step and oracle_sweep_implicit unpack keys, and build a Fraction
 per cell.  The oracle reads nothing of the closed form's symbol,
-powers or kernel.  verify_closed_vs_oracle compares both engines' packed
-rows one time at a time over a lattice.Query, a named evaluator's values
-cell by cell as each oracle row is stepped; verify_recurrence substitutes
-plain Fractions at points.
+powers or kernel.  verify_closed_vs_oracle compares the oracle's packed
+rows with closed rows one time at a time over a lattice.Query, in one
+comparison (_row_mismatches): under "auto" the closed form's rows, under a
+named evaluator its values at the asked cells as integer rows, each read
+after its oracle row is stepped.  The packing holds the query's box, so
+every asked cell has a key.  verify_recurrence substitutes plain Fractions
+at points.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from math import lcm
 
@@ -208,22 +211,22 @@ class VerifyReport(Record):
 
 
 def engine_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
-                right_edge: int | None = None
+                box: Box | None = None
                 ) -> tuple[Packing, Iterator[tuple[int, dict[int, int]]]]:
     """The query's packing (lattice.query_packing, which checks the
-    arguments) and the integer rows (den, {key: nonzero numerator}) at times
-    0..t_max of engine "closed" (closed_form._rows, _corner_rows) or
-    "oracle" (_steps, _sweep), keyed in it; another name is a SpecError.  A
-    corner-implicit row, which has no right end, runs from psi's left end
-    to right_edge."""
+    arguments and holds the query's box when given) and the integer rows
+    (den, {key: nonzero numerator}) at times 0..t_max of engine "closed"
+    (closed_form._rows, _corner_rows) or "oracle" (_steps, _sweep), keyed
+    in it; another name is a SpecError.  A corner-implicit row, which has
+    no right end, runs from psi's left end to the box's right edge."""
     if engine not in ("closed", "oracle"):
         raise SpecError(f"unknown engine {engine!r}; use 'closed' or 'oracle'")
-    packing = query_packing(spec, initial, t_max, right_edge)
+    packing = query_packing(spec, initial, t_max, box)
     closed = engine == "closed"
     if not spec.implicit_corner:
         return packing, (closed_form._rows if closed else _steps)(spec, initial, t_max, packing)
     psi = initial.rows[0]
-    if not psi.values or right_edge < min(psi.values)[0]:
+    if not psi.values or packing.box.hi[0] < min(psi.values)[0]:
         return packing, iter([(1, {})] * (t_max + 1))
     rows = closed_form._corner_rows if closed else _sweep
     return packing, rows(*spec.corner_coefficients(), psi, packing, t_max)
@@ -235,52 +238,56 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
     """Evaluate both engines at every (point, time) of the query, a Region,
     (point, time) pairs or a Query (lattice.Query.of, which checks it), and
     report exact mismatches in point, then time order; mismatches are data,
-    not errors.  Under "auto" both engines' integer rows (engine_rows),
-    keyed in the query's one packing, are compared one time at a time
-    (_row_mismatches).  A named evaluator's (numerator, denominator) pairs
-    (closed_form.closed_getter) are cross-multiplied with each oracle row's
-    asked cells as the row is stepped, so no row is kept; a point outside the
-    packing has no key and is 0 in every row."""
+    not errors.  The oracle's integer rows (engine_rows), keyed in the one
+    packing of the query's box, are compared one time at a time
+    (_row_mismatches) with the closed form's under "auto", and with a named
+    evaluator's values (closed_form.closed_getter) at the asked cells
+    otherwise (_evaluated_rows), so no row is kept."""
     initial.check_matches(spec)
     query = Query.of(region, spec.spatial_dim)
-    t_max, right_edge = query.t_max, query.box.hi[0]
-    packing, oracle_rows = engine_rows(spec, initial, t_max, "oracle", right_edge)
+    t_max, box = query.t_max, query.box
+    packing, oracle_rows = engine_rows(spec, initial, t_max, "oracle", box)
+    asked = None
     if evaluator == "auto":
-        _, closed_rows = engine_rows(spec, initial, t_max, "closed", right_edge)
-        mismatches = _row_mismatches(closed_rows, oracle_rows, query, packing)
+        _, closed_rows = engine_rows(spec, initial, t_max, "closed", box)
     else:
-        closed_get = closed_form.closed_getter(spec, initial, evaluator)
-        asked: dict[int, list[list[tuple[Point, int | None]]]] = {}
-        for box, times in query.blocks:
-            cells = [(p, packing.key(p) if p in packing.box else None) for p in box.points()]
-            for t in times:
-                asked.setdefault(t, []).append(cells)
-        mismatches = []
-        for t, (d_o, o_row) in enumerate(oracle_rows):
-            for cells in asked.get(t, ()):
-                for p, k in cells:
-                    n_c, d_c = closed_get(p, t)
-                    n_o = o_row.get(k, 0)
-                    if n_c * d_o != n_o * d_c:
-                        mismatches.append(Mismatch(p, t, Fraction(n_c, d_c), Fraction(n_o, d_o)))
+        value = closed_form.closed_getter(spec, initial, evaluator)
+        asked = query.asked_keys(packing)
+        closed_rows = _evaluated_rows(value, asked, packing, t_max)
+    mismatches = _row_mismatches(closed_rows, oracle_rows, query, packing, asked)
     mismatches.sort(key=lambda m: (m.point, m.time))
     return VerifyReport(query.checked, tuple(mismatches), t_max)
 
 
+def _evaluated_rows(value: Callable[[Point, int], tuple[int, int]],
+                    asked: dict[int, dict[int, int]], packing: Packing,
+                    t_max: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """Integer rows at times 0..t_max of a pointwise evaluator's
+    (numerator, denominator) values at the asked keys (Query.asked_keys),
+    over their lcm: each distinct asked cell is evaluated once, when its
+    row is read."""
+    for t in range(t_max + 1):
+        keys = list(asked.get(t, ()))
+        pairs = [value(p, t) for p in packing.points(keys)]
+        den = lcm(*[d for _, d in pairs])
+        yield den, {k: n * (den // d) for k, (n, d) in zip(keys, pairs) if n}
+
+
 def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
                     oracle_rows: Iterable[tuple[int, dict[int, int]]],
-                    query: Query, packing: Packing) -> list[Mismatch]:
+                    query: Query, packing: Packing,
+                    asked: dict[int, dict[int, int]] | None = None) -> list[Mismatch]:
     """The mismatches among the query's (point, time) pairs, a repeated
     pair once per repeat, in time order, from both engines' integer rows at
-    times 0, 1, ..., keyed in packing.  Both engines drop zero numerators,
-    so one dict comparison of equal rows settles a time.  Otherwise only
-    the asked keys of either row's support are cross-multiplied (every
-    other asked cell is 0 on both sides), and a key is unpacked to its
-    point only for a mismatch.  The asked keys are packed at the first
-    unequal row: equal rows read none."""
-    asked = None
+    times 0, 1, ..., keyed in packing, each oracle row drawn before its
+    closed row.  Both engines drop zero numerators, so one dict comparison
+    of equal rows settles a time.  Otherwise only the asked keys of either
+    row's support are cross-multiplied (every other asked cell is 0 on both
+    sides), and a key is unpacked to its point only for a mismatch.  The
+    asked keys, unless given, are packed at the first unequal row: equal
+    rows read none."""
     mismatches = []
-    for t, ((d_c, c_row), (d_o, o_row)) in enumerate(zip(closed_rows, oracle_rows)):
+    for t, ((d_o, o_row), (d_c, c_row)) in enumerate(zip(oracle_rows, closed_rows)):
         if d_c == d_o and c_row == o_row:
             continue
         if asked is None:

@@ -198,9 +198,9 @@ def point_rows(rows, box: Box) -> list:
 
 
 def engine_point_rows(spec: EquationSpec, initial: InitialData, t_max: int, engine: str,
-                      right_edge: int | None = None) -> list:
+                      box: Box | None = None) -> list:
     """engine_rows in the packing it returns, the query's, keyed by point."""
-    packing, rows = engine_rows(spec, initial, t_max, engine, right_edge)
+    packing, rows = engine_rows(spec, initial, t_max, engine, box)
     return point_rows(rows, packing.box)
 
 

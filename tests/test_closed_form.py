@@ -24,8 +24,9 @@ from latrec.config import load_config
 from latrec.lattice import Box, query_packing
 from latrec.oracle import Region, sweep_window
 
-from instance_gen import (CORNER_COEFFS, column_spec, column_specs, corner_spec, field_row,
-                          grid_2d_instance, grid_2d_spec, line_rows, line_specs, nd_instance,
+from instance_gen import (CORNER_COEFFS, LINE_COEFFS, column_spec, column_specs, corner_spec,
+                          field_row, grid_2d_instance, grid_2d_spec, line_rows, line_specs,
+                          nd_instance,
                           ninepoint_instance, ninepoint_spec, one_row_instance,
                           one_row_spec, plane_rows, plane_specs, point_rows, rational,
                           tridiagonal_instance, two_row_instance,
@@ -573,18 +574,18 @@ def test_column_value_equals_oracle_at_t_60():
     EquationSpec(2, 3, (0, 0), (_entry((0, 0), 0, "1/2"), _entry((1, 0), 2, "-1/3"))),
 ])
 def test_other_multistep_symbols_keep_the_multinomial_kernel(monkeypatch, spec):
-    # rows and a point of a multistep spec outside the column family reach
-    # the multinomial kernel and the composition sum with the whole symbol
+    # rows and a point of a multistep spec outside the column family each
+    # reach the multinomial kernel with the whole symbol, never the
+    # composition sum
     seen = []
-    weights, composition = closed_form._multinomial_weights, closed_form._composition_sum
+    weights = closed_form._multinomial_weights
 
     def multinomial_kernel(spec, limit):
         seen.append(spec)
         return weights(spec, limit)
 
-    def composition_sum(spec, *args):
-        seen.append(spec)
-        return composition(spec, *args)
+    def composition_sum(*args):
+        raise AssertionError("a multistep point took the composition sum")
 
     monkeypatch.setattr(closed_form, "_multinomial_weights", multinomial_kernel)
     monkeypatch.setattr(closed_form, "_composition_sum", composition_sum)
@@ -595,6 +596,57 @@ def test_other_multistep_symbols_keep_the_multinomial_kernel(monkeypatch, spec):
     assert closed_rows(spec, initial, 6) == rows
     assert closed_value(spec, initial, origin, 6) == rows[6].get(origin)
     assert seen == [spec, spec]
+
+
+@st.composite
+def multistep_cases(draw):
+    """A spec of time order 2 or 3 with one drawn row per time level, and a
+    horizon past the time order: a column-family spec (column_specs), or a
+    1D or 2D spec with offsets in [-1, 1] per axis at any time levels, whose
+    x-steps are mostly not 0 and one sign."""
+    if draw(st.booleans()):
+        spec = draw(column_specs())
+    else:
+        dim, k = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+        cells = st.tuples(*[st.integers(-1, 1)] * dim)
+        keys = draw(st.lists(st.tuples(cells, st.integers(0, k - 1)),
+                             min_size=1, max_size=4, unique=True))
+        spec = EquationSpec(dim, k, draw(cells), tuple(
+            StencilEntry(o, level, draw(LINE_COEFFS)) for o, level in keys))
+    rows = draw(st.lists(line_rows() if spec.spatial_dim == 1 else plane_rows(),
+                         min_size=spec.time_order, max_size=spec.time_order))
+    return spec, InitialData(tuple(rows)), spec.time_order + draw(st.integers(0, 3))
+
+
+@given(multistep_cases())
+@example((EquationSpec(2, 3, (0, 1), (_entry((1, 0), 0, "1/2"), _entry((0, 1), 2, "-1/3"),
+                                      _entry((-1, 1), 1, "2/5"))),
+          InitialData((FieldRow(2, {(0, 0): Fraction(1)}), FieldRow.zero(2),
+                       FieldRow(2, {(1, -1): Fraction(-3, 2)}))), 6))
+@settings(max_examples=60, deadline=None)
+def test_multistep_closed_value_reads_the_series_kernel(case):
+    # at every time from 0 through the time order and past it, on the
+    # support and one cell past it on each axis: the oracle's value, and the
+    # composition sum's, which closed_value never calls
+    spec, initial, t_max = case
+    rows = oracle_evolve(spec, initial, t_max)
+    q = source_rows(spec, initial)
+    probes = {}
+    for t, row in enumerate(rows):
+        near = {p[:i] + (p[i] + d,) + p[i + 1:] for p in row.values
+                for i in range(spec.spatial_dim) for d in (-1, 0, 1)}
+        probes[t] = sorted(near or {(0,) * spec.spatial_dim})[:12]
+        for p in probes[t]:
+            assert closed_form._composition_sum(spec, q, p, t) == row.get(p), (p, t)
+
+    def composition_sum(*args):
+        raise AssertionError("a multistep point took the composition sum")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closed_form, "_composition_sum", composition_sum)
+        for t, points in probes.items():
+            for p in points:
+                assert closed_value(spec, initial, p, t) == rows[t].get(p), (p, t)
 
 
 def test_two_row_at_t_80_never_takes_the_multinomial_pass(monkeypatch):

@@ -155,7 +155,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
     # the closed form's integer rows and their integer scaling, every lookup
     # of its evaluators and the corner form's kernel, its rows and its
     # integer scaling; the engines share only the packing (lattice)
-    for name in ("_composition_sum", "_column_value", "_rows", "_series_rows",
+    for name in ("_composition_sum", "_series_value", "_rows", "_series_rows",
                  "_integer_rows", "closed_getter", "_kernel_values", "_corner_rows",
                  "eval_implicit", "corner_kernel", "_scaled"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
@@ -195,7 +195,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
             {(0,): f(1, 9), (1,): f(1, 45), (2,): f(-209, 900), (3,): f(-143, 450)}]
     rows = oracle_sweep_implicit(HALF, f(1, 3), f(1, 5), psi, sweep_window(psi, 2, 3), 2)
     assert [{p: v for p, v in row.values.items() if p[0] <= 3} for row in rows] == want
-    rows = engine_point_rows(corner, InitialData((psi,)), 2, "oracle", 3)
+    rows = engine_point_rows(corner, InitialData((psi,)), 2, "oracle", Box((3,), (3,)))
     assert [{p: Fraction(n, den) for p, n in nums.items()} for den, nums in rows] == want
 
 
@@ -345,7 +345,8 @@ def test_corner_rows_equal_the_pointwise_sum_and_the_fraction_sweep(a, b, c, psi
     if not (b or c):
         b = HALF  # a corner spec needs b or c
     spec, initial = corner_spec(a, b, c), InitialData((psi,))
-    closed, swept = (engine_point_rows(spec, initial, t_max, engine, right_edge)
+    edge = Box((right_edge,), (right_edge,))
+    closed, swept = (engine_point_rows(spec, initial, t_max, engine, edge)
                      for engine in ("closed", "oracle"))
     # one denominator, an int, per time, and equal numerators
     assert closed == swept and len(closed) == t_max + 1
@@ -560,6 +561,72 @@ def test_tridiagonal_j_n_control_keeps_the_per_cell_report():
         assert report == VerifyReport(checked, tuple(mismatches), 4)
 
 
+@st.composite
+def named_cases(draw):
+    """A spec, its initial rows, a named evaluator for it and a query that
+    reaches past the support: a box over a time range, or a point list
+    with repeated pairs.  The spec is a step case in 1D or 2D under "nd",
+    a three-point stencil under "tridiagonal" or its j-n control, or a
+    corner form under "implicit", whose boxes may lie left of psi; "nd"
+    values may be bumped at drawn cells, so mismatches show in 2D too."""
+    kind = draw(st.sampled_from(("nd", "tridiagonal", "implicit")))
+    if kind == "nd":
+        spec, rows = draw(step_cases())
+        evaluator = "nd"
+    elif kind == "tridiagonal":
+        spec = tridiagonal_spec(*(draw(STEP_VALUES) for _ in range(3)))
+        rows, evaluator = [draw(line_rows())], draw(st.sampled_from(
+            ("tridiagonal", "tridiagonal-j-n")))
+    else:
+        spec = corner_spec(HALF, draw(STEP_VALUES), draw(CORNER_COEFFS))
+        rows, evaluator = [draw(line_rows())], "implicit"
+    dim = spec.spatial_dim
+    coords = st.tuples(*[st.integers(-8, 8)] * dim)
+    if draw(st.booleans()):
+        a, b = draw(coords), draw(coords)
+        t_lo = draw(st.integers(0, 4))
+        query = Region(Box(tuple(map(min, a, b)), tuple(map(max, a, b))),
+                       t_lo, draw(st.integers(t_lo, 4)))
+    else:
+        query = draw(st.lists(st.tuples(coords, st.integers(0, 4)), min_size=1, max_size=8))
+        query += draw(st.lists(st.sampled_from(query), max_size=3))
+    bumps = set()
+    if evaluator == "nd":
+        bumps = draw(st.sets(st.sampled_from(reference_query_points(query)), max_size=2))
+    return spec, InitialData(tuple(rows)), evaluator, query, bumps
+
+
+@given(named_cases())
+@example((corner_spec(HALF, Fraction(1), Fraction(1, 3)), InitialData((DELTA,)), "implicit",
+          Region(Box((-6,), (-2,)), 0, 3), set()))
+@example((corner_spec(HALF, Fraction(1), Fraction(1, 3)),
+          InitialData((FieldRow(1, {(2,): HALF, (4,): Fraction(-1, 3)}),)), "implicit",
+          [((-3,), 2), ((1,), 4), ((-3,), 2), ((5,), 1)], set()))
+@example((tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3)), InitialData((DELTA,)),
+          "tridiagonal-j-n", [((7,), 3), ((0,), 1), ((7,), 3), ((-8,), 4)], set()))
+@settings(max_examples=150, deadline=None)
+def test_named_verify_equals_the_per_cell_loop(case):
+    # every asked cell, on the support or past it, corner boxes left of psi
+    # among them, is compared once per repeat, as the per-cell loop did
+    spec, initial, evaluator, query, bumps = case
+    get = closed_form.closed_getter(spec, initial, evaluator)
+
+    def value(p, t):
+        n, d = get(p, t)
+        return (n + d, d) if (p, t) in bumps else (n, d)
+
+    query_ = Query.of(query, spec.spatial_dim)
+    oracle_rows = engine_point_rows(spec, initial, query_.t_max, "oracle", query_.box)
+    checked, mismatches = per_cell_report(value, oracle_rows, query)
+    assert checked == query_.checked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closed_form, "closed_getter", lambda *args: value)
+        report = verify_closed_vs_oracle(spec, initial, query, evaluator=evaluator)
+    assert report == VerifyReport(checked, tuple(mismatches), query_.t_max)
+    if bumps:
+        assert report.mismatches
+
+
 def test_a_named_evaluator_reads_each_oracle_row_as_it_is_stepped(monkeypatch):
     spec = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
     initial = InitialData((FieldRow(1, {(0,): Fraction(1), (2,): Fraction(-1, 2)}),))
@@ -577,7 +644,8 @@ def test_a_named_evaluator_reads_each_oracle_row_as_it_is_stepped(monkeypatch):
 
     monkeypatch.setattr(oracle, "engine_rows", logged_rows)
     monkeypatch.setattr(closed_form, "closed_getter", logged_getter)
-    # (9,) lies outside the packing: it is still evaluated, against 0
+    # (9,) lies past the support, inside the packing of the query's box: it
+    # is evaluated against 0; the repeated pair ((1,), 3) is evaluated once
     for query in (Region(Box((-3,), (4,)), 2, 4),
                   [((1,), 3), ((-2,), 2), ((1,), 3), ((9,), 1), ((4,), 4)]):
         log.clear()
@@ -593,7 +661,7 @@ def test_a_named_evaluator_reads_each_oracle_row_as_it_is_stepped(monkeypatch):
                 # and before row t + 1 is
                 assert entry[2] == drawn
                 values.append(entry[1:])
-        assert sorted(values) == reference_query_points(query)
+        assert sorted(values) == sorted(set(reference_query_points(query)))
 
 
 def test_row_compare_packs_the_asked_keys_only_for_an_unequal_row(monkeypatch):
@@ -633,14 +701,15 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
     delta = InitialData((DELTA,))
     corner = corner_spec(HALF, Fraction(1), Fraction(1, 3))
     tri = tridiagonal_spec(Fraction(1), Fraction(2), Fraction(3))
-    # "auto" is the corner sum on the corner-implicit form and "nd" elsewhere
-    for spec, name in ((corner, "implicit"), (tri, "nd")):
-        auto = closed_form.closed_getter(spec, delta, "auto")
-        named = closed_form.closed_getter(spec, delta, name)
-        assert all(auto(p, t) == named(p, t) for p in [(-2,), (0,), (3,)] for t in range(4))
+    # "auto" names verify's comparison of both engines' rows, no pointwise
+    # evaluator
+    for spec in (corner, tri):
+        with pytest.raises(SpecError, match="unknown evaluator 'auto'"):
+            closed_form.closed_getter(spec, delta, "auto")
     # every spec is answered by rows in the query's one packing, which
     # engine_rows sizes and returns; the corner-implicit form's rows run
-    # from psi's left end to the right edge
+    # from the query box's or psi's left end, whichever is further left, to
+    # the box's right edge
     monkeypatch.setattr(closed_form, "_rows", lambda *args: ("closed rows", *args[2:]))
     monkeypatch.setattr(closed_form, "_corner_rows", lambda *args: ("corner rows", *args))
     monkeypatch.setattr(oracle, "_steps", lambda *args: ("oracle rows", *args[2:]))
@@ -649,11 +718,15 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         packing, rows = engine_rows(tri, delta, 3, engine)
         assert packing.box == query_packing(tri, delta, 3).box == Box((-3,), (3,))
         assert rows == (source, 3, packing)
+        # a query box past the support widens the packing to hold it
+        packing, rows = engine_rows(tri, delta, 3, engine, Box((2,), (6,)))
+        assert packing.box == Box((-3,), (6,)) and rows == (source, 3, packing)
     coeffs = (HALF, Fraction(1), Fraction(1, 3), DELTA)
-    for edge in (5, 0):
+    for box, want in ((Box((5,), (5,)), Box((0,), (5,))), (Box((0,), (0,)), Box((0,), (0,))),
+                      (Box((-2,), (1,)), Box((-2,), (1,)))):
         for engine, source in (("closed", "corner rows"), ("oracle", "sweep")):
-            packing, rows = engine_rows(corner, delta, 3, engine, edge)
-            assert packing.box == Box((0,), (edge,))
+            packing, rows = engine_rows(corner, delta, 3, engine, box)
+            assert packing.box == want
             assert rows == (source, *coeffs, packing, 3)
     zero = InitialData((FieldRow.zero(1),))
     with pytest.raises(SpecError, match="give a right edge"):
@@ -662,9 +735,9 @@ def test_auto_picks_one_source_per_engine(monkeypatch):
         with pytest.raises(SpecError, match="give a right edge"):
             engine_rows(corner, delta, 3, engine)
         # a right edge left of psi, or a zero psi, gives zero rows
-        for initial, edge in ((delta, -1), (zero, 5)):
-            packing, rows = engine_rows(corner, initial, 2, engine, edge)
-            assert packing.box == Box((edge,), (edge,))
+        for initial, box in ((delta, Box((-3,), (-1,))), (zero, Box((5,), (5,)))):
+            packing, rows = engine_rows(corner, initial, 2, engine, box)
+            assert packing.box == box
             assert list(rows) == [(1, {})] * 3
 
 
@@ -673,7 +746,7 @@ def test_engine_rows_refuse_an_unknown_engine():
     for spec in (tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4)), corner):
         for engine in ("clsoed", "Oracle", "auto", ""):
             with pytest.raises(SpecError, match=f"unknown engine {engine!r}"):
-                engine_rows(spec, InitialData((DELTA,)), 3, engine, 4)
+                engine_rows(spec, InitialData((DELTA,)), 3, engine, Box((4,), (4,)))
 
 
 def test_closed_rows_refuse_the_corner_form():
@@ -682,7 +755,7 @@ def test_closed_rows_refuse_the_corner_form():
     with pytest.raises(SpecError):
         closed_rows(spec, delta, 3)
     with pytest.raises(SpecError):
-        closed_form._rows(spec, delta, 3, query_packing(spec, delta, 3, 5))
+        closed_form._rows(spec, delta, 3, query_packing(spec, delta, 3, Box((5,), (5,))))
 
 
 def test_sweep_needs_a_window_for_a_nonzero_row():
@@ -701,10 +774,10 @@ def test_engine_rows_refuse_a_negative_t_max():
     for spec, rows in cases:
         initial = InitialData(rows)
         with pytest.raises(SpecError, match="t_max must be >= 0"):
-            query_packing(spec, initial, -1, 3)
+            query_packing(spec, initial, -1, Box((3,), (3,)))
         for engine in ("closed", "oracle"):
             with pytest.raises(SpecError, match="t_max must be >= 0"):
-                engine_rows(spec, initial, -1, engine, 3)
+                engine_rows(spec, initial, -1, engine, Box((3,), (3,)))
 
 
 def test_verify_random_specs_zero_mismatches():

@@ -9,6 +9,7 @@ which it sizes itself."""
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -129,21 +130,22 @@ def test_packed_rows_unpack_to_the_reference_rows(case):
 @st.composite
 def corner_cases(draw):
     """A corner-implicit spec, psi of one to three points, a horizon and a
-    right edge up to 3 cells left of psi's left end or right of its right
-    end, so that the edge lies left of psi, at its left end, inside it, or
-    past it."""
+    query box whose right edge lies up to 3 cells left of psi's left end or
+    right of its right end, so that the edge lies left of psi, at its left
+    end, inside it, or past it, and whose left edge lies up to 4 cells left
+    of the right edge."""
     a, b, c = (draw(VALUES) for _ in range(3))
     psi = FieldRow(1, draw(st.dictionaries(st.tuples(st.integers(-3, 3)), VALUES,
                                            min_size=1, max_size=3)))
     (lo,), (hi,) = min(psi.values), max(psi.values)
+    edge = draw(st.integers(lo - 3, hi + 3))
     return (corner_spec(a, b, c), InitialData((psi,)), draw(st.integers(0, 3)),
-            draw(st.integers(lo - 3, hi + 3)))
+            Box((edge - draw(st.integers(0, 4)),), (edge,)))
 
 
 def explicit_cases():
-    """packing_cases with a right edge, the query box's, or none."""
-    return packing_cases().flatmap(lambda case: st.sampled_from(
-        [(*case[:3], None), (*case[:3], case[3].hi[0])]))
+    """packing_cases with the query box or none."""
+    return packing_cases().flatmap(lambda case: st.sampled_from([(*case[:3], None), case]))
 
 
 CORNER = corner_spec(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5))
@@ -155,7 +157,8 @@ SPREAD = InitialData((FieldRow(1, {(-1,): Fraction(1), (2,): Fraction(-2, 3)}),)
 # one step, 2D time order 2, 3D time order 3
 @example((EquationSpec(1, 1, (3,), (StencilEntry((0,), 0, Fraction(1, 2)),
                                     StencilEntry((1,), 0, Fraction(-1, 3)))),
-          InitialData((FieldRow(1, {(0,): Fraction(1), (FAR,): Fraction(2)}),)), 4, 1))
+          InitialData((FieldRow(1, {(0,): Fraction(1), (FAR,): Fraction(2)}),)), 4,
+          Box((1,), (1,))))
 @example((EquationSpec(2, 2, (-2, 1), (StencilEntry((0, -1), 1, Fraction(1, 2)),
                                        StencilEntry((1, 1), 0, Fraction(2, 3)))),
           InitialData((FieldRow(2, {(0, 0): Fraction(1)}),
@@ -164,23 +167,58 @@ SPREAD = InitialData((FieldRow(1, {(-1,): Fraction(1), (2,): Fraction(-2, 3)}),)
                                           StencilEntry((1, -1, 1), 0, Fraction(-1, 2)),
                                           StencilEntry((0, 0, -1), 1, Fraction(1, 5)))),
           InitialData((FieldRow(3, {(0, 0, 0): Fraction(1)}), FieldRow.zero(3),
-                       FieldRow(3, {(1, -1, FAR): Fraction(3, 2)}))), 3, 0))
+                       FieldRow(3, {(1, -1, FAR): Fraction(3, 2)}))), 3,
+          Box((0, 0, 0), (0, 0, 0))))
 # corner right edges left of psi, at its left end, inside it and past it
-@example((CORNER, SPREAD, 3, -3))
-@example((CORNER, SPREAD, 3, -1))
-@example((CORNER, SPREAD, 3, 1))
-@example((CORNER, SPREAD, 3, 5))
+@example((CORNER, SPREAD, 3, Box((-3,), (-3,))))
+@example((CORNER, SPREAD, 3, Box((-4,), (-1,))))
+@example((CORNER, SPREAD, 3, Box((1,), (1,))))
+@example((CORNER, SPREAD, 3, Box((-3,), (5,))))
 @settings(max_examples=150, deadline=None)
 def test_engine_rows_key_every_term_in_the_query_packing(case):
-    spec, initial, t_max, right_edge = case
-    want = query_packing(spec, initial, t_max, right_edge).box
+    spec, initial, t_max, box = case
+    want = query_packing(spec, initial, t_max, box).box
+    if box is not None:
+        assert box.lo in want and box.hi in want
     for engine in ("closed", "oracle"):
-        packing, rows = engine_rows(spec, initial, t_max, engine, right_edge)
+        packing, rows = engine_rows(spec, initial, t_max, engine, box)
         assert packing.box == want, engine
         keys = range(packing.box.size())
         rows = list(rows)
         assert len(rows) == t_max + 1
         assert all(k in keys for _, nums in rows for k in nums), engine
+
+
+@given(st.one_of(packing_cases(), corner_cases().map(
+    lambda case: case[:3] + (Box((case[3].lo[0] - 2,), case[3].hi),))))
+@settings(max_examples=80, deadline=None)
+def test_solve_and_verify_pack_the_query_box(case):
+    # every packing that solve and verify (under "auto" and a named
+    # evaluator) key their rows in holds the query's box: a box near the
+    # rows, outside their reach, or for the corner form left of psi
+    spec, initial, t_max, box = case
+    region = Region(box, 0, t_max)
+    listed = [(box.lo, t_max), (box.hi, 0), (box.lo, t_max)]
+    named = "implicit" if spec.implicit_corner else "nd"
+    boxes, sized = [], engine_rows
+
+    def logged(*args):
+        packing, rows = sized(*args)
+        boxes.append(packing.box)
+        return packing, rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "engine_rows", logged)
+        patch.setattr(cli, "engine_rows", logged)
+        for query in (region, listed):
+            want = lattice.Query.of(query, spec.spatial_dim).box
+            boxes.clear()
+            for evaluator in ("auto", named):
+                assert verify_closed_vs_oracle(spec, initial, query, evaluator).ok
+            for engine in ("closed", "oracle"):
+                cli.run(RunConfig(spec, initial, query, engine, "csv", None))
+            assert len(boxes) == 5
+            assert all(want.lo in b and want.hi in b for b in boxes), (want, boxes)
 
 
 def test_the_packing_keys_points_as_the_tests_do():
@@ -190,10 +228,11 @@ def test_the_packing_keys_points_as_the_tests_do():
     assert keys == list(range(box.size())) == [key(p) for p in box.points()]
     assert packing.points(keys) == list(box.points()) == [point(k) for k in keys]
     assert packing.step((1, 0, 0)) == 12 and packing.step((0, 1, -1)) == 3
-    # the keys of a box cut to the packing's, in the points' order
-    assert packing.keys(Box((0, 3, 2), (5, 6, 9))) == [
-        key(p) for p in Box((0, 5, 2), (1, 6, 3)).points()]
-    assert packing.keys(Box((2, 5, 0), (3, 7, 3))) == []
+    # the keys of a box inside the packing's, in the points' order
+    assert packing.keys(box) == keys
+    assert packing.keys(Box((0, 5, 2), (1, 6, 3))) == [
+        key(p) for p in Box((0, 5, 2), (1, 6, 3)).points()] == [26, 27, 30, 31, 38, 39, 42, 43]
+    assert packing.keys(Box((1, 7, 0), (1, 7, 0))) == [key((1, 7, 0))] == [44]
 
 
 def test_each_engine_sizes_its_rows_with_one_auto_window_call(monkeypatch):

@@ -292,9 +292,10 @@ def test_query_points_flatten_query_groups():
     assert len({id(times) for _, times in groups}) == 1 and groups[0][1] == (2, 3, 4)
     assert list(Query.of(points, 1).groups()) == [
         ((-1,), (2, 2)), ((0,), (0,)), ((3,), (1, 5, 5))]
-    # asked_keys: a region's box cut to the packing, once at each time, and
-    # a list's repeat counts; a point outside the packing is never asked
-    cut = {key: 1 for key in (0, 1, 4, 5)}  # (0, 2), (0, 3), (1, 2), (1, 3)
-    asked = Query.of(region, 2).asked_keys(Packing(Box((0, 2), (2, 5))))
-    assert asked == {2: cut, 3: cut, 4: cut} and len({id(c) for c in asked.values()}) == 1
-    assert Query.of(points, 1).asked_keys(Packing(Box((-1,), (2,)))) == {0: {1: 1}, 2: {0: 2}}
+    # asked_keys in packings that hold the query's box: a region's box once
+    # at each time, and a list's repeat counts
+    cells = {key: 1 for key in (0, 1, 4, 5, 8, 9)}  # (-1, 2), (-1, 3), ..., (1, 3)
+    asked = Query.of(region, 2).asked_keys(Packing(Box((-1, 2), (2, 5))))
+    assert asked == {2: cells, 3: cells, 4: cells} and len({id(c) for c in asked.values()}) == 1
+    assert Query.of(points, 1).asked_keys(Packing(Box((-1,), (3,)))) == {
+        0: {1: 1}, 1: {4: 1}, 2: {0: 2}, 5: {4: 2}}
