@@ -9,12 +9,16 @@ Subcommands:
 * ``expand  --config FILE --power J``
 
 Exit codes: 0 success / no mismatch, 1 verification found mismatches,
-2 usage or config error.  Output is deterministic: rows sorted
+2 usage or config error; solve --format on a config whose engine is
+"verify" is a config error.  Output is deterministic: rows sorted
 lexicographically by point, then time, all values in exact rational text.
 solve and the demos stream the engines' integer rows, keyed in the query's
-one packing, text only their asked nonzero cells, one cell of each mirrored
-pair of a row that is its own mirror image (_text_row), and unpack each
-texted key once; format_table writes each point's lines as one block.
+one packing, and text each row's asked nonzero cells by one call of the
+row texter (exactnum.rational_texts), one cell of each mirrored pair of a
+row that is its own mirror image (_text_row).  solve transposes each query
+block's columns of texts into points by one zip; format_table writes each
+point's lines as one block, a point zero at every time from one "t,0"
+line list per times tuple.
 
 Importing this module builds no parser.  ``main`` parses with one parser,
 built by ``build_parser`` on the first call and kept for the rest of the
@@ -28,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -44,20 +48,31 @@ from .models import HeatParams, RandomWalkParams, heat_spec, random_walk_spec
 from .oracle import engine_rows, verify_closed_vs_oracle
 
 
-def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], list[str]]],
+def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], Sequence[str]]],
                  header_hash: str, out_format: str) -> str:
     """Serialize (point, times, one value text per time) groups, which the
-    caller supplies sorted by point, then time.  A point's CSV lines are one
-    join of its prefix between the "t," stamps, built once per times tuple."""
+    caller supplies sorted by point, then time, times ascending.  A point's
+    CSV lines are one join of its prefix between the "t," stamps, taken
+    from one list indexed by time once per times tuple; a point whose texts
+    are the tuple of "0"s is joined from one "t,0" line list per times
+    tuple, built on its first use."""
     if out_format == "csv":
         lines = [f"# spec={header_hash}"]
         lines.append(",".join([f"e{i + 1}" for i in range(dim)] + ["t", "value"]))
-        stamps: dict[tuple[int, ...], list[str]] = {}
+        stamps: list[str] = []
+        last = None
         for p, times, texts in groups:
-            if times not in stamps:
-                stamps[times] = [f"{t}," for t in times]
+            if times is not last:
+                last, zero, zero_lines = times, ("0",) * len(times), None
+                stamps += [f"{t}," for t in range(len(stamps), times[-1] + 1)]
+                at = [stamps[t] for t in times]
             prefix = ",".join(map(str, p)) + ","
-            lines.append(prefix + ("\n" + prefix).join(map(add, stamps[times], texts)))
+            if texts != zero:
+                lines.append(prefix + ("\n" + prefix).join(map(add, at, texts)))
+                continue
+            if zero_lines is None:
+                zero_lines = [s + "0" for s in at]
+            lines.append(prefix + ("\n" + prefix).join(zero_lines))
         return "\n".join(lines) + "\n"
     payload = {
         "spec": header_hash,
@@ -67,10 +82,11 @@ def format_table(dim: int, groups: Iterable[tuple[Point, tuple[int, ...], list[s
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _value_texts(spec: EquationSpec, initial: InitialData) -> Callable[[int, int], str]:
-    """The text emitter for values of spec from the initial rows: both
-    engines' denominators have only primes of the coefficient and initial
-    denominators."""
+def _value_texts(spec: EquationSpec,
+                 initial: InitialData) -> Callable[[int, Sequence[int]], list[str]]:
+    """The row texter (exactnum.rational_texts) for values of spec from the
+    initial rows: both engines' denominators have only primes of the
+    coefficient and initial denominators."""
     coeffs = [e.coeff for e in spec.stencil]
     if spec.implicit_corner:
         coeffs.append(spec.implicit_coeff)
@@ -79,27 +95,25 @@ def _value_texts(spec: EquationSpec, initial: InitialData) -> Callable[[int, int
                                 for v in row.values.values())))
 
 
-def _text_row(cells: dict[int, dict[int, str]], t: int, text: Callable[[int, int], str],
-              den: int, nums: dict[int, int], keys: Iterable[int]) -> None:
-    """Set cells[k][t] to the text of cell k of the integer row (den, nums)
-    at time t, for each k of keys, all in nums.  With c the sum of the
-    row's least and greatest key, when every cell k equals cell c - k, as
-    in a row that is its own reflection through its support's centre (keys
-    are linear in the point and sort as points do, so in any dimension),
-    one key of each pair k, c - k in keys is texted and the other shares
-    its string.  The check stops at the first cell that differs, and any
-    other row texts each key."""
+def _text_row(texts: Callable[[int, Sequence[int]], list[str]], den: int,
+              nums: dict[int, int], keys: Collection[int]) -> dict[int, str]:
+    """{k: text of cell k} of the integer row (den, nums) for each k of
+    keys, all in nums, from one call of the row texter.  With c the sum of
+    the row's least and greatest key, when every cell k equals cell c - k,
+    as in a row that is its own reflection through its support's centre
+    (keys are linear in the point and sort as points do, so in any
+    dimension), one key of each pair k, c - k in keys is texted and the
+    other shares its string; a key whose mirror is not in keys is texted
+    itself.  The check stops at the first cell that differs, and any other
+    row texts each key."""
     if nums:
         c, get = min(nums) + max(nums), nums.get
         if all(get(c - k) == n for k, n in nums.items()):
-            done: dict[int, str] = {}
-            for k in keys:
-                if (s := done.get(c - k)) is None:
-                    s = done[k] = text(nums[k], den)
-                cells.setdefault(k, {})[t] = s
-            return
-    for k in keys:
-        cells.setdefault(k, {})[t] = text(nums[k], den)
+            own = [k for k in keys if 2 * k <= c or c - k not in keys]
+            row = dict(zip(own, texts(den, [nums[k] for k in own])))
+            row.update([(k, row[c - k]) for k in keys if k not in row])
+            return row
+    return dict(zip(keys, texts(den, [nums[k] for k in keys])))
 
 
 def parse_table_csv(text: str) -> list[tuple[Point, int, Fraction]]:
@@ -120,26 +134,26 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     solve reads the query through lattice.Query.of, which checks it, streams
     the chosen engine's integer rows by engine_rows, keyed in the packing
-    of the query's box, texts only the asked keys
-    (Query.asked_keys) of a row's support, one key of each mirrored pair of a
-    mirrored row (_text_row), and unpacks each texted key once; every other
-    queried cell is "0", and a point with none shares one list."""
+    of the query's box, and texts, with one texter call per row
+    (_text_row), only the asked keys (Query.asked_keys) of a row's support,
+    one key of each mirrored pair of a mirrored row.  For each query block
+    each asked time's column is read from its row's texts by one map over
+    the block's keys, every other cell "0", and the columns are transposed
+    into the points' text tuples by one zip; no key is unpacked."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial = config.spec, config.initial
     query = Query.of(config.query, spec.spatial_dim)
     packing, rows = engine_rows(spec, initial, query.t_max, config.engine, query.box)
-    text = _value_texts(spec, initial)
+    texts = _value_texts(spec, initial)
     asked = query.asked_keys(packing)
-    cells: dict[int, dict[int, str]] = {}
-    for t, (den, nums) in enumerate(rows):
-        if t in asked:
-            _text_row(cells, t, text, den, nums, nums.keys() & asked[t].keys())
-    found = dict(zip(packing.points(cells), cells.values()))
-    groups = list(query.groups())
-    zeros = {n: ["0"] * n for n in {len(times) for _, times in groups}}
-    table = [(p, times, [*map(texts.get, times, repeat("0"))]
-              if (texts := found.get(p)) else zeros[len(times)]) for p, times in groups]
+    texted = {t: _text_row(texts, den, nums, nums.keys() & asked[t].keys())
+              for t, (den, nums) in enumerate(rows) if t in asked}
+    table: list[tuple[Point, tuple[int, ...], tuple[str, ...]]] = []
+    for box, times in query.blocks:
+        keys = packing.keys(box)
+        columns = [map(texted[t].get, keys, repeat("0")) for t in times]
+        table += zip(box.points(), repeat(times), zip(*columns))
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)
 
 
@@ -190,6 +204,9 @@ def _count_flag(text: str) -> int:
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
     if args.format:
+        if config.engine == "verify":
+            raise ConfigError("--format", "a config with engine \"verify\" writes a "
+                                          "verify report, not a table")
         config = RunConfig(config.spec, config.initial, config.query, config.engine,
                            args.format, config.out_path)
     status, text = run(config)
@@ -205,19 +222,21 @@ def _cmd_verify(args) -> int:
 
 
 def _demo_table(spec: EquationSpec, steps: int, engine: str, out_format: str) -> str:
-    """The table of the engine's integer rows at times 0..steps of the 1D
-    spec from a unit mass at 0, grouped by key: a mirrored row's pairs are
-    texted once each (_text_row; every row of demo heat), the keys are
-    sorted once, as their points sort, and each is unpacked once."""
+    """The table of the engine's nonzero cells at times 0..steps of the 1D
+    spec from a unit mass at 0, by key: each row is texted by one texter
+    call, a mirrored row's pairs once each (_text_row; every row of demo
+    heat), the keys are sorted once, as their points sort, and unpacked
+    once, and each key's texts are gathered in time order."""
     initial = InitialData((FieldRow.delta(1),))
     packing, rows = engine_rows(spec, initial, steps, engine)
-    text = _value_texts(spec, initial)
-    cells: dict[int, dict[int, str]] = {}
-    for j, (den, nums) in enumerate(rows):
-        _text_row(cells, j, text, den, nums, nums)
-    keys = sorted(cells)
-    table = [(p, tuple(texts), list(texts.values()))
-             for p, texts in zip(packing.points(keys), map(cells.get, keys))]
+    texts = _value_texts(spec, initial)
+    texted = [_text_row(texts, den, nums, nums) for den, nums in rows]
+    cells: dict[int, dict[int, str]] = {k: {} for k in sorted(set().union(*texted))}
+    for j, row in enumerate(texted):
+        for k, s in row.items():
+            cells[k][j] = s
+    table = [(p, tuple(by_time), tuple(by_time.values()))
+             for p, by_time in zip(packing.points(cells), cells.values())]
     return format_table(1, table, spec_hash(spec), out_format)
 
 

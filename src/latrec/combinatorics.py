@@ -250,10 +250,12 @@ def _slice_product(coeffs: list[int], row: Sequence[tuple[int, int]], shift: int
     Each cluster of N's points, a new one wherever a point lies more than
     len(coeffs) past the one before it, fills one dense list: its first
     point's multiple of P, then each other point's added or subtracted by
-    a slice.  P is scaled once per distinct magnitude of N's values."""
+    a slice.  P is scaled once per distinct magnitude of N's values.  A
+    cluster's cells are keyed by one zip, and zeros dropped only when one
+    is there."""
     span = len(coeffs)
     scaled = {1: coeffs}
-    clusters = []
+    cells: dict[int, int] = {}
     first = 0
     for last in range(1, len(row) + 1):
         if last < len(row) and row[last][0] - row[last - 1][0] <= span:
@@ -270,9 +272,10 @@ def _slice_product(coeffs: list[int], row: Sequence[tuple[int, int]], shift: int
             else:
                 o = q - lo
                 acc[o:o + span] = map(add if value > 0 else sub, acc[o:o + span], part)
-        clusters.append((lo + shift, acc))
+        base = lo + shift
+        cells.update(zip(range(base, base + len(acc)), acc))
         first = last
-    return {base + i: c for base, acc in clusters for i, c in enumerate(acc) if c}
+    return {k: c for k, c in cells.items() if c} if 0 in cells.values() else cells
 
 
 def _multinomial_weights(spec: EquationSpec, limit: int) -> tuple[int, dict[tuple[int, ...], int]]:

@@ -1,15 +1,15 @@
 """Exact rational scalars: ``fractions.Fraction``, canonical and exact.
 
 This module adds the strict text format of config files and output, and
-``rational_texts``, which writes it from an integer numerator over an
-unreduced denominator without building a Fraction.
+``rational_texts``, which writes it for a row of integer numerators over
+one unreduced denominator without building a Fraction.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import gcd, log
 
@@ -85,14 +85,17 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def rational_texts(base: int) -> Callable[[int, int], str]:
-    """(n, den) -> format_rational(Fraction(n, den)) for den > 0, fast when
-    every prime of den divides `base`.
+def rational_texts(base: int) -> Callable[[int, Sequence[int]], list[str]]:
+    """A row texter: (den, numerators) -> [format_rational(Fraction(n, den))
+    for n in numerators] for den > 0, fast when every prime of den divides
+    `base`.  den's kept row is looked up once per call, and the numerators
+    are texted in one comprehension.
 
     Over den = p**e, n is divided by p**v, v its valuation at p capped at
     e.  Over any other den, b = gcd(den, base) when b holds every prime of
     den, else den: n with gcd(n, b) == 1 is already reduced, and only the
-    other numerators pay gcd(n, den).
+    other numerators pay gcd(n, den).  A row with a text past the
+    interpreter's digit limit is texted by format_rational.
     """
     # den -> (b, "/den"), or, when den = p**e, (None, (p, e, "/den", tails))
     # with tails[v] the text of den / p**v
@@ -112,34 +115,35 @@ def rational_texts(base: int) -> Callable[[int, int], str]:
             g = gcd(rest, g * g)
         return (b if rest == 1 else den), tail
 
-    def text(n: int, den: int) -> str:
-        if not n:
-            return "0"
+    def shifted(n: int, p: int, e: int, den: int, tails: dict[int, str]) -> str:
+        # n / den over den = p**e, p dividing n
+        m, v = n // p, 1
+        while v < e and not m % p:
+            m //= p
+            v += 1
+        s = tails.get(v)
+        if s is None:
+            s = tails[v] = "" if v == e else "/" + _decimal(den // p ** v)
+        return f"{m}{s}"
+
+    def texts(den: int, numerators: Sequence[int]) -> list[str]:
         row = rows.get(den)
         if row is None:
             row = rows[den] = keep(den)
         b, tail = row
         try:
             if b is not None:
-                if gcd(n, b) == 1:
-                    return f"{n}{tail}"
-                g = gcd(n, den)
-                return f"{n // g}" if den == g else f"{n // g}/{den // g}"
+                # gcd(0, b) == b, which is 1 only for den == 1
+                return [f"{n}{tail}" if gcd(n, b) == 1
+                        else f"{n // g}" if (g := gcd(n, den)) == den
+                        else f"{n // g}/{den // g}" for n in numerators]
             p, e, tail, tails = tail
-            if n % p:
-                return f"{n}{tail}"
-            m, v = n // p, 1
-            while v < e and not m % p:
-                m //= p
-                v += 1
-            s = tails.get(v)
-            if s is None:
-                s = tails[v] = "" if v == e else "/" + _decimal(den // p ** v)
-            return f"{m}{s}"
+            return [f"{n}{tail}" if n % p else shifted(n, p, e, den, tails)
+                    for n in numerators]
         except ValueError:  # past the interpreter's digit limit
-            return format_rational(Fraction(n, den))
+            return [format_rational(Fraction(n, den)) for n in numerators]
 
-    return text
+    return texts
 
 
 # _prime_of's trial-division bound: its p is below _TRIAL**2, so dividing

@@ -93,24 +93,32 @@ def _steps(spec: EquationSpec, initial: InitialData, t_max: int,
     {key: nonzero numerator}) keyed in packing, which engine_rows sizes,
     stepped as they are read: an entry's shift is one int added to a held
     key, and a new row goes over the lcm over the entries of
-    coeff.denominator times the held row's den.  Do not change a yielded row."""
+    coeff.denominator times the held row's den.  The first entry's terms
+    start the new row in one dict comprehension, the others are added cell
+    by cell, and zeros are dropped only when one is there.  Do not change a
+    yielded row."""
     entries = [(e.time_level, e.coeff.numerator, e.coeff.denominator,
                 packing.step(spec.spatial_shift) - packing.step(e.offset))
                for e in spec.stencil]
     rows = [(den, {packing.key(p): n for p, n in nums.items()})
             for den, nums in map(_int_row, initial.rows)]
     yield from rows[:t_max + 1]
+    (level0, num0, den0, shift0), *rest = entries
     for _ in range(spec.time_order - 1, t_max):
         den = lcm(*(c_den * rows[level][0] for level, _, c_den, _ in entries))
-        acc: dict[int, int] = {}
+        d, nums = rows[level0]
+        factor = num0 * (den // (den0 * d))
+        acc = {key + shift0: factor * n for key, n in nums.items()}
         get = acc.get
-        for level, c_num, c_den, shift in entries:
+        for level, c_num, c_den, shift in rest:
             d, nums = rows[level]
             factor = c_num * (den // (c_den * d))
             for key, n in nums.items():
                 key += shift
                 acc[key] = get(key, 0) + factor * n
-        rows = rows[1:] + [(den, {key: n for key, n in acc.items() if n})]
+        if 0 in acc.values():
+            acc = {key: n for key, n in acc.items() if n}
+        rows = rows[1:] + [(den, acc)]
         yield rows[-1]
 
 
@@ -285,7 +293,10 @@ def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
     row's support are cross-multiplied (every other asked cell is 0 on both
     sides), and a key is unpacked to its point only for a mismatch.  The
     asked keys, unless given, are packed at the first unequal row: equal
-    rows read none."""
+    rows read none.  Given asked keys, the closed rows are a named
+    evaluator's, which hold only asked keys, so time t's asked keys are
+    read as they are, with no key sets formed."""
+    named = asked is not None
     mismatches = []
     for t, ((d_o, o_row), (d_c, c_row)) in enumerate(zip(oracle_rows, closed_rows)):
         if d_c == d_o and c_row == o_row:
@@ -293,7 +304,7 @@ def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
         if asked is None:
             asked = query.asked_keys(packing)
         cells = asked.get(t, {})
-        for k in (c_row.keys() | o_row.keys()) & cells.keys():
+        for k in cells if named else (c_row.keys() | o_row.keys()) & cells.keys():
             n_c, n_o = c_row.get(k, 0), o_row.get(k, 0)
             if n_c * d_o != n_o * d_c:
                 (p,) = packing.points((k,))

@@ -1,13 +1,15 @@
 """The per-cell table writer that solve and the demos used before they wrote
 point by point, kept as a witness for the byte-identity tests: one
 (point, time, text) tuple per queried cell, sorted, then one CSV line or
-JSON row per tuple."""
+JSON row per tuple.  Each value is texted by format_rational of its
+Fraction, so the witness shares no texting code with the writers."""
 
 import json
+from fractions import Fraction
 
-from latrec.cli import _value_texts
 from latrec.closed_form import eval_implicit
 from latrec.config import spec_hash
+from latrec.exactnum import format_rational
 from latrec.oracle import Region, oracle_sweep_implicit, sweep_window
 
 from instance_gen import engine_point_rows
@@ -45,7 +47,6 @@ def reference_solve(config):
     instead, from eval_implicit or the public sweep, apart from the rows
     solve reads."""
     spec, initial = config.spec, config.initial
-    text = _value_texts(spec, initial)
     points = reference_query_points(config.query)
     right, t_max = max(p[0] for p, _ in points), max(t for _, t in points)
     if spec.implicit_corner:
@@ -57,19 +58,18 @@ def reference_solve(config):
             window = sweep_window(psi, t_max, right) if psi.values else None
             swept = oracle_sweep_implicit(a, b, c, psi, window, t_max)
             values = [swept[t].get(p) for p, t in points]
-        table = [(p, t, text(*v.as_integer_ratio())) for (p, t), v in zip(points, values)]
+        table = [(p, t, format_rational(v)) for (p, t), v in zip(points, values)]
     else:
         rows = engine_point_rows(spec, initial, t_max, config.engine)
-        table = [(p, t, text(n, rows[t][0]) if (n := rows[t][1].get(p)) else "0")
+        table = [(p, t, format_rational(Fraction(rows[t][1].get(p, 0), rows[t][0])))
                  for p, t in points]
     return reference_format_table(spec.spatial_dim, table, spec_hash(spec),
                                   config.out_format)
 
 
-def reference_demo(spec, initial, rows, out_format):
+def reference_demo(spec, rows, out_format):
     """A demo's bytes: every nonzero cell of the integer rows at times 0, 1,
     ..., keyed by point."""
-    text = _value_texts(spec, initial)
-    table = sorted((p, j, text(n, den)) for j, (den, nums) in enumerate(rows)
-                   for p, n in nums.items())
+    table = sorted((p, j, format_rational(Fraction(n, den)))
+                   for j, (den, nums) in enumerate(rows) for p, n in nums.items())
     return reference_format_table(1, table, spec_hash(spec), out_format)

@@ -230,6 +230,19 @@ EVALUATOR_CASES = {
 }
 
 
+def test_solve_refuses_format_on_a_verify_config(capsys):
+    config = str(CONFIG_DIR / "two_row_mixed.json")
+    for out_format in ("csv", "json"):
+        status, out, err = run_cli(capsys, "solve", "--config", config, "--format", out_format)
+        assert (status, out) == (2, "")
+        assert err == ('error: --format: a config with engine "verify" writes a verify '
+                       'report, not a table\n')
+    # without the flag solve still writes the verify report
+    status, out, err = run_cli(capsys, "solve", "--config", config)
+    assert (status, err) == (0, "")
+    assert out.splitlines()[1:] == ["checked 90 points up to time 5: 0 mismatches"]
+
+
 @pytest.mark.parametrize("name", list(EVALUATORS))
 def test_every_evaluator_name_checks_its_shape(capsys, name):
     matching, other, shape = EVALUATOR_CASES[name]

@@ -75,7 +75,9 @@ def texts_cases(draw):
     denominator over base's primes (times 11 or 13 now and then, a prime
     base lacks) and numerators: zero, negative, and sharing powers of the
     denominator's primes up to and past their exponent in it, and past
-    the largest power of 3 and of 7 below 2**30."""
+    the largest power of 3 and of 7 below 2**30; now and then none, or
+    one whose text passes the interpreter's digit limit (4,300 digits by
+    default, about 14,284 bits)."""
     if draw(st.booleans()):
         base = draw(st.sampled_from(PRIMES)) ** draw(st.integers(1, 3))
     else:
@@ -87,11 +89,14 @@ def texts_cases(draw):
         if base % p == 0:
             den *= p ** draw(st.integers(0, 60))
     numerators = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(0, 6))):
         n = draw(st.integers(-10 ** 9, 10 ** 9))
         for p in (*PRIMES, 11, 13):
             n *= p ** draw(st.sampled_from((0, 0, 1, 2, 11, 20, 59, 60, 61)))
         numerators.append(n)
+    if numerators and draw(st.integers(0, 7)) == 0:
+        big = (2 ** draw(st.sampled_from((14_284, 14_300, 30_000))) + 1) * numerators[0]
+        numerators.insert(draw(st.integers(0, len(numerators))), big)
     return base, den, numerators
 
 
@@ -113,12 +118,16 @@ def texts_cases(draw):
 # base 1: every denominator but 1 has primes base lacks
 @example((1, 11 ** 3, [11, -(11 ** 2) * 5, 2, 11 ** 4]))
 @example((1, 2 ** 5 * 7, [2 ** 6 * 7, -14, 3]))
+# an empty row, and a row with a value past the digit limit among others
+@example((6, 2 ** 9 * 3, []))
+@example((7, 7 ** 9, [7 ** 3, (2 ** 14_300 + 1) * 7 ** 2, 0, -5]))
+@example((15, 3 ** 4 * 5 * 11, [-(2 ** 30_000 + 1) * 3, 33, 0]))
 def test_rational_texts_equal_format_rational(case):
     base, den, numerators = case
-    text = rational_texts(base)
-    for _ in range(2):  # the second pass reads the denominator's kept row
-        for n in numerators:
-            assert text(n, den) == format_rational(Fraction(n, den))
+    texts = rational_texts(base)
+    want = [format_rational(Fraction(n, den)) for n in numerators]
+    for _ in range(2):  # the second call reads the denominator's kept row
+        assert texts(den, numerators) == want
 
 
 @pytest.mark.parametrize("base, den, prime, wide", [
@@ -138,11 +147,11 @@ def test_rational_texts_over_a_prime_power_take_no_wide_gcd(monkeypatch, base, d
 
     monkeypatch.setattr(exactnum, "gcd", counted)
     rng = random.Random(den.bit_length())
-    text = rational_texts(base)
-    for v in (0, 0, 1, 2, 5, 39, 40, 41, 119, 120, 121, 300, 303):
-        for sign in (1, -1):
-            n = sign * rng.getrandbits(330) * prime ** v
-            assert text(n, den) == format_rational(Fraction(n, den))
+    numerators = [sign * rng.getrandbits(330) * prime ** v
+                  for v in (0, 0, 1, 2, 5, 39, 40, 41, 119, 120, 121, 300, 303)
+                  for sign in (1, -1)]
+    assert rational_texts(base)(den, numerators) == [
+        format_rational(Fraction(n, den)) for n in numerators]
     assert bool(calls) == wide
 
 
@@ -192,8 +201,8 @@ def test_writers_text_values_past_the_digit_limit(num_bits, den_bits, sign, v):
             continue
         want = decimal_text(Fraction(n, den))
         assert format_rational(Fraction(n, den)) == want
-        text = rational_texts(base)
-        assert [text(n, den), text(n, den)] == [want, want]
+        texts = rational_texts(base)
+        assert [texts(den, [n]), texts(den, [n, n])] == [[want], [want, want]]
     assert digit_limit() == limit
 
 
@@ -205,7 +214,7 @@ def test_writers_need_no_digit_limit_setting(monkeypatch):
     value = Fraction(-(10 ** 5000) - 1, 7 ** 6000)
     want = decimal_text(value)
     assert format_rational(value) == want
-    assert rational_texts(7)(value.numerator, value.denominator) == want
+    assert rational_texts(7)(value.denominator, [value.numerator]) == [want]
 
 
 def test_field_axioms_on_random_triples():

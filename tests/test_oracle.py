@@ -568,7 +568,8 @@ def named_cases(draw):
     with repeated pairs.  The spec is a step case in 1D or 2D under "nd",
     a three-point stencil under "tridiagonal" or its j-n control, or a
     corner form under "implicit", whose boxes may lie left of psi; "nd"
-    values may be bumped at drawn cells, so mismatches show in 2D too."""
+    values may be bumped at drawn cells, a nonzero one to 0 and 0 to 1, so
+    mismatches show in 2D too, on the oracle's support and off it."""
     kind = draw(st.sampled_from(("nd", "tridiagonal", "implicit")))
     if kind == "nd":
         spec, rows = draw(step_cases())
@@ -613,7 +614,7 @@ def test_named_verify_equals_the_per_cell_loop(case):
 
     def value(p, t):
         n, d = get(p, t)
-        return (n + d, d) if (p, t) in bumps else (n, d)
+        return ((0 if n else d), d) if (p, t) in bumps else (n, d)
 
     query_ = Query.of(query, spec.spatial_dim)
     oracle_rows = engine_point_rows(spec, initial, query_.t_max, "oracle", query_.box)

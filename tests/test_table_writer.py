@@ -83,8 +83,7 @@ FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=9)
        st.integers(0, 25), st.sampled_from(["csv", "json"]))
 def test_demo_heat_writes_the_per_cell_tables_bytes(r, steps, out_format):
     spec, initial = heat_spec(HeatParams(r)), InitialData((FieldRow.delta(1),))
-    want = reference_demo(spec, initial, engine_point_rows(spec, initial, steps, "oracle"),
-                          out_format)
+    want = reference_demo(spec, engine_point_rows(spec, initial, steps, "oracle"), out_format)
     assert demo_output(["demo", "heat", "--r", str(r), "--steps", str(steps),
                         "--format", out_format]) == want
 
@@ -104,16 +103,18 @@ def test_demo_random_walk_writes_the_per_cell_tables_bytes(walk, steps, out_form
     p, q = walk
     d = 1 - p - q
     spec, delta = random_walk_spec(RandomWalkParams(p, d, q)), InitialData((FieldRow.delta(1),))
-    want = reference_demo(spec, delta, engine_point_rows(spec, delta, steps, "closed"),
-                          out_format)
+    want = reference_demo(spec, engine_point_rows(spec, delta, steps, "closed"), out_format)
     assert demo_output(["demo", "random-walk", "--p", str(p), "--d", str(d),
                         "--q", str(q), "--steps", str(steps),
                         "--format", out_format]) == want
 
 
 def test_format_table_matches_the_per_cell_writer_on_ragged_groups():
+    # the zero tuples take the "t,0" line lists, the zero list the general join
     groups = [((-2, 5), (0, 0, 3), ["1/2", "1/2", "0"]), ((0, 0), (1,), ["-7"]),
-              ((3, -1), (0, 2, 4), ["0", "0", "0"])]
+              ((0, 1), (2, 2), ("0", "0")), ((3, -1), (0, 2, 4), ["0", "0", "0"]),
+              ((3, 0), (0, 2, 4), ("0", "0", "0")), ((3, 1), (0, 2, 4), ("0", "5", "0")),
+              ((4, 0), (0, 2, 4), ("0", "0", "0"))]
     cells = [(p, t, text) for p, times, texts in groups for t, text in zip(times, texts)]
     for out_format in ("csv", "json"):
         assert (cli.format_table(2, groups, "h", out_format)
@@ -121,17 +122,33 @@ def test_format_table_matches_the_per_cell_writer_on_ragged_groups():
     assert cli.format_table(1, [], "h", "csv") == reference_format_table(1, [], "h", "csv")
 
 
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_solve_writes_zero_points_as_the_per_cell_writer(out_format):
+    """A listed point zero at each of its repeated times, one zero at some
+    of its times only, and a Region whose points are zero at some times or
+    at every time, on either engine."""
+    spec, delta = heat_spec(HeatParams(Fraction(1, 3))), InitialData((FieldRow.delta(1),))
+    points = [((9,), 2), ((2,), 1), ((9,), 2), ((9,), 4), ((2,), 3), ((2,), 2),
+              ((0,), 0), ((-30,), 5), ((9,), 2)]
+    queries = (points, Region(Box((-6,), (7,)), 0, 4), Region(Box((5,), (9,)), 1, 3))
+    for query in queries:
+        for engine in ("closed", "oracle"):
+            config = RunConfig(spec, delta, query, engine, out_format, None)
+            assert cli.run(config) == (0, reference_solve(config))
+
+
 def counted_texts(monkeypatch):
-    """Wrap the emitter solve gets from _value_texts with a log of its calls."""
+    """Wrap the row texter solve and the demos get from _value_texts with a
+    log of the numerators handed to it, one per texted cell."""
     calls = []
     real = cli._value_texts
 
     def value_texts(spec, initial):
-        text = real(spec, initial)
+        texts = real(spec, initial)
 
-        def counted(n, den):
-            calls.append(n)
-            return text(n, den)
+        def counted(den, numerators):
+            calls.extend(numerators)
+            return texts(den, numerators)
 
         return counted
 
