@@ -138,20 +138,20 @@ def run(config: RunConfig) -> tuple[int, str]:
     (_text_row), only the asked keys (Query.asked_keys) of a row's support,
     one key of each mirrored pair of a mirrored row.  For each query block
     each asked time's column is read from its row's texts by one map over
-    the block's keys, every other cell "0", and the columns are transposed
-    into the points' text tuples by one zip; no key is unpacked."""
+    the block's keys (packed once, by Query.asked_keys), every other cell
+    "0", and the columns are transposed into the points' text tuples by one
+    zip; no key is unpacked."""
     if config.engine == "verify":
         return run_verify(config, "auto")
     spec, initial = config.spec, config.initial
     query = Query.of(config.query, spec.spatial_dim)
     packing, rows = engine_rows(spec, initial, query.t_max, config.engine, query.box)
     texts = _value_texts(spec, initial)
-    asked = query.asked_keys(packing)
+    asked, block_keys = query.asked_keys(packing)
     texted = {t: _text_row(texts, den, nums, nums.keys() & asked[t].keys())
               for t, (den, nums) in enumerate(rows) if t in asked}
     table: list[tuple[Point, tuple[int, ...], tuple[str, ...]]] = []
-    for box, times in query.blocks:
-        keys = packing.keys(box)
+    for (box, times), keys in zip(query.blocks, block_keys):
         columns = [map(texted[t].get, keys, repeat("0")) for t in times]
         table += zip(box.points(), repeat(times), zip(*columns))
     return 0, format_table(spec.spatial_dim, table, spec_hash(spec), config.out_format)

@@ -11,8 +11,8 @@ so results are exact rationals.  Evaluators:
                             sampling Q, the "nd" evaluator of every explicit
                             equation; ``eval_nd`` takes row 0 as Q.
 * ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
-                            as a double binomial sum, with a known-inconsistent
-                            exponent variant kept as a negative control.
+                            as a double binomial sum; its negative control
+                            "tridiagonal-j-n" is the same sum at (a, b c, c).
 * ``eval_implicit``      -- 1D corner form whose right side references the
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
@@ -24,9 +24,11 @@ quotient, read by Miller's recurrence (``combinatorics._miller``): they
 give ``corner_kernel``, ``eval_implicit`` and the corner form's rows
 (_corner_rows).  ``EVALUATORS`` maps each evaluator name to its shape
 check and evaluator: "nd" for every explicit spec, and one name for each
-formula that differs in structure (the three-point sum, its negative
-control, the corner kernel); ``closed_getter`` is the one lookup.  "auto"
-is no evaluator: it names verify's comparison of whole rows.
+formula that differs in structure (the three-point sum, the corner
+kernel), plus the three-point sum's negative control "tridiagonal-j-n",
+which is that sum with b c in place of b; ``closed_getter`` is the one
+lookup.  "auto" is no evaluator: it names verify's comparison of whole
+rows.
 
 A one-step equation's rows and points, U(t) = S^t psi, come from Miller's
 power recurrence (``combinatorics._symbol_powers``, one set-up for every
@@ -57,7 +59,7 @@ from .combinatorics import (_column_sign, _column_weights, _miller, _multinomial
                             _symbol_powers, compositions, multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
-                      StencilEntry, _as_int, _as_ints, query_packing)
+                      StencilEntry, _as_int, _as_ints, _check_coefficients, query_packing)
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +68,8 @@ from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecE
 
 def tridiagonal_spec(a: Fraction, b: Fraction, c: Fraction) -> EquationSpec:
     """U[i, j+1] = a U[i-1, j] + b U[i, j] + c U[i+1, j]."""
-    entries = [StencilEntry((-1,), 0, Fraction(a)),
-               StencilEntry((0,), 0, Fraction(b)),
-               StencilEntry((1,), 0, Fraction(c))]
-    return EquationSpec(1, 1, (0,), tuple(entries))
+    return EquationSpec(1, 1, (0,), tuple(StencilEntry((x,), 0, v)
+                                          for x, v in ((-1, a), (0, b), (1, c))))
 
 
 def as_tridiagonal(spec: EquationSpec) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -114,42 +114,38 @@ def _integer_rows(rows: Sequence[FieldRow]) -> tuple[int, list[dict[Point, int]]
 
 
 def _scaled(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    """D, the lcm of the denominators of a, b, c, and D a, D b, D c."""
+    """D, the lcm of the denominators of a, b, c, and D a, D b, D c; a
+    coefficient that is not an int or a Fraction is a SpecError."""
+    if not type(a) is type(b) is type(c) is Fraction:
+        _check_coefficients(a, b, c)
     scale = lcm(a.denominator, b.denominator, c.denominator)
     return scale, *(v.numerator * (scale // v.denominator) for v in (a, b, c))
 
 
 def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
-                     i: int, j: int, c_exponent: str = "j-m") -> Fraction:
+                     i: int, j: int) -> Fraction:
     """Double binomial sum for the three-point stencil:
 
         sum_{m=0..j} sum_{n=0..m} C(j,m) C(m,n) a^n b^(m-n) c^(j-m) psi(i+j-m-n)
-
-    ``c_exponent`` selects the exponent of c: "j-m" (the self-consistent
-    form) or "j-n" (a known-inconsistent variant kept as a negative control;
-    it disagrees with the iteration oracle already at j=1).
 
     Only the pairs that land on psi's support are visited: for a support
     point q, m + n = r = i+j-q, so m runs over m0 = max(ceil(r/2), 0) up to
     m1 = min(j, r).  The sum is taken in integers: with D the lcm of the
     denominators of a, b, c and A = D a, B = D b, C = D c, the term at m is
-    w_m A^(r-m) B^(2m-r) C^(j-m) over D^j for "j-m", and
-    w_m A^(r-m) B^(2m-r) C^(j-r+m) D^(j+r-2m) over D^(2j) for "j-n", with
-    w_m = C(j,m) C(m,r-m).  From one m to the next the power part changes by
-    the fixed ratio y/x, x = B^2 and y = A C ("j-m") or x = B^2 C and
-    y = A D^2 ("j-n"), so the terms are summed by Horner's rule with m
-    running down from m1: acc = acc x + w_m P, P = P y.  The weight steps
-    down by the exact division
+    w_m A^(r-m) B^(2m-r) C^(j-m) over D^j, with w_m = C(j,m) C(m,r-m).  From
+    one m to the next the power part changes by the fixed ratio A C / B^2,
+    so the terms are summed by Horner's rule with m running down from m1:
+    acc = acc B^2 + w_m P, P = P A C.  The weight steps down by the exact
+    division
 
         w_m = w_{m+1} (2m+2-r)(2m+1-r) // ((j-m)(r-m))
 
-    and the powers left over at m0, A^(r-m1) B^(2m0-r) times C^(j-m1)
-    ("j-m") or C^(j-r+m0) D^(j+r-2m1) ("j-n"), multiply the sum once.  No
-    power table is built: a query holds a few integers at a time.  psi goes
-    over the lcm of its denominators.
+    and the powers left over at m0, A^(r-m1) B^(2m0-r) C^(j-m1), multiply
+    the sum once.  No power table is built: a query holds a few integers at
+    a time.  psi goes over L, the lcm of its denominators, and the value
+    over D^j L.  A coefficient that is not an int or a Fraction is a
+    SpecError.
     """
-    if c_exponent not in ("j-m", "j-n"):
-        raise SpecError("c_exponent must be 'j-m' or 'j-n'")
     # an identity test first, so that an int pays no call
     if type(i) is not int:
         i = _as_int(i, "point")
@@ -160,11 +156,9 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     if psi.dim != 1:
         raise SpecError("eval_tridiagonal is defined for 1D rows")
     scale, na, nb, nc = _scaled(a, b, c)
-    row_den = lcm(*(v.denominator for v in psi.values.values()))
-    j_m = c_exponent == "j-m"
-    x, y = (nb * nb, na * nc) if j_m else (nb * nb * nc, na * scale * scale)
-    total = 0
-    for (q,), v in psi.values.items():
+    lcd, (nums,) = _integer_rows([psi])
+    x, y, total = nb * nb, na * nc, 0
+    for (q,), n in nums.items():
         r = i + j - q
         m0, m1 = max((r + 1) // 2, 0), min(j, r)
         if m0 > m1:
@@ -175,13 +169,8 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
             weight = weight * (2 * m + 2 - r) * (2 * m + 1 - r) // ((j - m) * (r - m))
             acc = acc * x + weight * power
             power *= y
-        acc *= na ** (r - m1) * nb ** (2 * m0 - r)
-        if j_m:
-            acc *= nc ** (j - m1)
-        else:
-            acc *= nc ** (j - r + m0) * scale ** (j + r - 2 * m1)
-        total += acc * v.numerator * (row_den // v.denominator)
-    return Fraction(total, scale ** (j if j_m else 2 * j) * row_den)
+        total += acc * na ** (r - m1) * nb ** (2 * m0 - r) * nc ** (j - m1) * n
+    return Fraction(total, scale ** j * lcd)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +413,16 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
             for den, nums in _rows(spec, initial, t_max, packing)]
 
 
-def _tridiagonal_getter(c_exponent: str):
-    def make(spec: EquationSpec, initial: InitialData):
-        a, b, c = as_tridiagonal(spec)
-        psi = initial.rows[0]
-        return lambda p, t: eval_tridiagonal(a, b, c, psi, p[0], t, c_exponent=c_exponent)
-    return make
+def _tridiagonal_getter(spec: EquationSpec, initial: InitialData):
+    (a, b, c), psi = as_tridiagonal(spec), initial.rows[0]
+    return lambda p, t: eval_tridiagonal(a, b, c, psi, p[0], t)
+
+
+def _control_getter(spec: EquationSpec, initial: InitialData):
+    """The three-point sum with b c in place of b, b c taken once per query."""
+    (a, b, c), psi = as_tridiagonal(spec), initial.rows[0]
+    bc = b * c
+    return lambda p, t: eval_tridiagonal(a, bc, c, psi, p[0], t)
 
 
 def _composition_getter(spec: EquationSpec, initial: InitialData):
@@ -452,8 +445,12 @@ _THREE_POINT = "a three-point one-step 1D stencil"
 EVALUATORS = {
     "nd": (lambda spec: not spec.implicit_corner, "an explicit stencil",
            _composition_getter),
-    "tridiagonal": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-m")),
-    "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter("j-n")),
+    "tridiagonal": (as_tridiagonal, _THREE_POINT, _tridiagonal_getter),
+    # the negative control: the double binomial sum with c^(j-n) in place of
+    # c^(j-m).  As c^(j-n) = c^(j-m) c^(m-n), that is the sum with b c in
+    # place of b, the solution of the equation at (a, b c, c), which differs
+    # from the oracle's wherever b (c - 1) != 0 reaches a queried cell.
+    "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT, _control_getter),
     "implicit": (lambda spec: spec.implicit_corner, "a corner-implicit 1D stencil",
                  _implicit_getter),
 }

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
+from numbers import Rational
 from operator import index, le, mul, sub
 
 from .exactnum import ZERO
@@ -85,6 +86,14 @@ def _as_int(value, what: str) -> int:
         return index(value)
     except TypeError:
         raise SpecError(f"{what} {value!r} is not an integer") from None
+
+
+def _check_coefficients(a, b, c) -> None:
+    """A SpecError naming the first of the coefficients a, b, c that is not
+    an int or a Fraction (callers test for Fractions by identity first)."""
+    for name, value in zip("abc", (a, b, c)):
+        if not isinstance(value, Rational):
+            raise SpecError(f"coefficient {name} {value!r} is not an integer or a fraction")
 
 
 class Box(Record):
@@ -437,14 +446,15 @@ class Query(Record):
                        if (cut := tuple(t for t in times if t <= t_max)))
         return Query(blocks) if blocks else None
 
-    def asked_keys(self, packing: Packing) -> dict[int, dict[int, int]]:
+    def asked_keys(self, packing: Packing) -> tuple[dict[int, dict[int, int]], list[list[int]]]:
         """time -> {key: times asked} of the asked cells, in a packing that
-        holds the query's box; the times one block alone asks share its one
-        dict."""
+        holds the query's box, and each block's keys in its box's point
+        order, each box packed once; the times one block alone asks share
+        its one dict."""
         asked: dict[int, dict[int, int]] = {}
-        merged = set()
-        for box, times in self.blocks:
-            cells = dict.fromkeys(packing.keys(box), 1)
+        merged, block_keys = set(), [packing.keys(box) for box, _ in self.blocks]
+        for (_, times), keys in zip(self.blocks, block_keys):
+            cells = dict.fromkeys(keys, 1)
             for t in times:
                 if t not in asked:
                     asked[t] = cells
@@ -454,4 +464,4 @@ class Query(Record):
                     asked[t] = dict(asked[t])
                 for k in cells:
                     asked[t][k] = asked[t].get(k, 0) + 1
-        return asked
+        return asked, block_keys

@@ -33,7 +33,8 @@ from .exactnum import ZERO
 # auto_window is not called here; it stays importable as oracle.auto_window,
 # the name bench/ sizes and traces windows by, and Region as oracle.Region
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Query, Record,
-                      Region, SpecError, _as_int, _set, auto_window, query_packing)
+                      Region, SpecError, _as_int, _check_coefficients, _set, auto_window,
+                      query_packing)
 
 
 class MissingValueError(KeyError):
@@ -147,7 +148,10 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
 
     built left-to-right from psi's left end, where the solution starts: every
     nonzero value up to window.hi, the one edge read, and none past it.  A
-    zero psi needs no window; a nonzero one is a SpecError without one."""
+    zero psi needs no window; a nonzero one is a SpecError without one, as is
+    a coefficient that is not an int or a Fraction."""
+    if not type(a) is type(b) is type(c) is Fraction:
+        _check_coefficients(a, b, c)
     if psi.dim != 1:
         raise SpecError("corner-implicit sweep is 1D")
     if (j_max := _as_int(j_max, "j_max")) < 0:
@@ -260,7 +264,7 @@ def verify_closed_vs_oracle(spec: EquationSpec, initial: InitialData,
         _, closed_rows = engine_rows(spec, initial, t_max, "closed", box)
     else:
         value = closed_form.closed_getter(spec, initial, evaluator)
-        asked = query.asked_keys(packing)
+        asked, _ = query.asked_keys(packing)
         closed_rows = _evaluated_rows(value, asked, packing, t_max)
     mismatches = _row_mismatches(closed_rows, oracle_rows, query, packing, asked)
     mismatches.sort(key=lambda m: (m.point, m.time))
@@ -302,7 +306,7 @@ def _row_mismatches(closed_rows: Iterable[tuple[int, dict[int, int]]],
         if d_c == d_o and c_row == o_row:
             continue
         if asked is None:
-            asked = query.asked_keys(packing)
+            asked, _ = query.asked_keys(packing)
         cells = asked.get(t, {})
         for k in cells if named else (c_row.keys() | o_row.keys()) & cells.keys():
             n_c, n_o = c_row.get(k, 0), o_row.get(k, 0)

@@ -11,12 +11,13 @@ from operator import add
 from pathlib import Path
 
 from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData,
-                    RandomWalkParams, StencilEntry, eval_implicit, eval_nd, eval_tridiagonal,
+                    RandomWalkParams, StencilEntry, eval_implicit, eval_nd,
                     expand_stencil_power, heat_profile, oracle_evolve,
                     oracle_sweep_implicit, random_walk_distribution,
                     tridiagonal_spec, verify_closed_vs_oracle)
 from latrec.cli import main as cli_main
 from latrec.cli import parse_table_csv
+from latrec.closed_form import closed_getter
 from latrec.combinatorics import compositions
 from latrec.oracle import Region
 
@@ -127,7 +128,8 @@ def test_criterion_4_inner_exponent_variant_is_exposed():
     initial = InitialData((delta,))
     region = Region(Box((0,), (0,)), 1, 1)
 
-    literal = eval_tridiagonal(*abc, delta, 0, 1, c_exponent="j-n")
+    # the j-n variant is the consistent sum with b c in place of b
+    literal = Fraction(*closed_getter(spec, initial, "tridiagonal-j-n")((0,), 1))
     oracle_value = oracle_evolve(spec, initial, 1)[1].get((0,))
     if literal != 6:
         failures.append(f"variant value {literal} != 6")

@@ -410,7 +410,8 @@ def test_verify_mismatch_line_writes_values_past_the_digit_limit(capsys, tmp_pat
     assert (status, err) == (1, "")
     config = load_config(path)
     tiny = Fraction(TINY)
-    closed = eval_tridiagonal(tiny, tiny, tiny, config.initial.rows[0], 0, 44, "j-n")
+    # the j-n control is the three-point sum with b c in place of b
+    closed = eval_tridiagonal(tiny, tiny * tiny, tiny, config.initial.rows[0], 0, 44)
     oracle = closed_value(config.spec, config.initial, (0,), 44)
     assert len(str(Decimal(oracle.denominator))) > 4300
     assert out.splitlines()[1:] == [

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latrec import (EquationSpec, FieldRow, InitialData, SpecError,
@@ -122,11 +122,10 @@ def test_tridiagonal_inner_exponent_variant_is_wrong():
     # the "j-n" c-exponent variant disagrees with the recurrence at the very
     # first step: it yields b*c = 6 where the equation demands b = 2
     abc = (Fraction(1), Fraction(2), Fraction(3))
-    assert eval_tridiagonal(*abc, DELTA, 0, 1, c_exponent="j-n") == 6
-    oracle_row = oracle_evolve(tridiagonal_spec(*abc), InitialData((DELTA,)), 1)[1]
-    assert oracle_row.get((0,)) == 2
-    with pytest.raises(SpecError):
-        eval_tridiagonal(*abc, DELTA, 0, 1, c_exponent="bogus")
+    spec, initial = tridiagonal_spec(*abc), InitialData((DELTA,))
+    assert tridiagonal_double_loop(*abc, DELTA, 0, 1, "j-n") == 6
+    assert closed_getter(spec, initial, "tridiagonal-j-n")((0,), 1) == (6, 1)
+    assert oracle_evolve(spec, initial, 1)[1].get((0,)) == 2
 
 
 def test_tridiagonal_agrees_with_nd_randomized():
@@ -163,9 +162,35 @@ TRI_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def test_tridiagonal_landing_pairs_equal_double_loop(a, b, c, psi, i, j, c_exponent):
     # i in [-46, 46] with j <= 40 and psi on [-4, 4] reaches points left of,
     # inside and right of the reach of every support point; j up to 40 runs
-    # the weight's descending exact division over up to 21 steps
-    assert (eval_tridiagonal(a, b, c, psi, i, j, c_exponent)
+    # the weight's descending exact division over up to 21 steps.  The
+    # literal "j-n" sum is the "j-m" sum with b c in place of b, since
+    # c^(j-n) = c^(j-m) c^(m-n)
+    middle = b * c if c_exponent == "j-n" else b
+    assert (eval_tridiagonal(a, middle, c, psi, i, j)
             == tridiagonal_double_loop(a, b, c, psi, i, j, c_exponent))
+
+
+@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, line_rows(), st.integers(0, 8))
+@example(Fraction(0), Fraction(1), Fraction(0),
+         FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-2, 7)}), 5)
+@example(Fraction(-1, 2), Fraction(0), Fraction(-3), FieldRow.delta(1), 4)
+@example(Fraction(2), Fraction(-1, 3), Fraction(-2), FieldRow.delta(1), 6)
+@settings(max_examples=150, deadline=None)
+def test_tridiagonal_control_is_the_oracle_of_b_times_c(a, b, c, psi, t_max):
+    # the j-n control is the exact solution of the equation at (a, b c, c),
+    # zero and negative coefficients included; when a = c = 0 that stencil
+    # is all zero (configs/identity.json), no spec holds it, and every row
+    # after row 0 is zero
+    assume(a or b or c)
+    spec, initial = tridiagonal_spec(a, b, c), InitialData((psi,))
+    if a or b * c or c:
+        rows = oracle_evolve(tridiagonal_spec(a, b * c, c), initial, t_max)
+    else:
+        rows = [psi] + [FieldRow.zero(1)] * t_max
+    control = closed_getter(spec, initial, "tridiagonal-j-n")
+    for t, row in enumerate(rows):
+        for i in range(-5 - t, 6 + t):
+            assert Fraction(*control((i,), t)) == row.get((i,)), (i, t)
 
 
 # ---------------------------------------------------------------------------

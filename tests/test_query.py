@@ -51,8 +51,12 @@ def test_a_region_and_its_cells_listed_give_one_query(case):
     dim, region, pairs, packing = case
     by_region, by_pairs = Query.of(region, dim), Query.of(pairs, dim)
     assert view(by_region) == view(by_pairs)
-    asked = by_region.asked_keys(packing)
-    assert asked == by_pairs.asked_keys(packing)
+    asked, region_keys = by_region.asked_keys(packing)
+    pair_asked, pair_keys = by_pairs.asked_keys(packing)
+    assert asked == pair_asked
+    # each block's keys in its box's point order
+    assert region_keys == [[packing.key(p) for p in region.box.points()]]
+    assert pair_keys == [[packing.key(box.lo)] for box, _ in by_pairs.blocks]
     # a region packs its keys once, into one dict that all its times share:
     # its box's keys, at each of its times
     assert len({id(cells) for cells in asked.values()}) == 1
@@ -149,6 +153,46 @@ def test_an_int_like_time_or_point_is_read_as_an_int():
     assert corner_kernel(True, True, *ABC) == corner_kernel(1, 1, *ABC)
     assert (oracle_sweep_implicit(*ABC, psi, WINDOW, True)
             == oracle_sweep_implicit(*ABC, psi, WINDOW, 1))
+
+
+PSI = DELTA.rows[0]
+NOT_RATIONALS = [
+    (lambda: eval_tridiagonal(0.5, Fraction(1, 4), Fraction(1, 4), PSI, 0, 1),
+     "coefficient a 0.5 is not an integer or a fraction"),
+    (lambda: eval_tridiagonal(HALF, "1/4", HALF, PSI, 0, 1),
+     "coefficient b '1/4' is not an integer or a fraction"),
+    (lambda: eval_implicit(HALF, HALF, 0.25, PSI, 2, 1),
+     "coefficient c 0.25 is not an integer or a fraction"),
+    (lambda: corner_kernel(2, 3, "1", HALF, HALF),
+     "coefficient a '1' is not an integer or a fraction"),
+    (lambda: corner_kernel(2, 3, 1, 1.0, 1),
+     "coefficient b 1.0 is not an integer or a fraction"),
+    (lambda: oracle_sweep_implicit(HALF, 0.5, HALF, PSI, WINDOW, 2),
+     "coefficient b 0.5 is not an integer or a fraction"),
+    # a zero row reads no coefficient, and is refused all the same
+    (lambda: oracle_sweep_implicit(HALF, HALF, "1/3", FieldRow.zero(1), None, 2),
+     "coefficient c '1/3' is not an integer or a fraction"),
+]
+
+
+@pytest.mark.parametrize("call, text", NOT_RATIONALS)
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(call, text):
+    with pytest.raises(SpecError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_int_coefficients_equal_their_fractions():
+    ints, fractions = (1, 2, 3), tuple(map(Fraction, (1, 2, 3)))
+    mixed = (1, Fraction(2), True)
+    assert eval_tridiagonal(*ints, PSI, 0, 1) == 2
+    for evaluate in (eval_tridiagonal, eval_implicit):
+        for i, j in ((0, 1), (2, 3), (-1, 4)):
+            assert evaluate(*ints, PSI, i, j) == evaluate(*fractions, PSI, i, j)
+            assert evaluate(*mixed, PSI, i, j) == evaluate(1, 2, 1, PSI, i, j)
+    assert corner_kernel(2, 3, *ints) == corner_kernel(2, 3, *fractions)
+    assert (oracle_sweep_implicit(*ints, PSI, WINDOW, 3)
+            == oracle_sweep_implicit(*fractions, PSI, WINDOW, 3))
 
 
 def test_a_query_of_another_dimension_is_refused():

@@ -69,20 +69,44 @@ def test_c_exponent_comparison_exits_one_when_the_outer_variant_is_wrong(capsys,
     module = load("c_exponent_comparison", monkeypatch)
     real = module.eval_tridiagonal
 
-    def evaluate(a, b, c, psi, i, j, c_exponent="j-m"):
-        value = real(a, b, c, psi, i, j, c_exponent=c_exponent)
-        return value + 1 if (i, j, c_exponent) == (0, 2, "j-m") else value
+    def evaluate(a, b, c, psi, i, j):
+        value = real(a, b, c, psi, i, j)
+        return value + 1 if (i, j) == (0, 2) else value
 
     monkeypatch.setattr(module, "eval_tridiagonal", evaluate)
     assert module.main() == 1
     assert "differs from the oracle at i=0, j=2" in capsys.readouterr().out
 
 
+def test_c_exponent_comparison_exits_one_when_the_control_misses_its_oracle(capsys,
+                                                                             monkeypatch):
+    # the control must equal the oracle of (a, b c, c) = (1, 6, 3) at every cell
+    module = load("c_exponent_comparison", monkeypatch)
+    real = module.closed_getter
+
+    def getter(spec, initial, evaluator):
+        value = real(spec, initial, evaluator)
+
+        def bumped(p, t):
+            n, d = value(p, t)
+            return (n + d, d) if (p, t) == ((1,), 3) else (n, d)
+        return bumped
+
+    monkeypatch.setattr(module, "closed_getter", getter)
+    assert module.main() == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == ("inner-index variant differs from the oracle of "
+                                    "(a, b c, c) = (1, 6, 3) at i=1, j=3")
+    assert "  j-n diverges" in out
+
+
 def test_c_exponent_comparison_exits_one_when_the_control_does_not_diverge(capsys,
                                                                             monkeypatch):
+    # with c = 1, b c = b: the control is the consistent sum and agrees
+    # with the oracle everywhere, so it shows nothing
     module = load("c_exponent_comparison", monkeypatch)
-    real = module.eval_tridiagonal
-    monkeypatch.setattr(module, "eval_tridiagonal",
-                        lambda a, b, c, psi, i, j, c_exponent="j-m": real(a, b, c, psi, i, j))
+    monkeypatch.setattr(module, "C", module.Fraction(1))
     assert module.main() == 1
-    assert "agrees with the oracle everywhere" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "agrees with the oracle everywhere" in out
+    assert "differs" not in out

@@ -137,6 +137,22 @@ def test_solve_writes_zero_points_as_the_per_cell_writer(out_format):
             assert cli.run(config) == (0, reference_solve(config))
 
 
+def test_solve_packs_each_query_block_once(monkeypatch):
+    # a region is one block, a point list one block per distinct point
+    spec, delta = heat_spec(HeatParams(Fraction(1, 3))), InitialData((FieldRow.delta(1),))
+    points = [((9,), 2), ((2,), 1), ((9,), 4), ((0,), 0), ((2,), 3)]
+    for query, blocks in ((Region(Box((-6,), (7,)), 0, 4), 1), (points, 3)):
+        for engine in ("closed", "oracle"):
+            config = RunConfig(spec, delta, query, engine, "csv", None)
+            calls, keys = [], Packing.keys
+            monkeypatch.setattr(Packing, "keys",
+                                lambda *args: calls.append(args) or keys(*args))
+            status, out = cli.run(config)
+            monkeypatch.undo()
+            assert (status, out) == (0, reference_solve(config))
+            assert len(calls) == blocks
+
+
 def counted_texts(monkeypatch):
     """Wrap the row texter solve and the demos get from _value_texts with a
     log of the numerators handed to it, one per texted cell."""
@@ -312,7 +328,8 @@ def test_query_points_flatten_query_groups():
     # asked_keys in packings that hold the query's box: a region's box once
     # at each time, and a list's repeat counts
     cells = {key: 1 for key in (0, 1, 4, 5, 8, 9)}  # (-1, 2), (-1, 3), ..., (1, 3)
-    asked = Query.of(region, 2).asked_keys(Packing(Box((-1, 2), (2, 5))))
+    asked, keys = Query.of(region, 2).asked_keys(Packing(Box((-1, 2), (2, 5))))
     assert asked == {2: cells, 3: cells, 4: cells} and len({id(c) for c in asked.values()}) == 1
-    assert Query.of(points, 1).asked_keys(Packing(Box((-1,), (3,)))) == {
-        0: {1: 1}, 1: {4: 1}, 2: {0: 2}, 5: {4: 2}}
+    assert keys == [[0, 1, 4, 5, 8, 9]]
+    assert Query.of(points, 1).asked_keys(Packing(Box((-1,), (3,)))) == (
+        {0: {1: 1}, 1: {4: 1}, 2: {0: 2}, 5: {4: 2}}, [[0], [1], [4]])
