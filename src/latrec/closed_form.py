@@ -59,7 +59,8 @@ from .combinatorics import (_column_sign, _column_weights, _miller, _multinomial
                             _symbol_powers, compositions, multinomial, stencil_symbol_steps)
 from .exactnum import ZERO
 from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecError,
-                      StencilEntry, _as_int, _as_ints, _check_coefficients, query_packing)
+                      StencilEntry, _as_count, _as_fraction, _as_int, _as_ints,
+                      query_packing)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,9 @@ from .lattice import (EquationSpec, FieldRow, InitialData, Packing, Point, SpecE
 
 def tridiagonal_spec(a: Fraction, b: Fraction, c: Fraction) -> EquationSpec:
     """U[i, j+1] = a U[i-1, j] + b U[i, j] + c U[i+1, j]."""
-    return EquationSpec(1, 1, (0,), tuple(StencilEntry((x,), 0, v)
-                                          for x, v in ((-1, a), (0, b), (1, c))))
+    return EquationSpec(1, 1, (0,), tuple(
+        StencilEntry((x,), 0, _as_fraction(v, f"coefficient {n}"))
+        for x, n, v in ((-1, "a", a), (0, "b", b), (1, "c", c))))
 
 
 def as_tridiagonal(spec: EquationSpec) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -114,10 +116,10 @@ def _integer_rows(rows: Sequence[FieldRow]) -> tuple[int, list[dict[Point, int]]
 
 
 def _scaled(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    """D, the lcm of the denominators of a, b, c, and D a, D b, D c; a
-    coefficient that is not an int or a Fraction is a SpecError."""
+    """D, the lcm of the denominators of a, b, c, and D a, D b, D c, the
+    coefficients read by _as_fraction unless all three are Fractions."""
     if not type(a) is type(b) is type(c) is Fraction:
-        _check_coefficients(a, b, c)
+        a, b, c = (_as_fraction(v, f"coefficient {n}") for n, v in zip("abc", (a, b, c)))
     scale = lcm(a.denominator, b.denominator, c.denominator)
     return scale, *(v.numerator * (scale // v.denominator) for v in (a, b, c))
 
@@ -149,10 +151,8 @@ def eval_tridiagonal(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     # an identity test first, so that an int pays no call
     if type(i) is not int:
         i = _as_int(i, "point")
-    if type(j) is not int:
-        j = _as_int(j, "time")
-    if j < 0:
-        raise SpecError("time must be >= 0")
+    if type(j) is not int or j < 0:
+        j = _as_count(j, "time")
     if psi.dim != 1:
         raise SpecError("eval_tridiagonal is defined for 1D rows")
     scale, na, nb, nc = _scaled(a, b, c)
@@ -198,9 +198,7 @@ def corner_kernel(s: int, j: int, a: Fraction, b: Fraction, c: Fraction) -> Frac
 
     from the kernel rows' recurrence over D^(s+j), D the lcm of the
     denominators of a, b, c (_kernel_values)."""
-    s, j = _as_int(s, "kernel index"), _as_int(j, "kernel index")
-    if s < 0 or j < 0:
-        raise SpecError("kernel indices must be >= 0")
+    s, j = _as_count(s, "kernel index"), _as_count(j, "kernel index")
     scale, na, nb, nc = _scaled(a, b, c)
     return Fraction(_kernel_values(j, (s,), na, nb, nc, scale)[s], scale ** (s + j))
 
@@ -217,19 +215,21 @@ def eval_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     """
     if type(i) is not int:
         i = _as_int(i, "point")
-    if type(j) is not int:
-        j = _as_int(j, "time")
-    if j < 0:
-        raise SpecError("time must be >= 0")
+    if type(j) is not int or j < 0:
+        j = _as_count(j, "time")
     if psi.dim != 1:
         raise SpecError("eval_implicit is defined for 1D rows")
     scale, na, nb, nc = _scaled(a, b, c)
     lcd, (nums,) = _integer_rows([psi])
-    nums = {k: n for (k,), n in nums.items()}
-    # psi - a shift(psi) over D L is D N(k) - A N(k-1) at k, psi = N / L
-    diff = {k: scale * nums.get(k, 0) - na * nums.get(k - 1, 0)
-            for k in {*nums, *(k + 1 for k in nums)}}
-    terms = {i - k: n for k, n in diff.items() if k <= i and n}
+    # psi - a shift(psi) over D L is D N(k) - A N(k-1) at k, psi = N / L:
+    # a cell k of N gives D N(k) to s = i - k and -A N(k) to s - 1
+    terms: dict[int, int] = {}
+    for (k,), n in nums.items():
+        if (s := i - k) >= 0:
+            terms[s] = terms.get(s, 0) + scale * n
+            if s:
+                terms[s - 1] = terms.get(s - 1, 0) - na * n
+    terms = {s: n for s, n in terms.items() if n}
     if not terms:
         return ZERO
     s_max = max(terms)
@@ -265,9 +265,7 @@ def source_rows(spec: EquationSpec, initial: InitialData) -> list[FieldRow]:
 
 def _check_query(spec: EquationSpec, point: Point, time: int) -> tuple[Point, int]:
     """The point as a tuple of ints and the time as an int, checked."""
-    point, time = _as_ints(point, "point"), _as_int(time, "time")
-    if time < 0:
-        raise SpecError("time must be >= 0")
+    point, time = _as_ints(point, "point"), _as_count(time, "time")
     if len(point) != spec.spatial_dim:
         raise SpecError(
             f"point of length {len(point)} queried in a dim-{spec.spatial_dim} field")
@@ -413,16 +411,13 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
             for den, nums in _rows(spec, initial, t_max, packing)]
 
 
-def _tridiagonal_getter(spec: EquationSpec, initial: InitialData):
+def _tridiagonal_getter(spec: EquationSpec, initial: InitialData, control: bool = False):
+    """The three-point sum; the control's has b c in place of b, b c taken
+    once per query."""
     (a, b, c), psi = as_tridiagonal(spec), initial.rows[0]
+    if control:
+        b *= c
     return lambda p, t: eval_tridiagonal(a, b, c, psi, p[0], t)
-
-
-def _control_getter(spec: EquationSpec, initial: InitialData):
-    """The three-point sum with b c in place of b, b c taken once per query."""
-    (a, b, c), psi = as_tridiagonal(spec), initial.rows[0]
-    bc = b * c
-    return lambda p, t: eval_tridiagonal(a, bc, c, psi, p[0], t)
 
 
 def _composition_getter(spec: EquationSpec, initial: InitialData):
@@ -450,7 +445,8 @@ EVALUATORS = {
     # c^(j-m).  As c^(j-n) = c^(j-m) c^(m-n), that is the sum with b c in
     # place of b, the solution of the equation at (a, b c, c), which differs
     # from the oracle's wherever b (c - 1) != 0 reaches a queried cell.
-    "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT, _control_getter),
+    "tridiagonal-j-n": (as_tridiagonal, _THREE_POINT,
+                        lambda spec, initial: _tridiagonal_getter(spec, initial, True)),
     "implicit": (lambda spec: spec.implicit_corner, "a corner-implicit 1D stencil",
                  _implicit_getter),
 }

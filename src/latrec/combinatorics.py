@@ -40,15 +40,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, mul, neg, sub
 
-from .lattice import Box, EquationSpec, Packing, SpecError, _as_int
+from .lattice import Box, EquationSpec, Packing, SpecError, _as_count
 
 def compositions(parts_count: int, total: int) -> Iterator[tuple[int, ...]]:
     """Yield every tuple of `parts_count` nonnegative ints summing to `total`,
     in ascending lexicographic order, each exactly once."""
     if parts_count < 1:
         raise SpecError("parts_count must be >= 1")
-    if total < 0:
-        raise SpecError("total must be >= 0")
+    total = _as_count(total, "total")
     # Stars and bars: the parts_count - 1 ascending cut points in [0, total]
     # are the running sums of the parts, and they come out of
     # combinations_with_replacement in the parts' lexicographic order.
@@ -413,8 +412,7 @@ def expand_stencil_power(spec: EquationSpec, j: int) -> dict[tuple[int, ...], Fr
     -> coefficient, with like terms combined and zeros dropped, read from
     Miller's recurrence with y as one more axis, over D**j, its keys packed
     in j times the box of S's exponents."""
-    if (j := _as_int(j, "power")) < 0:
-        raise SpecError("power must be >= 0")
+    j = _as_count(j, "power")
     terms = [(coeff, (*xstep, ystep)) for coeff, xstep, ystep in stencil_symbol_steps(spec)]
     axes = list(zip(*[exps for _, exps in terms]))
     packing = Packing(Box(tuple(j * min(a) for a in axes), tuple(j * max(a) for a in axes)))

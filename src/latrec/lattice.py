@@ -14,6 +14,13 @@ keys the points of one box by ints; ``query_packing`` sizes the one packing
 of a query to hold both engines' rows and the query's box, so every asked
 cell has a key.  Every record type of the library is a frozen ``__slots__``
 class on ``Record``.
+
+Two readers take every number the library is given: ``_as_count`` reads a
+time, a step count, a power, an index or a ``t_max`` as an int >= 0, and
+``_as_fraction`` reads a coefficient, a probability or a field value as a
+``Fraction`` (an int or any ``numbers.Rational`` is converted, a Fraction is
+kept as it is).  Anything else, a float, a string or None among them, is a
+``SpecError`` naming the input: there is no tolerance, so no float is read.
 """
 
 from __future__ import annotations
@@ -88,12 +95,23 @@ def _as_int(value, what: str) -> int:
         raise SpecError(f"{what} {value!r} is not an integer") from None
 
 
-def _check_coefficients(a, b, c) -> None:
-    """A SpecError naming the first of the coefficients a, b, c that is not
-    an int or a Fraction (callers test for Fractions by identity first)."""
-    for name, value in zip("abc", (a, b, c)):
-        if not isinstance(value, Rational):
-            raise SpecError(f"coefficient {name} {value!r} is not an integer or a fraction")
+def _as_count(value, what: str) -> int:
+    """value as an int >= 0: the one reader of a time, a step count, a
+    power or an index."""
+    if (n := _as_int(value, what)) < 0:
+        raise SpecError(f"{what} must be >= 0")
+    return n
+
+
+def _as_fraction(value, what: str) -> Fraction:
+    """value as a Fraction, a Fraction given as itself: the one reader of a
+    coefficient, a probability or a field value.  An int or any other
+    numbers.Rational is converted; a float, a string or None is refused."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise SpecError(f"{what} {value!r} is not an integer or a fraction")
 
 
 class Box(Record):
@@ -135,7 +153,7 @@ class StencilEntry(Record):
     def __init__(self, offset: Point, time_level: int, coeff: Fraction):
         _set(self, "offset", _as_ints(offset, "stencil offset"))
         _set(self, "time_level", _as_int(time_level, "time_level"))
-        _set(self, "coeff", coeff if type(coeff) is Fraction else Fraction(coeff))
+        _set(self, "coeff", _as_fraction(coeff, "stencil coefficient"))
 
 
 class EquationSpec(Record):
@@ -154,8 +172,8 @@ class EquationSpec(Record):
     def __init__(self, spatial_dim: int, time_order: int, spatial_shift: Point,
                  stencil: tuple[StencilEntry, ...], implicit_corner: bool = False,
                  implicit_coeff: Fraction | None = None):
-        _set(self, "spatial_dim", spatial_dim)
-        _set(self, "time_order", time_order)
+        _set(self, "spatial_dim", _as_int(spatial_dim, "spatial_dim"))
+        _set(self, "time_order", _as_int(time_order, "time_order"))
         _set(self, "spatial_shift", spatial_shift)
         _set(self, "stencil", stencil)
         _set(self, "implicit_corner", implicit_corner)
@@ -186,15 +204,14 @@ class EquationSpec(Record):
         if self.implicit_corner:
             if self.spatial_dim != 1 or self.time_order != 1:
                 raise SpecError("implicit_corner requires spatial_dim=1 and time_order=1")
-            if self.implicit_coeff is None:
-                raise SpecError("implicit_corner spec needs implicit_coeff")
             if self.spatial_shift != (1,):
                 raise SpecError("corner-implicit spec must have spatial_shift (1,)")
             for e in entries:
                 if e.offset not in ((0,), (1,)):
                     raise SpecError(
                         f"corner-implicit stencil offset {e.offset} not in {{(0,), (1,)}}")
-            object.__setattr__(self, "implicit_coeff", Fraction(self.implicit_coeff))
+            object.__setattr__(self, "implicit_coeff",
+                               _as_fraction(self.implicit_coeff, "implicit_coeff"))
         elif self.implicit_coeff is not None:
             raise SpecError("implicit_coeff is only meaningful with implicit_corner")
 
@@ -213,12 +230,11 @@ class FieldRow(Record):
     __slots__ = ("dim", "values")
 
     def __init__(self, dim: int, values: dict[Point, Fraction] | None = None):
-        _set(self, "dim", dim)
+        _set(self, "dim", _as_int(dim, "field dim"))
         clean = {}
         for p, v in (values or {}).items():
             p = _as_point(p, self.dim, "field point")
-            v = Fraction(v)
-            if v != 0:
+            if v := _as_fraction(v, "field value"):
                 clean[p] = v
         object.__setattr__(self, "values", clean)
 
@@ -305,7 +321,7 @@ def auto_window(spec: EquationSpec, initial: InitialData, t_max: int,
     every term of either engine's rows, hulled with an optional extra box
     (query_packing's box, from the query's box): each update moves the
     support by spatial_shift - offset over the stencil entries."""
-    hull = initial.support_hull()
+    t_max, hull = _as_count(t_max, "t_max"), initial.support_hull()
     window = None
     if hull is not None:
         # per axis, the displacement of every entry
@@ -356,8 +372,7 @@ def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,
     the query's box when given: auto_window's box hulled with it (the
     origin for zero rows and no box), or for the corner form, whose rows
     have no right end, the box and psi's left end to the box's right edge."""
-    if _as_int(t_max, "t_max") < 0:
-        raise SpecError("t_max must be >= 0")
+    t_max = _as_count(t_max, "t_max")
     initial.check_matches(spec)
     if not spec.implicit_corner:
         zero = (0,) * spec.spatial_dim

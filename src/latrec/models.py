@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .closed_form import _power_rows, tridiagonal_spec
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Record, SpecError,
-                      _as_int, _set)
+                      _as_count, _as_fraction, _set)
 from .oracle import oracle_evolve
 
 
@@ -39,7 +39,7 @@ class RandomWalkParams(Record):
         _set(self, "d", d)
         _set(self, "q", q)
         for name in ("p", "d", "q"):
-            value = Fraction(getattr(self, name))
+            value = _as_fraction(getattr(self, name), f"probability {name}")
             object.__setattr__(self, name, value)
             if value < 0:
                 raise SpecError(f"probability {name} must be >= 0, got {value}")
@@ -53,7 +53,7 @@ class HeatParams(Record):
     __slots__ = ("r",)
 
     def __init__(self, r: Fraction):
-        _set(self, "r", Fraction(r))
+        _set(self, "r", _as_fraction(r, "transfer coefficient r"))
         if self.r <= 0:
             raise SpecError(f"transfer coefficient r must be > 0, got {self.r}")
 
@@ -77,8 +77,7 @@ def random_walk_distribution(params: RandomWalkParams, j: int) -> FieldRow:
     The walker starts at 0 with probability 1, so the row after j steps is
     the coefficient list of the stencil symbol raised to the power j; its
     support is within [-j, j]."""
-    if (j := _as_int(j, "step count")) < 0:
-        raise SpecError("step count must be >= 0")
+    j = _as_count(j, "step count")
     packing = Packing(Box((-j,), (j,)))
     den, nums = next(_power_rows(random_walk_spec(params), FieldRow.delta(1), (j,), packing))
     return FieldRow._over(packing, den, nums)

@@ -33,7 +33,7 @@ from .exactnum import ZERO
 # auto_window is not called here; it stays importable as oracle.auto_window,
 # the name bench/ sizes and traces windows by, and Region as oracle.Region
 from .lattice import (Box, EquationSpec, FieldRow, InitialData, Packing, Point, Query, Record,
-                      Region, SpecError, _as_int, _check_coefficients, _set, auto_window,
+                      Region, SpecError, _as_count, _as_fraction, _set, auto_window,
                       query_packing)
 
 
@@ -151,11 +151,10 @@ def oracle_sweep_implicit(a: Fraction, b: Fraction, c: Fraction, psi: FieldRow,
     zero psi needs no window; a nonzero one is a SpecError without one, as is
     a coefficient that is not an int or a Fraction."""
     if not type(a) is type(b) is type(c) is Fraction:
-        _check_coefficients(a, b, c)
+        a, b, c = (_as_fraction(v, f"coefficient {n}") for n, v in zip("abc", (a, b, c)))
     if psi.dim != 1:
         raise SpecError("corner-implicit sweep is 1D")
-    if (j_max := _as_int(j_max, "j_max")) < 0:
-        raise SpecError("j_max must be >= 0")
+    j_max = _as_count(j_max, "j_max")
     if psi.values and window is None:
         raise SpecError("a nonzero initial row needs a sweep window")
     if not psi.values or window.hi[0] < min(psi.values)[0]:

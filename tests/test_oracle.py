@@ -472,8 +472,10 @@ def compare_cases(draw):
     else:
         query = draw(st.lists(st.tuples(coords, st.integers(0, 4)), min_size=1, max_size=8))
         query += draw(st.lists(st.sampled_from(query), max_size=3))
-    t_max = Query.of(query, spec.spatial_dim).t_max
-    packing = query_packing(spec, initial, t_max)
+    # the packing holds the query's box, as verify's does: an asked cell
+    # outside it would share a key with a cell inside
+    asked = Query.of(query, spec.spatial_dim)
+    t_max, packing = asked.t_max, query_packing(spec, initial, asked.t_max, asked.box)
     closed = engine_point_rows(spec, initial, t_max, "closed")
     faulty = list(closed)
     for _ in range(draw(st.integers(0, 3))):

@@ -1,7 +1,8 @@
 """lattice.Query: the one record a solve or verify reads its query through,
 built by Query.of from a Region or a list of (point, time) pairs, which
-checks it once; and the int checks of the library's other point and time
-arguments."""
+checks it once; and the two readers of the library's other inputs:
+lattice._as_count for times, counts and indices, lattice._as_fraction for
+coefficients, probabilities and field values."""
 
 import ast
 import re
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latrec import (Box, FieldRow, HeatParams, InitialData, RandomWalkParams, Region,
-                    SpecError, closed_rows, closed_value, corner_kernel, eval_implicit,
-                    eval_nd, eval_tridiagonal, expand_stencil_power, heat_profile,
-                    oracle_evolve, oracle_sweep_implicit, random_walk_distribution,
-                    tridiagonal_spec, verify_closed_vs_oracle)
+from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData, RandomWalkParams,
+                    Region, SpecError, StencilEntry, auto_window, closed_rows, closed_value,
+                    corner_kernel, eval_implicit, eval_nd, eval_tridiagonal,
+                    expand_stencil_power, heat_profile, oracle_evolve, oracle_sweep_implicit,
+                    random_walk_distribution, tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import cli
 from latrec.config import RunConfig
 from latrec.lattice import Packing, Query
@@ -113,6 +114,11 @@ HALF = Fraction(1, 2)
 ABC = (HALF, Fraction(1, 3), Fraction(1, 4))
 WALK = RandomWalkParams(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 WINDOW = Box((-4,), (4,))
+CORNER = (StencilEntry((0,), 0, HALF), StencilEntry((1,), 0, HALF))
+
+
+def corner_spec(coeff):
+    return EquationSpec(1, 1, (1,), CORNER, True, coeff)
 NOT_INTS = [
     (lambda: closed_value(SPEC, DELTA, (0.5,), 3), "point (0.5,) is not a sequence of integers"),
     (lambda: closed_value(SPEC, DELTA, (0,), 3.0), "time 3.0 is not an integer"),
@@ -134,6 +140,19 @@ NOT_INTS = [
      "j_max 2.5 is not an integer"),
     (lambda: oracle_sweep_implicit(*ABC, DELTA.rows[0], WINDOW, "3"),
      "j_max '3' is not an integer"),
+    (lambda: auto_window(SPEC, DELTA, 2.5), "t_max 2.5 is not an integer"),
+    (lambda: auto_window(SPEC, DELTA, "3"), "t_max '3' is not an integer"),
+    (lambda: auto_window(SPEC, DELTA, None), "t_max None is not an integer"),
+    (lambda: auto_window(SPEC, DELTA, -1), "t_max must be >= 0"),
+    (lambda: FieldRow(1.0, {(0,): 1}), "field dim 1.0 is not an integer"),
+    (lambda: FieldRow("1", {}), "field dim '1' is not an integer"),
+    (lambda: FieldRow(None), "field dim None is not an integer"),
+    (lambda: EquationSpec(1.0, 1, (0,), SPEC.stencil), "spatial_dim 1.0 is not an integer"),
+    (lambda: EquationSpec("1", 1, (0,), SPEC.stencil), "spatial_dim '1' is not an integer"),
+    (lambda: EquationSpec(None, 1, (0,), SPEC.stencil), "spatial_dim None is not an integer"),
+    (lambda: EquationSpec(1, 1.0, (0,), SPEC.stencil), "time_order 1.0 is not an integer"),
+    (lambda: EquationSpec(1, "1", (0,), SPEC.stencil), "time_order '1' is not an integer"),
+    (lambda: EquationSpec(1, None, (0,), SPEC.stencil), "time_order None is not an integer"),
 ]
 
 
@@ -172,6 +191,33 @@ NOT_RATIONALS = [
     # a zero row reads no coefficient, and is refused all the same
     (lambda: oracle_sweep_implicit(HALF, HALF, "1/3", FieldRow.zero(1), None, 2),
      "coefficient c '1/3' is not an integer or a fraction"),
+    (lambda: StencilEntry((0,), 0, 0.1),
+     "stencil coefficient 0.1 is not an integer or a fraction"),
+    (lambda: StencilEntry((0,), 0, "1/3"),
+     "stencil coefficient '1/3' is not an integer or a fraction"),
+    (lambda: StencilEntry((0,), 0, None),
+     "stencil coefficient None is not an integer or a fraction"),
+    (lambda: tridiagonal_spec(0.1, HALF, HALF),
+     "coefficient a 0.1 is not an integer or a fraction"),
+    (lambda: tridiagonal_spec(HALF, "1/3", HALF),
+     "coefficient b '1/3' is not an integer or a fraction"),
+    (lambda: tridiagonal_spec(HALF, HALF, None),
+     "coefficient c None is not an integer or a fraction"),
+    (lambda: FieldRow(1, {(0,): 0.5}), "field value 0.5 is not an integer or a fraction"),
+    (lambda: FieldRow(1, {(0,): "1/2"}), "field value '1/2' is not an integer or a fraction"),
+    (lambda: FieldRow(1, {(0,): None}), "field value None is not an integer or a fraction"),
+    (lambda: corner_spec(0.5), "implicit_coeff 0.5 is not an integer or a fraction"),
+    (lambda: corner_spec("1/2"), "implicit_coeff '1/2' is not an integer or a fraction"),
+    (lambda: corner_spec(None), "implicit_coeff None is not an integer or a fraction"),
+    (lambda: RandomWalkParams(0.5, 0.25, 0.25),
+     "probability p 0.5 is not an integer or a fraction"),
+    (lambda: RandomWalkParams(HALF, "1/4", Fraction(1, 4)),
+     "probability d '1/4' is not an integer or a fraction"),
+    (lambda: RandomWalkParams(HALF, HALF, None),
+     "probability q None is not an integer or a fraction"),
+    (lambda: HeatParams(0.25), "transfer coefficient r 0.25 is not an integer or a fraction"),
+    (lambda: HeatParams("1/4"), "transfer coefficient r '1/4' is not an integer or a fraction"),
+    (lambda: HeatParams(None), "transfer coefficient r None is not an integer or a fraction"),
 ]
 
 
@@ -193,6 +239,23 @@ def test_int_coefficients_equal_their_fractions():
     assert corner_kernel(2, 3, *ints) == corner_kernel(2, 3, *fractions)
     assert (oracle_sweep_implicit(*ints, PSI, WINDOW, 3)
             == oracle_sweep_implicit(*fractions, PSI, WINDOW, 3))
+    # the constructors read ints and bools as their Fractions, True as 1
+    one, two = Fraction(1), Fraction(2)
+    built = [
+        (StencilEntry((0,), 0, True), StencilEntry((0,), 0, one)),
+        (StencilEntry((0,), 0, 2), StencilEntry((0,), 0, two)),
+        (tridiagonal_spec(*mixed), tridiagonal_spec(one, two, one)),
+        (FieldRow(True, {(0,): 2, (1,): True, (2,): 0}), FieldRow(1, {(0,): two, (1,): one})),
+        (corner_spec(True), corner_spec(one)),
+        (corner_spec(2), corner_spec(two)),
+        (EquationSpec(True, True, (0,), SPEC.stencil), SPEC),
+        (RandomWalkParams(0, True, False), RandomWalkParams(0 * one, one, 0 * one)),
+        (HeatParams(True), HeatParams(one)),
+        (HeatParams(2), HeatParams(two)),
+    ]
+    for given_ints, given_fractions in built:
+        assert given_ints == given_fractions
+        assert repr(given_ints) == repr(given_fractions)
 
 
 def test_a_query_of_another_dimension_is_refused():
