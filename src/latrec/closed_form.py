@@ -13,11 +13,17 @@ so results are exact rationals.  Evaluators:
 * ``eval_tridiagonal``   -- 1D three-point stencil U[i,j+1] = a U[i-1,j] + b U[i,j] + c U[i+1,j]
                             as a double binomial sum; its negative control
                             "tridiagonal-j-n" is the same sum at (a, b c, c).
+                            The "tridiagonal" and "tridiagonal-j-n"
+                            evaluators read that sum from each point's
+                            history in t, stepped by its three-term
+                            recurrence (_three_point_history): one step per
+                            asked time, not one sum per cell.
 * ``eval_implicit``      -- 1D corner form whose right side references the
                             unknown time level; returns the particular
                             solution vanishing left of the initial support.
 
-The three-point sum is evaluated in integers by Horner's rule.  The corner
+The three-point sum is evaluated in integers by Horner's rule; it is the
+witness of the recurrence the named evaluators step.  The corner
 form's kernel row j, (b + c x)^j / (1 - a x)^(j+1), and psi's multiplier
 for row j, (b + c x)^j / (1 - a x)^j, are powers R^i / (1 - P)^e of one
 quotient, read by Miller's recurrence (``combinatorics._miller``): they
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import islice, repeat
 from math import comb, lcm
 from operator import add, mul, sub
 
@@ -411,32 +418,92 @@ def closed_rows(spec: EquationSpec, initial: InitialData, t_max: int) -> list[Fi
             for den, nums in _rows(spec, initial, t_max, packing)]
 
 
+def _three_point_history(k: int, na: int, nb: int, nc: int) -> Iterator[int]:
+    """W_0(k), W_1(k), ... with W_t(k) = [z^k] (A z + B + C/z)^t, A, B, C
+    the integer coefficients D a, D b, D c of _scaled: a cell of psi's
+    integer row moved by k after t steps of the three-point sum, over D^t.
+
+    W_t(k) = 0 for t < |k|.  A walk of t = |k| steps takes every step the
+    one way, and one of |k| + 1 steps stays put once, so with G = A for
+    k >= 0 and G = C for k < 0, W_|k| = G^|k| and W_(|k|+1) = (|k|+1) B
+    G^|k|.  Past that, the sum satisfies a three-term recurrence in t,
+    which creative telescoping derives from it (Petkovsek, Wilf and
+    Zeilberger, A = B, 1996):
+
+        (t^2 - k^2) W_t = B t (2t - 1) W_(t-1) - (B^2 - 4AC) t (t - 1) W_(t-2).
+
+    For A != C, W_t(k) is (A/C)^(k/2) times the sum at A' = C' = sqrt(AC),
+    a factor that does not depend on t, so the one recurrence holds.  Every
+    W_t is an integer and t^2 - k^2 > 0 past t = |k|, so the division is
+    exact: a step is a few products of O(t)-digit integers with small ones.
+    eval_tridiagonal, the double binomial sum, is the tests' witness."""
+    s = abs(k)
+    yield from repeat(0, s)
+    w0 = (na if k >= 0 else nc) ** s
+    w1 = (s + 1) * nb * w0
+    yield w0
+    yield w1
+    squared, t = nb * nb - 4 * na * nc, s + 1
+    while True:
+        t += 1
+        w0, w1 = w1, t * (nb * (2 * t - 1) * w1 - squared * (t - 1) * w0) // (t * t - k * k)
+        yield w1
+
+
 def _tridiagonal_getter(spec: EquationSpec, initial: InitialData, control: bool = False):
-    """The three-point sum; the control's has b c in place of b, b c taken
-    once per query."""
+    """The three-point sum as (numerator, D^t L), D and L from _scaled and
+    _integer_rows once per getter; the control's has b c in place of b, b c
+    taken once per getter.  Each asked x holds one history per cell q of
+    psi (_three_point_history at k = x - q), summed with psi's numerators,
+    and steps it up to the asked time; a time below the one x holds starts
+    x over, so any order of calls gives the same values.  Read by a verify,
+    one time after another, each x takes t_max + 1 steps per cell of psi,
+    and D^t L is the oracle's own row denominator at time t."""
     (a, b, c), psi = as_tridiagonal(spec), initial.rows[0]
     if control:
         b *= c
-    return lambda p, t: eval_tridiagonal(a, b, c, psi, p[0], t)
+    scale, na, nb, nc = _scaled(a, b, c)
+    lcd, (nums,) = _integer_rows([psi])
+    cells, ns = [q for (q,) in nums], list(nums.values())
+    # x -> [time held, x's numerators at times 0, 1, ..., the one at that time]
+    held: dict[int, list] = {}
+
+    def value(p: Point, t: int) -> tuple[int, int]:
+        x = p[0]
+        if type(x) is not int:
+            x = _as_int(x, "point")
+        if type(t) is not int or t < 0:
+            t = _as_count(t, "time")
+        entry = held.get(x)
+        if entry is None or entry[0] > t:
+            runs = [_three_point_history(x - q, na, nb, nc) for q in cells]
+            columns = zip(*runs) if runs else repeat(())
+            entry = held[x] = [-1, (sum(map(mul, ns, ws)) for ws in columns), 0]
+        if entry[0] < t:
+            entry[2] = next(islice(entry[1], t - entry[0] - 1, None))
+            entry[0] = t
+        return entry[2], scale ** t * lcd
+
+    return value
 
 
 def _composition_getter(spec: EquationSpec, initial: InitialData):
     q = source_rows(spec, initial)
-    return lambda p, t: _composition_sum(spec, q, p, t)
+    return lambda p, t: _composition_sum(spec, q, p, t).as_integer_ratio()
 
 
 def _implicit_getter(spec: EquationSpec, initial: InitialData):
     a, b, c = spec.corner_coefficients()
     psi = initial.rows[0]
-    return lambda p, t: eval_implicit(a, b, c, psi, p[0], t)
+    return lambda p, t: eval_implicit(a, b, c, psi, p[0], t).as_integer_ratio()
 
 
 _THREE_POINT = "a three-point one-step 1D stencil"
 
 # evaluator name -> (shape check, the shape it names on failure, maker of the
-# (point, time) -> value callable); closed_getter is the one lookup.  Only
-# formulas that differ in structure have a name: "nd" is the one composition
-# sum of every explicit equation.
+# (point, time) -> (numerator, denominator) callable); closed_getter is the
+# one lookup.  Only formulas that differ in structure have a name: "nd" is
+# the one composition sum of every explicit equation.
 EVALUATORS = {
     "nd": (lambda spec: not spec.implicit_corner, "an explicit stencil",
            _composition_getter),
@@ -455,17 +522,18 @@ EVALUATORS = {
 def closed_getter(spec: EquationSpec, initial: InitialData,
                   evaluator: str) -> Callable[[Point, int], tuple[int, int]]:
     """(point, time) -> the value of the pointwise evaluator named in
-    EVALUATORS as (numerator, positive denominator): its Fraction v enters
-    as (v.numerator, v.denominator).  SpecError is raised for an unknown
-    name, and when the spec does not have that evaluator's shape."""
+    EVALUATORS as (numerator, positive denominator), not always in lowest
+    terms: the three-point getters give D^t L, the oracle's row
+    denominator, and the others a Fraction's numerator and denominator.
+    SpecError is raised for an unknown name, and when the spec does not
+    have that evaluator's shape."""
     if evaluator not in EVALUATORS:
         raise SpecError(f"unknown evaluator {evaluator!r}")
     recognise, shape, make = EVALUATORS[evaluator]
     if not recognise(spec):
         raise SpecError(f"spec is not {shape}")
     initial.check_matches(spec)
-    value = make(spec, initial)
-    return lambda p, t: value(p, t).as_integer_ratio()
+    return make(spec, initial)
 
 
 def _series_value(spec: EquationSpec, q: Sequence[FieldRow], point: Point,

@@ -115,12 +115,13 @@ def _as_fraction(value, what: str) -> Fraction:
 
 
 class Box(Record):
-    """Closed per-axis interval box [lo[i], hi[i]]."""
+    """Closed per-axis interval box [lo[i], hi[i]], its corners read as
+    tuples of ints."""
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Point, hi: Point):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        _set(self, "lo", _as_ints(lo, "box corner"))
+        _set(self, "hi", _as_ints(hi, "box corner"))
         if len(self.lo) != len(self.hi):
             raise SpecError("box lo/hi dimension mismatch")
         if any(l > h for l, h in zip(self.lo, self.hi)):
@@ -384,13 +385,14 @@ def query_packing(spec: EquationSpec, initial: InitialData, t_max: int,
 
 
 class Region(Record):
-    """Query region: a spatial box crossed with an inclusive time range."""
+    """Query region: a spatial box crossed with an inclusive time range,
+    its times read as ints."""
     __slots__ = ("box", "t_lo", "t_hi")
 
     def __init__(self, box: Box, t_lo: int, t_hi: int):
         _set(self, "box", box)
-        _set(self, "t_lo", t_lo)
-        _set(self, "t_hi", t_hi)
+        _set(self, "t_lo", _as_int(t_lo, "query time"))
+        _set(self, "t_hi", _as_int(t_hi, "query time"))
         if self.t_lo < 0 or self.t_hi < self.t_lo:
             raise SpecError(f"bad time range [{self.t_lo}, {self.t_hi}]")
 
@@ -415,10 +417,8 @@ class Query(Record):
             _check_dim(query.box.lo, dim, "query point")
             return query
         if isinstance(query, Region):
-            for corner in (query.box.lo, query.box.hi):
-                _as_point(corner, dim, "query box corner")
-            t_lo, t_hi = (_as_int(t, "query time") for t in (query.t_lo, query.t_hi))
-            return cls(((query.box, tuple(range(t_lo, t_hi + 1))),))
+            _check_dim(query.box.lo, dim, "query box corner")
+            return cls(((query.box, tuple(range(query.t_lo, query.t_hi + 1))),))
         try:
             pairs = iter(query)
         except TypeError:

@@ -17,7 +17,8 @@ powers or kernel.  verify_closed_vs_oracle compares the oracle's packed
 rows with closed rows one time at a time over a lattice.Query, in one
 comparison (_row_mismatches): under "auto" the closed form's rows, under a
 named evaluator its values at the asked cells as integer rows, each read
-after its oracle row is stepped.  The packing holds the query's box, so
+after its oracle row is stepped (the three-point ones over the oracle's
+own row denominators).  The packing holds the query's box, so
 every asked cell has a key.  verify_recurrence substitutes plain Fractions
 at points.
 """
@@ -275,8 +276,12 @@ def _evaluated_rows(value: Callable[[Point, int], tuple[int, int]],
                     t_max: int) -> Iterator[tuple[int, dict[int, int]]]:
     """Integer rows at times 0..t_max of a pointwise evaluator's
     (numerator, denominator) values at the asked keys (Query.asked_keys),
-    over their lcm: each distinct asked cell is evaluated once, when its
-    row is read."""
+    over the lcm of their denominators: each distinct asked cell is
+    evaluated once, when its row is read, in time order.  The three-point
+    getters step each asked point's history one time further per row, and
+    give every value over D^t L, the oracle's own row denominator, so a row
+    whose asked cells hold the whole support equals the oracle's and
+    _row_mismatches settles it with one dict comparison."""
     for t in range(t_max + 1):
         keys = list(asked.get(t, ()))
         pairs = [value(p, t) for p in packing.points(keys)]

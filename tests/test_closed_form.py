@@ -22,7 +22,7 @@ from latrec.closed_form import closed_getter
 from latrec.combinatorics import _miller, multinomial, stencil_symbol_steps
 from latrec.config import load_config
 from latrec.lattice import Box, query_packing
-from latrec.oracle import Region, sweep_window
+from latrec.oracle import Region, engine_rows, sweep_window
 
 from instance_gen import (CORNER_COEFFS, LINE_COEFFS, column_spec, column_specs, corner_spec,
                           field_row, grid_2d_instance, grid_2d_spec, line_rows, line_specs,
@@ -191,6 +191,61 @@ def test_tridiagonal_control_is_the_oracle_of_b_times_c(a, b, c, psi, t_max):
     for t, row in enumerate(rows):
         for i in range(-5 - t, 6 + t):
             assert Fraction(*control((i,), t)) == row.get((i,)), (i, t)
+
+
+@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, st.integers(-46, 46), st.integers(0, 40))
+@example(Fraction(0), Fraction(2), Fraction(0), 0, 6)
+@example(Fraction(-1, 2), Fraction(0), Fraction(-3), -5, 12)
+@example(Fraction(1, 3), Fraction(-2, 5), Fraction(0), -3, 9)
+@settings(max_examples=200, deadline=None)
+def test_three_point_history_equals_the_double_binomial_sum(a, b, c, k, t_max):
+    # W_t(k) over D^t is the three-point sum from a unit mass k cells away:
+    # zero while t < |k|, then two starting values and the recurrence in t
+    scale, na, nb, nc = closed_form._scaled(a, b, c)
+    history = closed_form._three_point_history(k, na, nb, nc)
+    for t, w in zip(range(t_max + 1), history):
+        assert type(w) is int
+        assert Fraction(w, scale ** t) == eval_tridiagonal(a, b, c, DELTA, k, t), t
+
+
+@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, line_rows(), st.integers(0, 12), st.booleans())
+@example(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+         FieldRow(1, {(0,): Fraction(2), (2,): Fraction(-4)}), 5, False)
+@example(Fraction(-1, 2), Fraction(0), Fraction(-3), FieldRow.delta(1), 6, True)
+@settings(max_examples=150, deadline=None)
+def test_tridiagonal_getter_gives_the_oracle_rows(a, b, c, psi, t_max, control):
+    # the getter of (a, b, c), or the control's at (a, b c, c), gives the
+    # oracle's integer rows of that equation cell by cell, its numerators
+    # over its own row denominator D^t L, on the support and off it
+    if control:
+        b *= c
+    assume(a or b or c)
+    spec, initial = tridiagonal_spec(a, b, c), InitialData((psi,))
+    get = closed_getter(spec, initial, "tridiagonal")
+    packing, rows = engine_rows(spec, initial, t_max, "oracle", Box((-20,), (20,)))
+    for t, (den, nums) in enumerate(rows):
+        for x in range(-20, 21):
+            assert get((x,), t) == (nums.get(packing.key((x,)), 0), den), (x, t)
+
+
+@given(TRI_COEFFS, TRI_COEFFS, TRI_COEFFS, line_rows(),
+       st.lists(st.tuples(st.integers(-10, 10), st.integers(0, 14)), min_size=1, max_size=30),
+       st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_tridiagonal_getter_values_do_not_depend_on_the_order_asked(a, b, c, psi, pairs, rng,
+                                                                    control):
+    # shuffled, repeated, and at times that go down for one point: a point
+    # asked below the time it holds starts over
+    assume(a or b or c)
+    pairs += rng.choices(pairs, k=len(pairs))
+    rng.shuffle(pairs)
+    pairs += sorted(pairs, reverse=True)
+    spec, initial = tridiagonal_spec(a, b, c), InitialData((psi,))
+    get = closed_getter(spec, initial, "tridiagonal-j-n" if control else "tridiagonal")
+    middle = b * c if control else b
+    for x, t in pairs:
+        n, d = get((x,), t)
+        assert d > 0 and Fraction(n, d) == eval_tridiagonal(a, middle, c, psi, x, t), (x, t)
 
 
 # ---------------------------------------------------------------------------

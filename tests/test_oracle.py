@@ -157,7 +157,7 @@ def test_oracle_reads_no_closed_form_kernel(monkeypatch):
     # integer scaling; the engines share only the packing (lattice)
     for name in ("_composition_sum", "_series_value", "_rows", "_series_rows",
                  "_integer_rows", "closed_getter", "_kernel_values", "_corner_rows",
-                 "eval_implicit", "corner_kernel", "_scaled"):
+                 "eval_implicit", "corner_kernel", "_scaled", "_three_point_history"):
         monkeypatch.setattr(closed_form, name, closed_form_path)
     f = Fraction
     line = tridiagonal_spec(HALF, f(1, 3), f(1, 4))
@@ -665,6 +665,64 @@ def test_a_named_evaluator_reads_each_oracle_row_as_it_is_stepped(monkeypatch):
                 assert entry[2] == drawn
                 values.append(entry[1:])
         assert sorted(values) == sorted(set(reference_query_points(query)))
+
+
+def test_a_named_three_point_verify_steps_each_history_once(monkeypatch):
+    # over a region, each asked point steps one history per cell of psi
+    # through times 0..t_max, and no double binomial sum is taken
+    def no_sum(*args):
+        raise AssertionError("a per-cell sum was taken")
+
+    calls, history = [], closed_form._three_point_history
+
+    def counted(*args):
+        # each history's steps counted in its own slot
+        calls.append(0)
+        return steps(len(calls) - 1, history(*args))
+
+    def steps(slot, run):
+        for w in run:
+            calls[slot] += 1
+            yield w
+
+    monkeypatch.setattr(closed_form, "eval_tridiagonal", no_sum)
+    monkeypatch.setattr(closed_form, "_three_point_history", counted)
+    spec = tridiagonal_spec(HALF, Fraction(1, 3), Fraction(1, 4))
+    psi = FieldRow(1, {(0,): Fraction(1), (3,): Fraction(-5, 2)})
+    region = Region(Box((-9,), (9,)), 2, 12)
+    for evaluator, ok in (("tridiagonal", True), ("tridiagonal-j-n", False)):
+        calls.clear()
+        report = verify_closed_vs_oracle(spec, InitialData((psi,)), region, evaluator)
+        assert report.ok is ok and report.checked == 19 * 11
+        assert len(calls) == 19 * 2 and max(calls) <= 13
+
+
+def test_an_equal_named_row_is_settled_by_one_dict_comparison(monkeypatch):
+    # the three-point getter's values are over the oracle's own row
+    # denominator, so where the asked box holds the whole support each
+    # named row equals the oracle's and no asked cell is read from it, even
+    # where the values have a smaller common denominator (row 1 is integral)
+    reads, evaluated_rows = [], oracle._evaluated_rows
+
+    class Row(dict):
+        def get(self, *args):
+            reads.append(args)
+            return super().get(*args)
+
+    def counted_rows(*args):
+        return ((den, Row(nums)) for den, nums in evaluated_rows(*args))
+
+    monkeypatch.setattr(oracle, "_evaluated_rows", counted_rows)
+    spec = tridiagonal_spec(HALF, HALF, HALF)
+    initial = InitialData((FieldRow(1, {(0,): Fraction(2), (2,): Fraction(-4)}),))
+    report = verify_closed_vs_oracle(spec, initial, Region(Box((-6,), (8,)), 0, 5),
+                                     "tridiagonal")
+    assert report.ok and report.checked == 15 * 6
+    assert not reads
+    # the control's rows differ, and their asked cells are read
+    assert not verify_closed_vs_oracle(spec, initial, Region(Box((-6,), (8,)), 0, 5),
+                                       "tridiagonal-j-n").ok
+    assert reads
 
 
 def test_row_compare_packs_the_asked_keys_only_for_an_unequal_row(monkeypatch):

@@ -19,6 +19,7 @@ from latrec import (Box, EquationSpec, FieldRow, HeatParams, InitialData, Random
                     expand_stencil_power, heat_profile, oracle_evolve, oracle_sweep_implicit,
                     random_walk_distribution, tridiagonal_spec, verify_closed_vs_oracle)
 from latrec import cli
+from latrec.closed_form import closed_getter
 from latrec.config import RunConfig
 from latrec.lattice import Packing, Query
 
@@ -73,14 +74,16 @@ def test_a_region_and_its_cells_listed_give_one_query(case):
         assert view(by_pairs.cut(t)) == (view(Query.of(kept, dim)) if kept else None)
 
 
+# a Region or a Box reads its own corners and times, so a query whose
+# Region cannot be built is given as the function that builds it
 BAD_QUERIES = [
     ([((0, 0), 1)], "query point has length 2, expected spatial dimension 1"),
     (Region(Box((0, 0), (1, 1)), 0, 2),
      "query box corner has length 2, expected spatial dimension 1"),
     ([((Fraction(1, 2),), 1)], "query point (Fraction(1, 2),) is not a sequence of integers"),
-    (Region(Box((0.5,), (1,)), 0, 2), "query box corner (0.5,) is not a sequence of integers"),
+    (lambda: Region(Box((0.5,), (1,)), 0, 2), "box corner (0.5,) is not a sequence of integers"),
     ([((0,), 1.5)], "query time 1.5 is not an integer"),
-    (Region(Box((0,), (1,)), 0, 2.5), "query time 2.5 is not an integer"),
+    (lambda: Region(Box((0,), (1,)), 0, 2.5), "query time 2.5 is not an integer"),
     ([((0,), -1), ((0,), 3)], "query time -1 must be >= 0"),
     ([((0,), -1)], "query time -1 must be >= 0"),
     ([], "the query has no points"),
@@ -94,17 +97,19 @@ BAD_QUERIES = [
 
 @pytest.mark.parametrize("query, text", BAD_QUERIES)
 def test_a_bad_query_is_refused_by_every_reader(query, text, monkeypatch, capsys):
+    make = query if callable(query) else lambda: query
     with pytest.raises(SpecError) as info:
-        Query.of(query, 1)
+        Query.of(make(), 1)
     assert str(info.value) == text
     for evaluator in ("auto", "tridiagonal", "nd"):
         with pytest.raises(SpecError, match=re.escape(text)):
-            verify_closed_vs_oracle(SPEC, DELTA, query, evaluator=evaluator)
+            verify_closed_vs_oracle(SPEC, DELTA, make(), evaluator=evaluator)
     for engine in ("closed", "oracle", "verify"):
-        config = RunConfig(SPEC, DELTA, query, engine, "csv", None)
+        def config():
+            return RunConfig(SPEC, DELTA, make(), engine, "csv", None)
         with pytest.raises(SpecError, match=re.escape(text)):
-            cli.run(config)
-        monkeypatch.setattr(cli, "load_config", lambda path: config)
+            cli.run(config())
+        monkeypatch.setattr(cli, "load_config", lambda path: config())
         for command in ("solve", "verify"):
             assert cli.main([command, "--config", "unused.json"]) == 2
             assert capsys.readouterr() == ("", f"error: {text}\n")
@@ -153,6 +158,15 @@ NOT_INTS = [
     (lambda: EquationSpec(1, 1.0, (0,), SPEC.stencil), "time_order 1.0 is not an integer"),
     (lambda: EquationSpec(1, "1", (0,), SPEC.stencil), "time_order '1' is not an integer"),
     (lambda: EquationSpec(1, None, (0,), SPEC.stencil), "time_order None is not an integer"),
+    (lambda: Region(WINDOW, "0", 3), "query time '0' is not an integer"),
+    (lambda: Region(WINDOW, None, 3), "query time None is not an integer"),
+    (lambda: Box((0,), ("3",)), "box corner ('3',) is not a sequence of integers"),
+    (lambda: Box(0, 3), "box corner 0 is not a sequence of integers"),
+    (lambda: oracle_sweep_implicit(*ABC, DELTA.rows[0], Box((0,), (2.5,)), 2),
+     "box corner (2.5,) is not a sequence of integers"),
+    (lambda: closed_getter(SPEC, DELTA, "tridiagonal")((0,), 2.0), "time 2.0 is not an integer"),
+    (lambda: closed_getter(SPEC, DELTA, "tridiagonal")(("1",), 2), "point '1' is not an integer"),
+    (lambda: closed_getter(SPEC, DELTA, "tridiagonal")((0,), -1), "time must be >= 0"),
 ]
 
 
